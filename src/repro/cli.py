@@ -23,6 +23,7 @@ import sys
 
 from .core.relaxed_greedy import RelaxedGreedySpanner
 from .distributed.dist_spanner import DistributedRelaxedGreedy
+from .exceptions import ParameterError
 from .experiments.workloads import (
     SCENARIO_REGISTRY,
     WORKLOAD_NAMES,
@@ -258,7 +259,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -40,7 +40,6 @@ __all__ = [
     "build_cluster_cover",
     "build_cluster_cover_reference",
     "cover_from_centers",
-    "invalidate_cover_rows",
 ]
 
 
@@ -185,26 +184,6 @@ class ClusterCover:
             raise GraphError(f"vertex {v} is not covered") from None
 
 
-def invalidate_cover_rows(
-    center_of: np.ndarray,
-    dist_to_center: np.ndarray,
-    kill: np.ndarray,
-) -> int:
-    """Clear the killed rows of a dense cover index, in place.
-
-    The region-restricted invalidation hook behind the maintenance
-    engine's persistent cover cache: ``kill`` marks the vertices whose
-    cached assignment may no longer reflect the covered graph (their
-    radius-ball touches a changed edge), and their rows revert to the
-    unclaimed state (-1 / inf).  Returns how many live rows were
-    cleared.
-    """
-    hit = kill & (center_of >= 0)
-    center_of[hit] = -1
-    dist_to_center[hit] = np.inf
-    return int(hit.sum())
-
-
 def _finalize(
     radius: float,
     centers: list[int],
@@ -225,7 +204,6 @@ def build_cluster_cover(
     *,
     vertices: Iterable[int] | None = None,
     order: Sequence[int] | None = None,
-    kernel: str = "auto",
 ) -> ClusterCover:
     """Sequential ball-growing cluster cover (Section 2.2.1).
 
@@ -239,10 +217,10 @@ def build_cluster_cover(
     per-center dict Dijkstra (the semantic reference, kept in
     :func:`build_cluster_cover_reference`) and the batched speculative
     kernel :func:`repro.graphs.paths.grow_balls_in_order` (many balls
-    per search).  ``kernel="auto"`` uses the batched kernel except on
-    trivially small graphs; the kernel itself probes one ball to choose
-    between dense scipy rows and the sparse frontier-sharing search
-    (see :func:`repro.graphs.paths.prefer_batched_sources`).
+    per search).  The batched kernel runs except on trivially small
+    graphs; it probes one ball to choose between dense scipy rows and
+    the sparse frontier-sharing search (see
+    :func:`repro.graphs.paths.prefer_batched_sources`).
 
     Parameters
     ----------
@@ -254,22 +232,14 @@ def build_cluster_cover(
         Subset to cover (default: every vertex of ``graph``).
     order:
         Explicit center-candidate order, for deterministic experiments.
-    kernel:
-        ``"auto"`` | ``"scalar"`` | ``"batched"``.
     """
     if radius < 0.0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    if kernel not in ("auto", "scalar", "batched"):
-        raise GraphError(f"kernel must be auto|scalar|batched, got {kernel!r}")
     universe = list(vertices) if vertices is not None else list(graph.vertices())
     todo = list(order) if order is not None else universe
-    if kernel == "auto":
-        # The batched kernel self-selects dense vs sparse search per call;
-        # only trivially small instances stay on the scalar reference.
-        use_batched = bool(todo) and graph.num_vertices >= 256
-    else:
-        use_batched = kernel == "batched"
-    if not use_batched:
+    # The batched kernel self-selects dense vs sparse search per call;
+    # only trivially small instances stay on the scalar reference.
+    if not todo or graph.num_vertices < 256:
         return build_cluster_cover_reference(
             graph, radius, vertices=universe, order=todo
         )
@@ -359,21 +329,18 @@ def cover_from_centers(
     center_list = sorted(set(centers))
     if not set(center_list) <= universe:
         raise GraphError("centers must lie inside the covered universe")
-    assignment: dict[int, int] = {}
-    center_distance: dict[int, float] = {}
     n = graph.num_vertices
     center_arr = np.asarray(center_list, dtype=np.int64)
-    best = best_d = None
+    in_universe = np.zeros(n, dtype=bool)
+    in_universe[[u for u in universe if 0 <= u < n]] = True
+    best = np.full(n, -1, dtype=np.int64)
+    best_d = np.full(n, np.inf, dtype=np.float64)
     # Highest-id preference: process centers in increasing id order and
     # let later (higher) centers overwrite.  Wide-reach assignments go
     # through batched multi-source Dijkstra blocks with pure array
     # claiming; tiny-ball regimes ride the sparse frontier-sharing
     # search (see prefer_batched_sources).
     if prefer_batched_sources(graph, center_list, radius):
-        in_universe = np.zeros(n, dtype=bool)
-        in_universe[[u for u in universe if 0 <= u < n]] = True
-        best = np.full(n, -1, dtype=np.int64)
-        best_d = np.full(n, np.inf, dtype=np.float64)
         block = source_block_size(graph)
         for lo in range(0, center_arr.size, block):
             chunk = center_arr[lo : lo + block]
@@ -386,11 +353,9 @@ def cover_from_centers(
             sel = np.flatnonzero(reached.any(axis=0) & in_universe)
             best[sel] = chunk[pick[sel]]
             best_d[sel] = rows[pick[sel], sel]
-    elif n >= 256:
+    else:
         # Tiny balls: sparse frontier-sharing search from all centers,
         # highest-id (= highest slot, centers ascend) claim per vertex.
-        in_universe = np.zeros(n, dtype=bool)
-        in_universe[[u for u in universe if 0 <= u < n]] = True
         starts, ball_v, ball_d = multi_source_ball_lists(
             graph, center_arr, radius
         )
@@ -403,27 +368,15 @@ def cover_from_centers(
         src, ball_v, ball_d = src[order], ball_v[order], ball_d[order]
         last = np.ones(ball_v.size, dtype=bool)
         last[:-1] = ball_v[1:] != ball_v[:-1]
-        best = np.full(n, -1, dtype=np.int64)
-        best_d = np.full(n, np.inf, dtype=np.float64)
         best[ball_v[last]] = center_arr[src[last]]
         best_d[ball_v[last]] = ball_d[last]
-    else:
-        for c in center_list:
-            for v, d in dijkstra(graph, c, cutoff=radius).items():
-                if v in universe:
-                    assignment[v] = c
-                    center_distance[v] = d
-    if best is not None:
-        # Centers always belong to their own cluster (applied on the
-        # arrays first so they can seed the cover's index cache).
-        best[center_arr] = center_arr
-        best_d[center_arr] = 0.0
-        claimed = np.flatnonzero(best >= 0)
-        assignment = dict(zip(claimed.tolist(), best[claimed].tolist()))
-        center_distance = dict(zip(claimed.tolist(), best_d[claimed].tolist()))
-    for c in center_list:  # centers always belong to their own cluster
-        assignment[c] = c
-        center_distance[c] = 0.0
+    # Centers always belong to their own cluster (applied on the arrays
+    # so they can seed the cover's index cache).
+    best[center_arr] = center_arr
+    best_d[center_arr] = 0.0
+    claimed = np.flatnonzero(best >= 0)
+    assignment = dict(zip(claimed.tolist(), best[claimed].tolist()))
+    center_distance = dict(zip(claimed.tolist(), best_d[claimed].tolist()))
     missing = universe - assignment.keys()
     if missing:
         raise GraphError(
@@ -431,8 +384,7 @@ def cover_from_centers(
             f"(e.g. {sorted(missing)[:5]}); centers do not dominate"
         )
     cover = _finalize(radius, list(center_list), assignment, center_distance)
-    if best is not None:
-        best.setflags(write=False)
-        best_d.setflags(write=False)
-        cover._cache[n] = (best, best_d)
+    best.setflags(write=False)
+    best_d.setflags(write=False)
+    cover._cache[n] = (best, best_d)
     return cover

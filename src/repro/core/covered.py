@@ -132,7 +132,6 @@ def split_covered(
     *,
     alpha: float,
     theta: float,
-    kernel: str = "auto",
 ) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
     """Partition bin edges into (candidates, covered).
 
@@ -143,21 +142,14 @@ def split_covered(
     one flattened array pass -- witnesses expanded through the spanner's
     CSR rows, both orientations at once, distances measured by one
     ``pairs`` call per orientation; bare scalar callables use the
-    per-edge reference :func:`split_covered_reference`.
-
-    ``kernel`` selects the path explicitly (``"auto"`` picks by oracle
-    capability, ``"scalar"`` forces the reference, ``"batch"`` forces
-    the array pass -- valid for any oracle, since the adapter's
-    ``pairs`` evaluates the scalar callable per pair).  Both kernels
-    produce identical partitions for any oracle; the equivalence suite
-    pins this for every shipped oracle.
+    per-edge reference :func:`split_covered_reference`.  Both paths
+    produce identical partitions; the equivalence suite pins this for
+    every shipped oracle.
     """
-    if kernel not in ("auto", "scalar", "batch"):
-        raise GraphError(f"kernel must be auto|scalar|batch, got {kernel!r}")
     if not edges:
         return [], []
     oracle = as_oracle(dist)
-    if kernel == "scalar" or (kernel == "auto" and not has_batch_pairs(oracle)):
+    if not has_batch_pairs(oracle):
         return split_covered_reference(
             edges, spanner, oracle, alpha=alpha, theta=theta
         )

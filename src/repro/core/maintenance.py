@@ -10,9 +10,9 @@ accounting) and consumes a stream of ``insert(point)`` /
 via *dirty-ball invalidation*:
 
 1. the event marks the ball of alive nodes within ``dirty_radius``
-   (default ``t + 1``: the query cutoff plus the unit communication
-   radius) of every event site -- the only region whose coverage or
-   crossing sets the event can affect;
+   (``t + 1``: the query cutoff plus the unit communication radius) of
+   every event site -- the only region whose coverage or crossing sets
+   the event can affect;
 2. the base alpha-UBG is patched incrementally (the two-layer CSR's
    tombstoned deletions make this O(degree) per event, no rebuild);
 3. the paper's phases re-run *only on the induced dirty subgraph*:
@@ -72,9 +72,10 @@ straight-line distance).  Surviving rows are served as-is -- they are
 bit-for-bit.
 
 :func:`events_from_fault_plan` adapts :class:`repro.distributed.faults.
-FaultPlan` crash/recover schedules onto delete/insert event streams
-(optionally pre-grouped into same-timestamp epochs), so fault
-adversaries and mobility models share one schema.
+FaultPlan` crash/recover schedules onto delete/insert event streams, so
+fault adversaries and mobility models share one schema;
+``apply_stream(events, batch="epoch")`` groups such a stream into
+same-timestamp epochs.
 """
 
 from __future__ import annotations
@@ -94,11 +95,7 @@ from ..graphs.graph import Graph
 from ..graphs.paths import detour_distance, dijkstra_distance, pair_distances
 from ..params import SpannerParams
 from .bins import EdgeBinning
-from .cover import (
-    ClusterCover,
-    build_cluster_cover_reference,
-    invalidate_cover_rows,
-)
+from .cover import ClusterCover, build_cluster_cover_reference
 from .relaxed_greedy import RelaxedGreedySpanner, SpannerResult
 from .selection import select_query_edges
 
@@ -182,8 +179,6 @@ def events_from_fault_plan(
     plan: "FaultPlan",
     nodes: Iterable[int],
     horizon: float,
-    *,
-    epoch_by_time: bool = False,
 ) -> tuple:
     """Map a :class:`FaultPlan`'s crash/recover schedules to events.
 
@@ -194,11 +189,6 @@ def events_from_fault_plan(
     ``(time, kind, node)`` with deletes before inserts at equal times,
     and is a pure function of the plan's seed -- the same determinism
     contract as every other draw in the fault tier.
-
-    With ``epoch_by_time=True`` the same stream is returned pre-grouped
-    into same-timestamp epochs (a tuple of event tuples) ready for
-    :meth:`MaintenanceSession.apply_epoch`; flattening the groups
-    recovers the plain stream exactly.
     """
     node_arr = np.asarray(list(nodes), dtype=np.int64)
     crash_at, recover_at = plan.crash_schedules(node_arr)
@@ -212,12 +202,7 @@ def events_from_fault_plan(
         if math.isfinite(ra) and ra <= horizon:
             events.append(MaintenanceEvent("insert", node=node, time=ra))
     events.sort(key=lambda e: (e.time, 0 if e.kind == "delete" else 1, e.node))
-    if not epoch_by_time:
-        return tuple(events)
-    return tuple(
-        tuple(group)
-        for _, group in itertools.groupby(events, key=lambda e: e.time)
-    )
+    return tuple(events)
 
 
 class MaintenanceSession:
@@ -242,9 +227,6 @@ class MaintenanceSession:
         ``"local"`` (dirty-ball pipeline, bounded-stretch pin) or
         ``"rebuild"`` (spanner re-derived per event/epoch, bit-equal
         pin).
-    dirty_radius:
-        Euclidean invalidation radius around event sites; default
-        ``t + 1``.
     resync_fraction:
         Local repair escalates to a spanner rebuild when a single
         event's dirty ball exceeds this fraction of the alive nodes.
@@ -264,7 +246,6 @@ class MaintenanceSession:
         alpha: float = 1.0,
         policy=None,
         repair: str = "local",
-        dirty_radius: float | None = None,
         resync_fraction: float = 0.25,
         cover_cache: bool = True,
     ) -> None:
@@ -287,11 +268,9 @@ class MaintenanceSession:
             epsilon, alpha=alpha, dim=self._dim
         )
         self.repair_mode = repair
-        self.dirty_radius = (
-            float(dirty_radius)
-            if dirty_radius is not None
-            else self.params.t + 1.0
-        )
+        # Euclidean invalidation radius around event sites; the module
+        # docstring's sweep-radius argument depends on this value.
+        self.dirty_radius = self.params.t + 1.0
         self.resync_fraction = float(resync_fraction)
         self._pts_cache: PointSet | None = None
         self._cells: dict[tuple[int, ...], set[int]] = {}
@@ -558,12 +537,14 @@ class MaintenanceSession:
             if not bucket:
                 del self._cells[key]
 
-    def _near_alive(
-        self, pos: np.ndarray, exclude: int
+    def _near(
+        self, pos: np.ndarray, radius: float = 1.0, exclude: int = -1
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Alive nodes within unit distance of ``pos`` (grid cells).
+        """Alive nodes other than ``exclude`` within Euclidean
+        ``radius`` <= 1 of ``pos``, ascending by id, with distances.
 
-        Uses the same squared-compare + einsum distance kernel as
+        Gathered from the unit grid cells (no O(n) scan) and measured
+        with the same squared-compare + einsum distance kernel as
         :meth:`GridIndex.pairs_within_arrays`, so incremental edge
         weights are bitwise equal to a batch rebuild's.
         """
@@ -580,7 +561,7 @@ class MaintenanceSession:
         cand = np.asarray(ids, dtype=np.int64)
         diff = self._coords[cand] - np.asarray(pos, dtype=np.float64)
         dist_sq = np.einsum("ij,ij->i", diff, diff)
-        keep = dist_sq <= 1.0
+        keep = dist_sq <= radius * radius
         return cand[keep], np.sqrt(dist_sq[keep])
 
     def _decide_edges(
@@ -637,7 +618,7 @@ class MaintenanceSession:
         self._pts_cache = None
         self._alive[node] = True
         position = self._coords[node]
-        cand, dist = self._near_alive(position, exclude=node)
+        cand, dist = self._near(position, exclude=node)
         nbrs, ws = self._decide_edges(node, cand, dist)
         for v, w in zip(nbrs.tolist(), ws.tolist()):
             self.graph.add_edge(node, v, w)
@@ -686,7 +667,7 @@ class MaintenanceSession:
         new_pos = self._coords[node]
         if self._cover_cache_on:
             self._cover_pending.append(new_pos.copy())
-        cand, dist = self._near_alive(new_pos, exclude=node)
+        cand, dist = self._near(new_pos, exclude=node)
         nbrs, ws = self._decide_edges(node, cand, dist)
         new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
         for v in list(self.graph.neighbors(node)):
@@ -1033,26 +1014,6 @@ class MaintenanceSession:
         return pairs
 
     # -- persistent cover state ----------------------------------------
-    def _near_ball(
-        self, pos: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alive nodes within Euclidean ``radius`` <= 1 of ``pos``,
-        gathered from the unit grid cells (no O(n) scan)."""
-        base = self._cell_key(pos)
-        ids: list[int] = []
-        for off in itertools.product((-1, 0, 1), repeat=self._dim):
-            bucket = self._cells.get(tuple(c + o for c, o in zip(base, off)))
-            if bucket:
-                ids.extend(bucket)
-        if not ids:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
-        cand = np.asarray(ids, dtype=np.int64)
-        diff = self._coords[cand] - np.asarray(pos, dtype=np.float64)
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        keep = dist_sq <= radius * radius
-        return cand[keep], np.sqrt(dist_sq[keep])
-
     def _kill_node_rows(self, node: int) -> None:
         """Clear the node's own cached rows across every bin (a dead or
         moved vertex is no grid-reachable target for the flush)."""
@@ -1067,10 +1028,12 @@ class MaintenanceSession:
         edge lies on (or shortens) a path of length <= radius from
         ``v``; edge weights dominate straight-line distance, so it
         suffices to clear rows within Euclidean ``radius`` of any
-        changed endpoint.  Bin radii are ``delta * W_i <= delta < 1/2``
-        -- under the unit grid-cell width -- so the rows at risk come
-        out of the event sites' own cell neighborhoods, keeping the
-        flush O(changed neighborhood), not O(capacity).
+        changed endpoint.  Bin radii are ``delta * W_{i-1} < delta <
+        1/2`` (a non-empty bin has ``W_{i-1} < 1``, and
+        :meth:`SpannerParams.validate` enforces ``delta < (t1 - 1) /
+        (6 + 2 t1)``) -- under the unit grid-cell width -- so the rows
+        at risk come out of the event sites' own cell neighborhoods,
+        keeping the flush O(changed neighborhood), not O(capacity).
         """
         if not self._cover_pending:
             return
@@ -1080,25 +1043,10 @@ class MaintenanceSession:
         rmax = max(radius for radius, _, _ in self._cover_bins.values())
         pts = self._cover_pending
         self._cover_pending = []
-        if rmax > 1.0:  # pragma: no cover - delta >= 1 never configured
-            best = np.full(self.capacity, np.inf)
-            stack = np.vstack(pts)
-            for lo in range(0, stack.shape[0], 128):
-                chunk = stack[lo : lo + 128]
-                diff = self._coords[:, None, :] - chunk[None, :, :]
-                np.minimum(
-                    best,
-                    np.einsum("nkd,nkd->nk", diff, diff).min(axis=1),
-                    out=best,
-                )
-            np.sqrt(best, out=best)
-            for radius, crow, drow in self._cover_bins.values():
-                invalidate_cover_rows(crow, drow, best <= radius)
-            return
         hits: list[np.ndarray] = []
         dists: list[np.ndarray] = []
         for pos in pts:
-            ids, d = self._near_ball(pos, rmax)
+            ids, d = self._near(pos, rmax)
             if ids.size:
                 hits.append(ids)
                 dists.append(d)
@@ -1120,8 +1068,10 @@ class MaintenanceSession:
     ) -> ClusterCover:
         """Cover the bin's candidate endpoints, reusing cached rows.
 
-        Cache off: a cold restricted ball-growing, exactly PR 9's
-        per-event derivation.  Cache on: rows surviving invalidation
+        Cache off: a cold restricted ball-growing on the scalar
+        reference (the batched kernel allocates O(n) dense state per
+        call, which would make a per-event repair O(n x bins)).  Cache
+        on: rows surviving invalidation
         are served as-is (they are exact current distances); only the
         uncovered remainder grows fresh balls -- the scalar restricted
         reference, whose per-ball cost is O(ball), beats any dense
@@ -1131,7 +1081,9 @@ class MaintenanceSession:
         t0 = perf_counter()
         try:
             if not self._cover_cache_on:
-                cover = _cold_cover(self.spanner, radius, endpoints)
+                cover = build_cluster_cover_reference(
+                    self.spanner, radius, vertices=endpoints
+                )
                 report.dirty_balls += cover.num_clusters
                 return cover
             # Invalidation was flushed at region entry; edges this
@@ -1167,19 +1119,6 @@ class MaintenanceSession:
             return cover
         finally:
             report.cover_s += perf_counter() - t0
-
-
-def _cold_cover(
-    spanner: Graph, radius: float, endpoints: list[int]
-) -> ClusterCover:
-    """PR 9's cacheless derivation: restricted scalar ball-growing.
-
-    Scalar because the batched kernel allocates O(n) dense state per
-    call, which would make a per-event repair O(n x bins).
-    """
-    return build_cluster_cover_reference(
-        spanner, radius, vertices=endpoints
-    )
 
 
 def _tup(pos: Sequence[float] | None) -> tuple[float, ...] | None:

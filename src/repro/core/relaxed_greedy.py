@@ -40,7 +40,7 @@ from .cluster_graph import (
 )
 from .cover import ClusterCover, build_cluster_cover
 from .covered import DistanceOracle, split_covered
-from .redundancy import MISFunction, greedy_mis, remove_redundant_edges
+from .redundancy import remove_redundant_edges
 from .selection import select_query_edges
 from .short_edges import process_short_edges
 
@@ -106,17 +106,12 @@ class SpannerResult:
         Per-executed-phase statistics, in order.
     num_bins:
         Total number of bins ``m`` (scheduled phases is ``m + 1``).
-    probe_cache:
-        Hit/miss counters of the dense-vs-sparse probe-outcome cache
-        accumulated over the build (base graph + partial spanner; see
-        :func:`repro.graphs.paths.prefer_batched_sources`).
     """
 
     spanner: Graph
     params: SpannerParams
     phases: list[PhaseReport] = field(default_factory=list)
     num_bins: int = 0
-    probe_cache: dict[str, int] = field(default_factory=dict)
 
     @property
     def executed_phases(self) -> int:
@@ -172,10 +167,6 @@ class RelaxedGreedySpanner:
     params:
         Validated parameter bundle (see
         :meth:`repro.params.SpannerParams.from_epsilon`).
-    mis:
-        MIS routine for redundancy elimination; the default is the
-        sequential greedy MIS, the distributed algorithm passes its
-        protocol-backed MIS.
     check_clique:
         Forwarded to phase 0's Lemma 1 validation.
     use_covered_filter:
@@ -202,13 +193,11 @@ class RelaxedGreedySpanner:
         self,
         params: SpannerParams,
         *,
-        mis: MISFunction = greedy_mis,
         check_clique: bool = True,
         use_covered_filter: bool = True,
         use_redundancy_removal: bool = True,
     ) -> None:
         self.params = params
-        self._mis = mis
         self._check_clique = check_clique
         self._use_covered_filter = use_covered_filter
         self._use_redundancy = use_redundancy_removal
@@ -248,7 +237,6 @@ class RelaxedGreedySpanner:
         result = SpannerResult(
             Graph(n), params, num_bins=binning.num_bins
         )
-        base_probe = graph.probe_cache_stats()
 
         # ---- phase 0 ------------------------------------------------
         short = bins.pop(0, [])
@@ -275,12 +263,6 @@ class RelaxedGreedySpanner:
             result.phases.append(report)
 
         result.spanner = spanner
-        base_after = graph.probe_cache_stats()
-        span_probe = spanner.probe_cache_stats()
-        result.probe_cache = {
-            key: span_probe[key] + base_after[key] - base_probe[key]
-            for key in ("hits", "misses")
-        }
         return result
 
     # ------------------------------------------------------------------
@@ -337,7 +319,6 @@ class RelaxedGreedySpanner:
                 cluster_graph,
                 params.t1,
                 w_cur=w_cur,
-                mis=self._mis,
             )
             num_removed = len(outcome.removed)
         else:

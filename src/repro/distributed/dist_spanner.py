@@ -50,11 +50,7 @@ from ..core.bins import EdgeBinning
 from ..core.cluster_graph import answer_spanner_queries, build_cluster_graph
 from ..core.cover import cover_from_centers
 from ..core.covered import DistanceOracle, split_covered
-from ..core.redundancy import (
-    build_conflict_graph,
-    conflict_graph_arrays,
-    find_redundant_pairs,
-)
+from ..core.redundancy import conflict_graph_arrays, find_redundant_pairs
 from ..core.relaxed_greedy import PhaseReport
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
@@ -71,7 +67,7 @@ from ..params import SpannerParams
 from .engine import SynchronousNetwork
 from .faults import FaultPlan
 from .ledger import RoundLedger
-from .mis import _normalize, run_luby_mis_arrays
+from .mis import run_luby_mis_arrays
 from .protocols.flooding import KHopGather
 from .unreliable import induced_csr, run_luby_mis_event
 
@@ -107,10 +103,6 @@ class DistributedSpannerResult:
         sweep after crashes severed spanner paths.
     final_time:
         Event-simulation clock when the last protocol run drained.
-    probe_cache:
-        Hit/miss counters of the partial spanner's dense-vs-sparse
-        probe-outcome cache (see
-        :func:`repro.graphs.paths.prefer_batched_sources`).
     """
 
     spanner: Graph
@@ -124,7 +116,6 @@ class DistributedSpannerResult:
     recovery_rounds: int = 0
     repair_edges: int = 0
     final_time: float = 0.0
-    probe_cache: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_rounds(self) -> int:
@@ -176,12 +167,6 @@ class DistributedRelaxedGreedy:
         final re-certification sweep restores the stretch bound on the
         surviving subgraph.  A zero-fault plan reproduces the default
         build exactly (pinned by the test-suite).
-    fault_engine:
-        Event-tier execution path for the fault runs: ``"auto"``
-        (default, the batched timer-wheel engine), ``"batch"`` or
-        ``"scalar"``.  The batch wheel is pinned bit-equal to the scalar
-        heap, so this knob only affects wall time -- it is what lets
-        ``fault_plan`` builds reach ``n >= 10^4``.
     """
 
     def __init__(
@@ -192,7 +177,6 @@ class DistributedRelaxedGreedy:
         process_empty_phases: bool = False,
         measure_gather_messages: bool = False,
         fault_plan: FaultPlan | None = None,
-        fault_engine: str = "auto",
         jobs: int = 1,
         points=None,
     ) -> None:
@@ -201,7 +185,6 @@ class DistributedRelaxedGreedy:
         self._process_empty = process_empty_phases
         self._measure_gather = measure_gather_messages
         self._fault_plan = fault_plan
-        self._fault_engine = fault_engine
         self._jobs = max(1, int(jobs))
         self._points = points
         self._partition: np.ndarray | None = None
@@ -267,7 +250,6 @@ class DistributedRelaxedGreedy:
         if self._fault_plan is not None:
             self._finalize_faults(graph, spanner, result)
         result.spanner = spanner
-        result.probe_cache = spanner.probe_cache_stats()
         return result
 
     # ------------------------------------------------------------------
@@ -479,7 +461,6 @@ class DistributedRelaxedGreedy:
             # Event volume grows with the node count; keep the default
             # ceiling for small runs but scale it for n >= 10^4 builds.
             max_events=max(5_000_000, 3_000 * n),
-            engine=self._fault_engine,
         )
         self._clock = run.t_end
         result.mis_invocations += 1
@@ -694,47 +675,41 @@ class DistributedRelaxedGreedy:
         )
         removed: list[tuple[int, int, float]] = []
         if pairs:
+            # The conflict graph stays CSR end-to-end: node i is the
+            # i-th implicated edge key in ascending (u, v) order.
+            key_u, key_v, c_indptr, c_indices = conflict_graph_arrays(
+                pairs, n
+            )
+            mis2_seed = self._seed * 2_000_003 + index
             if plan is None:
-                # Array route: the conflict graph stays CSR end-to-end
-                # (sorted edge keys are the node ids -- the same
-                # relabeling run_luby_mis applies to the dict form, so
-                # rounds/messages/MIS are identical; pinned in tests).
-                key_u, key_v, c_indptr, c_indices = conflict_graph_arrays(
-                    pairs, n
-                )
                 mis2 = run_luby_mis_arrays(
-                    c_indptr, c_indices, seed=self._seed * 2_000_003 + index
+                    c_indptr, c_indices, seed=mis2_seed
                 )
-                implicated = set(zip(key_u.tolist(), key_v.tolist()))
-                keep = {
-                    (int(key_u[i]), int(key_v[i]))
-                    for i in mis2.independent_set
-                }
+                chosen = mis2.independent_set
                 mis2_rounds, mis2_messages = mis2.engine_rounds, mis2.messages
             else:
-                conflict = build_conflict_graph(pairs)
-                implicated = set(conflict)
                 # Conflict-graph nodes are *edges* hosted by alive cluster
                 # heads: they suffer the plan's link faults but cannot
                 # crash (a dead host already removed its edges above).
-                relabeled, back = _normalize(conflict)
                 vplan = replace(
                     plan,
                     crash_rate=0.0,
                     seed=plan.seed * 1_000_003 + 17,
                 )
                 vrun = run_luby_mis_event(
-                    relabeled,
-                    seed=self._seed * 2_000_003 + index,
+                    (c_indptr, c_indices),
+                    seed=mis2_seed,
                     plan=vplan,
                     t0=self._clock,
                 )
                 self._clock = vrun.t_end
                 result.retransmissions += vrun.result.retransmissions
                 result.recovery_rounds += vrun.result.recovery_rounds
-                keep = frozenset(back[u] for u in vrun.independent_set)
+                chosen = vrun.independent_set
                 mis2_rounds = vrun.result.rounds
                 mis2_messages = vrun.result.messages
+            implicated = set(zip(key_u.tolist(), key_v.tolist()))
+            keep = {(int(key_u[i]), int(key_v[i])) for i in chosen}
             result.mis_invocations += 1
             ledger.charge(
                 index,

@@ -13,12 +13,12 @@ rate, crash rate and latency variance rise.  Shape:
   tier (same MIS, same BFS tree, same spanner edge set) -- the
   zero-fault anchor every other row's degradation is measured from.
 
-Rows default to the batched event engine (``engine="auto"``), which is
-pinned bit-equal to the scalar heap, so ``n = 10^4`` fault rows are
-practical (``repro sweep --experiments E11 --faults chaos --sizes
-10000``).  The spanner-build arm and its all-pairs stretch audit stop
-above ``max_build_n`` nodes (the hardened runners' internal verification
-still certifies every row); each row carries its wall clock.
+Rows run on the batched event engine, which is pinned bit-equal to the
+scalar heap, so ``n = 10^4`` fault rows are practical (``repro sweep
+--experiments E11 --faults chaos --sizes 10000``).  The spanner-build
+arm and its all-pairs stretch audit stop above ``max_build_n`` nodes
+(the hardened runners' internal verification still certifies every
+row); each row carries its wall clock.
 """
 
 from __future__ import annotations
@@ -48,16 +48,13 @@ def run(
     scenarios: tuple[str, ...] | None = None,
     sizes: tuple[int, ...] | None = None,
     faults: tuple[str, ...] | None = None,
-    engine: str = "auto",
     max_build_n: int = 2000,
 ) -> ExperimentResult:
     """Execute E11.
 
     ``scenarios``/``sizes`` override the workload cell (first entry of
     each is used; the sweep driver passes one cell at a time);
-    ``faults`` restricts the failure scenarios to run.  ``engine``
-    selects the event execution path (``auto``/``batch``/``scalar``;
-    results are pinned identical, only wall time moves); rows with
+    ``faults`` restricts the failure scenarios to run; rows with
     ``n > max_build_n`` skip the spanner-build arm and its quadratic
     stretch audit.
     """
@@ -123,17 +120,15 @@ def run(
         with stopwatch(row):
             try:
                 mis = run_luby_mis_event(
-                    graph, seed=seed, plan=plan,
-                    max_events=max_events, engine=engine,
+                    graph, seed=seed, plan=plan, max_events=max_events
                 )
                 bfs = run_bfs_event(
                     graph, root, plan=plan, patience=64,
-                    max_events=max_events, engine=engine,
+                    max_events=max_events,
                 )
                 if include_build:
                     build = DistributedRelaxedGreedy(
-                        params, seed=seed, fault_plan=plan,
-                        fault_engine=engine,
+                        params, seed=seed, fault_plan=plan
                     ).build(graph, workload.points.distance)
             except ReproError as exc:  # invalid output = failed row
                 row.update(error=type(exc).__name__, detail=str(exc)[:80])

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..exceptions import GraphError
+from ..exceptions import GraphError, ParameterError
 from ..geometry.points import PointSet
 from ..geometry.sampling import (
     annulus_points,
@@ -273,7 +273,8 @@ def make_workload(
     seed:
         Point-process seed (also seeds stochastic gray-zone policies).
     alpha:
-        Quasi-UBG parameter; 1.0 yields a plain UDG.
+        Quasi-UBG parameter in ``(0, 1]``; 1.0 yields a plain UDG.
+        Values outside that range raise :class:`ParameterError`.
     policy:
         Gray-zone adversary for ``alpha < 1``; accepts a policy object or
         one of the shorthand strings ``"bernoulli"`` / ``"decay"``.  When
@@ -282,9 +283,11 @@ def make_workload(
         Target average degree for density-controlled point processes
         (spacing-controlled patterns ignore it).
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError(f"alpha must be in (0, 1], got {alpha!r}")
     spec = get_scenario(name)
     points = spec.factory(n, np.random.default_rng(seed), expected_degree)
-    if alpha >= 1.0:
+    if alpha == 1.0:
         graph = build_udg(points)
     else:
         if policy is None:

@@ -190,10 +190,6 @@ class Graph:
         "_snapshot",
         "_snapshot_rows",
         "_tail_work",
-        "_revision",
-        "_probe_cache",
-        "_probe_hits",
-        "_probe_misses",
     )
 
     def __init__(self, num_vertices: int) -> None:
@@ -227,13 +223,6 @@ class Graph:
         # Tail-scan work accumulated since the last fold; shared with
         # every snapshot handed out so scans on held snapshots count.
         self._tail_work: list[int] = [0]
-        # Monotone edge-mutation counter plus the dense-vs-sparse
-        # probe-outcome cache it keys (see repro.graphs.paths.
-        # prefer_batched_sources); hit/miss counters feed build reports.
-        self._revision = 0
-        self._probe_cache: dict[tuple[int, bool, int], bool] = {}
-        self._probe_hits = 0
-        self._probe_misses = 0
 
     # ------------------------------------------------------------------
     # Append-log plumbing
@@ -275,7 +264,6 @@ class Graph:
         self._row_of[(a, b)] = i
         self._log_len = i + 1
         self._edges_cache = None
-        self._revision += 1
 
     def _mark_base_dead(self, a: int, b: int) -> None:
         """Tombstone both directed base entries of edge ``(a, b)``.
@@ -349,7 +337,6 @@ class Graph:
             self._log_w[row] = w
         self._edges_cache = None
         self._snapshot = None
-        self._revision += 1
 
     def _log_delete(self, a: int, b: int) -> None:
         """Swap-delete one normalized edge row (copy-on-write).
@@ -392,7 +379,6 @@ class Graph:
         self._log_len = last
         self._edges_cache = None
         self._snapshot = None
-        self._revision += 1
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -406,19 +392,6 @@ class Graph:
     def num_edges(self) -> int:
         """Number of edges currently present."""
         return self._num_edges
-
-    @property
-    def revision(self) -> int:
-        """Monotone count of edge mutations (appends, weight overwrites,
-        deletes; bulk inserts bump once per batch).  Keys caches whose
-        validity ends with any edge change, such as the dense-vs-sparse
-        probe cache of :func:`repro.graphs.paths.prefer_batched_sources`."""
-        return self._revision
-
-    def probe_cache_stats(self) -> dict[str, int]:
-        """Hit/miss counters of the dense-vs-sparse probe-outcome cache
-        (see :func:`repro.graphs.paths.prefer_batched_sources`)."""
-        return {"hits": self._probe_hits, "misses": self._probe_misses}
 
     def vertices(self) -> range:
         """The vertex ids ``range(n)``."""
@@ -567,7 +540,6 @@ class Graph:
             )
         self._snapshot = None
         self._snapshot_rows = -1
-        self._revision += 1
         return range(start, start + count)
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -650,7 +622,6 @@ class Graph:
                 adj[y][x] = wt
             self._num_edges += k
             self._edges_cache = None
-            self._revision += 1
             return
         self._log_reserve(k)
         new_edges = 0

@@ -32,7 +32,6 @@ sparse side of that trade per call site.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from typing import Sequence
 
@@ -118,44 +117,21 @@ def prefer_batched_sources(
     skip, so modest batches of modest balls stay on the sparse side
     until the dense rows themselves (``k * ball``) amortize a merge of
     ``m`` edges.  The micro-probe suite pins this crossover.
-
-    Probe outcomes are cached on the graph keyed by ``(revision,
-    merge-pending, cutoff band)`` -- the band is the cutoff's binary
-    exponent -- so the phase loops, which re-probe the same radius
-    against an unchanged spanner many times per phase, pay the Dijkstra
-    probe once.  Any edge mutation (or a CSR merge, which flips the
-    merge-pending term) starts a fresh key; hit/miss counters surface in
-    the builders' reports via :meth:`Graph.probe_cache_stats`.
     """
     if cutoff is None:
         return True
     if len(sources) <= 1 or graph.num_vertices < 256:
         return True  # too small for the constants to matter
-    key = (
-        graph.revision,
-        graph.csr_merge_pending(),
-        math.frexp(cutoff)[1],
-    )
-    cache = graph._probe_cache
-    cached = cache.get(key)
-    if cached is not None:
-        graph._probe_hits += 1
-        return cached
-    graph._probe_misses += 1
-    outcome = True
     ball = dijkstra(graph, sources[0], cutoff=cutoff)
     if len(ball) * 64 < graph.num_vertices:
-        outcome = False
-    elif graph.csr_merge_pending() and len(sources) * len(ball) < graph.num_edges:
+        return False
+    if graph.csr_merge_pending() and len(sources) * len(ball) < graph.num_edges:
         # Same crossover the sparse kernel applies: only a base past the
         # nnz threshold makes its native-tail path (and hence the merge
         # avoidance) real; below it the merge is trivial either way.
         if graph.csr_snapshot().base.nnz >= _TAIL_NATIVE_MIN_NNZ:
-            outcome = False  # dense would pay a non-trivial tail merge
-    if len(cache) >= 4096:  # stale revisions dominate eventually
-        cache.clear()
-    cache[key] = outcome
-    return outcome
+            return False  # dense would pay a non-trivial tail merge
+    return True
 
 
 def multi_source_distances(

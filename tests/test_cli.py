@@ -37,6 +37,15 @@ class TestGenerate:
         assert meta["alpha"] == 0.7
         assert graph.max_edge_weight() <= 1.0 + 1e-9
 
+    def test_out_of_range_alpha_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        code = main(["generate", str(path), "--n", "50", "--alpha", "1.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha must be in (0, 1], got 1.5" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_all_workloads(self, tmp_path):
         for name in ("clustered", "grid", "corridor", "uniform3d"):
             code = main(

@@ -70,8 +70,10 @@ class TestClusterCoverEquivalence:
     @pytest.mark.parametrize("scenario,n", [("uniform", 300), ("corridor", 280)])
     def test_batched_kernel_matches_reference(self, scenario, n):
         wl = make_workload(scenario, n, seed=5)
+        # build_cluster_cover runs the batched kernel from 256 vertices.
+        assert wl.graph.num_vertices >= 256
         for radius in RADII:
-            batched = build_cluster_cover(wl.graph, radius, kernel="batched")
+            batched = build_cluster_cover(wl.graph, radius)
             scalar = build_cluster_cover_reference(wl.graph, radius)
             assert_covers_equal(batched, scalar)
 
@@ -81,10 +83,10 @@ class TestClusterCoverEquivalence:
         order = rng.permutation(300).tolist()
         universe = sorted(rng.choice(300, 220, replace=False).tolist())
         order_u = [u for u in order if u in set(universe)]
+        assert wl.graph.num_vertices >= 256
         for radius in (0.05, 0.4):
             batched = build_cluster_cover(
-                wl.graph, radius, vertices=universe, order=order_u,
-                kernel="batched",
+                wl.graph, radius, vertices=universe, order=order_u
             )
             scalar = build_cluster_cover_reference(
                 wl.graph, radius, vertices=universe, order=order_u
@@ -96,10 +98,10 @@ class TestClusterCoverEquivalence:
         universe = list(range(200))
         from repro.exceptions import GraphError
 
+        assert wl.graph.num_vertices >= 256
         with pytest.raises(GraphError, match="outside the universe"):
             build_cluster_cover(
-                wl.graph, 0.2, vertices=universe, order=[0, 250],
-                kernel="batched",
+                wl.graph, 0.2, vertices=universe, order=[0, 250]
             )
         with pytest.raises(GraphError, match="outside the universe"):
             build_cluster_cover_reference(

@@ -15,7 +15,7 @@ from repro.experiments import (
 )
 from repro.experiments.e4_rounds import log_star
 from repro.experiments.runner import ExperimentResult, format_table
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ParameterError
 
 
 class TestWorkloads:
@@ -29,6 +29,11 @@ class TestWorkloads:
     def test_unknown_workload(self):
         with pytest.raises(GraphError):
             make_workload("nope", 10)
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.2, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must be in"):
+            make_workload("uniform", 40, seed=2, alpha=alpha)
 
     def test_alpha_policy_strings(self):
         for policy in ("bernoulli", "decay"):

@@ -2,13 +2,17 @@
 
 Pins the scenario registry's shape, the ``reliable`` scenario's anchor
 row (``sync_equal`` must be True: the event tier reproduced the
-synchronous scalar tier bit-for-bit), and seed-determinism of the
-fault-injection machinery end to end (S3).
+synchronous scalar tier bit-for-bit), faulty distributed builds
+against recorded values, and seed-determinism of the fault-injection
+machinery end to end (S3).
 """
+
+import hashlib
 
 import pytest
 
 from repro.distributed import FaultPlan
+from repro.distributed.dist_spanner import DistributedRelaxedGreedy
 from repro.experiments import EXPERIMENT_REGISTRY
 from repro.experiments.failures import (
     FAULT_REGISTRY,
@@ -17,8 +21,10 @@ from repro.experiments.failures import (
     fault_scenario,
     register_fault,
 )
+from repro.experiments.workloads import make_workload
 from repro.extensions.fault_tolerance import fault_injection_report
 from repro.graphs.graph import Graph
+from repro.params import SpannerParams
 
 
 class TestScenarioRegistry:
@@ -101,6 +107,54 @@ class TestE11:
         for ra, rb in zip(a.rows, b.rows):
             for key in keys:
                 assert ra[key] == rb[key], key
+
+
+def _edge_digest(spanner):
+    """Short hash of the spanner's sorted (u, v) pairs, weights left out."""
+    pairs = sorted(
+        (min(int(u), int(v)), max(int(u), int(v)))
+        for u, v, _ in spanner.edges()
+    )
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+
+
+class TestFaultyBuildPins:
+    """Faulty distributed builds, built the way E11 builds them, against
+    values recorded before the fault path's conflict-graph MIS switched
+    from the relabeled dict form to the CSR arrays the reliable path
+    uses.  Every build below runs that conflict-graph MIS on the event
+    tier, so a change to its node ids or fault draws moves these values.
+    Columns: scenario, n, edge digest, total_rounds, retransmissions,
+    recovery_rounds, repair_edges."""
+
+    @pytest.mark.parametrize(
+        "name, n, digest, rounds, retrans, recovery, repair",
+        [
+            ("lossy", 40, "644d3778e80c9e09", 497, 6, 0, 0),
+            ("lossy", 80, "5ccd4747079f9e6a", 890, 33, 0, 0),
+            ("crashy", 40, "50b6d5b5b20b5de5", 422, 0, 0, 0),
+            ("crashy", 80, "c079f5478680d220", 470, 0, 0, 0),
+            ("jittery", 40, "644d3778e80c9e09", 515, 0, 0, 0),
+            ("jittery", 80, "5ccd4747079f9e6a", 1409, 0, 0, 0),
+            ("chaos", 40, "50b6d5b5b20b5de5", 551, 4, 0, 0),
+            ("chaos", 80, "c079f5478680d220", 599, 4, 0, 0),
+        ],
+    )
+    def test_faulty_build_matches_recorded_values(
+        self, name, n, digest, rounds, retrans, recovery, repair
+    ):
+        seed = 0
+        workload = make_workload("uniform", n, seed=seed + 61)
+        build = DistributedRelaxedGreedy(
+            SpannerParams.from_epsilon(0.5),
+            seed=seed,
+            fault_plan=fault_scenario(name).plan(seed),
+        ).build(workload.graph, workload.points.distance)
+        assert _edge_digest(build.spanner) == digest
+        assert build.total_rounds == rounds
+        assert build.retransmissions == retrans
+        assert build.recovery_rounds == recovery
+        assert build.repair_edges == repair
 
 
 class TestInjectionDeterminism:

@@ -256,82 +256,3 @@ class TestProbeHeuristics:
         g.csr()
         # From a periphery vertex the probe ball is tiny -> sparse.
         assert not prefer_batched_sources(g, [2000, 2001], 0.5)
-
-
-class TestProbeOutcomeCache:
-    """ROADMAP 5(c): probe outcomes cached on (revision, merge-pending,
-    cutoff band); any edge mutation or CSR merge starts a fresh key."""
-
-    def _hub_graph(self, n=1024, ball=100):
-        g = Graph(n)
-        us = np.zeros(ball - 1, dtype=np.int64)
-        vs = np.arange(1, ball, dtype=np.int64)
-        g.add_weighted_edges_arrays(us, vs, np.full(ball - 1, 0.01))
-        return g
-
-    def test_revision_counts_every_mutation_kind(self):
-        g = Graph(8)
-        r0 = g.revision
-        g.add_edge(0, 1, 1.0)
-        assert g.revision == r0 + 1
-        g.add_edge(0, 1, 2.0)  # weight overwrite
-        assert g.revision == r0 + 2
-        g.remove_edge(0, 1)
-        assert g.revision == r0 + 3
-        g.add_weighted_edges_arrays(
-            np.asarray([2, 3]), np.asarray([4, 5]), np.asarray([1.0, 1.0])
-        )  # all-new bulk path bumps once per batch
-        assert g.revision == r0 + 4
-
-    def test_repeat_probe_hits_cache(self):
-        g = self._hub_graph()
-        g.csr()
-        sources = [0, 1, 2]
-        first = prefer_batched_sources(g, sources, 0.5)
-        stats = g.probe_cache_stats()
-        assert stats == {"hits": 0, "misses": 1}
-        assert prefer_batched_sources(g, sources, 0.5) == first
-        # Same band (binary exponent), different cutoff: still a hit.
-        assert prefer_batched_sources(g, sources, 0.6) == first
-        assert g.probe_cache_stats() == {"hits": 2, "misses": 1}
-
-    def test_mutation_invalidates_cached_outcome(self):
-        g = self._hub_graph()
-        g.csr()
-        prefer_batched_sources(g, [0, 1], 0.5)
-        g.add_edge(500, 501, 1.0)
-        g.csr()  # settle the merge so only the revision differs
-        prefer_batched_sources(g, [0, 1], 0.5)
-        assert g.probe_cache_stats()["misses"] == 2
-
-    def test_band_separates_cutoff_scales(self):
-        g = self._hub_graph()
-        g.csr()
-        # Hub radius probes dense; a cutoff orders of magnitude smaller
-        # lands in another band and re-probes (tiny ball -> sparse).
-        assert prefer_batched_sources(g, [0, 1], 0.5)
-        assert not prefer_batched_sources(g, [0, 1], 1e-6)
-        assert g.probe_cache_stats() == {"hits": 0, "misses": 2}
-
-    def test_sequential_build_reports_probe_counters(self):
-        from repro.core.relaxed_greedy import RelaxedGreedySpanner
-        from repro.experiments.workloads import make_workload
-        from repro.params import SpannerParams
-
-        wl = make_workload("uniform", 300, seed=3)
-        result = RelaxedGreedySpanner(
-            SpannerParams.from_epsilon(0.5)
-        ).build(wl.graph, wl.points.distance)
-        assert set(result.probe_cache) == {"hits", "misses"}
-        assert result.probe_cache["misses"] >= 1
-
-    def test_distributed_build_reports_probe_counters(self):
-        from repro.distributed.dist_spanner import DistributedRelaxedGreedy
-        from repro.experiments.workloads import make_workload
-        from repro.params import SpannerParams
-
-        wl = make_workload("uniform", 300, seed=3)
-        result = DistributedRelaxedGreedy(
-            SpannerParams.from_epsilon(0.5), seed=0
-        ).build(wl.graph, wl.points.distance)
-        assert set(result.probe_cache) == {"hits", "misses"}

@@ -14,8 +14,8 @@ Four pins, mirroring the acceptance criteria:
   session produces identical graphs.
 
 Plus the stream/adapter plumbing that rides along: ``apply_stream``
-batch-mode validation and grouping, ``events_from_fault_plan``'s
-``epoch_by_time`` grouping, and the per-phase timing counters.
+batch-mode validation and grouping, fault-plan event streams applied
+epoch by epoch, and the per-phase timing counters.
 """
 
 import numpy as np
@@ -203,25 +203,12 @@ class TestStreamBatching:
 
 
 class TestFaultPlanEpochs:
-    def test_epoch_by_time_flattens_to_plain_stream(self):
-        plan = FaultPlan(seed=9, crash_rate=0.2, recover_after=2.0)
-        plain = events_from_fault_plan(plan, range(120), horizon=50.0)
-        grouped = events_from_fault_plan(
-            plan, range(120), horizon=50.0, epoch_by_time=True
-        )
-        assert [ev for group in grouped for ev in group] == list(plain)
-        for group in grouped:
-            assert len({ev.time for ev in group}) == 1
-
     def test_grouped_epochs_drive_apply_epoch(self):
         session, _ = make_session(4, n=120)
         plan = FaultPlan(seed=3, crash_rate=0.1, recover_after=2.0)
-        grouped = events_from_fault_plan(
-            plan, range(120), horizon=40.0, epoch_by_time=True
-        )
-        assert grouped  # the plan must actually schedule something
-        applied = 0
-        for group in grouped:
-            applied += len(session.apply_epoch(group))
-        assert applied == sum(len(g) for g in grouped)
+        events = events_from_fault_plan(plan, range(120), horizon=40.0)
+        assert events  # the plan must actually schedule something
+        reports = session.apply_stream(events, batch="epoch")
+        assert len(reports) == len(events)
+        assert session.stats()["epochs"] == len({ev.time for ev in events})
         assert session.verify()["ok"]

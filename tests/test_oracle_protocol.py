@@ -10,7 +10,11 @@ extensions ride the flattened CSR witness scan of ``split_covered``.
 import numpy as np
 import pytest
 
-from repro.core.covered import is_covered, split_covered
+from repro.core.covered import (
+    is_covered,
+    split_covered,
+    split_covered_reference,
+)
 from repro.core.oracle import (
     BoundMethodOracle,
     ScalarOracleAdapter,
@@ -192,13 +196,14 @@ class TestSplitCoveredEquivalence:
             sum(ord(c) for c in name)
         ))
         params = SpannerParams.from_epsilon(0.5)
+        # split_covered takes the array path exactly for these oracles.
+        assert has_batch_pairs(as_oracle(oracle))
         batch = split_covered(
-            edges, spanner, oracle,
-            alpha=params.alpha, theta=params.theta, kernel="batch",
+            edges, spanner, oracle, alpha=params.alpha, theta=params.theta
         )
-        scalar = split_covered(
-            edges, spanner, oracle,
-            alpha=params.alpha, theta=params.theta, kernel="scalar",
+        scalar = split_covered_reference(
+            edges, spanner, as_oracle(oracle),
+            alpha=params.alpha, theta=params.theta,
         )
         assert batch == scalar
         # Verdicts agree with the per-edge predicate too.
@@ -219,23 +224,15 @@ class TestSplitCoveredEquivalence:
         oracle = lp_metric(points.coords, 2.0)
         spanner, edges = _filter_inputs(points, oracle, seed=9)
         params = SpannerParams.from_epsilon(0.5)
+        assert has_batch_pairs(as_oracle(oracle))
         auto = split_covered(
             edges, spanner, oracle, alpha=params.alpha, theta=params.theta
         )
-        forced = split_covered(
-            edges, spanner, oracle,
-            alpha=params.alpha, theta=params.theta, kernel="batch",
+        reference = split_covered_reference(
+            edges, spanner, as_oracle(oracle),
+            alpha=params.alpha, theta=params.theta,
         )
-        assert auto == forced
-
-    def test_bad_kernel_rejected(self):
-        from repro.exceptions import GraphError
-
-        with pytest.raises(GraphError):
-            split_covered(
-                [(0, 1, 1.0)], Graph(2), lambda u, v: 1.0,
-                alpha=1.0, theta=0.5, kernel="nonsense",
-            )
+        assert auto == reference
 
 
 class _OpaqueScalar:

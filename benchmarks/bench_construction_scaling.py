@@ -1,17 +1,10 @@
-"""Sequential-construction scaling benches (ISSUE 4/5 acceptance).
+"""Sequential-construction scaling bench.
 
-Two claims are gated here:
-
-* the array-native construction core (frontier-sharing ball growing,
-  batched cover/cluster-graph/redundancy, incremental edge store) builds
-  the n = 2000 uniform workload at least 3x faster than the PR 2
-  baseline (1.1 s -> well under 0.55 s) and completes n = 10000 inside
-  a fixed budget;
-* refreshing the two-layer ``csr_snapshot`` after a k-edge append burst
-  is *tail-sized* -- it sorts only the k appended rows, never touching
-  the O(m) base -- so at a fixed vertex count the refresh cost stays
-  flat while the total edge count grows 8x and a cold rebuild grows
-  linearly with it.
+One claim is gated here: the array-native construction core
+(frontier-sharing ball growing, batched cover/cluster-graph/redundancy,
+append-log edge store) builds the n = 2000 uniform workload at least 3x
+faster than the earlier dict-based pipeline (1.1 s -> well under
+0.55 s) and completes n = 10000 inside a fixed budget.
 
 Wall times land in the ``results/bench`` trajectory store and are gated
 against their own history (>2x slowdown fails when REPRO_BENCH_GATE=1).
@@ -25,15 +18,11 @@ CI smoke runs ``-k "not 10000"``.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.core.relaxed_greedy import build_spanner
 from repro.experiments.workloads import make_workload
 from repro.graphs.analysis import measure_stretch
-from repro.graphs.graph import Graph
 from repro.params import SpannerParams
 
 
@@ -68,96 +57,3 @@ def test_sequential_construction_scaling(benchmark, bench_gate, n, budget_s):
     assert wall_s < budget_s, (
         f"sequential build at n={n} took {wall_s:.2f}s (budget {budget_s}s)"
     )
-
-
-# ----------------------------------------------------------------------
-# Incremental edge store micro-bench
-# ----------------------------------------------------------------------
-def _random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    rng = np.random.default_rng(seed)
-    g = Graph(n)
-    a = rng.integers(0, n, 3 * m)
-    b = rng.integers(0, n, 3 * m)
-    keep = a != b
-    a, b = a[keep][:m], b[keep][:m]
-    g.add_weighted_edges_arrays(a, b, rng.uniform(0.1, 1.0, a.size))
-    return g
-
-
-def _append_burst_cost(g: Graph, k: int, reps: int = 7) -> float:
-    """Best wall time of (append ``k`` fresh edges + refresh snapshots)."""
-    n = g.num_vertices
-    rng = np.random.default_rng(1)
-    best = float("inf")
-    for _ in range(reps):
-        pairs = []
-        while len(pairs) < k:
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-            if a != b and not g.has_edge(a, b):
-                pairs.append((a, b))
-        t0 = time.perf_counter()
-        for a, b in pairs:
-            g.add_edge(a, b, 0.5)
-        g.edges_arrays()
-        g.csr_snapshot()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _cold_snapshot_cost(g: Graph, reps: int = 7) -> float:
-    """Best wall time of a from-scratch snapshot rebuild."""
-    h = g.copy()  # fresh caches
-    best = float("inf")
-    for _ in range(reps):
-        h._edges_cache = None
-        h._base_csr = None
-        h._base_rows = 0
-        h._snapshot = None
-        t0 = time.perf_counter()
-        h.edges_arrays()
-        h.csr_snapshot()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_append_burst_snapshot_is_incremental(bench_gate):
-    """The two-layer snapshot refresh after k appends must be
-    tail-sized: flat in the total edge count m (the tail layer sorts
-    only the k new rows), while a cold base rebuild grows linearly, and
-    several times cheaper than cold at every size."""
-    k = 64
-    n = 32_000
-    sizes = [40_000, 320_000]  # same n: isolates the m-dependence
-    rows = []
-    for m in sizes:
-        g = _random_graph(n, m)
-        g.edges_arrays()
-        g.csr_snapshot()
-        incr = _append_burst_cost(g, k)
-        cold = _cold_snapshot_cost(g)
-        rows.append({"n": n, "m": m, "incr_s": incr, "cold_s": cold})
-        print(
-            f"\nappend-burst n={n} m={m}: incremental {incr * 1e3:.3f}ms, "
-            f"cold rebuild {cold * 1e3:.3f}ms ({cold / incr:.1f}x)"
-        )
-    small, large = rows
-    m_growth = large["m"] / small["m"]  # 8x
-    incr_growth = large["incr_s"] / small["incr_s"]
-    cold_growth = large["cold_s"] / small["cold_s"]
-    bench_gate(
-        "graph-append-burst-snapshot",
-        {
-            "k": k,
-            "rows": rows,
-            "incr_growth": incr_growth,
-            "cold_growth": cold_growth,
-            "wall_s": large["incr_s"],
-        },
-    )
-    # The refresh beats a rebuild outright at every size ...
-    assert small["cold_s"] > 2.0 * small["incr_s"], rows
-    assert large["cold_s"] > 3.0 * large["incr_s"], rows
-    # ... and is flat in m (tail-sized): 8x the edges may cost at most
-    # a noise factor, nowhere near the rebuild's linear growth.
-    assert incr_growth < 2.5, (incr_growth, m_growth)
-    assert incr_growth < 0.5 * cold_growth, (incr_growth, cold_growth)

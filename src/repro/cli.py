@@ -23,7 +23,7 @@ import sys
 
 from .core.relaxed_greedy import RelaxedGreedySpanner
 from .distributed.dist_spanner import DistributedRelaxedGreedy
-from .exceptions import ParameterError
+from .exceptions import ReproError
 from .experiments.workloads import (
     SCENARIO_REGISTRY,
     WORKLOAD_NAMES,
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ via *dirty-ball invalidation*:
    (``t + 1``: the query cutoff plus the unit communication radius) of
    every event site -- the only region whose coverage or crossing sets
    the event can affect;
-2. the base alpha-UBG is patched incrementally (the two-layer CSR's
-   tombstoned deletions make this O(degree) per event, no rebuild);
+2. the base alpha-UBG is patched incrementally, O(degree) edge writes
+   per event (the cached CSR is rebuilt by the next array kernel that
+   reads it);
 3. the paper's phases re-run *only on the induced dirty subgraph*:
    cover re-promotion (:func:`build_cluster_cover` restricted to the
    dirty universe), per-bin query selection (equation (1) minimizers),
@@ -90,7 +91,7 @@ import numpy as np
 
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
-from ..graphs.build import KeepAllPolicy
+from ..graphs.build import KeepAllPolicy, reject_coincident
 from ..graphs.graph import Graph
 from ..graphs.paths import detour_distance, dijkstra_distance, pair_distances
 from ..params import SpannerParams
@@ -395,7 +396,9 @@ class MaintenanceSession:
         region, with one certification sweep over the union of halos
         closing the epoch.  ``repair="rebuild"`` epochs re-derive the
         spanner once (still bit-equal to a scratch rebuild).  Returns
-        one report per event; an empty epoch is a no-op.
+        one report per event; an empty epoch is a no-op.  Every given
+        position must be finite with ``dim`` coordinates, checked for
+        the whole epoch before any event is applied.
         """
         events = list(events)
         if not events:
@@ -403,6 +406,18 @@ class MaintenanceSession:
         for event in events:
             if event.kind not in ("insert", "delete", "move"):
                 raise ParameterError(f"unknown event kind {event.kind!r}")
+            if event.pos is not None and not (
+                len(event.pos) == self._dim
+                and all(math.isfinite(c) for c in event.pos)
+            ):
+                who = (
+                    "fresh node" if event.node is None
+                    else f"node {event.node}"
+                )
+                raise GraphError(
+                    f"{event.kind} of {who} needs a finite dim-{self._dim} "
+                    f"position, got {event.pos}"
+                )
         t0 = perf_counter()
         reports: list[RepairReport] = []
         sites_list: list[list[np.ndarray]] = []
@@ -564,6 +579,22 @@ class MaintenanceSession:
         keep = dist_sq <= radius * radius
         return cand[keep], np.sqrt(dist_sq[keep])
 
+    def _near_target(
+        self, node: int, pos: Sequence[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_near` of an event's target position, rejecting one
+        that another alive node already occupies (it would need a
+        zero-length edge).  Events call this before writing any state,
+        so a rejected event leaves the session unchanged."""
+        cand, dist = self._near(pos, exclude=node)
+        same = cand[dist == 0.0]
+        if same.size:
+            raise GraphError(
+                f"node {node} at {tuple(float(c) for c in pos)} would "
+                f"coincide with alive node(s) {same.tolist()}"
+            )
+        return cand, dist
+
     def _decide_edges(
         self, node: int, cand: np.ndarray, dist: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -594,11 +625,8 @@ class MaintenanceSession:
         if node is None:
             if pos is None:
                 raise GraphError("insert of a fresh node needs a position")
-            if len(pos) != self._dim:
-                raise GraphError(
-                    f"position must have dim {self._dim}, got {len(pos)}"
-                )
             node = self._coords.shape[0]
+            cand, dist = self._near_target(node, pos)
             self._coords = np.vstack([self._coords, [pos]])
             self._alive = np.append(self._alive, False)
             self.graph.add_vertices(1)
@@ -612,13 +640,15 @@ class MaintenanceSession:
                 raise GraphError(f"node {node} out of range")
             if self._alive[node]:
                 raise GraphError(f"node {node} is already alive")
+            cand, dist = self._near_target(
+                node, self._coords[node] if pos is None else pos
+            )
             if pos is not None:
                 self._coords = self._coords.copy()
                 self._coords[node] = pos
         self._pts_cache = None
         self._alive[node] = True
         position = self._coords[node]
-        cand, dist = self._near(position, exclude=node)
         nbrs, ws = self._decide_edges(node, cand, dist)
         for v, w in zip(nbrs.tolist(), ws.tolist()):
             self.graph.add_edge(node, v, w)
@@ -647,8 +677,9 @@ class MaintenanceSession:
     ) -> tuple[int, list[np.ndarray]]:
         if not (0 <= node < self.capacity and self._alive[node]):
             raise GraphError(f"node {node} is not alive")
-        if pos is None or len(pos) != self._dim:
+        if pos is None:
             raise GraphError(f"move needs a dim-{self._dim} position")
+        cand, dist = self._near_target(node, pos)
         old = self._coords[node].copy()
         if self._cover_cache_on:
             # Every spanner edge at the node changes weight or dies;
@@ -667,7 +698,6 @@ class MaintenanceSession:
         new_pos = self._coords[node]
         if self._cover_cache_on:
             self._cover_pending.append(new_pos.copy())
-        cand, dist = self._near(new_pos, exclude=node)
         nbrs, ws = self._decide_edges(node, cand, dist)
         new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
         for v in list(self.graph.neighbors(node)):
@@ -702,6 +732,7 @@ class MaintenanceSession:
         # global ids keeps u < v and the policy draws line up.
         gu = alive_idx[u]
         gv = alive_idx[v]
+        reject_coincident(self._coords, gu, gv, dist)
         keep = dist <= self._alpha
         gray = ~keep
         if gray.any():
@@ -958,8 +989,8 @@ class MaintenanceSession:
             # detour_distance answers "would a t1-alternative survive
             # the removal?" without mutating the spanner: survivors --
             # the overwhelming majority -- cost zero log churn instead
-            # of a remove/re-add pair (and the snapshot tombstone sweep
-            # every later batched kernel would pay for it).
+            # of a remove/re-add pair (and the CSR rebuild the next
+            # batched kernel would pay for it).
             d = detour_distance(self.spanner, a, b, cutoff=t1 * w)
             if d <= t1 * w:
                 self.spanner.remove_edge(a, b)

@@ -56,6 +56,7 @@ __all__ = [
     "ObstaclePolicy",
     "build_udg",
     "build_qubg",
+    "reject_coincident",
 ]
 
 # ----------------------------------------------------------------------
@@ -374,6 +375,25 @@ def _policy_mask(
     )
 
 
+def reject_coincident(
+    coords: np.ndarray, u: np.ndarray, v: np.ndarray, dist: np.ndarray
+) -> None:
+    """Raise :class:`GraphError` naming the first pair at distance 0.
+
+    ``(u, v, dist)`` are pair arrays as
+    :meth:`repro.geometry.grid.GridIndex.pairs_within_arrays` returns
+    them (``u < v``, rows sorted).  A coincident pair would otherwise
+    reach :class:`Graph` as a zero-weight edge, whose error names
+    neither the points nor where they sit.
+    """
+    hit = np.flatnonzero(dist == 0.0)
+    if hit.size:
+        a, b = int(u[hit[0]]), int(v[hit[0]])
+        raise GraphError(
+            f"points {a} and {b} coincide at {tuple(coords[a].tolist())}"
+        )
+
+
 def build_udg(
     points: PointSet,
     *,
@@ -398,6 +418,7 @@ def build_udg(
     graph = Graph(len(points))
     index = GridIndex(points, cell_width=radius)
     u, v, dist = index.pairs_within_arrays(radius)
+    reject_coincident(points.coords, u, v, dist)
     graph.add_weighted_edges_arrays(u, v, _metric_weights(metric, dist))
     return graph
 
@@ -433,6 +454,7 @@ def build_qubg(
     graph = Graph(len(points))
     index = GridIndex(points, cell_width=1.0)
     u, v, dist = index.pairs_within_arrays(1.0)
+    reject_coincident(points.coords, u, v, dist)
     gray = dist > alpha
     if gray.any():
         keep = np.ones(u.shape[0], dtype=bool)

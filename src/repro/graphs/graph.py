@@ -5,33 +5,17 @@ the integers ``0 .. n-1`` (matching :class:`repro.geometry.PointSet`
 labels) and edges carry positive float weights.  The representation is a
 dict-of-dicts adjacency (neighbor iteration, O(1) edge queries, cheap
 dynamic insertion) *paired with an append-log edge store*: every edge
-occupies one row of three aligned growable numpy arrays, so the array
-snapshots (:meth:`edges_arrays`, :meth:`csr_snapshot`) refresh in
-O(changed) after a mutation burst instead of O(m).
+occupies one row of three aligned growable numpy arrays, so
+:meth:`Graph.edges_arrays` hands out O(1) read-only views of the log.
 
-The CSR view is **two-layered** (:class:`CsrSnapshot`): a frozen *base*
-matrix covering a prefix of the append log plus a small sorted directed
-*tail* holding the rows appended since the base was built.  Refreshing
-after a k-edge append burst costs O(k log k) tail sorting -- no O(m)
-merge, no coordinate re-sort of the existing structure -- and the sparse
-path kernels (:func:`repro.graphs.paths.multi_source_ball_lists` and
-its consumers) relax tail edges natively, so the construction hot loop
-never materializes a full matrix between appends.  Dense kernels that
-need one complete scipy matrix call :meth:`CsrSnapshot.matrix` (what
-:meth:`Graph.csr` returns), which merges base + tail once and caches
-the result.  The tail folds into a fresh base *adaptively*: a work
-accumulator charges every tail lookup and layer merge, and compaction
-runs once the accumulated scan work would have paid for one rebuild --
-so append-only bursts stay O(changed) at any tail size while scan-heavy
-workloads fold exactly when folding is cheaper.  Deletions and weight
-overwrites are tombstoned: the stale base entries are marked dead and
-swept out lazily by one C-level masked take at the next snapshot
-refresh (never a per-edge Python loop, never a full coordinate
-re-sort), with the sweep work charged to the same fold accumulator so
-sustained deletion churn escalates to a full rebuild exactly when that
-becomes cheaper.  Snapshots handed out stay frozen: the
-log copies itself before any in-place perturbation (copy-on-write), so
-callers may hold arrays across later mutations.
+:meth:`Graph.csr` builds the symmetric CSR matrix the array kernels
+consume from those views in one C-level pass and caches it until the
+next mutation.  The graphs that construction and churn repair keep
+mutating are spanners -- linear size, O(1) degree -- so that one pass
+stays small.  Arrays handed out stay frozen: the log copies itself
+before any in-place write (copy-on-write), and a new matrix replaces
+the cached one rather than mutating it, so callers may hold either
+across later mutations.
 """
 
 from __future__ import annotations
@@ -40,128 +24,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..arrayops import run_expand
 from ..exceptions import GraphError
 
-__all__ = ["Graph", "CsrSnapshot"]
+__all__ = ["Graph"]
 
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
-
-#: Adaptive compaction: the tail folds into a fresh base once the
-#: cumulative tail-scan work since the last fold (charged by
-#: :meth:`CsrSnapshot.tail_neighbors` and by :meth:`CsrSnapshot.matrix`
-#: merges) reaches this multiple of the log size -- i.e. once consumers
-#: have spent about one O(m) base rebuild's worth of work on the tail.
-#: Appends alone never fold, so append-only bursts refresh in tail-sized
-#: time regardless of how large the tail grows relative to the log.
-_FOLD_WORK_FACTOR = 2
-
-#: Work charged to the fold accumulator per dead *directed* base entry
-#: (each deletion or overwrite of a base-resident edge marks two).  The
-#: lazy compaction sweep is one O(nnz) masked take -- far cheaper per
-#: entry than the coordinate re-sort of a full fold -- so deletions are
-#: billed at a flat per-tombstone rate: isolated deletes stay O(nnz)
-#: sweeps, sustained deletion churn accumulates toward a full rebuild.
-_DEAD_WORK_CHARGE = 16
-
-
-class CsrSnapshot:
-    """Two-layer CSR snapshot: frozen base matrix + sorted directed tail.
-
-    ``base`` is a symmetric :class:`scipy.sparse.csr_matrix` covering a
-    prefix of the owning graph's append log; the tail holds every edge
-    appended since, as directed slot arrays sorted by ``(src, dst)``
-    (both orientations, so ``tail_src``/``tail_dst``/``tail_w`` have
-    ``2 * num_tail_edges`` entries).  Base and tail supports are
-    disjoint -- overwrites and deletions tombstone their base entries,
-    which the owning graph compacts away before handing out the next
-    snapshot -- so relaxing base rows plus tail slots visits exactly
-    the graph's edge multiset.
-
-    Snapshots are immutable: the owning graph replaces (never mutates)
-    its cached snapshot, so holding one across later graph mutations is
-    safe.
-    """
-
-    __slots__ = ("base", "tail_src", "tail_dst", "tail_w", "_matrix", "_work")
-
-    def __init__(
-        self,
-        base,
-        tail_src: np.ndarray,
-        tail_dst: np.ndarray,
-        tail_w: np.ndarray,
-        work_cell: list[int] | None = None,
-    ) -> None:
-        self.base = base
-        self.tail_src = tail_src
-        self.tail_dst = tail_dst
-        self.tail_w = tail_w
-        self._matrix = None
-        # Shared with the owning graph: cumulative tail-scan work since
-        # the last fold, driving the adaptive compaction policy.
-        self._work = [0] if work_cell is None else work_cell
-
-    @property
-    def num_tail_edges(self) -> int:
-        """Undirected edges living in the tail layer."""
-        return self.tail_src.size // 2
-
-    @property
-    def has_tail(self) -> bool:
-        """Whether any edges live outside the base matrix."""
-        return self.tail_src.size > 0
-
-    def tail_neighbors(
-        self, verts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tail adjacency rows for ``verts``: ``(counts, dst, w)``.
-
-        ``counts[i]`` tail neighbors of ``verts[i]``; ``dst``/``w`` are
-        the concatenated neighbor/weight runs in ``verts`` order.  Two
-        binary searches over the sorted tail per query vertex -- O(log
-        tail) each -- which is what lets the sparse frontier kernel
-        consume the snapshot without ever merging the layers.
-        """
-        lo = np.searchsorted(self.tail_src, verts, side="left")
-        hi = np.searchsorted(self.tail_src, verts, side="right")
-        counts = hi - lo
-        idx = run_expand(lo, counts)
-        # Charge the scan (queries + hits) to the owning graph's fold
-        # accumulator: once consumers have spent about one base rebuild
-        # on tail lookups, the next refresh folds (adaptive compaction).
-        self._work[0] += verts.size + idx.size
-        return counts, self.tail_dst[idx], self.tail_w[idx]
-
-    def matrix(self):
-        """The merged full matrix (cached; for dense/scipy kernels).
-
-        With an empty tail this *is* the base; otherwise base + tail
-        merge once per snapshot (one C-level sparse addition, the cost
-        the sparse kernels avoid paying).
-        """
-        if self._matrix is None:
-            if not self.has_tail:
-                self._matrix = self.base
-            else:
-                from scipy.sparse import coo_matrix
-
-                delta = coo_matrix(
-                    (self.tail_w, (self.tail_src, self.tail_dst)),
-                    shape=self.base.shape,
-                ).tocsr()
-                self._matrix = self.base + delta
-                # One merge reads both layers and writes the combined
-                # matrix -- charge both so the next refresh folds
-                # instead of merging over and over.
-                self._work[0] += 2 * (self.base.nnz + self.tail_src.size)
-        return self._matrix
-
-    @property
-    def merge_pending(self) -> bool:
-        """True while the full matrix would still have to be merged."""
-        return self.has_tail and self._matrix is None
 
 
 class Graph:
@@ -184,12 +52,7 @@ class Graph:
         "_row_of",
         "_log_shared",
         "_edges_cache",
-        "_base_csr",
-        "_base_rows",
-        "_base_dead",
-        "_snapshot",
-        "_snapshot_rows",
-        "_tail_work",
+        "_csr",
     )
 
     def __init__(self, num_vertices: int) -> None:
@@ -209,20 +72,8 @@ class Graph:
         # in-place perturbations must copy first (copy-on-write).
         self._log_shared = False
         self._edges_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # Two-layer CSR state: _base_csr covers log rows [0, _base_rows)
-        # plus the directed entries listed in _base_dead (tombstones of
-        # deleted/overwritten base edges, swept by a lazy masked take at
-        # the next refresh); rows beyond _base_rows form the tail of the
-        # current CsrSnapshot.  Appends only stale the snapshot (the
-        # next csr_snapshot() rebuilds just the tail).
-        self._base_csr = None
-        self._base_rows = 0
-        self._base_dead: list[int] = []
-        self._snapshot: CsrSnapshot | None = None
-        self._snapshot_rows = -1
-        # Tail-scan work accumulated since the last fold; shared with
-        # every snapshot handed out so scans on held snapshots count.
-        self._tail_work: list[int] = [0]
+        # Cached csr() matrix; every mutation clears it.
+        self._csr = None
 
     # ------------------------------------------------------------------
     # Append-log plumbing
@@ -264,112 +115,24 @@ class Graph:
         self._row_of[(a, b)] = i
         self._log_len = i + 1
         self._edges_cache = None
-
-    def _mark_base_dead(self, a: int, b: int) -> None:
-        """Tombstone both directed base entries of edge ``(a, b)``.
-
-        The entries stay in the base structure until the next snapshot
-        refresh sweeps them with one masked take
-        (:meth:`_compact_base_dead`); the flat per-tombstone charge lets
-        sustained deletion churn escalate to a full fold adaptively.
-        """
-        indptr = self._base_csr.indptr
-        indices = self._base_csr.indices
-        for x, y in ((a, b), (b, a)):
-            lo = int(indptr[x])
-            hi = int(indptr[x + 1])
-            self._base_dead.append(lo + int(np.searchsorted(indices[lo:hi], y)))
-        self._tail_work[0] += 2 * _DEAD_WORK_CHARGE
-
-    def _compact_base_dead(self) -> None:
-        """Sweep tombstoned entries out of the base matrix.
-
-        One C-level masked take over ``(data, indices)`` plus a per-row
-        count adjustment for ``indptr`` -- no coordinate re-sort, no
-        Python loop.  Builds a *new* matrix so held snapshots stay
-        frozen.
-        """
-        from scipy.sparse import csr_matrix
-
-        base = self._base_csr
-        dead = np.asarray(self._base_dead, dtype=np.int64)
-        keep = np.ones(base.nnz, dtype=bool)
-        keep[dead] = False
-        row_len = np.diff(base.indptr).astype(np.int64)
-        dead_rows = np.searchsorted(base.indptr, dead, side="right") - 1
-        np.subtract.at(row_len, dead_rows, 1)
-        indptr = np.zeros(row_len.size + 1, dtype=base.indptr.dtype)
-        np.cumsum(row_len, out=indptr[1:])
-        self._base_csr = csr_matrix(
-            (base.data[keep], base.indices[keep], indptr), shape=base.shape
-        )
-        self._base_dead = []
+        self._csr = None
 
     def _log_set_weight(self, row: int, w: float) -> None:
-        """Overwrite one row's weight in place (copy-on-write).
-
-        A base-resident row is first evicted to the tail: its base
-        entries are tombstoned and the row swaps with the last
-        base-covered row, so the new weight lands in the tail layer and
-        the base survives untouched until the lazy sweep.
-        """
+        """Overwrite one row's weight in place (copy-on-write)."""
         if self._log_shared:
             self._log_materialize()
-        if self._base_csr is not None and row < self._base_rows:
-            a = int(self._log_u[row])
-            b = int(self._log_v[row])
-            self._mark_base_dead(a, b)
-            head = self._base_rows - 1
-            if row != head:
-                hu = int(self._log_u[head])
-                hv = int(self._log_v[head])
-                w_head = float(self._log_w[head])
-                self._log_u[row] = hu
-                self._log_v[row] = hv
-                self._log_w[row] = w_head
-                self._log_u[head] = a
-                self._log_v[head] = b
-                self._row_of[(hu, hv)] = row
-                self._row_of[(a, b)] = head
-            self._log_w[head] = w
-            self._base_rows = head
-        else:
-            self._log_w[row] = w
+        self._log_w[row] = w
         self._edges_cache = None
-        self._snapshot = None
+        self._csr = None
 
     def _log_delete(self, a: int, b: int) -> None:
-        """Swap-delete one normalized edge row (copy-on-write).
-
-        Tail rows swap with the last log row as before.  Base-covered
-        rows tombstone their base entries and close the base prefix
-        with a two-swap -- last base row into the vacated slot, last
-        log row into the freed base boundary -- so log rows ``[0, B)``
-        keep covering exactly the live base entries.
-        """
+        """Swap-delete one normalized edge row: the last row moves into
+        the gap (copy-on-write)."""
         row = self._row_of.pop((a, b))
         if self._log_shared:
             self._log_materialize()
         last = self._log_len - 1
-        if self._base_csr is not None and row < self._base_rows:
-            self._mark_base_dead(a, b)
-            head = self._base_rows - 1
-            if row != head:
-                hu = int(self._log_u[head])
-                hv = int(self._log_v[head])
-                self._log_u[row] = hu
-                self._log_v[row] = hv
-                self._log_w[row] = self._log_w[head]
-                self._row_of[(hu, hv)] = row
-            if head != last:
-                lu = int(self._log_u[last])
-                lv = int(self._log_v[last])
-                self._log_u[head] = lu
-                self._log_v[head] = lv
-                self._log_w[head] = self._log_w[last]
-                self._row_of[(lu, lv)] = head
-            self._base_rows = head
-        elif row != last:
+        if row != last:
             lu = int(self._log_u[last])
             lv = int(self._log_v[last])
             self._log_u[row] = lu
@@ -378,7 +141,7 @@ class Graph:
             self._row_of[(lu, lv)] = row
         self._log_len = last
         self._edges_cache = None
-        self._snapshot = None
+        self._csr = None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -470,7 +233,7 @@ class Graph:
 
         ``indices[indptr[u]:indptr[u+1]]`` lists the neighbors of ``u``
         (sorted ascending for determinism) with aligned ``weights``.
-        Derived from the cached CSR snapshot (one array copy per call;
+        Derived from the cached :meth:`csr` matrix (one array copy per call;
         the returned arrays are fresh and writable).
         """
         mat = self.csr()
@@ -513,10 +276,7 @@ class Graph:
         """Grow the vertex set by ``count`` fresh isolated vertices.
 
         Returns the new vertex ids ``range(n, n + count)``.  The edge
-        log is untouched; a live base matrix is re-shaped in O(n) by
-        padding its ``indptr`` (the new rows are empty), so incremental
-        consumers -- the maintenance engine above all -- pay no rebuild
-        for joins.
+        log is untouched.
         """
         if count < 0:
             raise GraphError(f"count must be >= 0, got {count}")
@@ -524,22 +284,7 @@ class Graph:
         if count == 0:
             return range(start, start)
         self._adj.extend({} for _ in range(count))
-        if self._base_csr is not None:
-            from scipy.sparse import csr_matrix
-
-            base = self._base_csr
-            indptr = np.concatenate(
-                [
-                    base.indptr,
-                    np.full(count, base.indptr[-1], dtype=base.indptr.dtype),
-                ]
-            )
-            self._base_csr = csr_matrix(
-                (base.data, base.indices, indptr),
-                shape=(start + count, start + count),
-            )
-        self._snapshot = None
-        self._snapshot_rows = -1
+        self._csr = None
         return range(start, start + count)
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -622,6 +367,7 @@ class Graph:
                 adj[y][x] = wt
             self._num_edges += k
             self._edges_cache = None
+            self._csr = None
             return
         self._log_reserve(k)
         new_edges = 0
@@ -744,111 +490,29 @@ class Graph:
             out.add_edge(u, v, float(data.get("weight", 1.0)))
         return out
 
-    def csr_snapshot(self) -> CsrSnapshot:
-        """Two-layer CSR snapshot: frozen base + appended-edge tail.
+    def csr(self):
+        """Symmetric :class:`scipy.sparse.csr_matrix` snapshot of the graph.
 
-        This is the interchange format the sparse path kernels consume
-        natively.  Refreshing after a ``k``-edge append burst builds
-        only the tail (one O(k log k) sort of the new log rows) --
-        independent of the total edge count ``m``, and appends alone
-        *never* trigger a fold.  The tail folds into a rebuilt base
-        (one C-level O(m) pass) adaptively: once the cumulative
-        tail-scan work consumers have paid since the last fold
-        (:meth:`CsrSnapshot.tail_neighbors` lookups plus any
-        :meth:`CsrSnapshot.matrix` merges) reaches about one rebuild
-        (``_FOLD_WORK_FACTOR * m``), the next refresh compacts --
-        folding exactly when it has become the cheaper alternative.
-        Deletions and weight overwrites tombstone their base entries;
-        the refresh sweeps pending tombstones with one masked take
-        (O(nnz), no re-sort) before handing out the snapshot, with the
-        sweep billed to the same accumulator.
-        Snapshots are immutable and cached until the next mutation.
+        What the dense analysis, path, MST and component kernels and the
+        sparse ball kernels consume.  Built from :meth:`edges_arrays` in
+        one C-level coo -> csr pass (canonical: rows sorted, no
+        duplicates) and cached until the next mutation.  Treat the
+        result as read-only (every kernel does); it is never mutated in
+        place, so held references stay valid across graph mutations.
         """
-        m = self._log_len
-        if self._snapshot is not None and self._snapshot_rows == m:
-            return self._snapshot
-        from scipy.sparse import coo_matrix
+        if self._csr is None:
+            from scipy.sparse import coo_matrix
 
-        n = self.num_vertices
-        base_ok = self._base_csr is not None and self._base_rows <= m
-        tail_rows = m - self._base_rows if base_ok else m
-        scans_exceed_rebuild = (
-            self._tail_work[0] >= _FOLD_WORK_FACTOR * m
-        )
-        dirty = tail_rows > 0 or bool(self._base_dead)
-        if not base_ok or (dirty and scans_exceed_rebuild):
-            # Compaction: fold everything into a fresh base.
             us, vs, ws = self.edges_arrays()
-            self._base_csr = coo_matrix(
+            n = self.num_vertices
+            self._csr = coo_matrix(
                 (
                     np.concatenate([ws, ws]),
                     (np.concatenate([us, vs]), np.concatenate([vs, us])),
                 ),
                 shape=(n, n),
             ).tocsr()
-            self._base_rows = m
-            self._base_dead = []
-            tail_rows = 0
-            self._tail_work[0] = 0
-        elif self._base_dead:
-            self._compact_base_dead()
-        if tail_rows == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            snapshot = CsrSnapshot(
-                self._base_csr, empty_i, empty_i,
-                np.empty(0, dtype=np.float64),
-                work_cell=self._tail_work,
-            )
-        else:
-            lo = self._base_rows
-            du = self._log_u[lo:m]
-            dv = self._log_v[lo:m]
-            dw = self._log_w[lo:m]
-            t_src = np.concatenate([du, dv])
-            t_dst = np.concatenate([dv, du])
-            t_w = np.concatenate([dw, dw])
-            order = np.lexsort((t_dst, t_src))
-            snapshot = CsrSnapshot(
-                self._base_csr, t_src[order], t_dst[order], t_w[order],
-                work_cell=self._tail_work,
-            )
-        self._snapshot = snapshot
-        self._snapshot_rows = m
-        return snapshot
-
-    def csr_merge_pending(self) -> bool:
-        """Whether ``csr()`` would have to merge a pending tail right now.
-
-        Cheap capacity probe for kernel-selection heuristics: ``True``
-        means the full matrix is stale (appends since the last merge),
-        so a dense kernel would first pay the O(m) base + tail merge
-        that the sparse, snapshot-native kernels skip.
-        """
-        if self._base_dead:
-            # Pending tombstones: the next snapshot sweeps the base.
-            return True
-        if self._snapshot is not None and self._snapshot_rows == self._log_len:
-            return self._snapshot.merge_pending
-        base_ok = self._base_csr is not None and self._base_rows <= self._log_len
-        return not base_ok or self._base_rows < self._log_len
-
-    def csr(self):
-        """Symmetric :class:`scipy.sparse.csr_matrix` snapshot of the graph.
-
-        The merged full-matrix view of :meth:`csr_snapshot` -- what the
-        dense analysis, path, MST and component kernels consume.  Cached
-        per snapshot: after an append burst the first call pays one
-        C-level base + tail merge, later calls are free; sparse kernels
-        that consume the two-layer snapshot natively never trigger the
-        merge at all.  Treat the result as read-only (every kernel
-        does); it is never mutated in place, so held references stay
-        valid across graph mutations.
-        """
-        return self.csr_snapshot().matrix()
-
-    def to_scipy_csr(self):
-        """Alias of :meth:`csr` (kept for API compatibility)."""
-        return self.csr()
+        return self._csr
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"

@@ -25,8 +25,10 @@ queries.  Three array kernels answer whole batches of sources over
   the cluster cover, batching speculative candidate balls through
   either search while committing centers in exact scan order.
 
-:func:`prefer_batched_sources` probes one ball to pick the dense-vs-
-sparse side of that trade per call site.
+All of them read the same cached matrix, which the first kernel call
+after a mutation rebuilds, so dense and sparse searches relax identical
+float weights.  :func:`prefer_batched_sources` probes one ball to pick
+the dense-vs-sparse side of that trade per call site.
 """
 
 from __future__ import annotations
@@ -65,12 +67,6 @@ NO_PREDECESSOR = -9999
 #: Soft bound on floats held by one batched distance block (rows x n).
 _BLOCK_ENTRIES = 4_000_000
 
-#: Directed-entry count past which the sparse kernel consumes the
-#: two-layer snapshot natively instead of merging base + tail: below
-#: it one C-level merge costs less than per-round tail lookups; above
-#: it the O(m) merge is the dominant cost the tail layer exists to skip.
-_TAIL_NATIVE_MIN_NNZ = 65_536
-
 #: Bucket count of the delta-stepping ball kernel: the cutoff range is
 #: split into this many distance bands processed in ascending order.
 _BALL_BUCKETS = 16
@@ -90,10 +86,6 @@ def _check_sources(graph: Graph, sources: Sequence[int]) -> np.ndarray:
 def source_block_size(graph: Graph) -> int:
     """Number of sources per batched-dijkstra block that keeps one block's
     distance matrix around :data:`_BLOCK_ENTRIES` floats (memory cap).
-
-    Independent of the two-layer snapshot state: block width is a memory
-    bound on the dense output rows, not on the matrix -- the tail's cost
-    is handled by :func:`prefer_batched_sources` instead.
     """
     return max(1, _BLOCK_ENTRIES // max(1, graph.num_vertices))
 
@@ -110,28 +102,13 @@ def prefer_batched_sources(
     measured numpy-vs-Python constant gap), and always wins for
     unbounded queries.  The probe ball is discarded -- re-searching one
     small ball in the scalar fallback is noise next to the k that follow.
-
-    Two-layer awareness: when the graph's full CSR matrix is stale
-    (appended edges still live in the snapshot tail), the dense kernel
-    must first pay the O(m) base + tail merge that the sparse kernels
-    skip, so modest batches of modest balls stay on the sparse side
-    until the dense rows themselves (``k * ball``) amortize a merge of
-    ``m`` edges.  The micro-probe suite pins this crossover.
     """
     if cutoff is None:
         return True
     if len(sources) <= 1 or graph.num_vertices < 256:
         return True  # too small for the constants to matter
     ball = dijkstra(graph, sources[0], cutoff=cutoff)
-    if len(ball) * 64 < graph.num_vertices:
-        return False
-    if graph.csr_merge_pending() and len(sources) * len(ball) < graph.num_edges:
-        # Same crossover the sparse kernel applies: only a base past the
-        # nnz threshold makes its native-tail path (and hence the merge
-        # avoidance) real; below it the merge is trivial either way.
-        if graph.csr_snapshot().base.nnz >= _TAIL_NATIVE_MIN_NNZ:
-            return False  # dense would pay a non-trivial tail merge
-    return True
+    return len(ball) * 64 >= graph.num_vertices
 
 
 def multi_source_distances(
@@ -257,24 +234,16 @@ def pair_distance_matrix(
 
 
 def _ball_search_setup(graph: Graph, sources: Sequence[int], cutoff: float):
-    """Shared preamble of the sparse ball kernels.
-
-    Validates inputs and resolves the two-layer snapshot policy: base
-    CSR rows expand natively with tail edges as extra per-round
-    candidates once the base is past the nnz crossover, else the
-    (cached) merged matrix is used -- identical relaxation multisets
-    either way (see :func:`multi_source_ball_lists`).
-    """
+    """Shared preamble of the sparse ball kernels: validated sources
+    plus the cached CSR arrays widened to int64/float64."""
     idx = _check_sources(graph, sources)
     if cutoff < 0.0:
         raise GraphError(f"cutoff must be >= 0, got {cutoff}")
-    snap = graph.csr_snapshot()
-    has_tail = snap.has_tail and snap.base.nnz >= _TAIL_NATIVE_MIN_NNZ
-    mat = snap.base if has_tail else snap.matrix()
+    mat = graph.csr()
     indptr = np.asarray(mat.indptr, dtype=np.int64)
     indices = np.asarray(mat.indices, dtype=np.int64)
     weights = np.asarray(mat.data, dtype=np.float64)
-    return idx, snap, has_tail, indptr, indices, weights
+    return idx, indptr, indices, weights
 
 
 def _relax_frontier(
@@ -282,15 +251,13 @@ def _relax_frontier(
     f_d: np.ndarray,
     n: np.int64,
     cutoff: float,
-    snap,
-    has_tail: bool,
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One relaxation sweep: expand every frontier ``(key, dist)`` pair
-    through its CSR row (plus tail edges), prune past the cutoff, and
-    reduce to the minimum per key.  Returns sorted ``(keys, dists)``.
+    through its CSR row, prune past the cutoff, and reduce to the
+    minimum per key.  Returns sorted ``(keys, dists)``.
     """
     fv = f_keys % n
     deg = indptr[fv + 1] - indptr[fv]
@@ -299,14 +266,6 @@ def _relax_frontier(
     nk = (f_keys - fv)[np.repeat(
         np.arange(f_keys.size, dtype=np.int64), deg
     )] + indices[eidx]
-    if has_tail:
-        t_deg, t_dst, t_w = snap.tail_neighbors(fv)
-        t_nd = np.repeat(f_d, t_deg) + t_w
-        t_nk = (f_keys - fv)[np.repeat(
-            np.arange(f_keys.size, dtype=np.int64), t_deg
-        )] + t_dst
-        nd = np.concatenate([nd, t_nd])
-        nk = np.concatenate([nk, t_nk])
     keep = nd <= cutoff
     nk, nd = nk[keep], nd[keep]
     if nk.size == 0:
@@ -357,9 +316,7 @@ def multi_source_ball_lists(
         ball of ``sources[i]`` -- every vertex with ``sp(sources[i], v)
         <= cutoff`` -- sorted ascending, with aligned ``dists``.
     """
-    idx, snap, has_tail, indptr, indices, weights = _ball_search_setup(
-        graph, sources, cutoff
-    )
+    idx, indptr, indices, weights = _ball_search_setup(graph, sources, cutoff)
     k = idx.size
     n = np.int64(graph.num_vertices)
     if k == 0:
@@ -396,8 +353,7 @@ def multi_source_ball_lists(
             first[1:] = f_keys[1:] != f_keys[:-1]
             f_keys, f_d = f_keys[first], f_d[first]
             nk, nd = _relax_frontier(
-                f_keys, f_d, n, cutoff, snap, has_tail,
-                indptr, indices, weights,
+                f_keys, f_d, n, cutoff, indptr, indices, weights
             )
             if nk.size == 0:
                 continue
@@ -447,9 +403,7 @@ def multi_source_ball_lists_reference(
     distances are bit-identical to :func:`dijkstra` /
     :func:`multi_source_distances`.
     """
-    idx, snap, has_tail, indptr, indices, weights = _ball_search_setup(
-        graph, sources, cutoff
-    )
+    idx, indptr, indices, weights = _ball_search_setup(graph, sources, cutoff)
     k = idx.size
     n = np.int64(graph.num_vertices)
     if k == 0:
@@ -465,8 +419,7 @@ def multi_source_ball_lists_reference(
     f_d = best_d.copy()
     while f_keys.size:
         nk, nd = _relax_frontier(
-            f_keys, f_d, n, cutoff, snap, has_tail,
-            indptr, indices, weights,
+            f_keys, f_d, n, cutoff, indptr, indices, weights
         )
         if nk.size == 0:
             break
@@ -779,10 +732,10 @@ def detour_distance(
     path through the edge ``st`` either *is* that edge or revisits an
     endpoint, so forbidding the single direct relaxation is equivalent
     to deleting the edge -- without paying the remove/re-add mutation
-    (and the snapshot/tombstone churn it causes) on a live graph.  The
-    maintenance engine's redundancy phase asks exactly this question
-    for every surviving spanner edge, so the mutation-free form is the
-    hot path.  Returns ``inf`` beyond ``cutoff`` or when no detour
+    (and the CSR rebuild it costs the next array kernel) on a live
+    graph.  The maintenance engine's redundancy phase asks exactly this
+    question for every surviving spanner edge, so the mutation-free form
+    is the hot path.  Returns ``inf`` beyond ``cutoff`` or when no detour
     exists; the search is target-directed like :func:`dijkstra_distance`.
     """
     graph._check_vertex(source)

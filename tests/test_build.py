@@ -150,3 +150,11 @@ class TestPolicies:
         ps = PointSet([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(GraphError):
             build_udg(ps)
+
+    def test_coincident_pair_named(self):
+        ps = PointSet([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        for build in (build_udg, lambda p: build_qubg(p, 0.5)):
+            with pytest.raises(
+                GraphError, match=r"points 1 and 2 coincide at \(0\.5, 0\.5\)"
+            ):
+                build(ps)

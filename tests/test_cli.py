@@ -101,6 +101,34 @@ class TestBuild:
         save_instance(path, g)
         assert main(["build", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "coords,weight,message",
+        [
+            ([[0.0, 0.0], [1.5, 0.0]], 1.5, "found 1.5"),  # beyond unit range
+            ([[0.0, 0.0], [0.0, 0.0]], 0.0, "must be positive"),
+        ],
+        ids=["long-edge", "zero-weight-edge"],
+    )
+    def test_bad_instance_exits_with_message(
+        self, tmp_path, capsys, coords, weight, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "num_vertices": 2,
+                    "edges": [[0, 1, weight]],
+                    "points": coords,
+                    "metadata": {},
+                }
+            )
+        )
+        assert main(["build", str(path), "--epsilon", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestExperimentsCommand:
     def test_single_quick_experiment(self, capsys):

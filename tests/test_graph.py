@@ -159,7 +159,7 @@ class TestInterop:
             Graph.from_networkx(h)
 
     def test_scipy_csr_symmetric(self):
-        mat = triangle().to_scipy_csr()
+        mat = triangle().csr()
         assert mat.shape == (3, 3)
         assert (mat != mat.T).nnz == 0
 

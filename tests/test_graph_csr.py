@@ -1,4 +1,4 @@
-"""Tests for the cached CSR snapshot layer on Graph."""
+"""Tests for the cached CSR matrix on Graph."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ def triangle() -> Graph:
     return g
 
 
-class TestCsrSnapshot:
+class TestCsrCache:
     def test_matches_dense_adjacency(self):
         g = triangle()
         dense = g.csr().toarray()
@@ -22,10 +22,6 @@ class TestCsrSnapshot:
             [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
         )
         assert np.array_equal(dense, expect)
-
-    def test_to_scipy_csr_is_alias(self):
-        g = triangle()
-        assert g.to_scipy_csr() is g.csr()
 
     def test_cache_reused_until_mutation(self):
         g = triangle()

@@ -2,15 +2,16 @@
 
 The append-log store must be observationally identical to a graph
 rebuilt from scratch after every burst -- same ``edges_arrays`` edge
-multiset, same dense ``csr()`` matrix -- while previously handed-out
-snapshots stay frozen (copy-on-write) and append-only bursts refresh
-the CSR by delta merge instead of a rebuild.
+multiset, same dense ``csr()`` matrix, bit-identical path-kernel
+distances -- while previously handed-out snapshots stay frozen
+(copy-on-write).
 """
 
 import numpy as np
 import pytest
 
 from repro.graphs.graph import Graph
+from repro.graphs.paths import multi_source_ball_lists, multi_source_distances
 
 
 def rebuild_reference(g: Graph) -> Graph:
@@ -39,6 +40,19 @@ def assert_snapshots_match(g: Graph) -> None:
         assert row == sorted(g.neighbors(u))
         for v, w in zip(row, weights[indptr[u] : indptr[u + 1]].tolist()):
             assert w == g.weight(u, v)
+
+
+def random_mutation_burst(g: Graph, rng, adds=30, deletes=8):
+    for _ in range(adds):
+        a, b = int(rng.integers(g.num_vertices)), int(
+            rng.integers(g.num_vertices)
+        )
+        if a != b:
+            g.add_edge(a, b, float(rng.uniform(0.1, 1.0)))
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for u, v, _ in edges[:deletes]:
+        g.remove_edge(u, v)
 
 
 class TestMutationBursts:
@@ -105,6 +119,28 @@ class TestMutationBursts:
         assert_snapshots_match(g)
         assert g.weight(int(us[0]), int(vs[0])) == 9.5
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomized_bursts_match_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        g = Graph(70)
+        for step in range(6):
+            random_mutation_burst(g, rng)
+            g.csr()  # warm: later appends stale the cached matrix
+            for _ in range(20):
+                a, b = int(rng.integers(70)), int(rng.integers(70))
+                if a != b and not g.has_edge(a, b):
+                    g.add_edge(a, b, float(rng.uniform(0.1, 1.0)))
+            ref = rebuild_reference(g)
+            sources = rng.choice(70, size=6, replace=False)
+            cutoff = float(rng.uniform(0.3, 1.5))
+            got = multi_source_ball_lists(g, sources, cutoff)
+            want = multi_source_ball_lists(ref, sources, cutoff)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)  # bit-for-bit
+            rows_got = multi_source_distances(g, sources, cutoff=cutoff)
+            rows_want = multi_source_distances(ref, sources, cutoff=cutoff)
+            assert np.array_equal(rows_got, rows_want)
+
 
 class TestSnapshotFreezing:
     def test_held_snapshot_survives_append(self):
@@ -143,7 +179,7 @@ class TestSnapshotFreezing:
 
 
 class TestIncrementalCsr:
-    def test_append_refresh_is_delta_merge(self):
+    def test_append_refresh_adds_exactly_the_new_rows(self):
         g = Graph(30)
         rng = np.random.default_rng(4)
         for _ in range(80):
@@ -165,14 +201,14 @@ class TestIncrementalCsr:
         diff = (new - old).tocoo()
         assert diff.nnz == 2 * len(added)
         assert g.num_edges == m_before + len(added)
-        # The merged matrix keeps rows sorted (downstream kernels and the
+        # The rebuilt matrix keeps rows sorted (downstream kernels and the
         # batch engine rely on ascending neighbor lists).
         indptr, indices = new.indptr, new.indices
         for u in range(30):
             row = indices[indptr[u] : indptr[u + 1]].tolist()
             assert row == sorted(row)
 
-    def test_delete_sweeps_tombstones_lazily(self):
+    def test_delete_drops_the_entry(self):
         g = Graph(10)
         for i in range(1, 10):
             g.add_edge(0, i, float(i))
@@ -181,38 +217,9 @@ class TestIncrementalCsr:
         assert g.csr()[0, 3] == 0.0
         assert g.csr().nnz == 2 * g.num_edges
 
-    def test_delete_keeps_base_alive(self):
-        # Deleting a base-resident edge must not cold-rebuild: the base
-        # survives with the entry tombstoned, and the next snapshot
-        # sweeps it with one masked take.
-        g = Graph(20)
-        for i in range(1, 20):
-            g.add_edge(0, i, float(i))
-        g.csr()
-        base_before = g._base_csr
-        g.remove_edge(0, 7)
-        assert g._base_csr is base_before  # no cold rebuild
-        assert g.csr_merge_pending()
-        mat = g.csr()
-        assert mat[0, 7] == 0.0 and mat.nnz == 2 * g.num_edges
-        assert not g._base_dead  # swept
-
-    def test_overwrite_evicts_base_row_to_tail(self):
-        # Large enough that one tombstone charge does not pay for a
-        # full fold (on tiny graphs the adaptive policy folds at once).
-        g = Graph(60)
-        for i in range(1, 60):
-            g.add_edge(0, i, float(i))
-        g.csr()
-        base_before = g._base_csr
-        g.add_edge(0, 2, 0.25)
-        assert g._base_csr is base_before
-        snap = g.csr_snapshot()
-        assert snap.has_tail  # the overwritten row now lives in the tail
-        assert g.csr()[0, 2] == 0.25
-        assert_snapshots_match(g)
-
-    def test_sustained_deletion_churn_escalates_to_full_fold(self):
+    def test_delete_churn_refresh_matches_rebuild(self):
+        # A delete moves the log's last row into the gap; a refresh after
+        # every delete must still see exactly the surviving edges.
         g = Graph(30)
         rng = np.random.default_rng(7)
         while g.num_edges < 120:
@@ -220,19 +227,16 @@ class TestIncrementalCsr:
             if a != b:
                 g.add_edge(a, b, float(rng.uniform(0.1, 1.0)))
         g.csr()
-        # Delete-heavy churn charges the fold accumulator; eventually a
-        # refresh folds everything into a fresh base (tombstones gone,
-        # base covering the whole log).
         edges = list(g.edges())
         rng.shuffle(edges)
         for u, v, _ in edges[:100]:
             g.remove_edge(u, v)
-            g.csr()
-        assert g._base_rows == g.num_edges
-        assert not g._base_dead
+            mat = g.csr()
+            assert mat[u, v] == 0.0 and mat.nnz == 2 * g.num_edges
+        assert g.num_edges == 20
         assert_snapshots_match(g)
 
-    def test_add_vertices_grows_live_base_in_place(self):
+    def test_add_vertices_grows_the_matrix(self):
         g = Graph(6)
         g.add_edge(0, 1, 1.0)
         g.add_edge(2, 3, 0.5)

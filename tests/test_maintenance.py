@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.distributed.faults import FaultPlan
 from repro.exceptions import GraphError
+from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import BernoulliPolicy, DecayPolicy
 
@@ -225,3 +226,95 @@ class TestFaultPlanAdapter:
         session, _ = make_session(10, "local", n=30)
         with pytest.raises(Exception):
             session.apply(MaintenanceEvent("teleport", node=0))
+
+
+class TestRejectedEvents:
+    """A rejected event must leave the session exactly as it was."""
+
+    @staticmethod
+    def _state(session):
+        return (
+            session.num_alive,
+            session.position(5).tolist(),
+            session.verify()["ok"],
+            session.cover_cache_audit() == [],
+        )
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda s: s.move(5, s.position(6)),  # coincides with node 6
+            lambda s: s.move(5, (float("nan"), 0.5)),
+            lambda s: s.insert(s.position(6)),  # coincides with node 6
+            lambda s: s.move(5, (0.5,)),  # one coordinate in 2-D
+            lambda s: s.insert((float("inf"), 0.5)),
+        ],
+        ids=[
+            "move-coincident",
+            "move-nan",
+            "insert-coincident",
+            "move-wrong-dim",
+            "insert-inf",
+        ],
+    )
+    def test_probe_leaves_session_unchanged(self, probe):
+        session = MaintenanceSession(
+            make_workload("uniform", 200, seed=3).points, 0.5
+        )
+        before = self._state(session)
+        with pytest.raises(GraphError, match="node"):
+            probe(session)
+        assert self._state(session) == before
+
+    def test_bad_event_rejects_whole_epoch(self):
+        session = MaintenanceSession(
+            make_workload("uniform", 200, seed=3).points, 0.5
+        )
+        before = self._state(session)
+        nudge = tuple(session.position(5) + np.array([0.01, 0.0]))
+        with pytest.raises(GraphError, match="node 7"):
+            session.apply_epoch(
+                [
+                    MaintenanceEvent("move", 5, nudge),
+                    MaintenanceEvent("move", 7, (float("nan"), 0.5)),
+                ]
+            )
+        assert self._state(session) == before
+
+    def test_wrong_dimension_rejects_whole_epoch(self):
+        session = MaintenanceSession(
+            make_workload("uniform", 200, seed=3).points, 0.5
+        )
+        before = self._state(session)
+        nudge = tuple(session.position(5) + np.array([0.01, 0.0]))
+        with pytest.raises(GraphError, match="node 7"):
+            session.apply_epoch(
+                [
+                    MaintenanceEvent("move", 5, nudge),
+                    MaintenanceEvent("move", 7, (0.1, 0.2, 0.3)),
+                ]
+            )
+        assert self._state(session) == before
+
+    def test_revive_onto_occupied_site_rejected(self):
+        # A dead node keeps its position; reviving it after another node
+        # moved onto that spot must fail before any state is written.
+        session = MaintenanceSession(
+            make_workload("uniform", 200, seed=3).points, 0.5
+        )
+        site = tuple(session.position(9).tolist())
+        session.delete(9)
+        session.move(8, site)
+        before = self._state(session)
+        with pytest.raises(GraphError, match=r"node 9 .*\[8\]"):
+            session.insert(node=9)
+        assert self._state(session) == before
+        assert 9 not in session.alive_nodes().tolist()
+        assert tuple(session.position(9).tolist()) == site
+
+    def test_coincident_points_named_at_construction(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(
+            GraphError, match=r"points 1 and 2 coincide at \(0\.5, 0\.5\)"
+        ):
+            MaintenanceSession(pts, 0.5)

@@ -18,6 +18,8 @@ batch-mode validation and grouping, fault-plan event streams applied
 epoch by epoch, and the per-phase timing counters.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.core import (
 )
 from repro.distributed.faults import FaultPlan
 from repro.exceptions import ParameterError
-from repro.experiments.workloads import make_mobility
+from repro.experiments.workloads import make_mobility, make_workload
 from repro.geometry.points import PointSet
 from repro.geometry.sampling import uniform_points
 
@@ -212,3 +214,71 @@ class TestFaultPlanEpochs:
         assert len(reports) == len(events)
         assert session.stats()["epochs"] == len({ev.time for ev in events})
         assert session.verify()["ok"]
+
+
+class TestChurnPins:
+    """Local-repair outputs pinned to recorded values.
+
+    The digests and counters below were recorded by running these exact
+    streams on the code that still kept a two-layer CSR, whose
+    base-resident deletes and weight overwrites left the edge log in a
+    different row order (the flocking stream overwrote 905 such rows and
+    deleted 156; the fault stream deleted 54).  Row order must reach
+    only consumers that sort, so every value here has to stay put.
+    """
+
+    @staticmethod
+    def _session():
+        points = make_workload("uniform", 300, seed=0).points
+        # resync_fraction=1.0 keeps every repair local.
+        return MaintenanceSession(points, 0.5, resync_fraction=1.0)
+
+    @staticmethod
+    def _assert_pinned(session, digest, counters):
+        blob = "".join(
+            f"{u},{v},{w!r};" for u, v, w in sorted(session.spanner.edges())
+        )
+        stats = session.stats()
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+        assert {key: stats[key] for key in counters} == counters
+
+    def test_flocking_epochs(self):
+        session = self._session()
+        model = make_mobility(
+            "flocking", make_workload("uniform", 300, seed=0).points.coords,
+            seed=0, speed=0.25,
+        )
+        for epoch in range(20):
+            session.apply_epoch(model.step_events(0.05, time=float(epoch)))
+        self._assert_pinned(
+            session,
+            "3facc9238e97fe4b57ad738380d7a620128552830cfa2a96003ae42f9d57b7cf",
+            {
+                "repaired_edges": 567,
+                "dirty_balls": 7764,
+                "cover_cache_hits": 4580,
+                "cover_cache_misses": 3211,
+                "resyncs": 0,
+            },
+        )
+
+    def test_fault_plan_epochs(self):
+        session = self._session()
+        events = events_from_fault_plan(
+            FaultPlan(seed=3, crash_rate=0.1, recover_after=2.0),
+            range(300),
+            horizon=40.0,
+        )
+        assert len(events) == 31
+        session.apply_stream(events, batch="epoch")
+        self._assert_pinned(
+            session,
+            "de8f5afe6b541f530ba7d31ae3b818fc8db167c460ea5023491b9f21470bcb20",
+            {
+                "repaired_edges": 67,
+                "dirty_balls": 0,
+                "cover_cache_hits": 0,
+                "cover_cache_misses": 0,
+                "resyncs": 0,
+            },
+        )

@@ -4,13 +4,13 @@
 suite pins it bit-for-bit against the retained label-correcting
 reference (and, transitively, against scalar Dijkstra, which the
 reference is already pinned to elsewhere) across cutoff regimes, the
-empty/degenerate corners and the native two-layer tail path.
+empty/degenerate corners and a graph mutated after its matrix was
+cached.
 """
 
 import numpy as np
 import pytest
 
-import repro.graphs.paths as paths_mod
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import build_udg
 from repro.graphs.graph import Graph
@@ -64,21 +64,25 @@ class TestBucketedEquality:
             multi_source_ball_lists_reference(g, [], 1.0),
         )
 
-    def test_native_tail_path(self, monkeypatch):
-        # Force the two-layer native path so tail edges relax as extra
-        # per-band candidates in both kernels.
-        monkeypatch.setattr(paths_mod, "_TAIL_NATIVE_MIN_NNZ", 0)
+    def test_mutated_graph(self):
+        # The kernels read the cached matrix; after overwrites, deletes
+        # and appends on a warmed graph they must see the rebuilt one.
         pts = uniform_points(300, seed=31, side=4.0)
         g = build_udg(pts)
-        g.csr_snapshot()  # freeze the base
+        g.csr()
         rng = np.random.default_rng(8)
+        edges = list(g.edges())
+        rng.shuffle(edges)
+        for u, v, w in edges[:30]:
+            g.add_edge(u, v, 0.5 * w)  # overwrite
+        for u, v, _ in edges[30:60]:
+            g.remove_edge(u, v)
         added = 0
         while added < 40:
             a, b = int(rng.integers(300)), int(rng.integers(300))
             if a != b and not g.has_edge(a, b):
                 g.add_edge(a, b, float(rng.uniform(0.05, 0.4)))
                 added += 1
-        assert g.csr_snapshot().has_tail
         srcs = rng.choice(300, size=48, replace=False)
         _assert_bit_identical(
             multi_source_ball_lists(g, srcs, 1.2),

@@ -123,6 +123,47 @@ class TestAdaptiveDispatch:
         assert not prefer_batched_sources(g, list(range(50)), 1e-6)
         assert prefer_batched_sources(g, list(range(50)), 1e9)
 
+    @staticmethod
+    def _graph_with_ball(n=2048, ball=170, seed=6):
+        """A hub cluster of `ball` mutually-close vertices (so the probe
+        ball crosses n/64) plus a sparse far-flung remainder."""
+        rng = np.random.default_rng(seed)
+        g = Graph(n)
+        g.add_weighted_edges_arrays(
+            np.zeros(ball - 1, dtype=np.int64),
+            np.arange(1, ball),
+            np.full(ball - 1, 0.01),
+        )
+        a = rng.integers(ball, n, 4 * n)
+        b = rng.integers(ball, n, 4 * n)
+        keep = a != b
+        g.add_weighted_edges_arrays(
+            a[keep], b[keep], np.full(int(keep.sum()), 10.0)
+        )
+        return g
+
+    def test_tiny_ball_still_prefers_sparse(self):
+        from repro.graphs.paths import prefer_batched_sources
+
+        g = self._graph_with_ball()
+        g.csr()
+        # From a periphery vertex the probe ball is tiny -> sparse.
+        assert not prefer_batched_sources(g, [2000, 2001], 0.5)
+
+    def test_stale_matrix_keeps_the_choice(self):
+        from repro.graphs.paths import prefer_batched_sources
+
+        g = self._graph_with_ball()
+        g.csr()
+        sources = [0, 1, 2]
+        cutoff = 0.5  # probe ball = the hub: > n/64 vertices
+        assert prefer_batched_sources(g, sources, cutoff)
+        # An append stales the cached matrix; the choice depends only on
+        # the probe ball, so it does not flip.
+        g.add_edge(0, g.num_vertices - 1, 0.7)
+        assert prefer_batched_sources(g, sources, cutoff)
+        assert not prefer_batched_sources(g, [2000, 2001], cutoff)
+
     def test_cover_branches_agree(self, monkeypatch):
         """cover_from_centers must build the identical cover through the
         batched and the per-center scalar branch."""

@@ -72,9 +72,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         args.epsilon, alpha=alpha, dim=points.dim
     )
     if args.distributed:
-        result = DistributedRelaxedGreedy(
-            params, seed=args.seed, jobs=args.jobs, points=points
-        ).build(graph, points.distance)
+        result = DistributedRelaxedGreedy(params, seed=args.seed).build(
+            graph, points.distance
+        )
         spanner = result.spanner
         print(result.ledger.summary())
     else:
@@ -134,7 +134,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "--seeds", args.seeds,
         "--experiments", args.experiments,
         "--faults", args.faults,
-        "--shards", args.shards,
         "--epsilon", str(args.epsilon),
         "--alpha", str(args.alpha),
         "--jobs", str(args.jobs),
@@ -187,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the Section 3 distributed protocol with round accounting",
     )
     build.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard the distributed build across this many worker "
-             "processes (1 = single process; results are identical)",
-    )
-    build.add_argument(
         "--output", default=None, help="save the spanner as JSON"
     )
     build.set_defaults(func=_cmd_build)
@@ -229,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default="",
         help="failure scenario names (e.g. reliable,lossy,chaos) adding "
              "a fault axis to experiment cells",
-    )
-    sweep.add_argument(
-        "--shards", default="",
-        help="comma-separated shard counts (e.g. 1,2,4) adding a "
-             "sharded distributed-build axis to build cells",
     )
     sweep.add_argument(
         "--diff", default="",

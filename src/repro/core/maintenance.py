@@ -230,7 +230,8 @@ class MaintenanceSession:
         pin).
     resync_fraction:
         Local repair escalates to a spanner rebuild when a single
-        event's dirty ball exceeds this fraction of the alive nodes.
+        event's dirty ball exceeds this fraction (in ``[0, 1]``) of the
+        alive nodes.
         The check is per event even under epoch batching: coalescing
         events into one processing region never escalates an epoch
         that none of its events would have escalated alone.
@@ -256,9 +257,19 @@ class MaintenanceSession:
         )
         if coords.ndim != 2 or coords.shape[0] == 0:
             raise GraphError("points must be a non-empty (n, d) array")
+        bad = ~np.isfinite(coords).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphError(
+                f"point {i} has a non-finite coordinate {coords[i].tolist()}"
+            )
         if repair not in ("local", "rebuild"):
             raise ParameterError(
                 f"repair must be 'local' or 'rebuild', got {repair!r}"
+            )
+        if not 0.0 <= resync_fraction <= 1.0:  # also rejects NaN
+            raise ParameterError(
+                f"resync_fraction must be in [0, 1], got {resync_fraction}"
             )
         self._coords = coords.copy()
         self._dim = coords.shape[1]

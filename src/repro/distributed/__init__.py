@@ -1,8 +1,7 @@
-"""Distributed substrate: three execution tiers (per-node scalar
-reference, all-nodes-at-once batch tier — optionally sharded across
-worker processes with bit-identical accounting — and the discrete-event
-unreliable-network tier), protocols, and the Section 3 distributed
-relaxed greedy algorithm."""
+"""Distributed substrate: the synchronous round engine (per-node scalar
+reference and all-nodes-at-once batch tier, with identical accounting),
+the discrete-event unreliable-network tier, protocols, and the Section 3
+distributed relaxed greedy algorithm."""
 
 from .dist_spanner import DistributedRelaxedGreedy, DistributedSpannerResult
 from .engine import (
@@ -48,13 +47,6 @@ from .protocols import (
 )
 from .protocols.coloring import cv_rounds_needed
 from .protocols.reliable import HardenedProtocol, harden
-from .shard import (
-    ShardPlan,
-    contiguous_partition,
-    grid_partition,
-    run_sharded,
-    shutdown_pools,
-)
 from .unreliable import (
     EventBFSRun,
     EventMISRun,
@@ -94,12 +86,6 @@ __all__ = [
     "gather_local_view",
     "local_component_of_short_edges",
     "covered_decision_from_view",
-    # Sharded batch tier
-    "ShardPlan",
-    "contiguous_partition",
-    "grid_partition",
-    "run_sharded",
-    "shutdown_pools",
     # Unreliable-network tier
     "FaultPlan",
     "EventNetwork",

@@ -54,7 +54,7 @@ from ..core.redundancy import conflict_graph_arrays, find_redundant_pairs
 from ..core.relaxed_greedy import PhaseReport
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
-from ..exceptions import GraphError
+from ..exceptions import GraphError, ParameterError
 from ..graphs.graph import Graph
 from ..graphs.paths import (
     multi_source_ball_lists,
@@ -144,19 +144,6 @@ class DistributedRelaxedGreedy:
         edges for the phase's hop radius) so the ledger carries measured
         message counts for the gather term too, not just for the MIS
         protocols.  Costs a KHopGather engine run per phase; default off.
-    jobs:
-        Worker-process budget for the cover MIS runs: when ``jobs > 1``
-        the proximity-graph Luby protocol executes on the sharded batch
-        tier (:mod:`repro.distributed.shard`) across ``jobs`` shards.
-        Results are bit-identical to ``jobs=1`` -- same spanner, rounds,
-        message counts -- only wall-clock changes.  Ignored on the event
-        tier (fault-plan builds are inherently sequential).
-    points:
-        Optional :class:`~repro.geometry.points.PointSet` behind the
-        graph; when given and ``jobs > 1``, shards are cut along grid
-        cells (:func:`repro.distributed.shard.grid_partition`) so halos
-        stay one cell ring thick.  Without it, contiguous id ranges are
-        used -- identical output either way.
     fault_plan:
         When set, every MIS invocation runs on the *event tier*
         (:mod:`repro.distributed.unreliable`) under this plan, sharing
@@ -167,6 +154,10 @@ class DistributedRelaxedGreedy:
         final re-certification sweep restores the stretch bound on the
         surviving subgraph.  A zero-fault plan reproduces the default
         build exactly (pinned by the test-suite).
+    jobs:
+        Must be ``1``: every build runs in one process.  The parameter
+        is kept only because the benchmark harness passes ``jobs=1``;
+        any other value raises :class:`ParameterError`.
     """
 
     def __init__(
@@ -178,32 +169,15 @@ class DistributedRelaxedGreedy:
         measure_gather_messages: bool = False,
         fault_plan: FaultPlan | None = None,
         jobs: int = 1,
-        points=None,
     ) -> None:
+        if jobs != 1:
+            raise ParameterError(f"jobs must be 1, got {jobs!r}")
         self.params = params
         self._seed = seed
         self._process_empty = process_empty_phases
         self._measure_gather = measure_gather_messages
         self._fault_plan = fault_plan
-        self._jobs = max(1, int(jobs))
-        self._points = points
-        self._partition: np.ndarray | None = None
         self._clock = 0.0
-
-    def _cover_partition(self, n: int) -> np.ndarray | None:
-        """Owner array for sharded cover-MIS runs (computed once).
-
-        Grid cells when the point set is known, else the contiguous
-        fallback chosen by the engine; ``None`` when ``jobs == 1`` so
-        the single-process batch tier runs untouched.
-        """
-        if self._jobs <= 1:
-            return None
-        if self._partition is None and self._points is not None:
-            from .shard import grid_partition
-
-            self._partition = grid_partition(self._points, self._jobs)
-        return self._partition
 
     # ------------------------------------------------------------------
     def build(
@@ -583,9 +557,6 @@ class DistributedRelaxedGreedy:
                 prox_indptr,
                 prox_indices,
                 seed=self._seed * 1_000_003 + index,
-                jobs=self._jobs,
-                shards=self._jobs if self._jobs > 1 else None,
-                partition=self._cover_partition(n),
             )
             result.mis_invocations += 1
             ledger.charge(

@@ -47,7 +47,6 @@ to them, so a protocol object itself is reusable across runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -155,12 +154,6 @@ class BatchContext:
         :meth:`halt`).
     state:
         Protocol-owned state bag (typically holding numpy arrays).
-    owned:
-        ``None`` on the single-process tier.  On the sharded tier, the
-        ``(n,)`` boolean mask of nodes this shard *owns*: only owned
-        senders contribute to message/word accounting (each global
-        message has exactly one owned sender, so per-shard totals sum to
-        the single-process totals exactly).
     """
 
     __slots__ = (
@@ -172,7 +165,6 @@ class BatchContext:
         "degrees",
         "active",
         "state",
-        "owned",
         "_messages",
         "_words",
         "_sent_in_round",
@@ -184,7 +176,6 @@ class BatchContext:
         indptr: np.ndarray,
         indices: np.ndarray,
         rev: np.ndarray,
-        owned: np.ndarray | None = None,
     ) -> None:
         self.labels = labels
         self.indptr = indptr
@@ -196,7 +187,6 @@ class BatchContext:
         )
         self.active = np.ones(labels.size, dtype=bool)
         self.state: dict[str, Any] = {}
-        self.owned = owned
         self._messages = 0
         self._words = 0
         self._sent_in_round = False
@@ -221,7 +211,9 @@ class BatchContext:
         neighbor on slot ``e`` sent *to* the slot's owner this round."""
         return outbox.take(self.rev, axis=0)
 
-    def _account(self, messages: int, words: int) -> None:
+    def post(self, messages: int, words: int) -> None:
+        """Account ``messages`` messages totalling ``words`` words sent
+        this round (callers compute both via ufunc reductions)."""
         messages = int(messages)
         if messages < 0 or words < 0:
             raise ProtocolError(
@@ -232,45 +224,16 @@ class BatchContext:
             self._words += int(words)
             self._sent_in_round = True
 
-    def post(self, messages: int, words: int) -> None:
-        """Account ``messages`` messages totalling ``words`` words sent
-        this round (callers compute both via ufunc reductions).
-
-        Only valid on the single-process tier: a bare total carries no
-        sender attribution, so the sharded tier (where only owned senders
-        may be billed) rejects it -- use :meth:`post_nodes` or
-        :meth:`post_slots`, whose callers know who sent what.
-        """
-        if self.owned is not None:
-            raise ProtocolError(
-                "sharded context requires per-node or per-slot accounting "
-                "(post_nodes/post_slots), not a bare post()"
-            )
-        self._account(messages, words)
-
     def post_nodes(self, counts: np.ndarray, words: np.ndarray) -> None:
         """Account per-sender traffic: node ``i`` sent ``counts[i]``
-        messages totalling ``words[i]`` words this round.
-
-        The shardable form of :meth:`post`: on the sharded tier only
-        owned senders are billed, and the per-shard integer sums add up
-        to the single-process totals exactly.
-        """
-        counts = np.asarray(counts)
-        words = np.asarray(words)
-        if self.owned is not None:
-            counts = counts[self.owned]
-            words = words[self.owned]
-        self._account(int(counts.sum()), int(words.sum()))
+        messages totalling ``words[i]`` words this round."""
+        self.post(int(np.sum(counts)), int(np.sum(words)))
 
     def post_slots(self, mask: np.ndarray, words_each: int) -> None:
         """Account one message per set slot in ``mask``, ``words_each``
-        words apiece (the fixed-size-payload fast path).  On the sharded
-        tier only slots owned by this shard's senders are billed."""
-        if self.owned is not None:
-            mask = mask & self.owned[self.sources]
+        words apiece (the fixed-size-payload fast path)."""
         count = int(np.count_nonzero(mask))
-        self._account(count, count * words_each)
+        self.post(count, count * words_each)
 
 
 class BatchProtocol(Protocol):
@@ -286,28 +249,6 @@ class BatchProtocol(Protocol):
 
     #: Advertises batch capability to ``SynchronousNetwork.run``.
     supports_batch = True
-
-    #: Advertises shard capability: the batch hooks tolerate running on
-    #: a shard context (global index space, empty rows outside the
-    #: shard's 2-hop ball, per-round owner-authoritative state sync) and
-    #: bill traffic exclusively through the maskable
-    #: :meth:`BatchContext.post_nodes` / :meth:`BatchContext.post_slots`.
-    #: Protocols that opt in must also declare :attr:`batch_state_sync`.
-    supports_shard = False
-
-    #: Sync contract for every ``net.state`` key, consumed by the
-    #: sharded tier (:mod:`repro.distributed.shard`).  Kinds:
-    #:
-    #: * ``"node"`` -- length-``n`` per-node array; non-owned ball
-    #:   entries are overwritten from the owner after every round;
-    #: * ``"slot"`` -- per-directed-slot array; halo-row entries are
-    #:   overwritten from the row owner's identical full row;
-    #: * ``"replicated"`` -- deterministically recomputed identically by
-    #:   every shard (counters, interning tables); never shipped;
-    #: * ``"node_keys"`` -- sorted ``node * stride + fact`` key array
-    #:   (stride read from ``state["stride"]``); rebuilt each round from
-    #:   the owners' entries for this shard's ball nodes.
-    batch_state_sync: dict[str, str] = {}
 
     def on_start_batch(self, net: BatchContext) -> None:
         """Round 0 for all nodes at once: initialize ``net.state``, halt
@@ -545,15 +486,7 @@ class SynchronousNetwork:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        protocol: Protocol,
-        *,
-        engine: str = "auto",
-        shards: int | None = None,
-        jobs: int = 1,
-        partition: np.ndarray | None = None,
-    ) -> RunResult:
+    def run(self, protocol: Protocol, *, engine: str = "auto") -> RunResult:
         """Run ``protocol`` to completion (all nodes halted).
 
         Rounds in which no node is active are not possible: the engine
@@ -569,71 +502,16 @@ class SynchronousNetwork:
             ``"auto"`` (batch tier when the protocol supports it),
             ``"scalar"`` (force the per-node reference tier) or
             ``"batch"`` (require the batch tier).
-        shards:
-            Number of spatial partitions for the sharded batch tier
-            (default: ``jobs``, or the partition's shard count when
-            ``partition`` is given).  ``1`` runs the ordinary
-            single-process tiers.  Sharded results are bit-identical to
-            the single-process batch tier -- same rounds, messages,
-            words and outputs in the same insertion order -- for any
-            shard count and partition.
-        jobs:
-            Worker processes for the sharded tier.  ``1`` (default) runs
-            every shard sequentially in-process -- the deterministic
-            test path; ``> 1`` runs shards on a persistent fork-based
-            worker pool.
-        partition:
-            Optional ``(n,)`` int array mapping each compact node index
-            to its owning shard (e.g. from
-            :func:`repro.distributed.shard.grid_partition`).  Default is
-            a balanced contiguous partition.
         """
         if engine not in ("auto", "scalar", "batch"):
             raise ProtocolError(
                 f"engine must be auto|scalar|batch, got {engine!r}"
             )
-        if shards is None:
-            if partition is not None:
-                partition = np.asarray(partition, dtype=np.int64)
-                shards = int(partition.max()) + 1 if partition.size else 1
-            else:
-                shards = max(1, int(jobs))
         batch_capable = getattr(protocol, "supports_batch", False)
         if engine == "batch" and not batch_capable:
             raise ProtocolError(
                 f"{protocol.name}: protocol has no batch implementation"
             )
-        if shards > 1:
-            if engine == "scalar":
-                raise ProtocolError(
-                    "sharded execution requires the batch tier, not scalar"
-                )
-            if (
-                batch_capable
-                and getattr(protocol, "supports_shard", False)
-                and self.nodes
-            ):
-                from .shard import run_sharded
-
-                return run_sharded(
-                    self._topology_arrays(),
-                    protocol,
-                    shards=shards,
-                    jobs=jobs,
-                    partition=partition,
-                    max_rounds=self._max_rounds,
-                )
-            # Not shard-capable (or empty topology): fall back to the
-            # single-process batch tier, which is bit-identical anyway.
-            if self.nodes:
-                warnings.warn(
-                    f"{protocol.name}: shards={shards} requested but the "
-                    "protocol is not shard-capable; falling back to the "
-                    "single-process batch tier (results are identical, "
-                    "but the run is not partitioned)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         if batch_capable and engine != "scalar":
             return self._run_batch(protocol)
         return self._run_scalar(protocol)

@@ -150,9 +150,6 @@ def run_luby_mis_arrays(
     seed: int = 0,
     max_rounds: int = 10_000,
     engine: str = "auto",
-    shards: int | None = None,
-    jobs: int = 1,
-    partition: np.ndarray | None = None,
 ) -> MISRun:
     """Compute an MIS of a CSR-array adjacency with the Luby protocol.
 
@@ -166,10 +163,6 @@ def run_luby_mis_arrays(
     rounds, messages and chosen set -- is identical to
     :func:`run_luby_mis` on the equivalent mapping, which the test-suite
     pins; the output is validated before being returned.
-
-    ``shards``/``jobs``/``partition`` select the sharded batch tier (see
-    :meth:`SynchronousNetwork.run`): bit-identical results, executed
-    over a spatial partition on up to ``jobs`` worker processes.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -177,13 +170,7 @@ def run_luby_mis_arrays(
     if n == 0:
         return MISRun(frozenset(), engine_rounds=0, messages=0)
     net = SynchronousNetwork((indptr, indices), max_rounds=max_rounds)
-    result = net.run(
-        LubyMIS(seed=seed),
-        engine=engine,
-        shards=shards,
-        jobs=jobs,
-        partition=partition,
-    )
+    result = net.run(LubyMIS(seed=seed), engine=engine)
     chosen = frozenset(u for u, flag in result.outputs.items() if flag)
     mask = np.zeros(n, dtype=bool)
     mask[list(chosen)] = True

@@ -58,21 +58,6 @@ class ConvergecastSum(BatchProtocol):
 
     name = "convergecast"
 
-    # Shard contract: accumulators and waiting counters are per-node
-    # (owner-authoritative), outboxes live on slots (halo rows synced
-    # from the row owner each round), and the forest arrays are
-    # recomputed per shard -- parent_slot holds *shard-local* slot ids,
-    # so it must never be shipped between shards.
-    supports_shard = True
-    batch_state_sync = {
-        "acc": "node",
-        "waiting": "node",
-        "outbox": "slot",
-        "outbox_val": "slot",
-        "is_root": "replicated",
-        "parent_slot": "replicated",
-    }
-
     def __init__(
         self,
         parents: Mapping[int, int],
@@ -81,8 +66,6 @@ class ConvergecastSum(BatchProtocol):
     ) -> None:
         self._parents = dict(parents)
         self._values = dict(values)
-        # operator.add (not a lambda) keeps the protocol picklable for
-        # the sharded tier's fork worker pool.
         self._combine = combine if combine is not None else operator.add
         numeric = all(
             isinstance(v, (int, float)) for v in self._values.values()
@@ -167,10 +150,7 @@ class ConvergecastSum(BatchProtocol):
         outbox_val = np.zeros(net.num_slots, dtype=np.float64)
         leaves = waiting == 0
         net.halt(leaves)
-        # parent_slot >= 0 excludes rim nodes of a sharded context (their
-        # rows are empty, so they have no parent slot here); single
-        # process it is implied by ~is_root.
-        senders = leaves & ~is_root & (parent_slot >= 0)
+        senders = leaves & ~is_root
         slots = parent_slot[senders]
         outbox[slots] = True
         outbox_val[slots] = acc[senders]
@@ -200,7 +180,7 @@ class ConvergecastSum(BatchProtocol):
             st["waiting"] -= np.bincount(receivers, minlength=net.num_nodes)
         ready = net.active & (st["waiting"] == 0)
         net.halt(ready)
-        senders = ready & ~st["is_root"] & (st["parent_slot"] >= 0)
+        senders = ready & ~st["is_root"]
         slots = st["parent_slot"][senders]
         outbox[slots] = True
         outbox_val[slots] = st["acc"][senders]

@@ -50,17 +50,6 @@ class BFSTree(BatchProtocol):
 
     name = "bfs-tree"
 
-    # Shard contract: the wave state is per-node (parents are compact
-    # indices in the global index space, so they transfer verbatim) and
-    # the patience counter ticks identically in every shard.
-    supports_shard = True
-    batch_state_sync = {
-        "level": "node",
-        "parent": "node",
-        "frontier": "node",
-        "idle": "replicated",
-    }
-
     def __init__(self, root: int, patience: int = 1_000) -> None:
         if patience < 1:
             raise ProtocolError(f"patience must be >= 1, got {patience}")

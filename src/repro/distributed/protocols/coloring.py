@@ -47,10 +47,8 @@ def _cv_step_batch(color: np.ndarray, parent_color: np.ndarray) -> np.ndarray:
     2^53 (far beyond any vertex count here).
     """
     diff = color ^ parent_color
-    # A proper CV coloring never has color == parent_color, but sharded
-    # halo lanes can carry a node's own color as its pseudo parent color
-    # (those lanes are owner-overwritten after the round); force a set
-    # bit so the shift below stays defined.
+    # A proper CV coloring never has color == parent_color; force a set
+    # bit anyway so the shift below stays defined on any input.
     low = np.where(diff == 0, 1, diff & -diff)
     _, exp = np.frexp(low.astype(np.float64))
     index = exp.astype(np.int64) - 1
@@ -75,20 +73,6 @@ class TreeSixColoring(BatchProtocol):
     """
 
     name = "cv-six-coloring"
-
-    # Shard contract: colors are per-node (owner-authoritative), the
-    # step counter advances in lockstep everywhere, and the forest
-    # arrays are recomputed per shard in shard-local slot space (so
-    # parent_slot / child_slot_mask are never shipped; the mask's halo
-    # rows are synced from the row owner).
-    supports_shard = True
-    batch_state_sync = {
-        "color": "node",
-        "child_slot_mask": "slot",
-        "is_root": "replicated",
-        "parent_slot": "replicated",
-        "step": "replicated",
-    }
 
     def __init__(self, parents: Mapping[int, int], rounds: int) -> None:
         if rounds < 0:
@@ -160,8 +144,7 @@ class TreeSixColoring(BatchProtocol):
         if self._rounds == 0:
             net.halt(np.ones(n, dtype=bool))
             return
-        # Colors travel as one-word int payloads down every child slot
-        # (slot-attributed so the sharded tier bills owned senders only).
+        # Colors travel as one-word int payloads down every child slot.
         net.post_slots(child_slot_mask, 1)
 
     def on_round_batch(self, net: BatchContext) -> None:

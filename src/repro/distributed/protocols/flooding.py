@@ -49,20 +49,6 @@ class KHopGather(BatchProtocol):
 
     name = "k-hop-gather"
 
-    # Shard contract: the fact universe is interned identically in every
-    # shard (the loop runs over the shared global label array), and the
-    # known/fresh key sets are per-node key arrays rebuilt each round
-    # from the owners' entries for this shard's ball.
-    supports_shard = True
-    batch_state_sync = {
-        "universe": "replicated",
-        "fact_words": "replicated",
-        "stride": "replicated",
-        "known": "node_keys",
-        "fresh": "node_keys",
-        "age": "replicated",
-    }
-
     def __init__(self, initial_facts: Mapping[int, Any], k: int) -> None:
         if k < 0:
             raise ProtocolError(f"k must be >= 0, got {k}")
@@ -169,8 +155,7 @@ class KHopGather(BatchProtocol):
             weights=fact_words[fids].astype(np.float64),
             minlength=net.num_nodes,
         ).astype(np.int64)
-        # payload_words(frozenset) = 1 (container) + item words; billed
-        # per sender for the sharded tier's owned masking.
+        # payload_words(frozenset) = 1 (container) + item words.
         net.post_nodes(net.degrees, net.degrees * (1 + per_node_words))
 
     def on_round_batch(self, net: BatchContext) -> None:

@@ -44,15 +44,6 @@ class LeaderElection(BatchProtocol):
 
     name = "leader-election"
 
-    # Shard contract: best/spoke are per-node, the round budget counts
-    # down identically everywhere.
-    supports_shard = True
-    batch_state_sync = {
-        "best": "node",
-        "spoke": "node",
-        "age": "replicated",
-    }
-
     def __init__(self, rounds: int) -> None:
         if rounds < 1:
             raise ProtocolError(f"rounds must be >= 1, got {rounds}")
@@ -94,8 +85,7 @@ class LeaderElection(BatchProtocol):
             spoke=np.ones(net.num_nodes, dtype=bool),
             age=0,
         )
-        # A bare int id is a one-word payload; one per incident slot,
-        # billed per sender for the sharded tier's owned masking.
+        # A bare int id is a one-word payload; one per incident slot.
         net.post_nodes(net.degrees, net.degrees)
 
     def on_round_batch(self, net: BatchContext) -> None:

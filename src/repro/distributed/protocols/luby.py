@@ -88,18 +88,6 @@ class LubyMIS(BatchProtocol):
 
     name = "luby-mis"
 
-    # Shard contract: priorities hash global labels (identical in every
-    # shard), iteration/phase counters advance in lockstep, statuses are
-    # per-node, and slot_active rows are owner-authoritative.
-    supports_shard = True
-    batch_state_sync = {
-        "status": "node",
-        "priority": "replicated",
-        "iteration": "replicated",
-        "resolve_next": "replicated",
-        "slot_active": "slot",
-    }
-
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._state = seed_state(seed)
@@ -259,8 +247,7 @@ class LubyMIS(BatchProtocol):
         )
         status[wins] = _S_IN_MIS
 
-        # Fate notifications to the (already OUT-pruned) active sets,
-        # billed per sender so the sharded tier can mask to owned nodes.
+        # Fate notifications to the (already OUT-pruned) active sets.
         active_deg = segment_sum(slot_active.astype(np.int64), net.indptr)
         undecided = net.active & ~wins
         net.post_nodes(

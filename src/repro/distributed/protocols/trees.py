@@ -54,11 +54,6 @@ def rooted_forest_arrays(
     to_parent = (net.indices == parent[net.sources]) & ~is_root[net.sources]
     has_parent_slot = np.bincount(net.sources[to_parent], minlength=n) > 0
     bad = (~is_root & ~has_parent_slot) | foreign
-    if net.owned is not None:
-        # Sharded context: rim rows are intentionally empty, so only
-        # owned nodes are validated here -- every node is owned by
-        # exactly one shard, so every genuinely bad node is still caught.
-        bad &= net.owned
     if bad.any():
         i = int(np.argmax(bad))
         u = int(net.labels[i])

@@ -37,6 +37,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..core.relaxed_greedy import RelaxedGreedySpanner
 from ..graphs.analysis import assess
 from ..params import SpannerParams
 from .runner import EXPERIMENT_REGISTRY, format_table, stopwatch
@@ -61,6 +62,8 @@ _AGGREGATE_KEYS = (
     "retransmissions",
     "recovery_rounds",
     "crashed",
+    "rounds_total",
+    "messages",
 )
 
 
@@ -71,15 +74,8 @@ def run_cell(
     *,
     epsilon: float = 0.5,
     alpha: float = 1.0,
-    shards: int | None = None,
 ) -> dict[str, Any]:
     """Build + assess one grid cell; returns a flat metrics row.
-
-    With ``shards`` set the cell runs the *distributed* builder sharded
-    across that many worker processes (1 = single-process distributed)
-    and additionally reports the round/message ledger; the spanner
-    itself is identical at every shard count, so the axis isolates the
-    wall-clock scaling.
 
     Module-level (and keyword-light) so process-pool workers can receive
     it by reference.
@@ -89,19 +85,10 @@ def run_cell(
     params = SpannerParams.from_epsilon(
         epsilon, alpha=alpha, dim=workload.points.dim
     )
-    if shards is None:
-        from ..core.relaxed_greedy import RelaxedGreedySpanner
-
-        builder = RelaxedGreedySpanner(params)
-    else:
-        from ..distributed.dist_spanner import DistributedRelaxedGreedy
-
-        row["shards"] = int(shards)
-        builder = DistributedRelaxedGreedy(
-            params, seed=seed, jobs=int(shards), points=workload.points
-        )
     with stopwatch(row, "build_s"):
-        result = builder.build(workload.graph, workload.points.distance)
+        result = RelaxedGreedySpanner(params).build(
+            workload.graph, workload.points.distance
+        )
     with stopwatch(row, "assess_s"):
         quality = assess(workload.graph, result.spanner)
     row.update(
@@ -113,11 +100,6 @@ def run_cell(
         phases=len(result.phases),
         passed=bool(quality.stretch <= params.t * (1.0 + 1e-9)),
     )
-    if shards is not None:
-        row.update(
-            rounds=result.ledger.total_rounds,
-            messages=result.ledger.total_messages,
-        )
     return row
 
 
@@ -170,10 +152,8 @@ def run_experiment_cell(
 
 
 def _run_cell_args(args: tuple) -> dict[str, Any]:
-    scenario, n, seed, epsilon, alpha, shards = args
-    return run_cell(
-        scenario, n, seed, epsilon=epsilon, alpha=alpha, shards=shards
-    )
+    scenario, n, seed, epsilon, alpha = args
+    return run_cell(scenario, n, seed, epsilon=epsilon, alpha=alpha)
 
 
 def _run_experiment_cell_args(args: tuple) -> dict[str, Any]:
@@ -191,7 +171,6 @@ def run_sweep(
     jobs: int = 1,
     experiments: Sequence[str] = (),
     faults: Sequence[str] = (),
-    shard_counts: Sequence[int] = (),
 ) -> dict[str, Any]:
     """Execute the full grid and aggregate one report dict.
 
@@ -201,9 +180,6 @@ def run_sweep(
     regardless of completion order.  ``faults`` adds a failure-scenario
     axis for experiment cells (bodies without a ``faults`` kwarg simply
     run once per fault cell under their default conditions).
-    ``shard_counts`` adds a sharded distributed-build axis to build
-    cells: each cell builds with the distributed protocol fanned over
-    that many worker processes, so one sweep captures the scaling curve.
     """
     if experiments:
         grid = [
@@ -214,14 +190,9 @@ def run_sweep(
         ]
         worker = _run_experiment_cell_args
     else:
-        shard_axis: Sequence[int | None] = (
-            [int(c) for c in shard_counts] if shard_counts else (None,)
-        )
         grid = [
-            (s, int(n), int(seed), float(epsilon), float(alpha), c)
-            for s, n, seed, c in itertools.product(
-                scenarios, sizes, seeds, shard_axis
-            )
+            (s, int(n), int(seed), float(epsilon), float(alpha))
+            for s, n, seed in itertools.product(scenarios, sizes, seeds)
         ]
         worker = _run_cell_args
     if jobs > 1 and len(grid) > 1:
@@ -259,7 +230,6 @@ def run_sweep(
         "seeds": [int(s) for s in seeds],
         "experiments": list(experiments),
         "faults": list(faults),
-        "shard_counts": [int(c) for c in shard_counts],
         "num_cells": len(rows),
         "passed": all(r["passed"] for r in rows),
         "cells": rows,
@@ -276,8 +246,8 @@ def save_sweep(report: dict[str, Any], path: str | Path) -> Path:
 
 
 #: Cell identity: the grid coordinates (build cells lack "experiment"
-#: and "fault"; only sharded build cells carry "shards").
-_IDENTITY_KEYS = ("experiment", "scenario", "n", "seed", "fault", "shards")
+#: and "fault").
+_IDENTITY_KEYS = ("experiment", "scenario", "n", "seed", "fault")
 
 
 def _cell_key(row: dict[str, Any]) -> tuple:
@@ -375,14 +345,6 @@ def main(argv: list[str] | None = None) -> int:
             "experiment cells"
         ),
     )
-    parser.add_argument(
-        "--shards", default="",
-        help=(
-            "comma-separated shard counts (e.g. 1,2,4): build cells run "
-            "the sharded distributed builder at each count, adding a "
-            "scaling axis to the grid (build cells only)"
-        ),
-    )
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument(
@@ -436,25 +398,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    shard_counts = [int(x) for x in _csv(args.shards)]
-    if shard_counts:
-        if experiments:
-            print(
-                "--shards applies to build cells only (drop "
-                "--experiments to sweep the sharded builder)",
-                file=sys.stderr,
-            )
-            return 2
-        if min(shard_counts) < 1:
-            print("--shards counts must be >= 1", file=sys.stderr)
-            return 2
     sizes = [int(x) for x in _csv(args.sizes)]
     seeds = [int(x) for x in _csv(args.seeds)]
     report = run_sweep(
         scenarios, sizes, seeds,
         epsilon=args.epsilon, alpha=args.alpha, jobs=args.jobs,
         experiments=experiments, faults=faults,
-        shard_counts=shard_counts,
     )
     print(format_table(report["cells"]))
     if args.diff:

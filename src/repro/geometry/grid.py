@@ -121,18 +121,6 @@ class GridIndex:
         """Number of non-empty cells."""
         return int(self._uids.shape[0])
 
-    def cell_buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Point buckets grouped by cell: ``(order, starts, counts)``.
-
-        ``order`` lists point indices sorted by cell id (stable, so
-        ascending within a cell); cell ``c`` (in cell-id order) holds
-        points ``order[starts[c] : starts[c] + counts[c]]``.  This is
-        the substrate the sharded round engine's spatial partitioner
-        (:func:`repro.distributed.shard.grid_partition`) groups into
-        shards.
-        """
-        return self._order, self._starts, self._counts
-
     def cell_of(self, idx: int) -> tuple[int, ...]:
         """Grid cell key containing point ``idx``."""
         return tuple(int(c) for c in self._keys[idx])

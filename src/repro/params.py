@@ -64,6 +64,14 @@ def max_cone_angle(t: float) -> float:
     return min(theta, math.pi / 4.0)
 
 
+def _check_model(alpha: float, dim: int) -> None:
+    """Reject a model outside ``0 < alpha <= 1``, ``dim >= 2``."""
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
+    if dim < 2:
+        raise ParameterError(f"dim must be >= 2, got {dim}")
+
+
 def binning_rate_bound(t1: float, delta: float) -> float:
     """Upper bound ``(t_delta + 1)/2`` on the bin growth rate ``r``.
 
@@ -147,7 +155,7 @@ class SpannerParams:
         ----------
         epsilon:
             Desired stretch slack; the output graph is a ``(1+epsilon)``-
-            spanner.  Must be > 0.
+            spanner.  Must be finite and > 0.
         alpha:
             Quasi-UBG parameter in ``(0, 1]``.
         dim:
@@ -156,8 +164,11 @@ class SpannerParams:
             Where to place ``t1`` inside ``(1, t)`` as a fraction of
             ``epsilon``; must lie strictly in ``(0, 1)``.
         """
-        if epsilon <= 0.0:
-            raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise ParameterError(
+                f"epsilon must be finite and > 0, got {epsilon}"
+            )
+        _check_model(alpha, dim)
         if not 0.0 < t1_fraction < 1.0:
             raise ParameterError(
                 f"t1_fraction must be in (0, 1), got {t1_fraction}"
@@ -188,6 +199,7 @@ class SpannerParams:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ParameterError` if any theorem precondition fails."""
+        _check_model(self.alpha, self.dim)
         if self.t <= 1.0:
             raise ParameterError(f"t must be > 1, got {self.t}")
         if not 1.0 < self.t1 < self.t:
@@ -232,10 +244,6 @@ class SpannerParams:
                 "Theorem 13 needs beta < 1/(1 - t*alpha) when t*alpha < 1; "
                 f"got beta={self.beta:.6g}"
             )
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.dim < 2:
-            raise ParameterError(f"dimension must be >= 2, got {self.dim}")
 
     # ------------------------------------------------------------------
     # Derived quantities

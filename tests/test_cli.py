@@ -69,17 +69,6 @@ class TestBuild:
         out = capsys.readouterr().out
         assert "total rounds" in out
 
-    def test_distributed_build_sharded(self, instance_path, capsys):
-        code = main(["build", str(instance_path), "--distributed"])
-        assert code == 0
-        base = json.loads(_extract_json(capsys))
-        code = main(
-            ["build", str(instance_path), "--distributed", "--jobs", "2"]
-        )
-        assert code == 0
-        sharded = json.loads(_extract_json(capsys))
-        assert sharded == base  # sharding never changes the spanner
-
     def test_spanner_output_saved(self, instance_path, tmp_path):
         out_path = tmp_path / "spanner.json"
         code = main(
@@ -128,6 +117,12 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1  # one line, no traceback
+
+    def test_nan_epsilon_exits_with_message(self, instance_path, capsys):
+        capsys.readouterr()
+        assert main(["build", str(instance_path), "--epsilon", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: epsilon must be finite and > 0, got nan\n"
 
 
 class TestExperimentsCommand:

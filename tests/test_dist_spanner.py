@@ -1,5 +1,6 @@
 """Integration tests for the distributed relaxed greedy algorithm."""
 
+import hashlib
 import math
 
 import pytest
@@ -10,6 +11,8 @@ from repro.distributed.local_views import (
     gather_local_view,
     local_component_of_short_edges,
 )
+from repro.exceptions import ParameterError
+from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
 from repro.graphs.analysis import lightness, measure_stretch
 from repro.graphs.build import build_qubg, build_udg
@@ -175,6 +178,61 @@ class TestEdgeCases:
         g.add_edge(0, 1, 1.4)
         with pytest.raises(GraphError):
             DistributedRelaxedGreedy(params_half).build(g, lambda u, v: 1.4)
+
+    def test_jobs_one_builds_like_the_default(
+        self, params_half, small_udg, small_points
+    ):
+        default = DistributedRelaxedGreedy(params_half, seed=4).build(
+            small_udg, small_points.distance
+        )
+        explicit = DistributedRelaxedGreedy(
+            params_half, seed=4, jobs=1
+        ).build(small_udg, small_points.distance)
+        assert _edge_digest(explicit.spanner) == _edge_digest(default.spanner)
+        assert explicit.total_rounds == default.total_rounds
+        assert explicit.ledger.total_messages == default.ledger.total_messages
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_rejected(self, params_half, jobs):
+        with pytest.raises(
+            ParameterError, match=f"jobs must be 1, got {jobs}"
+        ):
+            DistributedRelaxedGreedy(params_half, jobs=jobs)
+
+
+def _edge_digest(spanner):
+    """Short hash of the spanner's sorted (u, v) pairs, weights left out."""
+    pairs = sorted(
+        (min(int(u), int(v)), max(int(u), int(v)))
+        for u, v, _ in spanner.edges()
+    )
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+
+
+class TestReliableBuildPins:
+    """Reliable (fault-free) distributed builds against recorded values.
+    The workload and the builder share one seed.  Columns: scenario, n,
+    seed, edge digest, total_rounds, total messages, MIS invocations."""
+
+    @pytest.mark.parametrize(
+        "scenario, n, seed, digest, rounds, messages, mis_runs",
+        [
+            ("uniform", 400, 1, "1612a809cb833b6e", 717, 32, 65),
+            ("clustered", 400, 2, "b3ab55bc7ee0dfc9", 1150, 604, 98),
+            ("uniform", 2000, 3, "0b1f689c46150b9f", 1068, 444, 90),
+        ],
+    )
+    def test_reliable_build_matches_recorded_values(
+        self, scenario, n, seed, digest, rounds, messages, mis_runs
+    ):
+        workload = make_workload(scenario, n, seed=seed)
+        build = DistributedRelaxedGreedy(
+            SpannerParams.from_epsilon(0.5), seed=seed
+        ).build(workload.graph, workload.points.distance)
+        assert _edge_digest(build.spanner) == digest
+        assert build.total_rounds == rounds
+        assert build.ledger.total_messages == messages
+        assert build.mis_invocations == mis_runs
 
 
 class TestLocality:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
@@ -47,17 +47,24 @@ class TestAngleFromSides:
         st.tuples(finite, finite),
         st.tuples(finite, finite),
     )
+    # A needle: |pq| rounds to fl(1 - 1e-5), and the triangle with those
+    # three float sides has an angle of 3.0e-6 rad, not 0.
+    @example((0.0, 0.0), (1.0, 0.0), (1e-5, 0.0))
     def test_matches_coordinate_angle(self, apex, p, q):
         """Property: law-of-cosines angle == coordinate angle (the
-        Section 1.1 'distances only' computation is exact)."""
+        Section 1.1 'distances only' computation is exact), within the
+        side-rounding error stated by ``angle_from_sides``."""
         apex, p, q = np.array(apex), np.array(p), np.array(q)
         da = float(np.linalg.norm(p - apex))
         db = float(np.linalg.norm(q - apex))
         if da < 1e-6 or db < 1e-6:
             return  # degenerate rays
+        dpq = float(np.linalg.norm(p - q))
         expected = angle_at_vertex(apex, p, q)
-        computed = angle_from_sides(float(np.linalg.norm(p - q)), da, db)
-        assert computed == pytest.approx(expected, abs=1e-6)
+        computed = angle_from_sides(dpq, da, db)
+        eps = np.finfo(float).eps
+        rounding = math.sqrt(6.0 * eps) * dpq / math.sqrt(da * db)
+        assert computed == pytest.approx(expected, abs=1e-6 + rounding)
 
 
 class TestAngleAtVertex:

@@ -24,7 +24,7 @@ from repro.core import (
     events_from_fault_plan,
 )
 from repro.distributed.faults import FaultPlan
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ParameterError
 from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import BernoulliPolicy, DecayPolicy
@@ -318,3 +318,23 @@ class TestRejectedEvents:
             GraphError, match=r"points 1 and 2 coincide at \(0\.5, 0\.5\)"
         ):
             MaintenanceSession(pts, 0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_named_at_construction(self, bad):
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [0.2, bad], [bad, 0.1]])
+        with pytest.raises(GraphError, match="point 2 has a non-finite"):
+            MaintenanceSession(pts, 0.5)
+
+    @pytest.mark.parametrize(
+        "fraction", [-1.0, 1.5, float("nan"), float("inf")]
+    )
+    def test_resync_fraction_outside_unit_interval_rejected(self, fraction):
+        pts = make_workload("uniform", 30, seed=3).points
+        with pytest.raises(ParameterError, match="resync_fraction"):
+            MaintenanceSession(pts, 0.5, resync_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_resync_fraction_bounds_accepted(self, fraction):
+        pts = make_workload("uniform", 30, seed=3).points
+        session = MaintenanceSession(pts, 0.5, resync_fraction=fraction)
+        assert session.resync_fraction == fraction

@@ -49,6 +49,23 @@ class TestFromEpsilon:
         with pytest.raises(ParameterError):
             SpannerParams.from_epsilon(0.5, dim=1)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_named(self, epsilon):
+        message = f"epsilon must be finite and > 0, got {epsilon}"
+        with pytest.raises(ParameterError, match=message):
+            SpannerParams.from_epsilon(epsilon)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_nonpositive_alpha_named(self, alpha):
+        with pytest.raises(
+            ParameterError, match=rf"alpha must be in \(0, 1\], got {alpha}"
+        ):
+            SpannerParams.from_epsilon(0.5, alpha=alpha)
+
+    def test_dimension_below_two_named(self):
+        with pytest.raises(ParameterError, match="dim must be >= 2, got 1"):
+            SpannerParams.from_epsilon(0.5, dim=1)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.01, max_value=10.0))
     def test_derivation_always_valid(self, epsilon):
@@ -101,6 +118,16 @@ class TestValidation:
             SpannerParams(
                 t=good.t, t1=good.t1, delta=good.delta, r=good.r,
                 theta=max_cone_angle(good.t) + 0.01, beta=good.beta,
+            )
+
+    def test_alpha_checked_before_derived_constraints(self):
+        # beta derived for alpha = 1 also breaks Theorem 13's beta bound
+        # at alpha = 0; the error must name alpha, the actual cause.
+        good = SpannerParams.from_epsilon(0.5)
+        with pytest.raises(ParameterError, match="alpha must be in"):
+            SpannerParams(
+                t=good.t, t1=good.t1, delta=good.delta, r=good.r,
+                theta=good.theta, beta=good.beta, alpha=0.0,
             )
 
     def test_beta_out_of_range_rejected(self):

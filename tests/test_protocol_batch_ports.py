@@ -13,12 +13,18 @@ import pytest
 
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.protocols.aggregate import ConvergecastSum
+from repro.distributed.protocols.bfs import BFSTree
 from repro.distributed.protocols.coloring import (
     TreeSixColoring,
     cv_rounds_needed,
     tree_coloring_to_mis,
 )
+from repro.distributed.protocols.flooding import KHopGather
+from repro.distributed.protocols.leader import LeaderElection
+from repro.distributed.protocols.luby import LubyMIS
 from repro.exceptions import ProtocolError
+from repro.geometry.sampling import uniform_points
+from repro.graphs.build import build_udg
 from repro.graphs.graph import Graph
 
 
@@ -193,3 +199,47 @@ class TestColoringBatch:
                 )
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def all_protocols(g: Graph) -> dict:
+    """Factories for every batch-capable protocol, set up on ``g``."""
+    n = g.num_vertices
+    facts = {u: {("tok", u)} for u in range(0, n, 5)}
+    parents = bfs_forest(g)
+    values = {u: 0.5 * u - 3.0 for u in range(n)}
+    return {
+        "luby": lambda: LubyMIS(seed=11),
+        "bfs": lambda: BFSTree(root=3),
+        "leader": lambda: LeaderElection(rounds=6),
+        "khop": lambda: KHopGather(facts, k=3),
+        "convergecast": lambda: ConvergecastSum(parents, values),
+        "coloring": lambda: TreeSixColoring(parents, cv_rounds_needed(n)),
+    }
+
+
+@pytest.fixture(scope="module")
+def dense_udg() -> Graph:
+    return build_udg(uniform_points(240, seed=17, side=4.0))
+
+
+class TestAllProtocolsOnUdg:
+    """Every batch-capable protocol against the scalar tier on unit disk
+    graphs, the deployment topology, rather than random edge lists."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["luby", "bfs", "leader", "khop", "convergecast", "coloring"],
+    )
+    def test_tiers_agree_on_dense_udg(self, dense_udg, name):
+        make = all_protocols(dense_udg)[name]
+        protocol = make()
+        assert protocol.supports_batch
+        assert_equal_runs(SynchronousNetwork(dense_udg), protocol)
+
+    def test_tiers_agree_on_sparse_udg_with_many_components(self):
+        g = build_udg(uniform_points(90, seed=23, side=9.0))
+        roots = [u for u, p in bfs_forest(g).items() if u == p]
+        assert len(roots) > 10
+        net = SynchronousNetwork(g)
+        for make in all_protocols(g).values():
+            assert_equal_runs(net, make())

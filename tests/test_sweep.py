@@ -96,6 +96,15 @@ class TestExperimentCells:
         row = run_experiment_cell("X1", "uniform", 48, 0)
         assert row["experiment"] == "X1" and row["passed"]
 
+    def test_e4_cell_reports_rounds_and_messages(self):
+        from repro.experiments.sweep import run_experiment_cell
+
+        # The distributed builder's round and message counts reach the
+        # sweep report through E4 cells.
+        row = run_experiment_cell("E4", "uniform", 48, 0)
+        assert row["passed"]
+        assert row["rounds_total"] > 0 and row["messages"] > 0
+
     def test_experiment_grid_order_and_summary(self):
         report = run_sweep(
             ["uniform"], [48], [0], jobs=1, experiments=["E1", "E9"]
@@ -170,56 +179,6 @@ class TestFaultAxis:
         assert "--faults" in capsys.readouterr().err
 
 
-class TestShardAxis:
-    def test_sharded_cell_matches_single_process(self):
-        base = run_cell("uniform", 64, 0, shards=1)
-        sharded = run_cell("uniform", 64, 0, shards=2)
-        assert base["shards"] == 1 and sharded["shards"] == 2
-        strip = lambda r: {  # noqa: E731 - wall clocks differ
-            k: v
-            for k, v in r.items()
-            if not k.endswith("_s") and k != "shards"
-        }
-        assert strip(base) == strip(sharded)  # bit-identical quality
-        assert sharded["rounds"] > 0 and sharded["messages"] > 0
-
-    def test_shard_grid_order(self):
-        report = run_sweep(
-            ["uniform"], [48], [0], jobs=1, shard_counts=[1, 2]
-        )
-        assert report["shard_counts"] == [1, 2]
-        assert [r["shards"] for r in report["cells"]] == [1, 2]
-        assert report["passed"]
-
-    def test_shards_flag_via_cli(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        code = main(
-            [
-                "--scenarios", "uniform",
-                "--sizes", "48",
-                "--seeds", "0",
-                "--shards", "1,2",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["num_cells"] == 2
-        assert [r["shards"] for r in report["cells"]] == [1, 2]
-
-    def test_shards_reject_experiments(self, capsys):
-        code = main(
-            ["--experiments", "E1", "--shards", "2", "--output", ""]
-        )
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_shards_reject_nonpositive(self, capsys):
-        code = main(["--shards", "0", "--output", ""])
-        assert code == 2
-        assert ">= 1" in capsys.readouterr().err
-
-
 class TestDiffReports:
     def _report(self, stretch, extra_cell=False):
         cells = [
@@ -276,9 +235,8 @@ class TestDiffReports:
         delta = diff_reports(
             self._report(1.4), self._report(1.4, extra_cell=True)
         )
-        # Cell identity includes the fault and shards axes (None when
-        # unset).
-        assert delta["added"] == [["E9", "ring", 48, 0, None, None]]
+        # Cell identity includes the fault axis (None when unset).
+        assert delta["added"] == [["E9", "ring", 48, 0, None]]
         assert delta["removed"] == []
 
 

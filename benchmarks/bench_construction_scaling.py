@@ -1,8 +1,8 @@
 """Sequential-construction scaling bench.
 
 One claim is gated here: the array-native construction core
-(frontier-sharing ball growing, batched cover/cluster-graph/redundancy,
-append-log edge store) builds the n = 2000 uniform workload at least 3x
+(frontier-sharing ball growing, short-edge cover, batched
+cluster-graph/redundancy, append-log edge store) builds the n = 2000 uniform workload at least 3x
 faster than the earlier dict-based pipeline (1.1 s -> well under
 0.55 s) and completes n = 10000 inside a fixed budget.
 

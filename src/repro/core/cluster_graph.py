@@ -14,15 +14,18 @@ spanner ``G'_{i-1}`` used to answer all shortest-path queries of phase
 Lemma 7 guarantees path lengths in ``H`` sandwich those of ``G'``:
 ``L1 <= L2 <= (1 + 6*delta)/(1 - 2*delta) * L1``; Lemma 8 bounds the hops
 of any relevant ``H``-path by ``2 + ceil(t*r/delta)``.
+
+Since ``L1 <= L2``, an ``H``-path within a query's cutoff stays inside the
+``G'``-ball of that radius around the query endpoints, so the drivers
+build ``H`` only over that region (:func:`build_cluster_graph`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-
-from typing import Sequence
 
 from ..exceptions import GraphError
 from ..graphs.graph import Graph
@@ -30,12 +33,17 @@ from ..graphs.paths import (
     dijkstra,
     multi_source_ball_lists,
     multi_source_distances,
+    nearest_source_distances,
     pair_distance_matrix,
     pair_distances,
     prefer_batched_sources,
     source_block_size,
 )
 from .cover import ClusterCover
+
+#: Relative slack on the region radius: ``H``-path and ``G'`` Dijkstra
+#: float sums may differ in their last bits; a larger region is safe.
+_REGION_SLACK = 1e-9
 
 __all__ = [
     "ClusterGraph",
@@ -67,6 +75,7 @@ class ClusterGraph:
     w_prev: float
     num_intra_edges: int
     num_inter_edges: int
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def distance(self, x: int, y: int, *, cutoff: float | None = None) -> float:
         """Shortest-path distance ``sp_H(x, y)``.
@@ -144,21 +153,26 @@ class ClusterGraph:
         """Maximum number of inter-cluster edges at any center (Lemma 6).
 
         Counted as one pass over ``H``'s edge arrays (edges with both
-        endpoints centers), not a per-center neighbor scan.
+        endpoints centers), not a per-center neighbor scan;
+        :func:`build_cluster_graph` records it as it builds.
         """
-        g = self.graph
-        if g.num_edges == 0 or not self.cover.centers:
-            return 0
-        us, vs, _ = g.edges_arrays()
-        is_center = np.zeros(g.num_vertices, dtype=bool)
-        is_center[list(self.cover.centers)] = True
-        both = is_center[us] & is_center[vs]
-        if not both.any():
-            return 0
-        counts = np.bincount(
-            us[both], minlength=g.num_vertices
-        ) + np.bincount(vs[both], minlength=g.num_vertices)
-        return int(counts.max())
+        got = self._cache.get("inter_center_degree")
+        if got is None:
+            g = self.graph
+            us, vs, _ = g.edges_arrays()
+            is_center = np.zeros(g.num_vertices, dtype=bool)
+            is_center[list(self.cover.centers)] = True
+            both = is_center[us] & is_center[vs]
+            got = _max_degree(us[both], vs[both])
+            self._cache["inter_center_degree"] = got
+        return got
+
+
+def _max_degree(us: np.ndarray, vs: np.ndarray) -> int:
+    """Largest number of the edges ``(us[i], vs[i])`` at one vertex."""
+    if us.size == 0:
+        return 0
+    return int(np.bincount(np.concatenate([us, vs])).max())
 
 
 def build_cluster_graph(
@@ -166,6 +180,9 @@ def build_cluster_graph(
     cover: ClusterCover,
     w_prev: float,
     delta: float,
+    *,
+    queries: Sequence[tuple[int, int, float]] | None = None,
+    radius: float = 0.0,
 ) -> ClusterGraph:
     """Construct ``H_{i-1}`` from the partial spanner and its cover.
 
@@ -179,6 +196,10 @@ def build_cluster_graph(
         Bin boundary ``W_{i-1}``.
     delta:
         Cover radius factor (used for the Lemma 5 search cutoff).
+    queries / radius:
+        Build ``H`` only over the region ``U`` within ``G'``-distance
+        ``radius`` of the endpoints of the ``(x, y, length)`` queries
+        (default: ``U`` is every vertex, the full ``H``).
 
     Notes
     -----
@@ -189,6 +210,15 @@ def build_cluster_graph(
     Lemma 5 bound ``(2*delta + 1)*w_prev``; phase-0 clique-spanner edges
     may be longer (their lengths are bounded by ``alpha``, not ``W_0``), so
     the cutoff stretches just enough to keep condition (ii) exact.
+
+    Only the centers in ``U`` get a row, and ``H`` keeps the ``H``-edges
+    with both ends in ``U``, each weighted from its lower center's own
+    row.  An ``H``-edge weighs a ``G'``-distance, so an ``H``-path from a
+    query endpoint within ``radius`` never leaves ``U``: every such
+    distance and every step iv and v verdict equals the full ``H``'s, bit
+    for bit.  The Lemma 5 check still covers every crossing pair: one
+    whose crossing edge joins the two centers is certified by that edge,
+    and every other pair gets its lower center's row, in ``U`` or not.
     """
     if w_prev <= 0.0:
         raise GraphError(f"w_prev must be positive, got {w_prev}")
@@ -197,12 +227,19 @@ def build_cluster_graph(
     n = spanner.num_vertices
     h = Graph(n)
     center_of, center_dist = cover.index_arrays(n)
+    in_region = np.ones(n, dtype=bool)
+    if queries is not None:
+        ends = np.fromiter((p for q in queries for p in q[:2]), np.int64)
+        cutoff = radius * (1.0 + _REGION_SLACK)
+        in_region = np.isfinite(
+            nearest_source_distances(spanner, ends, cutoff=cutoff)
+        )
 
     # Intra-cluster edges come straight from the cover's center distances.
-    assigned = np.flatnonzero(center_of >= 0)
+    assigned = np.flatnonzero((center_of >= 0) & in_region)
     own_center = center_of[assigned]
     own_dist = center_dist[assigned]
-    intra = (assigned != own_center) & (own_dist > 0.0)
+    intra = (assigned != own_center) & (own_dist > 0.0) & in_region[own_center]
     h.add_weighted_edges_arrays(
         own_center[intra], assigned[intra], own_dist[intra]
     )
@@ -214,31 +251,35 @@ def build_cluster_graph(
     ea, eb = center_of[eu], center_of[ev]
     is_crossing = (ea >= 0) & (eb >= 0) & (ea != eb)
     longest_crossing = float(ew[is_crossing].max()) if is_crossing.any() else 0.0
-    cross_keys = np.unique(
-        np.minimum(ea[is_crossing], eb[is_crossing]) * np.int64(n)
-        + np.maximum(ea[is_crossing], eb[is_crossing])
+    edge_keys = np.minimum(ea, eb) * np.int64(n) + np.maximum(ea, eb)
+    cross_keys = np.unique(edge_keys[is_crossing])
+    # Crossing pairs whose Lemma 5 bound only a center's row can certify.
+    pending = np.setdiff1d(
+        cross_keys, edge_keys[is_crossing & (ea == eu) & (eb == ev)]
     )
 
     reach = 2.0 * delta * w_prev + max(w_prev, longest_crossing)
-    centers = sorted(cover.centers)
-    center_arr = np.asarray(centers, dtype=np.int64)
+    center_arr = np.asarray(sorted(cover.centers), dtype=np.int64)
     pos_of = np.full(n, -1, dtype=np.int64)
     pos_of[center_arr] = np.arange(center_arr.size, dtype=np.int64)
+    src_arr = np.union1d(center_arr[in_region[center_arr]], pending // n)
+    src_pos = np.full(n, -1, dtype=np.int64)
+    src_pos[src_arr] = np.arange(src_arr.size, dtype=np.int64)
     cross_a = cross_keys // n
     cross_b = cross_keys % n
     # Inter-cluster candidates (a, b, sp(a, b)) with a < b, possibly
     # duplicated between conditions (i) and (ii) -- deduplicated below
     # (duplicates carry identical distances, both read from a's row).
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
-    pair_d: list[np.ndarray] = []
+    pair_a: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    pair_b: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    pair_d: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
     # Center-to-center distances within `reach`: batched multi-source
     # Dijkstra blocks when the reach balls are wide, per-center dict
     # search when they are tiny (see prefer_batched_sources).
-    if prefer_batched_sources(spanner, centers, reach):
+    if prefer_batched_sources(spanner, src_arr, reach):
         block = source_block_size(spanner)
-        for lo in range(0, center_arr.size, block):
-            chunk = center_arr[lo : lo + block]
+        for lo in range(0, src_arr.size, block):
+            chunk = src_arr[lo : lo + block]
             rows = multi_source_distances(spanner, chunk, cutoff=reach)
             sub = rows[:, center_arr]  # (chunk, num_centers)
             near = np.isfinite(sub) & (sub <= w_prev)  # condition (i)
@@ -251,29 +292,29 @@ def build_cluster_graph(
             # Condition (ii): crossing pairs whose lower center is in
             # this chunk (pairs are stored (min, max), so a < b).
             in_chunk = (
-                (pos_of[cross_a] >= lo)
-                & (pos_of[cross_a] < lo + chunk.size)
+                (src_pos[cross_a] >= lo)
+                & (src_pos[cross_a] < lo + chunk.size)
                 & (pos_of[cross_b] >= 0)
             )
             if in_chunk.any():
                 sa, sb = cross_a[in_chunk], cross_b[in_chunk]
-                d = sub[pos_of[sa] - lo, pos_of[sb]]
+                d = sub[src_pos[sa] - lo, pos_of[sb]]
                 finite = np.isfinite(d)
                 pair_a.append(sa[finite])
                 pair_b.append(sb[finite])
                 pair_d.append(d[finite])
     else:
         # Tiny reach balls: one frontier-sharing sparse search from all
-        # centers at once, then pure array filtering.
+        # searched centers at once, then pure array filtering.
         starts, ball_v, ball_d = multi_source_ball_lists(
-            spanner, center_arr, reach
+            spanner, src_arr, reach
         )
         src = np.repeat(
-            np.arange(center_arr.size, dtype=np.int64), np.diff(starts)
+            np.arange(src_arr.size, dtype=np.int64), np.diff(starts)
         )
         tgt = pos_of[ball_v]
         hit = tgt >= 0
-        ga = center_arr[src[hit]]
+        ga = src_arr[src[hit]]
         gb = ball_v[hit]
         gd = ball_d[hit]
         fwd = gb > ga  # handle each unordered pair once
@@ -289,33 +330,29 @@ def build_cluster_graph(
         pair_b.append(gb[keep])
         pair_d.append(gd[keep])
 
-    if pair_a:
-        all_a = np.concatenate(pair_a)
-        all_b = np.concatenate(pair_b)
-        all_d = np.concatenate(pair_d)
-        _, first = np.unique(all_a * np.int64(n) + all_b, return_index=True)
-        h.add_weighted_edges_arrays(all_a[first], all_b[first], all_d[first])
-        num_inter = int(first.size)
-        have_keys = np.sort(all_a[first] * np.int64(n) + all_b[first])
-    else:
-        num_inter = 0
-        have_keys = np.empty(0, dtype=np.int64)
+    all_a, all_b, all_d = map(np.concatenate, (pair_a, pair_b, pair_d))
+    have_keys, first = np.unique(all_a * np.int64(n) + all_b, return_index=True)
     # Defensive: condition (ii) pairs must have been within the Lemma 5
     # reach; a miss means the cover or spanner handed to us is inconsistent.
-    present = np.isin(cross_keys, have_keys)
+    present = np.isin(pending, have_keys)
     if not present.all():
-        key = int(cross_keys[int(np.argmin(present))])
+        key = int(pending[int(np.argmin(present))])
         raise GraphError(
             f"inter-cluster edge ({key // n}, {key % n}) required by a "
             f"crossing spanner edge exceeds the Lemma 5 bound {reach:.6g}"
         )
-    return ClusterGraph(
+    keep = first[in_region[all_a[first]] & in_region[all_b[first]]]
+    all_a, all_b = all_a[keep], all_b[keep]
+    h.add_weighted_edges_arrays(all_a, all_b, all_d[keep])
+    cluster_graph = ClusterGraph(
         graph=h,
         cover=cover,
         w_prev=w_prev,
         num_intra_edges=num_intra,
-        num_inter_edges=num_inter,
+        num_inter_edges=int(all_a.size),
     )
+    cluster_graph._cache["inter_center_degree"] = _max_degree(all_a, all_b)
+    return cluster_graph
 
 
 def answer_spanner_queries(

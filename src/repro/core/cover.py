@@ -15,6 +15,10 @@ Two constructions are provided:
   (the distributed algorithm obtains centers as an MIS of the proximity
   graph ``J`` and attaches every other node to its highest-id center
   within range, Section 3.2.1).
+
+Both search only from the vertices :func:`short_edge_mask` marks: a
+ball of radius ``rho`` crosses no longer edge, so every other vertex is
+its own center at distance 0 (and an isolated node of ``J``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from ..exceptions import GraphError
 from ..graphs.graph import Graph
 from ..graphs.paths import (
     dijkstra,
-    grow_balls_in_order,
     multi_source_ball_lists,
     multi_source_distances,
     prefer_batched_sources,
@@ -40,6 +43,7 @@ __all__ = [
     "build_cluster_cover",
     "build_cluster_cover_reference",
     "cover_from_centers",
+    "short_edge_mask",
 ]
 
 
@@ -198,6 +202,16 @@ def _finalize(
     )
 
 
+def short_edge_mask(graph: Graph, radius: float) -> np.ndarray:
+    """``(n,)`` mask of the vertices touching an edge no longer than
+    ``radius`` -- the only vertices within ``radius`` of another."""
+    eu, ev, ew = graph.edges_arrays()
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    mask[eu[ew <= radius]] = True
+    mask[ev[ew <= radius]] = True
+    return mask
+
+
 def build_cluster_cover(
     graph: Graph,
     radius: float,
@@ -213,14 +227,12 @@ def build_cluster_cover(
     chosen among uncovered vertices, which yields the required
     ``sp(center_i, center_j) > radius`` separation.
 
-    Executed on one of two kernels with bit-identical output: the scalar
-    per-center dict Dijkstra (the semantic reference, kept in
-    :func:`build_cluster_cover_reference`) and the batched speculative
-    kernel :func:`repro.graphs.paths.grow_balls_in_order` (many balls
-    per search).  The batched kernel runs except on trivially small
-    graphs; it probes one ball to choose between dense scipy rows and
-    the sparse frontier-sharing search (see
-    :func:`repro.graphs.paths.prefer_batched_sources`).
+    Only the vertices :func:`short_edge_mask` marks can share a cluster,
+    so :func:`build_cluster_cover_reference` grows balls from those
+    alone, in their relative ``order``; every other universe vertex the
+    scan reaches is its own center at distance 0, set with array
+    operations.  Centers (in scan order), assignment and float distances
+    equal the reference's on the whole universe, errors included.
 
     Parameters
     ----------
@@ -229,38 +241,54 @@ def build_cluster_cover(
     radius:
         Cover radius ``rho = delta * W_{i-1}``; must be >= 0.
     vertices:
-        Subset to cover (default: every vertex of ``graph``).
+        Subset to cover (default: every vertex of ``graph``).  Balls
+        still grow through vertices outside it.
     order:
         Explicit center-candidate order, for deterministic experiments.
     """
     if radius < 0.0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    universe = list(vertices) if vertices is not None else list(graph.vertices())
-    todo = list(order) if order is not None else universe
-    # The batched kernel self-selects dense vs sparse search per call;
-    # only trivially small instances stay on the scalar reference.
-    if not todo or graph.num_vertices < 256:
-        return build_cluster_cover_reference(
-            graph, radius, vertices=universe, order=todo
-        )
     n = graph.num_vertices
-    mask: np.ndarray | None = None
-    if vertices is not None:
-        mask = np.zeros(n, dtype=bool)
-        in_range = [u for u in universe if 0 <= u < n]
-        mask[in_range] = True
-    centers, center_of, dist = grow_balls_in_order(
-        graph, radius, np.asarray(todo, dtype=np.int64), universe_mask=mask
+    universe = np.asarray(
+        range(n) if vertices is None else list(vertices), dtype=np.int64
     )
+    todo = universe if order is None else np.asarray(order, dtype=np.int64)
+    if universe.size and (universe.min() < 0 or universe.max() >= n):
+        raise GraphError(f"universe vertices must lie in [0, {n})")
+    # Nothing outside the universe is ever claimed, so the scan stops at
+    # the first such entry of the order.
+    outside = ~np.isin(todo, universe)
+    if outside.any():
+        bad = int(todo[np.argmax(outside)])
+        raise GraphError(f"order contains vertex {bad} outside the universe")
+    grows = np.zeros(n, dtype=bool)
+    grows[universe] = True
+    grows &= short_edge_mask(graph, radius)
+    sub = build_cluster_cover_reference(
+        graph, radius, vertices=np.flatnonzero(grows).tolist(),
+        order=todo[grows[todo]].tolist(),
+    )
+    center_of, dist = (a.copy() for a in sub.index_arrays(n))
+    alone = todo[~grows[todo]]
+    center_of[alone] = alone
+    dist[alone] = 0.0
+    missing = np.unique(universe[center_of[universe] < 0])[:5]
+    if missing.size:
+        raise GraphError(f"vertices never covered: {missing.tolist()} ...")
+    # A center is chosen at its first position in the scan.
+    firsts, first_pos = np.unique(todo, return_index=True)
+    is_center = center_of[firsts] == firsts
+    centers = firsts[is_center][np.argsort(first_pos[is_center])]
     claimed = np.flatnonzero(center_of >= 0)
-    assignment = dict(zip(claimed.tolist(), center_of[claimed].tolist()))
-    center_distance = dict(zip(claimed.tolist(), dist[claimed].tolist()))
-    if len(assignment) != len(universe):  # pragma: no cover - defensive
-        missing = sorted(set(universe) - assignment.keys())
-        raise GraphError(f"vertices never covered: {missing[:5]} ...")
-    cover = _finalize(radius, centers, assignment, center_distance)
-    # The kernel's dense arrays ARE the cover index -- seed the cache so
-    # the cluster-graph assembly skips the dict round trip.
+    keys = claimed.tolist()
+    cover = _finalize(
+        radius,
+        centers.tolist(),
+        dict(zip(keys, center_of[claimed].tolist())),
+        dict(zip(keys, dist[claimed].tolist())),
+    )
+    # The arrays ARE the cover index: seed the cache so the cluster-graph
+    # assembly skips the dict round trip.
     center_of.setflags(write=False)
     dist.setflags(write=False)
     cover._cache[n] = (center_of, dist)
@@ -274,10 +302,12 @@ def build_cluster_cover_reference(
     vertices: Iterable[int] | None = None,
     order: Sequence[int] | None = None,
 ) -> ClusterCover:
-    """Scalar reference ball growing (one dict Dijkstra per center).
+    """Scalar ball growing over the whole universe (one dict Dijkstra
+    per center).
 
-    The semantic anchor the batched kernel is pinned against; also the
-    faster choice when balls are tiny (auto dispatch lands here).
+    The kernel :func:`build_cluster_cover` runs on the short-edge
+    vertices, the maintenance engine's cover kernel, and the semantic
+    anchor both are pinned against.
     """
     if radius < 0.0:
         raise GraphError(f"radius must be >= 0, got {radius}")
@@ -315,6 +345,8 @@ def cover_from_centers(
     Every non-center vertex attaches to the **highest-id** center within
     shortest-path distance ``radius`` (mirroring Section 3.2.1: "each node
     v attaches itself to the neighbor in I with the highest identifier").
+    Only centers :func:`short_edge_mask` marks reach another vertex, so
+    only they are searched from.
 
     Raises
     ------
@@ -335,15 +367,16 @@ def cover_from_centers(
     in_universe[[u for u in universe if 0 <= u < n]] = True
     best = np.full(n, -1, dtype=np.int64)
     best_d = np.full(n, np.inf, dtype=np.float64)
+    searched = center_arr[short_edge_mask(graph, radius)[center_arr]]
     # Highest-id preference: process centers in increasing id order and
     # let later (higher) centers overwrite.  Wide-reach assignments go
     # through batched multi-source Dijkstra blocks with pure array
     # claiming; tiny-ball regimes ride the sparse frontier-sharing
     # search (see prefer_batched_sources).
-    if prefer_batched_sources(graph, center_list, radius):
+    if prefer_batched_sources(graph, searched, radius):
         block = source_block_size(graph)
-        for lo in range(0, center_arr.size, block):
-            chunk = center_arr[lo : lo + block]
+        for lo in range(0, searched.size, block):
+            chunk = searched[lo : lo + block]
             rows = multi_source_distances(graph, chunk, cutoff=radius)
             reached = np.isfinite(rows)
             # Highest row index with a finite entry = highest-id center
@@ -354,13 +387,13 @@ def cover_from_centers(
             best[sel] = chunk[pick[sel]]
             best_d[sel] = rows[pick[sel], sel]
     else:
-        # Tiny balls: sparse frontier-sharing search from all centers,
-        # highest-id (= highest slot, centers ascend) claim per vertex.
+        # Tiny balls: sparse frontier-sharing search from the searched
+        # centers, highest-id (= highest slot, they ascend) claim per vertex.
         starts, ball_v, ball_d = multi_source_ball_lists(
-            graph, center_arr, radius
+            graph, searched, radius
         )
         src = np.repeat(
-            np.arange(center_arr.size, dtype=np.int64), np.diff(starts)
+            np.arange(searched.size, dtype=np.int64), np.diff(starts)
         )
         keep = in_universe[ball_v]
         src, ball_v, ball_d = src[keep], ball_v[keep], ball_d[keep]
@@ -368,10 +401,11 @@ def cover_from_centers(
         src, ball_v, ball_d = src[order], ball_v[order], ball_d[order]
         last = np.ones(ball_v.size, dtype=bool)
         last[:-1] = ball_v[1:] != ball_v[:-1]
-        best[ball_v[last]] = center_arr[src[last]]
+        best[ball_v[last]] = searched[src[last]]
         best_d[ball_v[last]] = ball_d[last]
-    # Centers always belong to their own cluster (applied on the arrays
-    # so they can seed the cover's index cache).
+    # Centers always belong to their own cluster, the unsearched ones
+    # alone (applied on the arrays so they can seed the cover's index
+    # cache).
     best[center_arr] = center_arr
     best_d[center_arr] = 0.0
     claimed = np.flatnonzero(best >= 0)

@@ -1111,10 +1111,10 @@ class MaintenanceSession:
         """Cover the bin's candidate endpoints, reusing cached rows.
 
         Cache off: a cold restricted ball-growing on the scalar
-        reference (the batched kernel allocates O(n) dense state per
-        call, which would make a per-event repair O(n x bins)).  Cache
-        on: rows surviving invalidation
-        are served as-is (they are exact current distances); only the
+        reference (:func:`build_cluster_cover` allocates O(n) index
+        arrays per call, which would make a per-event repair O(n x
+        bins)).  Cache on: rows surviving invalidation are served
+        as-is (they are exact current distances); only the
         uncovered remainder grows fresh balls -- the scalar restricted
         reference, whose per-ball cost is O(ball), beats any dense
         O(capacity) kernel at repair granularity -- and the new rows

@@ -47,6 +47,14 @@ from .short_edges import process_short_edges
 __all__ = ["PhaseReport", "SpannerResult", "RelaxedGreedySpanner", "build_spanner"]
 
 
+def query_reach(
+    queries: list[tuple[int, int, float]], params: SpannerParams, w_cur: float
+) -> float:
+    """The largest cutoff steps iv and v search ``H`` with."""
+    longest = max((length for _, _, length in queries), default=0.0)
+    return max(params.t * longest, params.t1 * w_cur)
+
+
 @dataclass(frozen=True)
 class PhaseReport:
     """Statistics of one executed phase.
@@ -74,6 +82,10 @@ class PhaseReport:
         inter-cluster center degree, reported separately).
     inter_center_degree:
         Maximum inter-cluster degree of a center in ``H_{i-1}``.
+
+    The three ``H`` counters describe the region-local ``H`` the phase
+    built around its queries, not the full ``H_{i-1}`` (the F-series
+    builds that to measure Lemma 6).
     """
 
     index: int
@@ -294,22 +306,21 @@ class RelaxedGreedySpanner:
         else:
             candidates, covered = list(bin_edges), []
         selection = select_query_edges(candidates, cover, params.t)
+        queries = selection.edges()
 
-        # Step (iii): cluster graph H_{i-1}.
+        # Step (iii): cluster graph H_{i-1}, only around the queries:
+        # steps iv and v read it within their largest cutoffs.
         cluster_graph: ClusterGraph = build_cluster_graph(
-            spanner, cover, w_prev, params.delta
+            spanner, cover, w_prev, params.delta,
+            queries=queries, radius=query_reach(queries, params, w_cur),
         )
 
         # Step (iv): shortest-path queries on H, answered as one batch
         # against the frozen cluster graph.
-        added: list[tuple[int, int, float]] = []
-        queries = selection.edges()
-        for (x, y, length), joins in zip(
-            queries, answer_spanner_queries(cluster_graph, queries, params.t)
-        ):
-            if joins:
-                spanner.add_edge(x, y, length)
-                added.append((x, y, length))
+        verdicts = answer_spanner_queries(cluster_graph, queries, params.t)
+        added = [query for query, joins in zip(queries, verdicts) if joins]
+        if added:
+            spanner.add_weighted_edges_arrays(*zip(*added))
 
         # Step (v): redundancy elimination.
         if self._use_redundancy:

@@ -48,10 +48,10 @@ import numpy as np
 
 from ..core.bins import EdgeBinning
 from ..core.cluster_graph import answer_spanner_queries, build_cluster_graph
-from ..core.cover import cover_from_centers
+from ..core.cover import cover_from_centers, short_edge_mask
 from ..core.covered import DistanceOracle, split_covered
 from ..core.redundancy import conflict_graph_arrays, find_redundant_pairs
-from ..core.relaxed_greedy import PhaseReport
+from ..core.relaxed_greedy import PhaseReport, query_reach
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
 from ..exceptions import GraphError, ParameterError
@@ -347,9 +347,10 @@ class DistributedRelaxedGreedy:
         """The cover proximity graph ``J``: ``{x, y}`` iff
         ``sp_{G'}(x, y) <= radius`` (Section 3.2.1), as CSR arrays.
 
-        Computed over the spanner's CSR snapshot -- the frontier-sharing
-        sparse search from all ``n`` sources at once in the tiny-radius
-        phases (total work O(J mass), no dense rows), blocked C-level
+        Searched from the vertices :func:`short_edge_mask` marks (every
+        other node is isolated in ``J``) over the spanner's CSR snapshot
+        -- the frontier-sharing sparse search in the tiny-radius phases
+        (total work O(J mass), no dense rows), blocked C-level
         multi-source cutoff Dijkstras once balls are wide (see
         :func:`prefer_batched_sources`) -- then symmetrized and
         deduplicated into one sorted ``(indptr, indices)`` pair over
@@ -359,18 +360,18 @@ class DistributedRelaxedGreedy:
         set is ever materialized on this path.
         """
         n = spanner.num_vertices
-        if n == 0 or spanner.num_edges == 0 or radius <= 0.0:
+        sources = np.flatnonzero(short_edge_mask(spanner, radius))
+        if sources.size == 0:
             return (
                 np.zeros(n + 1, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
             )
-        all_nodes = np.arange(n, dtype=np.int64)
-        if prefer_batched_sources(spanner, all_nodes, radius):
+        if prefer_batched_sources(spanner, sources, radius):
             block = source_block_size(spanner)
             pair_u: list[np.ndarray] = []
             pair_v: list[np.ndarray] = []
-            for lo in range(0, n, block):
-                src = all_nodes[lo : min(lo + block, n)]
+            for lo in range(0, sources.size, block):
+                src = sources[lo : lo + block]
                 rows = multi_source_distances(spanner, src, cutoff=radius)
                 ui, vi = np.nonzero(rows <= radius)
                 keep = src[ui] != vi
@@ -380,9 +381,9 @@ class DistributedRelaxedGreedy:
             vs = np.concatenate(pair_v)
         else:
             starts, ball_v, _ = multi_source_ball_lists(
-                spanner, all_nodes, radius
+                spanner, sources, radius
             )
-            src = np.repeat(all_nodes, np.diff(starts))
+            src = np.repeat(sources, np.diff(starts))
             keep = src != ball_v
             us, vs = src[keep], ball_v[keep]
         # Symmetrize (floating-point Dijkstra can in principle disagree
@@ -608,6 +609,7 @@ class DistributedRelaxedGreedy:
             bin_edges, spanner, dist, alpha=params.alpha, theta=params.theta
         )
         selection = select_query_edges(candidates, cover, params.t)
+        queries = selection.edges()
         ledger.charge(
             index,
             "select.gather",
@@ -616,7 +618,11 @@ class DistributedRelaxedGreedy:
         )
 
         # ---- Step (iii): cluster graph (Theorem 18) -------------------
-        cluster_graph = build_cluster_graph(spanner, cover, w_prev, params.delta)
+        # Built only around the queries, which is all steps iv and v read.
+        cluster_graph = build_cluster_graph(
+            spanner, cover, w_prev, params.delta,
+            queries=queries, radius=query_reach(queries, params, w_cur),
+        )
         ledger.charge(
             index,
             "hgraph.gather",
@@ -625,14 +631,10 @@ class DistributedRelaxedGreedy:
         )
 
         # ---- Step (iv): queries (Theorem 19) --------------------------
-        added: list[tuple[int, int, float]] = []
-        queries = selection.edges()
-        for (x, y, length), joins in zip(
-            queries, answer_spanner_queries(cluster_graph, queries, params.t)
-        ):
-            if joins:
-                spanner.add_edge(x, y, length)
-                added.append((x, y, length))
+        verdicts = answer_spanner_queries(cluster_graph, queries, params.t)
+        added = [query for query, joins in zip(queries, verdicts) if joins]
+        if added:
+            spanner.add_weighted_edges_arrays(*zip(*added))
         ledger.charge(
             index,
             "query.gather",

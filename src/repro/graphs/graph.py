@@ -454,7 +454,8 @@ class Graph:
 
     def max_edge_weight(self) -> float:
         """Largest edge weight (0.0 for an edgeless graph)."""
-        return max((w for _, _, w in self.edges()), default=0.0)
+        ws = self.edges_arrays()[2]
+        return float(ws.max()) if ws.size else 0.0
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         """Whether every edge of this graph appears in ``other``."""

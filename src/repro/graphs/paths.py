@@ -11,8 +11,9 @@ The relaxed greedy algorithm issues three kinds of path queries:
   ``<= k`` hops away" primitive, Theorem 9 / Section 3).
 
 The dict-based primitives remain the reference implementations for single
-queries.  Three array kernels answer whole batches of sources over
-:meth:`repro.graphs.graph.Graph.csr`:
+queries (the cluster cover grows its few non-trivial balls with
+:func:`dijkstra`).  Three array kernels answer whole batches of sources
+over :meth:`repro.graphs.graph.Graph.csr`:
 
 * :func:`multi_source_distances` -- dense ``(k, n)`` rows from one
   C-level :func:`scipy.sparse.csgraph.dijkstra` call; best when balls
@@ -21,9 +22,8 @@ queries.  Three array kernels answer whole batches of sources over
   search: every source relaxes together as one flat frontier, total
   work O(ball mass); best in the tiny-cutoff regimes that dominate the
   relaxed greedy phases;
-* :func:`grow_balls_in_order` -- the sequential ball-growing kernel of
-  the cluster cover, batching speculative candidate balls through
-  either search while committing centers in exact scan order.
+* :func:`nearest_source_distances` -- one ``(n,)`` row of distances to
+  the nearest source, the region a phase's queries can read.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
@@ -51,11 +51,11 @@ __all__ = [
     "k_hop_neighborhood",
     "k_hop_subgraph",
     "shortest_path_tree",
-    "grow_balls_in_order",
     "multi_source_ball_lists",
     "multi_source_ball_lists_reference",
     "multi_source_distances",
     "multi_source_trees",
+    "nearest_source_distances",
     "pair_distances",
     "pair_distance_matrix",
     "NO_PREDECESSOR",
@@ -142,6 +142,22 @@ def multi_source_distances(
     return rows.reshape(idx.size, n)
 
 
+def nearest_source_distances(
+    graph: Graph, sources: Sequence[int], *, cutoff: float
+) -> np.ndarray:
+    """``out[v] = min_i sp(sources[i], v)``, ``inf`` beyond ``cutoff``:
+    one C-level multi-source Dijkstra (scipy's ``min_only``) whose work
+    is the union of the cutoff balls, not ``k * n``."""
+    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+    idx = _check_sources(graph, sources)
+    if idx.size == 0:
+        return np.full(graph.num_vertices, np.inf)
+    return sp_dijkstra(
+        graph.csr(), directed=False, indices=idx, limit=cutoff, min_only=True
+    )
+
+
 def pair_distances(
     graph: Graph,
     us: np.ndarray,
@@ -207,12 +223,21 @@ def pair_distance_matrix(
     columns when balls are wide; in the tiny-cutoff regime the
     frontier-sharing sparse search scatters each ball into its row
     instead (O(ball mass), no per-cell lookups).  Both branches fill
-    identical floats.  ``targets`` must not contain duplicates (the
-    scatter keys columns by target id).
+    identical floats.  ``targets`` must be distinct (the scatter keys
+    columns by target id); a repeated target raises
+    :class:`GraphError` naming the first entry that repeats an earlier
+    one.
     """
     src = np.asarray(sources, dtype=np.int64)
     tgt = np.asarray(targets, dtype=np.int64)
     _check_sources(graph, tgt)
+    order = np.argsort(tgt, kind="stable")
+    repeats = order[1:][tgt[order[1:]] == tgt[order[:-1]]]
+    if repeats.size:
+        raise GraphError(
+            f"targets must be distinct: vertex {int(tgt[repeats.min()])} "
+            "is repeated"
+        )
     if cutoff is None or prefer_batched_sources(graph, src, cutoff):
         out = np.empty((src.size, tgt.size), dtype=np.float64)
         block = source_block_size(graph)
@@ -441,160 +466,6 @@ def multi_source_ball_lists_reference(
     slots = best_keys // n
     starts = np.searchsorted(slots, np.arange(k + 1, dtype=np.int64))
     return starts, best_keys % n, best_d
-
-
-def grow_balls_in_order(
-    graph: Graph,
-    radius: float,
-    order: np.ndarray,
-    *,
-    universe_mask: np.ndarray | None = None,
-    batch_start: int = 4,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Batched sequential ball growing (the Section 2.2.1 kernel).
-
-    Replays the paper's sequential center selection -- scan ``order``,
-    the first still-uncovered vertex becomes a center, its cutoff-
-    ``radius`` Dijkstra ball claims every still-uncovered vertex --
-    but grows *speculative batches* of balls at once: the next ``b``
-    uncovered candidates are solved in one C-level multi-source Dijkstra
-    over the CSR snapshot, then committed strictly in order (a candidate
-    claimed by an earlier ball of the same batch is discarded, wasting
-    only its row).  The batch width adapts to the observed speculation
-    success, so the kernel degrades gracefully when balls overlap.
-
-    Bit-for-bit equal to the scalar reference (both compute the same
-    Dijkstra fixpoint over the same float weights and commit in the same
-    order); the equivalence suite pins this on randomized inputs.
-
-    Parameters
-    ----------
-    graph:
-        Graph to grow balls in (balls expand over *all* vertices).
-    radius:
-        Ball cutoff; claimed vertices satisfy ``sp(center, v) <= radius``.
-    order:
-        Center-candidate order (duplicates allowed; covered entries are
-        skipped exactly like the scalar scan).
-    universe_mask:
-        Optional ``(n,)`` boolean mask restricting which vertices may be
-        claimed (balls still grow through non-universe vertices).  An
-        uncovered ``order`` entry outside the universe raises
-        :class:`GraphError`, mirroring the scalar reference.
-    batch_start:
-        Initial speculative batch width.
-
-    Returns
-    -------
-    (centers, center_of, dist)
-        ``centers`` in selection order; ``center_of[v]`` is the claiming
-        center (-1 if unclaimed); ``dist[v]`` is ``sp(center_of[v], v)``
-        (``inf`` if unclaimed).
-    """
-    n = graph.num_vertices
-    order_arr = np.asarray(order, dtype=np.int64)
-    if order_arr.ndim != 1:
-        raise GraphError("order must be a one-dimensional sequence")
-    # An order entry outside the universe is never claimable, so the
-    # scalar scan always reaches and rejects the first such entry.
-    invalid = (order_arr < 0) | (order_arr >= n)
-    safe = np.where(invalid, 0, order_arr)
-    if universe_mask is not None:
-        invalid |= ~universe_mask[safe]
-    if invalid.any():
-        bad = int(order_arr[int(np.argmax(invalid))])
-        raise GraphError(f"order contains vertex {bad} outside the universe")
-
-    centers: list[int] = []
-    center_of = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, np.inf, dtype=np.float64)
-    covered = np.zeros(n, dtype=bool)
-    cand_pos = np.full(n, -1, dtype=np.int64)
-    # Wide balls favor the dense C-level rows, tiny balls the sparse
-    # frontier-sharing search; both fill identical floats.
-    dense = prefer_batched_sources(graph, order_arr.tolist(), radius)
-    # Sparse searches cost O(ball mass), so speculation waste is cheap
-    # and the batch can start wide; dense rows pay O(n) per candidate.
-    batch = max(1, batch_start) if dense else max(batch_start, 256)
-    cap = max(batch, source_block_size(graph))
-    pos = 0
-    total = order_arr.size
-    while pos < total:
-        rem = order_arr[pos:]
-        cand_rel = np.flatnonzero(~covered[rem])
-        if cand_rel.size == 0:
-            break
-        take = cand_rel[:batch]
-        cand = rem[take]
-        if dense:
-            rows = multi_source_distances(graph, cand, cutoff=radius)
-            bi, bv = np.nonzero(np.isfinite(rows))
-            bd = rows[bi, bv]
-        else:
-            starts, bv, bd = multi_source_ball_lists(graph, cand, radius)
-            bi = np.repeat(
-                np.arange(cand.size, dtype=np.int64), np.diff(starts)
-            )
-        # Drop already-claimed vertices (balls still grew through them).
-        live = ~covered[bv]
-        bi, bv, bd = bi[live], bv[live], bd[live]
-
-        # In-batch sequential center selection: candidate i is claimed
-        # iff some earlier *center* j < i of this batch has i in its
-        # ball.  Walk each candidate's (short) container list in order.
-        cand_pos[cand] = np.arange(cand.size, dtype=np.int64)
-        ci = cand_pos[bv]
-        cont = (ci >= 0) & (bi < ci)
-        if not cont.any():
-            # No candidate lies in an earlier candidate's ball: the whole
-            # batch commits as centers -- the common tiny-ball case.
-            is_center = np.ones(cand.size, dtype=bool)
-        else:
-            cont_i, cont_j = ci[cont], bi[cont]
-            order_c = np.lexsort((cont_j, cont_i))
-            cont_i, cont_j = cont_i[order_c], cont_j[order_c]
-            is_center = np.ones(cand.size, dtype=bool)
-            # Only candidates with containers can lose; walk their
-            # (short, ascending) container lists in candidate order.
-            bounds = np.flatnonzero(
-                np.concatenate(([True], cont_i[1:] != cont_i[:-1]))
-            )
-            ends = np.append(bounds[1:], cont_i.size)
-            for i, lo, hi in zip(
-                np.unique(cont_i).tolist(), bounds.tolist(), ends.tolist()
-            ):
-                for j in cont_j[lo:hi]:
-                    if is_center[j]:
-                        is_center[i] = False
-                        break
-        cand_pos[cand] = -1  # reset the scratch map
-        centers.extend(cand[is_center].tolist())
-
-        # Claims: every live ball vertex joins the *first* center (in
-        # batch order) whose ball reaches it -- exactly the sequential
-        # first-wins rule.
-        win = is_center[bi]
-        av, aj, ad = bv[win], bi[win], bd[win]
-        if universe_mask is not None:
-            in_u = universe_mask[av]
-            av, aj, ad = av[in_u], aj[in_u], ad[in_u]
-        order_a = np.lexsort((aj, av))
-        av, aj, ad = av[order_a], aj[order_a], ad[order_a]
-        first = np.ones(av.size, dtype=bool)
-        first[1:] = av[1:] != av[:-1]
-        av, aj, ad = av[first], aj[first], ad[first]
-        center_of[av] = cand[aj]
-        dist[av] = ad
-        covered[av] = True
-
-        pos += int(take[-1]) + 1
-        # Adapt speculation width to the hit rate just observed.
-        committed = int(np.count_nonzero(is_center))
-        if committed == cand.size:
-            batch = min(batch * 4, cap)
-        elif 2 * committed < cand.size:
-            batch = max(1, batch // 2)
-    return centers, center_of, dist
 
 
 def multi_source_trees(

@@ -68,9 +68,9 @@ class TestSparseBallKernel:
 
 class TestClusterCoverEquivalence:
     @pytest.mark.parametrize("scenario,n", [("uniform", 300), ("corridor", 280)])
-    def test_batched_kernel_matches_reference(self, scenario, n):
+    def test_reduced_cover_matches_reference(self, scenario, n):
         wl = make_workload(scenario, n, seed=5)
-        # build_cluster_cover runs the batched kernel from 256 vertices.
+        # At least 256 vertices, like every pin of the reduced kernels.
         assert wl.graph.num_vertices >= 256
         for radius in RADII:
             batched = build_cluster_cover(wl.graph, radius)

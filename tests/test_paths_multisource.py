@@ -208,3 +208,48 @@ class TestAdaptiveDispatch:
         assert a.graph == b.graph
         assert a.num_inter_edges == b.num_inter_edges
         assert a.num_intra_edges == b.num_intra_edges
+
+
+class TestPairDistanceMatrixTargets:
+    """Repeated targets used to give branch-dependent answers: the dense
+    branch filled both columns, the sparse scatter only the last one."""
+
+    SOURCES = np.array([0, 5, 9])
+    TARGETS = np.array([3, 3, 7, 0])
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_duplicate_targets_rejected(self, forced, monkeypatch):
+        import repro.graphs.paths as paths_mod
+        from repro.experiments.workloads import make_workload
+        from repro.graphs.paths import pair_distance_matrix
+
+        g = make_workload("uniform", 400, seed=1).graph
+        monkeypatch.setattr(
+            paths_mod, "prefer_batched_sources",
+            lambda *a, forced=forced: forced,
+        )
+        with pytest.raises(GraphError, match="vertex 3 is repeated"):
+            pair_distance_matrix(g, self.SOURCES, self.TARGETS, cutoff=3.0)
+        got = pair_distance_matrix(
+            g, self.SOURCES, self.TARGETS[1:], cutoff=3.0
+        )
+        assert got[1, 0] == dijkstra(g, 5, cutoff=3.0)[3]
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_cluster_graph_distance_matrix_rejects_them(
+        self, forced, monkeypatch
+    ):
+        import repro.graphs.paths as paths_mod
+        from repro.core.cluster_graph import build_cluster_graph
+        from repro.core.cover import build_cluster_cover
+
+        g = geometric(300, seed=8, degree=7.0)
+        h = build_cluster_graph(g, build_cluster_cover(g, 0.05), 0.5, 0.1)
+        monkeypatch.setattr(
+            paths_mod, "prefer_batched_sources",
+            lambda *a, forced=forced: forced,
+        )
+        with pytest.raises(GraphError, match="vertex 7 is repeated"):
+            h.distance_matrix(
+                np.array([1, 2]), np.array([4, 7, 9, 7]), cutoff=1.0
+            )

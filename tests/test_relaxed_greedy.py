@@ -4,10 +4,13 @@ These are the executable versions of Theorems 10, 11 and 13 plus the
 robustness matrix (alpha, dimension, workloads, adversaries).
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.relaxed_greedy import RelaxedGreedySpanner, build_spanner
 from repro.exceptions import GraphError
+from repro.experiments.workloads import make_workload
 from repro.geometry.points import PointSet
 from repro.geometry.sampling import clustered_points, corridor_points, uniform_points
 from repro.graphs.analysis import lightness, measure_stretch
@@ -19,6 +22,7 @@ from repro.graphs.build import (
 )
 from repro.graphs.graph import Graph
 from repro.params import SpannerParams
+from test_dist_spanner import _edge_digest
 
 
 class TestTheorems:
@@ -196,3 +200,43 @@ class TestResultBookkeeping:
                 measure_stretch(graph, result.spanner).max_stretch
                 <= params_half.t + 1e-9
             )
+
+
+class TestStaticBuildPins:
+    """Static builds against recorded values (epsilon 0.5, workload seed
+    as listed).  Columns: scenario, n, seed, alpha, dim, edge digest,
+    edge count, repr of the total weight, and a digest of the per-phase
+    ``(index, num_clusters, num_queries, num_added, num_removed)``
+    tuples."""
+
+    @pytest.mark.parametrize(
+        "scenario, n, seed, alpha, dim, digest, edges, weight, phases",
+        [
+            ("uniform", 400, 1, 1.0, 2, "50dfcea7cb28f660", 633,
+             "333.66604462908236", "5173f4cca13bc18e"),
+            ("clustered", 400, 2, 1.0, 2, "df8a4a48eeba2470", 682,
+             "161.18444689055005", "8d7569becf5a9dd2"),
+            ("uniform", 2000, 3, 1.0, 2, "a2bb2e9030e9445c", 3119,
+             "1623.068641320653", "f0113ac9834eaab3"),
+            ("uniform3d", 600, 4, 1.0, 3, "4103eec6aa86e2fc", 1241,
+             "800.5709784355703", "79c0ed17a8f9b5dd"),
+            ("uniform", 600, 5, 0.7, 2, "ae3f3d32974ccba6", 928,
+             "482.42302572112857", "4653c52a2acdb27b"),
+        ],
+    )
+    def test_static_build_matches_recorded_values(
+        self, scenario, n, seed, alpha, dim, digest, edges, weight, phases
+    ):
+        workload = make_workload(scenario, n, seed=seed, alpha=alpha)
+        params = SpannerParams.from_epsilon(0.5, alpha=alpha, dim=dim)
+        build = RelaxedGreedySpanner(params).build(
+            workload.graph, workload.points.distance
+        )
+        rows = [
+            (p.index, p.num_clusters, p.num_queries, p.num_added, p.num_removed)
+            for p in build.phases
+        ]
+        assert _edge_digest(build.spanner) == digest
+        assert build.spanner.num_edges == edges
+        assert repr(build.spanner.total_weight()) == weight
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == phases

@@ -3,18 +3,8 @@
 from .bins import EdgeBinning
 from .cluster_graph import ClusterGraph, build_cluster_graph
 from .cover import ClusterCover, build_cluster_cover, cover_from_centers
-from .covered import (
-    DistanceOracle,
-    is_covered,
-    split_covered,
-    split_covered_reference,
-)
-from .oracle import (
-    BoundMethodOracle,
-    ScalarOracleAdapter,
-    as_oracle,
-    has_batch_pairs,
-)
+from .covered import DistanceOracle, split_covered
+from .oracle import BoundMethodOracle, ScalarOracleAdapter, as_oracle
 from .maintenance import (
     MaintenanceEvent,
     MaintenanceSession,
@@ -30,9 +20,7 @@ from .leapfrog import (
 )
 from .redundancy import (
     RedundancyOutcome,
-    build_conflict_graph,
     find_redundant_pairs,
-    greedy_mis,
     remove_redundant_edges,
 )
 from .relaxed_greedy import (
@@ -56,10 +44,7 @@ __all__ = [
     "ScalarOracleAdapter",
     "BoundMethodOracle",
     "as_oracle",
-    "has_batch_pairs",
-    "is_covered",
     "split_covered",
-    "split_covered_reference",
     "QuerySelection",
     "select_query_edges",
     "MaintenanceEvent",
@@ -72,9 +57,7 @@ __all__ = [
     "ShortEdgeOutcome",
     "process_short_edges",
     "RedundancyOutcome",
-    "greedy_mis",
     "find_redundant_pairs",
-    "build_conflict_graph",
     "remove_redundant_edges",
     "PhaseReport",
     "SpannerResult",

@@ -357,14 +357,16 @@ def cover_from_centers(
     """
     if radius < 0.0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    universe = set(vertices) if vertices is not None else set(graph.vertices())
+    n = graph.num_vertices
+    universe = set(vertices) if vertices is not None else set(range(n))
+    if universe and (min(universe) < 0 or max(universe) >= n):
+        raise GraphError(f"universe vertices must lie in [0, {n})")
     center_list = sorted(set(centers))
     if not set(center_list) <= universe:
         raise GraphError("centers must lie inside the covered universe")
-    n = graph.num_vertices
     center_arr = np.asarray(center_list, dtype=np.int64)
     in_universe = np.zeros(n, dtype=bool)
-    in_universe[[u for u in universe if 0 <= u < n]] = True
+    in_universe[list(universe)] = True
     best = np.full(n, -1, dtype=np.int64)
     best_d = np.full(n, np.inf, dtype=np.float64)
     searched = center_arr[short_edge_mask(graph, radius)[center_arr]]

@@ -17,11 +17,11 @@ never need to be queried.  The angle is computed purely from pairwise
 distances (law of cosines) -- the algorithm never touches coordinates,
 honouring Section 1.1.
 
-Distances come from a :class:`repro.core.oracle.DistanceOracle`; any
-oracle exposing a vectorized ``pairs`` method (PointSets, l_p metrics,
-energy costs, fault-masked oracles ...) rides the flattened CSR witness
-scan of :func:`split_covered`, while bare scalar callables keep the
-per-edge reference :func:`split_covered_reference`.
+Distances come from a :class:`repro.core.oracle.DistanceOracle`: the
+flattened CSR witness scan of :func:`split_covered` measures them with
+one ``pairs`` call per orientation, vectorized for every shipped oracle
+(PointSets, l_p metrics, energy costs, fault-masked oracles) and a
+per-pair loop for a bare scalar callable.
 """
 
 from __future__ import annotations
@@ -30,99 +30,10 @@ import numpy as np
 
 from ..arrayops import run_expand
 from ..exceptions import GraphError
-from ..geometry.angles import angle_from_sides
 from ..graphs.graph import Graph
-from .oracle import DistanceOracle, as_oracle, has_batch_pairs
+from .oracle import DistanceOracle, as_oracle
 
-__all__ = [
-    "DistanceOracle",
-    "is_covered",
-    "split_covered",
-    "split_covered_reference",
-]
-
-
-def _has_witness(
-    u: int,
-    v: int,
-    length: float,
-    spanner: Graph,
-    dist: DistanceOracle,
-    alpha: float,
-    theta: float,
-) -> bool:
-    """Witness search for the (u -> v) orientation of the covered test."""
-    for z, _ in spanner.neighbor_items(u):
-        if z == v:
-            continue
-        uz = dist(u, z)
-        if uz > length or uz <= 0.0:
-            continue  # Lemma 3 needs |uz| <= |uv|
-        vz = dist(v, z)
-        if vz > alpha:
-            continue  # {v, z} must be a guaranteed network edge
-        if angle_from_sides(vz, length, uz) <= theta:
-            return True
-    return False
-
-
-def is_covered(
-    u: int,
-    v: int,
-    length: float,
-    spanner: Graph,
-    dist: DistanceOracle,
-    *,
-    alpha: float,
-    theta: float,
-) -> bool:
-    """Whether edge ``{u, v}`` (of Euclidean length ``length``) is covered.
-
-    Parameters
-    ----------
-    u, v:
-        Edge endpoints.
-    length:
-        Euclidean length ``|uv|``; must be positive.
-    spanner:
-        The partial spanner ``G'_{i-1}`` whose edges act as witnesses.
-    dist:
-        Distance oracle over vertex ids (scalar calls only).
-    alpha:
-        Quasi-UBG parameter (witness leg must satisfy ``|vz| <= alpha``).
-    theta:
-        Cone half-angle; caller is responsible for Lemma 3's constraint
-        (use :class:`repro.params.SpannerParams`).
-    """
-    if length <= 0.0:
-        raise GraphError(f"edge length must be positive, got {length}")
-    return _has_witness(u, v, length, spanner, dist, alpha, theta) or _has_witness(
-        v, u, length, spanner, dist, alpha, theta
-    )
-
-
-def split_covered_reference(
-    edges: list[tuple[int, int, float]],
-    spanner: Graph,
-    dist: DistanceOracle,
-    *,
-    alpha: float,
-    theta: float,
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
-    """Scalar reference partition: one :func:`is_covered` call per edge.
-
-    The semantic anchor the flattened witness scan of
-    :func:`split_covered` is pinned against, and the path taken for
-    oracles without a vectorized ``pairs`` method.
-    """
-    candidates: list[tuple[int, int, float]] = []
-    covered: list[tuple[int, int, float]] = []
-    for u, v, w in edges:
-        if is_covered(u, v, w, spanner, dist, alpha=alpha, theta=theta):
-            covered.append((u, v, w))
-        else:
-            candidates.append((u, v, w))
-    return candidates, covered
+__all__ = ["DistanceOracle", "split_covered"]
 
 
 def split_covered(
@@ -136,24 +47,16 @@ def split_covered(
     """Partition bin edges into (candidates, covered).
 
     Candidates are the edges that survive the covered-edge filter and
-    move on to per-cluster-pair query selection.  With any oracle whose
-    ``pairs`` method is vectorized (see
-    :func:`repro.core.oracle.has_batch_pairs`) the witness scan runs as
-    one flattened array pass -- witnesses expanded through the spanner's
-    CSR rows, both orientations at once, distances measured by one
-    ``pairs`` call per orientation; bare scalar callables use the
-    per-edge reference :func:`split_covered_reference`.  Both paths
-    produce identical partitions; the equivalence suite pins this for
-    every shipped oracle.
+    move on to per-cluster-pair query selection.  The witness scan runs
+    as one flattened array pass: witnesses expanded through the
+    spanner's CSR rows, both orientations at once, distances measured
+    by one ``pairs`` call per orientation.  The equivalence suite pins
+    the partition equal to a per-edge scalar reference for every
+    shipped oracle and for a bare callable.
     """
     if not edges:
         return [], []
     oracle = as_oracle(dist)
-    if not has_batch_pairs(oracle):
-        return split_covered_reference(
-            edges, spanner, oracle, alpha=alpha, theta=theta
-        )
-
     ws = np.asarray([w for _, _, w in edges], dtype=np.float64)
     bad = ws <= 0.0
     if bad.any():

@@ -91,7 +91,7 @@ import numpy as np
 
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
-from ..graphs.build import KeepAllPolicy, reject_coincident
+from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
 from ..graphs.graph import Graph
 from ..graphs.paths import detour_distance, dijkstra_distance, pair_distances
 from ..params import SpannerParams
@@ -622,11 +622,8 @@ class MaintenanceSession:
         if gray.any():
             gu = np.minimum(node, cand[gray])
             gv = np.maximum(node, cand[gray])
-            keep[gray] = np.asarray(
-                self._policy.decide_batch(
-                    self._points(), gu, gv, dist[gray]
-                ),
-                dtype=bool,
+            keep[gray] = _policy_mask(
+                self._policy, self._points(), gu, gv, dist[gray]
             )
         return cand[keep], dist[keep]
 
@@ -747,11 +744,8 @@ class MaintenanceSession:
         keep = dist <= self._alpha
         gray = ~keep
         if gray.any():
-            keep[gray] = np.asarray(
-                self._policy.decide_batch(
-                    self._points(), gu[gray], gv[gray], dist[gray]
-                ),
-                dtype=bool,
+            keep[gray] = _policy_mask(
+                self._policy, self._points(), gu[gray], gv[gray], dist[gray]
             )
         g.add_weighted_edges_arrays(gu[keep], gv[keep], dist[keep])
         return g

@@ -22,8 +22,8 @@ is recognized and paired with the point set's vectorized
 ``distances_between``, and everything else is wrapped in
 :class:`ScalarOracleAdapter`, whose ``pairs`` evaluates the scalar
 callable per pair (correct for arbitrary user oracles, just not
-vectorized).  Callers can check :func:`has_batch_pairs` to decide
-whether a flattened array pass will actually beat the scalar reference.
+vectorized).  The array kernels take one path for every oracle; the
+scalar references they are pinned against live with the tests.
 
 Shipped protocol implementations: :func:`as_oracle` over ``PointSet``
 (Euclidean), :func:`repro.extensions.doubling_metric.lp_metric`
@@ -44,7 +44,6 @@ __all__ = [
     "ScalarOracleAdapter",
     "BoundMethodOracle",
     "as_oracle",
-    "has_batch_pairs",
 ]
 
 
@@ -72,15 +71,10 @@ class ScalarOracleAdapter:
 
     ``pairs`` evaluates the wrapped callable once per pair -- the exact
     scalar semantics, so adapted oracles are always *correct* under the
-    batched kernels, merely not vectorized.  :func:`has_batch_pairs`
-    reports ``False`` for adapters so hot paths can keep the scalar
-    reference instead of paying array plumbing for no gain.
+    batched kernels, merely not vectorized.
     """
 
     __slots__ = ("_fn",)
-
-    #: Marks the batched method as a per-pair loop (see has_batch_pairs).
-    batched = False
 
     def __init__(self, fn: Callable[[int, int], float]) -> None:
         self._fn = fn
@@ -107,8 +101,6 @@ class BoundMethodOracle:
     ``PointSet.distances_between``)."""
 
     __slots__ = ("_scalar", "_batch")
-
-    batched = True
 
     def __init__(
         self,
@@ -148,15 +140,3 @@ def as_oracle(dist: Callable[[int, int], float]) -> DistanceOracle:
         if callable(batch):
             return BoundMethodOracle(dist, batch)
     return ScalarOracleAdapter(dist)
-
-
-def has_batch_pairs(oracle: DistanceOracle) -> bool:
-    """Whether ``oracle.pairs`` is genuinely vectorized.
-
-    Protocol implementations advertise a per-pair-loop ``pairs`` by
-    setting a falsy class attribute ``batched``; anything else with a
-    ``pairs`` method is assumed vectorized.
-    """
-    return callable(getattr(oracle, "pairs", None)) and bool(
-        getattr(oracle, "batched", True)
-    )

@@ -16,12 +16,18 @@ with one node per implicated edge, one ``J``-edge per redundant pair,
 computes an MIS ``I`` of ``J`` and deletes every implicated edge outside
 ``I``.  Every deleted edge keeps a surviving counterpart (MIS maximality),
 preserving Theorem 10.
+
+Both drivers share the pair search (:func:`find_redundant_pairs`), the
+CSR conflict graph (:func:`conflict_graph_arrays`) and the deletion
+(:func:`remove_unchosen`); they differ only in the MIS.  The sequential
+driver (:func:`remove_redundant_edges`) takes the greedy MIS in node
+order, the distributed one a Luby protocol run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -31,19 +37,14 @@ from .cluster_graph import ClusterGraph
 
 __all__ = [
     "RedundancyOutcome",
-    "greedy_mis",
     "find_redundant_pairs",
-    "find_redundant_pairs_reference",
-    "build_conflict_graph",
     "conflict_graph_arrays",
+    "remove_unchosen",
     "remove_redundant_edges",
 ]
 
 Edge = tuple[int, int, float]
 EdgeKey = tuple[int, int]
-
-#: An MIS routine over an adjacency mapping ``node -> set of neighbors``.
-MISFunction = Callable[[dict[EdgeKey, set[EdgeKey]]], set[EdgeKey]]
 
 
 @dataclass(frozen=True)
@@ -58,50 +59,16 @@ class RedundancyOutcome:
         Edges retained (MIS members and unimplicated edges).
     num_pairs:
         Number of mutually redundant pairs found.
-    conflict_graph:
-        Adjacency of the conflict graph ``J`` (edge-keys as nodes).
     """
 
     removed: tuple[Edge, ...]
     kept: tuple[Edge, ...]
     num_pairs: int
-    conflict_graph: dict[EdgeKey, set[EdgeKey]]
-
-
-def greedy_mis(adjacency: dict[EdgeKey, set[EdgeKey]]) -> set[EdgeKey]:
-    """Sequential greedy MIS by node id (reference MIS implementation).
-
-    Scans nodes in sorted order, taking a node iff none of its neighbors
-    was taken.  Output is maximal and independent; the distributed
-    algorithm substitutes a protocol-based MIS with the same contract.
-    """
-    chosen: set[EdgeKey] = set()
-    for node in sorted(adjacency):
-        if not adjacency[node] & chosen:
-            chosen.add(node)
-    return chosen
 
 
 def _edge_key(edge: Edge) -> EdgeKey:
     u, v, _ = edge
     return (u, v) if u < v else (v, u)
-
-
-def _mutually_redundant(
-    e1: Edge,
-    e2: Edge,
-    h_dist: Callable[[int, int], float],
-    t1: float,
-) -> bool:
-    """Check both endpoint pairings of the Section 2.2.5 conditions."""
-    u, v, w1 = e1
-    x, y, w2 = e2
-    for p, q in (((u, x), (v, y)), ((u, y), (v, x))):
-        s1 = h_dist(*p)
-        s2 = h_dist(*q)
-        if s1 + w2 + s2 <= t1 * w1 and s1 + w1 + s2 <= t1 * w2:
-            return True
-    return False
 
 
 def _endpoint_distance_matrix(
@@ -131,10 +98,9 @@ def find_redundant_pairs(
     The O(|added|^2) pairwise test runs as one broadcast over stacked
     endpoint distance rows: both endpoint pairings of the Section 2.2.5
     conditions are evaluated for every ordered pair at once, then the
-    upper triangle is read off in the reference's ``(i, j)`` loop order.
-    Bit-identical to :func:`find_redundant_pairs_reference` (same float
-    expressions in the same evaluation order), which the equivalence
-    suite pins.
+    upper triangle is read off in ``(i, j)`` loop order.  The
+    equivalence suite pins it bit-identical to a per-pair scalar
+    reference (same float expressions in the same evaluation order).
 
     Parameters
     ----------
@@ -176,62 +142,14 @@ def find_redundant_pairs(
     ]
 
 
-def find_redundant_pairs_reference(
-    added: list[Edge],
-    cluster_graph: ClusterGraph,
-    t1: float,
-    *,
-    w_cur: float,
-) -> list[tuple[Edge, Edge]]:
-    """Scalar reference: per-endpoint dict rows + Python double loop.
-
-    The semantic anchor :func:`find_redundant_pairs` is pinned against.
-    """
-    if t1 <= 1.0:
-        raise GraphError(f"t1 must be > 1, got {t1}")
-    if not added:
-        return []
-    cutoff = t1 * w_cur
-    endpoints = sorted({p for u, v, _ in added for p in (u, v)})
-    rows = {
-        p: cluster_graph.distances_from(p, cutoff=cutoff) for p in endpoints
-    }
-
-    def h_dist(a: int, b: int) -> float:
-        return rows[a].get(b, float("inf"))
-
-    pairs: list[tuple[Edge, Edge]] = []
-    for i, e1 in enumerate(added):
-        for e2 in added[i + 1 :]:
-            if _mutually_redundant(e1, e2, h_dist, t1):
-                pairs.append((e1, e2))
-    return pairs
-
-
-def build_conflict_graph(
-    pairs: Iterable[tuple[Edge, Edge]],
-) -> dict[EdgeKey, set[EdgeKey]]:
-    """Conflict graph ``J``: nodes are implicated edges, arcs are pairs."""
-    adjacency: dict[EdgeKey, set[EdgeKey]] = {}
-    for e1, e2 in pairs:
-        k1, k2 = _edge_key(e1), _edge_key(e2)
-        adjacency.setdefault(k1, set()).add(k2)
-        adjacency.setdefault(k2, set()).add(k1)
-    return adjacency
-
-
 def conflict_graph_arrays(
     pairs: Iterable[tuple[Edge, Edge]],
     num_vertices: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conflict graph ``J`` as CSR arrays over sorted edge keys.
 
-    The dict-free twin of :func:`build_conflict_graph`: node ``i`` is
-    the ``i``-th implicated edge key in ascending ``(u, v)`` order --
-    exactly the relabeling ``repro.distributed.mis._normalize`` applies
-    to the mapping form -- so a protocol MIS over the returned CSR
-    selects the same keys, with the same round and message counts, as
-    the dict path (the equivalence suite pins this).
+    Nodes are the implicated edges, arcs the redundant pairs: node ``i``
+    is the ``i``-th implicated edge key in ascending ``(u, v)`` order.
 
     Returns ``(key_u, key_v, indptr, indices)`` where ``(key_u[i],
     key_v[i])`` is node ``i``'s edge key and ``(indptr, indices)`` is
@@ -261,6 +179,46 @@ def conflict_graph_arrays(
     return nodes // stride, nodes % stride, indptr, arcs % k
 
 
+def _greedy_mis(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
+    """Sequential greedy MIS over CSR rows: scan nodes in order, taking
+    a node iff none of its neighbors was taken (maximal and
+    independent)."""
+    ptr = indptr.tolist()
+    nbr = indices.tolist()
+    taken = [False] * (len(ptr) - 1)
+    for i in range(len(taken)):
+        taken[i] = not any(taken[j] for j in nbr[ptr[i] : ptr[i + 1]])
+    return [i for i, t in enumerate(taken) if t]
+
+
+def remove_unchosen(
+    spanner: Graph,
+    added: list[Edge],
+    key_u: np.ndarray,
+    key_v: np.ndarray,
+    chosen: Iterable[int],
+) -> tuple[list[Edge], list[Edge]]:
+    """Delete every implicated edge outside the MIS ``chosen``.
+
+    ``(key_u, key_v)`` are the conflict-graph node keys
+    :func:`conflict_graph_arrays` returns and ``chosen`` holds node
+    indices into them.  Mutates ``spanner`` and returns the phase's
+    additions split into ``(removed, kept)``, each in ``added`` order.
+    """
+    implicated = set(zip(key_u.tolist(), key_v.tolist()))
+    keep = {(int(key_u[i]), int(key_v[i])) for i in chosen}
+    removed: list[Edge] = []
+    kept: list[Edge] = []
+    for edge in added:
+        key = _edge_key(edge)
+        if key in implicated and key not in keep:
+            spanner.remove_edge(edge[0], edge[1])
+            removed.append(edge)
+        else:
+            kept.append(edge)
+    return removed, kept
+
+
 def remove_redundant_edges(
     spanner: Graph,
     added: list[Edge],
@@ -268,29 +226,21 @@ def remove_redundant_edges(
     t1: float,
     *,
     w_cur: float,
-    mis: MISFunction = greedy_mis,
 ) -> RedundancyOutcome:
-    """Delete a maximal independent set's complement from ``J``.
+    """Delete a greedy maximal independent set's complement from ``J``.
 
     Mutates ``spanner`` (removing the chosen edges) and reports the
-    outcome.  ``mis`` may be replaced by a distributed MIS with the same
-    contract.
+    outcome.  The greedy scan visits implicated edges in ascending key
+    order, so an edge survives iff no lower-keyed edge it conflicts
+    with survives.
     """
     pairs = find_redundant_pairs(added, cluster_graph, t1, w_cur=w_cur)
-    adjacency = build_conflict_graph(pairs)
-    keep_keys = mis(adjacency) if adjacency else set()
-    removed: list[Edge] = []
-    kept: list[Edge] = []
-    for edge in added:
-        key = _edge_key(edge)
-        if key in adjacency and key not in keep_keys:
-            spanner.remove_edge(edge[0], edge[1])
-            removed.append(edge)
-        else:
-            kept.append(edge)
+    key_u, key_v, indptr, indices = conflict_graph_arrays(
+        pairs, spanner.num_vertices
+    )
+    removed, kept = remove_unchosen(
+        spanner, added, key_u, key_v, _greedy_mis(indptr, indices)
+    )
     return RedundancyOutcome(
-        removed=tuple(removed),
-        kept=tuple(kept),
-        num_pairs=len(pairs),
-        conflict_graph=adjacency,
+        removed=tuple(removed), kept=tuple(kept), num_pairs=len(pairs)
     )

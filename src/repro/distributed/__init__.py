@@ -1,6 +1,7 @@
 """Distributed substrate: the synchronous round engine (per-node scalar
 reference and all-nodes-at-once batch tier, with identical accounting),
-the discrete-event unreliable-network tier, protocols, and the Section 3
+the discrete-event unreliable-network tier, protocols (Luby MIS, k-hop
+flooding, BFS, leader election, convergecast), and the Section 3
 distributed relaxed greedy algorithm."""
 
 from .dist_spanner import DistributedRelaxedGreedy, DistributedSpannerResult
@@ -23,12 +24,6 @@ from .event_engine import (
 )
 from .faults import FaultPlan
 from .ledger import LedgerEntry, RoundLedger
-from .local_views import (
-    LocalView,
-    covered_decision_from_view,
-    gather_local_view,
-    local_component_of_short_edges,
-)
 from .mis import (
     MISRun,
     run_luby_mis,
@@ -42,10 +37,7 @@ from .protocols import (
     KHopGather,
     LeaderElection,
     LubyMIS,
-    TreeSixColoring,
-    tree_coloring_to_mis,
 )
-from .protocols.coloring import cv_rounds_needed
 from .protocols.reliable import HardenedProtocol, harden
 from .unreliable import (
     EventBFSRun,
@@ -69,9 +61,6 @@ __all__ = [
     "LedgerEntry",
     "KHopGather",
     "LubyMIS",
-    "TreeSixColoring",
-    "tree_coloring_to_mis",
-    "cv_rounds_needed",
     "ConvergecastSum",
     "BFSTree",
     "LeaderElection",
@@ -82,10 +71,6 @@ __all__ = [
     "verify_mis",
     "DistributedRelaxedGreedy",
     "DistributedSpannerResult",
-    "LocalView",
-    "gather_local_view",
-    "local_component_of_short_edges",
-    "covered_decision_from_view",
     # Unreliable-network tier
     "FaultPlan",
     "EventNetwork",

@@ -31,8 +31,8 @@ Execution model of this implementation:
   exact hop cost** while the node-local computation they enable is
   evaluated once globally -- the gathered views determine those
   computations exactly (each node's decision depends only on its k-hop
-  ball; :mod:`repro.distributed.local_views` and the test-suite verify
-  this equivalence on sampled nodes).
+  ball; the test-suite recomputes decisions from simulated k-hop views
+  on sampled nodes and checks this equivalence).
 
 The output spanner satisfies the same three theorems as the sequential
 algorithm; it can differ edge-by-edge (different cover centers, different
@@ -48,9 +48,17 @@ import numpy as np
 
 from ..core.bins import EdgeBinning
 from ..core.cluster_graph import answer_spanner_queries, build_cluster_graph
-from ..core.cover import cover_from_centers, short_edge_mask
+from ..core.cover import (
+    build_cluster_cover,
+    cover_from_centers,
+    short_edge_mask,
+)
 from ..core.covered import DistanceOracle, split_covered
-from ..core.redundancy import conflict_graph_arrays, find_redundant_pairs
+from ..core.redundancy import (
+    conflict_graph_arrays,
+    find_redundant_pairs,
+    remove_unchosen,
+)
 from ..core.relaxed_greedy import PhaseReport, query_reach
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
@@ -121,6 +129,33 @@ class DistributedSpannerResult:
     def total_rounds(self) -> int:
         """Network rounds charged over the whole run."""
         return self.ledger.total_rounds
+
+
+def promote_uncovered(
+    spanner: Graph, radius: float, centers: list[int], dead: set[int]
+) -> list[int]:
+    """Replacement centers for the alive nodes no center covers.
+
+    Mid-run crashes may have severed the paths that certified some
+    nodes' coverage.  Every alive node beyond ``radius`` of all
+    ``centers`` is scanned in ascending id order and promoted unless an
+    earlier promotion's ball reaches it -- ball growing over the
+    uncovered survivors, so promoted centers stay pairwise more than
+    ``radius`` apart.  Returns the promoted centers, ascending.
+    """
+    skip = np.zeros(spanner.num_vertices, dtype=bool)
+    if centers:
+        _, ball_v, _ = multi_source_ball_lists(
+            spanner, np.asarray(centers, dtype=np.int64), radius
+        )
+        skip[ball_v] = True
+    skip[sorted(dead)] = True
+    uncovered = np.flatnonzero(~skip).tolist()
+    if not uncovered:
+        return []
+    return list(
+        build_cluster_cover(spanner, radius, vertices=uncovered).centers
+    )
 
 
 class DistributedRelaxedGreedy:
@@ -457,26 +492,7 @@ class DistributedRelaxedGreedy:
             dead = dead | newly_dead
             self._prune_dead(spanner, newly_dead)
         centers = sorted(int(labels[c]) for c in run.independent_set)
-
-        # Mid-run crashes may have severed the paths that certified some
-        # nodes' coverage: promote each still-uncovered alive node to a
-        # center, in ascending id order (promoted centers stay pairwise
-        # > radius apart because each promotion covers its whole ball).
-        covered: set[int] = set()
-        if centers:
-            _, ball_v, _ = multi_source_ball_lists(
-                spanner, np.asarray(centers, dtype=np.int64), radius
-            )
-            covered = set(map(int, ball_v))
-        promoted: list[int] = []
-        for u in range(n):
-            if u in dead or u in covered:
-                continue
-            promoted.append(u)
-            _, ball_v, _ = multi_source_ball_lists(
-                spanner, np.asarray([u], dtype=np.int64), radius
-            )
-            covered.update(map(int, ball_v))
+        promoted = promote_uncovered(spanner, radius, centers, dead)
         if promoted:
             centers = sorted(centers + promoted)
             result.recovery_rounds += 1
@@ -681,8 +697,6 @@ class DistributedRelaxedGreedy:
                 chosen = vrun.independent_set
                 mis2_rounds = vrun.result.rounds
                 mis2_messages = vrun.result.messages
-            implicated = set(zip(key_u.tolist(), key_v.tolist()))
-            keep = {(int(key_u[i]), int(key_v[i])) for i in chosen}
             result.mis_invocations += 1
             ledger.charge(
                 index,
@@ -693,11 +707,9 @@ class DistributedRelaxedGreedy:
                     f"{mis2_rounds} J-rounds x {k_query} hop factor"
                 ),
             )
-            for u, v, w in added:
-                key = (u, v) if u < v else (v, u)
-                if key in implicated and key not in keep:
-                    spanner.remove_edge(u, v)
-                    removed.append((u, v, w))
+            removed, _ = remove_unchosen(
+                spanner, added, key_u, key_v, chosen
+            )
         ledger.charge(
             index, "redundant.gather", k_query, detail="pair discovery"
         )

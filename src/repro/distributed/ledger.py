@@ -122,11 +122,6 @@ class RoundLedger:
             e.rounds for e in self.entries if not e.step.endswith(".mis")
         )
 
-    def max_phase_rounds(self) -> int:
-        """Largest per-phase round cost (flatness check for E4)."""
-        by_phase = self.rounds_by_phase()
-        return max(by_phase.values(), default=0)
-
     def summary(self) -> str:
         """Multi-line human-readable account."""
         lines = [

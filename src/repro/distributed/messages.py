@@ -1,4 +1,4 @@
-"""Message envelopes and size accounting for the synchronous model.
+"""Message size accounting for the synchronous model.
 
 The paper's model (Section 1.1) divides time into rounds; per round every
 node may send a different message to each neighbor.  Messages carry
@@ -16,27 +16,9 @@ identically by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Envelope", "payload_words"]
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight during one synchronous round.
-
-    Attributes
-    ----------
-    sender / receiver:
-        Node ids on the communication graph.
-    payload:
-        Arbitrary (but picklable-shaped) message body.
-    """
-
-    sender: int
-    receiver: int
-    payload: Any
+__all__ = ["payload_words"]
 
 
 def payload_words(payload: Any) -> int:

@@ -2,7 +2,6 @@
 
 from .aggregate import ConvergecastSum
 from .bfs import BFSTree
-from .coloring import TreeSixColoring, tree_coloring_to_mis
 from .flooding import KHopGather
 from .leader import LeaderElection
 from .luby import LubyMIS
@@ -10,8 +9,6 @@ from .luby import LubyMIS
 __all__ = [
     "KHopGather",
     "LubyMIS",
-    "TreeSixColoring",
-    "tree_coloring_to_mis",
     "ConvergecastSum",
     "BFSTree",
     "LeaderElection",

@@ -133,7 +133,7 @@ class ConvergecastSum(BatchProtocol):
     # Batch tier
     # ------------------------------------------------------------------
     def on_start_batch(self, net: BatchContext) -> None:
-        _, is_root, parent_slot, child_slots = rooted_forest_arrays(
+        is_root, parent_slot, child_slots = rooted_forest_arrays(
             net,
             self._parents,
             error="parent {parent} of node {node} is not a neighbor",

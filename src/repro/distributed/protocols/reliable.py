@@ -9,7 +9,7 @@ alpha-synchronizer with reliable links built from acks and timeouts:
 
 * every load-bearing message (round-stamped data, ``safe`` markers,
   ``bye`` farewells, probes) is acked individually and retransmitted
-  with exponential backoff until acked -- or until ``max_attempts``
+  with exponential backoff until acked -- or until ``_MAX_ATTEMPTS``
   retries go unanswered, at which point the peer is *declared dead*,
   dropped from the live set, and the inner protocol's optional
   ``on_peer_dead(ctx, peer)`` hook runs;
@@ -24,7 +24,7 @@ alpha-synchronizer with reliable links built from acks and timeouts:
 * a recurring probe timer detects silent crashes on idle links (pings a
   neighbor whose ``safe`` is overdue when nothing else is in flight)
   and, as a last-resort safety valve, *orphan-finalizes* a node that has
-  made no round progress for ``orphan_after`` time units -- termination
+  made no round progress for ``_ORPHAN_AFTER`` time units -- termination
   is unconditional, and runner-level repair sweeps
   (:mod:`repro.distributed.unreliable`) restore output validity;
 * a node that crashes and later recovers withdraws gracefully: it stops
@@ -36,6 +36,10 @@ protocol consumes exactly the synchronous tier's inboxes, so its outputs
 are pinned equal to ``engine="scalar"`` (the test-suite asserts this);
 the extra traffic is all billed to ``control_messages``, and
 ``retransmissions`` stays 0.
+
+The timing constants (first retransmission delay, backoff, retry limit,
+probe period, orphan stall) are module constants: every caller runs
+with the same values, and the pinned event-tier outputs depend on them.
 """
 
 from __future__ import annotations
@@ -58,6 +62,17 @@ __all__ = ["HardenedProtocol", "harden"]
 _REL = "_rel"
 _EMPTY: frozenset = frozenset()
 _PUMP_LIMIT = 100_000
+#: First retransmission delay (local-clock units).
+_TIMEOUT = 3.0
+#: Multiplicative backoff factor per retry.
+_BACKOFF = 1.3
+#: Unanswered retries before a peer is declared dead.
+_MAX_ATTEMPTS = 9
+#: Period of the stall-detection probe timer.
+_PROBE_EVERY = 8.0
+#: Round-progress stall (time units) after which a node gives up and
+#: finalizes with its current state.
+_ORPHAN_AFTER = 300.0
 
 
 class _InnerCtx:
@@ -102,35 +117,10 @@ class HardenedProtocol(BatchEventProtocol):
         ``on_peer_dead(ctx, peer)``, that hook is invoked when a
         neighbor stops acknowledging (crash or partition) so the
         protocol can stop expecting its messages.
-    timeout:
-        First retransmission delay (local-clock units).
-    backoff:
-        Multiplicative backoff factor per retry.
-    max_attempts:
-        Unanswered retries before a peer is declared dead.
-    probe_every:
-        Period of the stall-detection probe timer.
-    orphan_after:
-        Round-progress stall (time units) after which a node gives up
-        and finalizes with its current state.
     """
 
-    def __init__(
-        self,
-        inner: Protocol,
-        *,
-        timeout: float = 3.0,
-        backoff: float = 1.3,
-        max_attempts: int = 9,
-        probe_every: float = 8.0,
-        orphan_after: float = 300.0,
-    ) -> None:
+    def __init__(self, inner: Protocol) -> None:
         self._inner = inner
-        self._timeout = timeout
-        self._backoff = backoff
-        self._max_attempts = max_attempts
-        self._probe_every = probe_every
-        self._orphan_after = orphan_after
         self.name = f"hardened[{inner.name}]"
 
     # ------------------------------------------------------------------
@@ -164,7 +154,7 @@ class HardenedProtocol(BatchEventProtocol):
         mid = wire[2] if kind in ("d", "s") else wire[1]
         rel["unacked"][mid] = [dest, wire, 0, kind]
         outq[dest].append((wire, "data" if kind == "d" else "ctl"))
-        ctx.set_timer(self._timeout, ("rt", mid))
+        ctx.set_timer(_TIMEOUT, ("rt", mid))
 
     def _next_mid(self, rel: dict) -> int:
         rel["mid"] += 1
@@ -317,7 +307,7 @@ class HardenedProtocol(BatchEventProtocol):
         # (on_start has no ``now``, and t0 may be far from zero).
         self._pump(ctx, rel, outq, None)
         if not ctx.halted:
-            ctx.set_timer(self._probe_every, ("probe",))
+            ctx.set_timer(_PROBE_EVERY, ("probe",))
         return self._finalize(outq)
 
     def _deliver_into(self, ctx, rel: dict, inbox, now: float, outq) -> None:
@@ -367,13 +357,13 @@ class HardenedProtocol(BatchEventProtocol):
             if entry is not None:
                 dest, wire, attempts, _kind = entry
                 attempts += 1
-                if attempts > self._max_attempts:
+                if attempts > _MAX_ATTEMPTS:
                     self._declare_dead(ctx, rel, outq, dest)
                 else:
                     entry[2] = attempts
                     outq[dest].append((wire, "resend"))
                     ctx.set_timer(
-                        self._timeout * self._backoff ** attempts,
+                        _TIMEOUT * _BACKOFF ** attempts,
                         ("rt", key[1]),
                     )
         elif key[0] == "probe":
@@ -381,7 +371,7 @@ class HardenedProtocol(BatchEventProtocol):
                 rel["progress_at"] = now
             if (
                 not rel["inner_halted"]
-                and now - rel["progress_at"] > self._orphan_after
+                and now - rel["progress_at"] > _ORPHAN_AFTER
             ):
                 # Safety valve: no progress despite retries and probes --
                 # finalize with current state; repair sweeps take over.
@@ -396,7 +386,7 @@ class HardenedProtocol(BatchEventProtocol):
                             ctx, rel, outq, v,
                             ("p", self._next_mid(rel)), "p",
                         )
-            ctx.set_timer(self._probe_every, ("probe",))
+            ctx.set_timer(_PROBE_EVERY, ("probe",))
         self._pump(ctx, rel, outq, now)
 
     def on_timer(self, ctx, now, key):
@@ -447,7 +437,7 @@ class HardenedProtocol(BatchEventProtocol):
             self._send_safe(ctx, rel, outq, r)
         self._pump(ctx, rel, outq, now)
         if not ctx.halted:
-            ctx.set_timer(self._probe_every, ("probe",))
+            ctx.set_timer(_PROBE_EVERY, ("probe",))
         return self._finalize(outq)
 
     def output(self, ctx) -> Any:
@@ -457,6 +447,6 @@ class HardenedProtocol(BatchEventProtocol):
         return self._inner.output(ctx)
 
 
-def harden(inner: Protocol, **knobs: Any) -> HardenedProtocol:
+def harden(inner: Protocol) -> HardenedProtocol:
     """Convenience constructor: ``harden(LubyMIS(seed=3))``."""
-    return HardenedProtocol(inner, **knobs)
+    return HardenedProtocol(inner)

@@ -1,11 +1,11 @@
-"""Shared rooted-forest slot mapping for tree-shaped batch protocols.
+"""Rooted-forest slot mapping for the convergecast batch tier.
 
-Convergecast and Cole--Vishkin both run over a ``node -> parent``
-forest laid on top of the run topology; their batch tiers need the same
-derived arrays (compact parent indices, root mask, the slot each node
-uses to reach its parent, and the owner-side mask of child channels).
-This helper builds them once, validating parent/neighbor consistency
-with the same ascending-node raise order as the scalar tier.
+Convergecast runs over a ``node -> parent`` forest laid on top of the
+run topology; its batch tier needs derived arrays (root mask, the slot
+each node uses to reach its parent, and the owner-side mask of child
+channels).  This helper builds them, validating parent/neighbor
+consistency with the same ascending-node raise order as the scalar
+tier.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ def rooted_forest_arrays(
     parents: Mapping[int, int],
     *,
     error: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Compact ``(parent, is_root, parent_slot, child_slot_mask)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact ``(is_root, parent_slot, child_slot_mask)``.
 
-    ``parent`` maps each compact node index to its parent's compact
-    index (roots map to themselves); ``parent_slot[u]`` is the directed
-    slot from ``u`` to its parent (-1 for roots); ``child_slot_mask``
-    marks, per owner, the slots toward that owner's children.  A
-    non-root whose declared parent is missing from the topology or not
-    a neighbor raises :class:`ProtocolError` with ``error`` formatted as
+    ``is_root`` marks the compact nodes that are their own parent;
+    ``parent_slot[u]`` is the directed slot from ``u`` to its parent
+    (-1 for roots); ``child_slot_mask`` marks, per owner, the slots
+    toward that owner's children.  A non-root whose declared parent is
+    missing from the topology or not a neighbor raises
+    :class:`ProtocolError` with ``error`` formatted as
     ``error.format(parent=..., node=...)`` -- at the smallest such node
     id, matching the scalar tier's ascending ``on_start`` walk.
     """
@@ -65,4 +65,4 @@ def rooted_forest_arrays(
     # that is the reverse view of the parent slots.
     child_slot_mask = np.zeros(net.num_slots, dtype=bool)
     child_slot_mask[net.rev[slots]] = True
-    return parent, is_root, parent_slot, child_slot_mask
+    return is_root, parent_slot, child_slot_mask

@@ -272,7 +272,6 @@ def _execute(
     t0: float,
     max_time: float,
     max_events: int,
-    hardening: Mapping[str, Any] | None,
     engine: str,
 ) -> tuple[EventNetwork, RunResult]:
     plan = plan if plan is not None else FaultPlan()
@@ -287,9 +286,7 @@ def _execute(
     if plan.zero_fault and plan.latency == 1.0:
         result = net.run_sync(protocol, engine=engine)
     else:
-        result = net.run(
-            harden(protocol, **(hardening or {})), engine=engine
-        )
+        result = net.run(harden(protocol), engine=engine)
     return net, result
 
 
@@ -302,7 +299,6 @@ def run_luby_mis_event(
     t0: float = 0.0,
     max_time: float = 1_000_000.0,
     max_events: int = 5_000_000,
-    hardening: Mapping[str, Any] | None = None,
     engine: str = "auto",
 ) -> EventMISRun:
     """Luby MIS on the event tier, repaired and verified on survivors.
@@ -316,7 +312,7 @@ def run_luby_mis_event(
     """
     net, result = _execute(
         topology, LubyMIS(seed=seed), plan, fault_labels, t0,
-        max_time, max_events, hardening, engine,
+        max_time, max_events, engine,
     )
     crashed = set(result.crashed)
     adjacency = net.adjacency()
@@ -344,7 +340,6 @@ def run_bfs_event(
     t0: float = 0.0,
     max_time: float = 1_000_000.0,
     max_events: int = 5_000_000,
-    hardening: Mapping[str, Any] | None = None,
     engine: str = "auto",
 ) -> EventBFSRun:
     """BFS tree on the event tier, re-attached and verified on survivors.
@@ -354,7 +349,7 @@ def run_bfs_event(
     recovery from a dead initiator)."""
     net, result = _execute(
         topology, BFSTree(root, patience=patience), plan, fault_labels,
-        t0, max_time, max_events, hardening, engine,
+        t0, max_time, max_events, engine,
     )
     crashed = set(result.crashed)
     adjacency = net.adjacency()

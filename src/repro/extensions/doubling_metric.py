@@ -53,8 +53,6 @@ class LpMetricOracle:
 
     __slots__ = ("_arr", "_p")
 
-    batched = True
-
     def __init__(self, coords, p: float) -> None:
         import numpy as np
 

@@ -50,8 +50,6 @@ class EnergyCostOracle:
 
     __slots__ = ("_base", "metric")
 
-    batched = True
-
     def __init__(
         self, base: DistanceOracle, metric: EnergyMetric | None = None
     ) -> None:

@@ -63,8 +63,6 @@ class FaultMaskedOracle:
 
     __slots__ = ("_base", "_faults", "_fault_arr")
 
-    batched = True
-
     def __init__(self, base: DistanceOracle, faults) -> None:
         self._base = as_oracle(base)
         self._faults = frozenset(int(x) for x in faults)
@@ -112,8 +110,6 @@ class EdgeFaultMaskedOracle:
     """
 
     __slots__ = ("_base", "_edges", "_key_arr")
-
-    batched = True
 
     def __init__(self, base: DistanceOracle, failed_edges) -> None:
         self._base = as_oracle(base)

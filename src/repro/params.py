@@ -303,11 +303,6 @@ class SpannerParams:
         radius = (2.0 * self.delta + 1.0) * self.w(i - 1, n)
         return max(1, math.ceil(2.0 * radius / self.alpha))
 
-    def hop_path_bound(self) -> int:
-        """Maximum hops of an H-path certifying a query (Lemma 8):
-        ``2 + ceil(t*r/delta)``."""
-        return 2 + math.ceil(self.t * self.r / self.delta)
-
     def with_alpha(self, alpha: float) -> "SpannerParams":
         """Return a copy with a different ``alpha`` (re-validated)."""
         return replace(self, alpha=alpha, beta=self._derive_beta(self.t, alpha))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.covered import DistanceOracle, is_covered
-from ..graphs.graph import Graph
-from ..graphs.paths import k_hop_neighborhood
-from ..params import SpannerParams
+from oracles.covered import is_covered
 
-__all__ = ["LocalView", "gather_local_view", "local_component_of_short_edges"]
+from repro.core.oracle import DistanceOracle
+from repro.graphs.graph import Graph
+from repro.graphs.paths import k_hop_neighborhood
+from repro.params import SpannerParams
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,3 @@ def covered_decision_from_view(
         alpha=params.alpha,
         theta=params.theta,
     )
-
-
-__all__.append("covered_decision_from_view")

@@ -10,6 +10,9 @@ lists and verdicts.
 
 import numpy as np
 import pytest
+from oracles.cluster_graph import build_cluster_graph_reference
+from oracles.covered import split_covered_reference
+from oracles.redundancy import find_redundant_pairs_reference
 
 import repro.core.cluster_graph as cluster_graph_mod
 import repro.core.cover as cover_mod
@@ -18,7 +21,6 @@ from repro.core.bins import EdgeBinning
 from repro.core.cluster_graph import (
     answer_spanner_queries,
     build_cluster_graph,
-    build_cluster_graph_reference,
 )
 from repro.core.cover import (
     build_cluster_cover,
@@ -26,10 +28,7 @@ from repro.core.cover import (
     cover_from_centers,
 )
 from repro.core.covered import split_covered
-from repro.core.redundancy import (
-    find_redundant_pairs,
-    find_redundant_pairs_reference,
-)
+from repro.core.redundancy import find_redundant_pairs
 from repro.core.relaxed_greedy import build_spanner
 from repro.experiments.workloads import make_workload
 from repro.graphs.paths import dijkstra, multi_source_ball_lists
@@ -281,6 +280,13 @@ class TestCoveredFilterEquivalence:
             bin_edges, spanner, scalar_oracle, alpha=1.0, theta=0.5
         )
         assert batch == scalar
+        # A bare callable rides the same array scan, one oracle call per
+        # pair; it must partition exactly like the per-edge reference.
+        assert len(bin_edges) >= 256
+        assert scalar == split_covered_reference(
+            bin_edges, spanner, scalar_oracle, alpha=1.0, theta=0.5
+        )
+        assert scalar[0] and scalar[1]
 
 
 class TestBinningEquivalence:

@@ -142,6 +142,15 @@ class TestCoverFromCenters:
         with pytest.raises(GraphError, match="dominate"):
             cover_from_centers(g, 1.0, [0])
 
+    @pytest.mark.parametrize("universe", [[0, 1, 2, 7], [-1, 0, 1, 2]])
+    def test_universe_out_of_range_named_like_ball_growing(self, universe):
+        g = path_graph(3)
+        msg = r"universe vertices must lie in \[0, 3\)"
+        with pytest.raises(GraphError, match=msg):
+            build_cluster_cover(g, 0.5, vertices=universe)
+        with pytest.raises(GraphError, match=msg):
+            cover_from_centers(g, 0.5, [0, 1, 2], vertices=universe)
+
     def test_center_outside_universe_rejected(self):
         g = path_graph(5)
         with pytest.raises(GraphError):
@@ -154,7 +163,13 @@ class TestCoverFromCenters:
     def test_mis_of_proximity_graph_always_dominates(self):
         """The distributed pipeline's contract: an MIS of the
         radius-proximity graph is always a valid center set."""
-        from repro.core.redundancy import greedy_mis
+
+        def greedy_mis(adjacency):
+            chosen = set()
+            for node in sorted(adjacency):
+                if not adjacency[node] & chosen:
+                    chosen.add(node)
+            return chosen
 
         for seed in range(5):
             g = random_geometric(30, seed)

@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from oracles.covered import is_covered
 
-from repro.core.covered import is_covered, split_covered
+from repro.core.covered import split_covered
 from repro.exceptions import GraphError
 from repro.geometry.points import PointSet
 from repro.graphs.graph import Graph

@@ -4,13 +4,13 @@ import hashlib
 import math
 
 import pytest
-
-from repro.distributed.dist_spanner import DistributedRelaxedGreedy
-from repro.distributed.local_views import (
+from oracles.local_views import (
     covered_decision_from_view,
     gather_local_view,
     local_component_of_short_edges,
 )
+
+from repro.distributed.dist_spanner import DistributedRelaxedGreedy
 from repro.exceptions import ParameterError
 from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
@@ -263,7 +263,7 @@ class TestLocality:
     ):
         """The covered test needs only a 1-hop spanner view around an
         endpoint: local decision == global decision."""
-        from repro.core.covered import is_covered
+        from oracles.covered import is_covered
 
         spanner = medium_build.spanner
         checked = 0

@@ -9,10 +9,20 @@ machinery end to end (S3).
 
 import hashlib
 
+import numpy as np
 import pytest
 
+import repro.distributed.dist_spanner as dist_spanner_mod
+from repro.core.cover import cover_from_centers
 from repro.distributed import FaultPlan
-from repro.distributed.dist_spanner import DistributedRelaxedGreedy
+from repro.distributed.dist_spanner import (
+    DistributedRelaxedGreedy,
+    DistributedSpannerResult,
+    promote_uncovered,
+)
+from repro.distributed.engine import RunResult
+from repro.distributed.ledger import RoundLedger
+from repro.distributed.unreliable import EventMISRun
 from repro.experiments import EXPERIMENT_REGISTRY
 from repro.experiments.failures import (
     FAULT_REGISTRY,
@@ -23,7 +33,10 @@ from repro.experiments.failures import (
 )
 from repro.experiments.workloads import make_workload
 from repro.extensions.fault_tolerance import fault_injection_report
+from repro.geometry.sampling import uniform_points
+from repro.graphs.build import build_udg
 from repro.graphs.graph import Graph
+from repro.graphs.paths import multi_source_ball_lists
 from repro.params import SpannerParams
 
 
@@ -189,3 +202,110 @@ class TestInjectionDeterminism:
         for node in range(30):
             assert plan.crash_schedule(node) == twin.crash_schedule(node)
             assert plan.clock_rate(node) == twin.clock_rate(node)
+
+
+def _promote_reference(spanner, radius, centers, dead):
+    """Scalar promotion: scan every node in ascending order and promote
+    each alive one no ball so far reaches, one ball search apiece."""
+    covered = set()
+    if centers:
+        _, ball_v, _ = multi_source_ball_lists(
+            spanner, np.asarray(centers, dtype=np.int64), radius
+        )
+        covered = set(map(int, ball_v))
+    promoted = []
+    for u in range(spanner.num_vertices):
+        if u in dead or u in covered:
+            continue
+        promoted.append(u)
+        _, ball_v, _ = multi_source_ball_lists(
+            spanner, np.asarray([u], dtype=np.int64), radius
+        )
+        covered.update(map(int, ball_v))
+    return promoted
+
+
+#: Relay 1 links center 0 to nodes 2 and 3; node 6 hangs off 2 and
+#: node 7 off 6.  Cover radius 1.0, centers 0 and 4.
+_RELAY_EDGES = [(0, 1, 0.3), (1, 2, 0.3)]
+_OTHER_EDGES = [
+    (2, 3, 0.3), (3, 4, 0.9), (0, 5, 0.5), (2, 6, 0.5), (6, 7, 0.6),
+]
+
+
+def _relay_spanner(relay_alive):
+    g = Graph(8)
+    for u, v, w in _OTHER_EDGES + (_RELAY_EDGES if relay_alive else []):
+        g.add_edge(u, v, w)
+    return g
+
+
+class TestCenterPromotion:
+    """The fault path's safety net: alive nodes a mid-run crash leaves
+    beyond the cover radius of every center become centers."""
+
+    def test_dead_relay_cuts_node_off_from_its_center(self):
+        spanner = _relay_spanner(relay_alive=False)
+        promoted = promote_uncovered(spanner, 1.0, [0, 4], {1})
+        # 2 lost its path to 0; 6 lies within 2's ball, 7 beyond it.
+        assert promoted == [2, 7]
+        assert promoted == _promote_reference(spanner, 1.0, [0, 4], {1})
+        cover_from_centers(
+            spanner, 1.0, [0, 2, 4, 7], vertices=[0, 2, 3, 4, 5, 6, 7]
+        )
+
+    def test_live_relay_keeps_its_nodes_covered(self):
+        spanner = _relay_spanner(relay_alive=True)
+        assert promote_uncovered(spanner, 1.0, [0, 4], set()) == [6]
+        assert _promote_reference(spanner, 1.0, [0, 4], set()) == [6]
+        assert promote_uncovered(spanner, 1.0, [0, 4, 6], set()) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_after_random_crashes(self, seed):
+        rng = np.random.default_rng(seed)
+        spanner = build_udg(uniform_points(150, seed=seed, side=6.0))
+        radius = 0.8
+        centers = sorted(
+            rng.choice(150, size=20, replace=False).tolist()
+        )
+        dead = set(rng.choice(150, size=15, replace=False).tolist())
+        dead -= set(centers)
+        for u in dead:
+            for v in list(spanner.neighbors(u)):
+                spanner.remove_edge(u, v)
+        promoted = promote_uncovered(spanner, radius, centers, dead)
+        assert promoted
+        assert promoted == _promote_reference(spanner, radius, centers, dead)
+
+    def test_fault_path_promotes_after_a_mid_run_crash(self, monkeypatch):
+        """``_cover_mis_event`` prunes the crashed relay, promotes the
+        cut-off nodes and charges the promotion to the ledger."""
+        spanner = _relay_spanner(relay_alive=True)
+        builder = DistributedRelaxedGreedy(
+            SpannerParams.from_epsilon(0.5), fault_plan=FaultPlan()
+        )
+        indptr, indices = builder._proximity_graph(spanner, 1.0)
+
+        def crash_relay(topology, **kwargs):
+            return EventMISRun(
+                independent_set=frozenset({0, 4}),
+                result=RunResult(rounds=3, messages=10, words=10, outputs={}),
+                alive=(0, 2, 3, 4, 5, 6, 7),
+                t_end=1.0,
+            )
+
+        monkeypatch.setattr(dist_spanner_mod, "run_luby_mis_event", crash_relay)
+        ledger = RoundLedger()
+        result = DistributedSpannerResult(
+            spanner=spanner, params=builder.params, ledger=ledger
+        )
+        centers, dead = builder._cover_mis_event(
+            FaultPlan(), indptr, indices, set(), 1, 2, spanner, 1.0,
+            ledger, result,
+        )
+        assert dead == {1}
+        assert list(spanner.neighbors(1)) == []
+        assert centers == [0, 2, 4, 7]
+        assert result.recovery_rounds == 1
+        recover = [e for e in ledger.entries if e.step == "cover.recover"]
+        assert [(e.rounds, e.messages) for e in recover] == [(2, 2)]

@@ -26,8 +26,9 @@ from repro.core import (
 from repro.distributed.faults import FaultPlan
 from repro.exceptions import GraphError, ParameterError
 from repro.experiments.workloads import make_workload
+from repro.geometry.points import PointSet
 from repro.geometry.sampling import uniform_points
-from repro.graphs.build import BernoulliPolicy, DecayPolicy
+from repro.graphs.build import BernoulliPolicy, DecayPolicy, build_qubg
 
 
 def edge_table(g):
@@ -226,6 +227,73 @@ class TestFaultPlanAdapter:
         session, _ = make_session(10, "local", n=30)
         with pytest.raises(Exception):
             session.apply(MaintenanceEvent("teleport", node=0))
+
+
+class _DecideOnly:
+    """A gray-zone policy with the per-pair ``decide`` only."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def decide(self, points, u, v, dist):
+        return self._inner.decide(points, u, v, dist)
+
+
+class _OneVerdict:
+    """``decide_batch`` answers with one verdict once ``armed``."""
+
+    armed = False
+
+    def decide(self, points, u, v, dist):
+        return True
+
+    def decide_batch(self, points, u, v, dist):
+        return np.ones(1 if self.armed else u.shape[0], dtype=bool)
+
+
+class TestGrayZonePolicies:
+    """The session applies a policy exactly as ``build_qubg`` does."""
+
+    @staticmethod
+    def _points():
+        return uniform_points(200, dim=2, seed=5, expected_degree=8.0)
+
+    @staticmethod
+    def _coords(session):
+        return PointSet(
+            np.array([session.position(i) for i in range(session.capacity)])
+        )
+
+    def test_decide_only_policy_falls_back_per_pair(self):
+        pts = self._points()
+        policy = _DecideOnly(BernoulliPolicy(0.5, seed=4))
+        session = MaintenanceSession(pts, 0.5, alpha=0.6, policy=policy)
+        expected = build_qubg(pts, 0.6, policy=policy)
+        assert edge_table(session.graph) == edge_table(expected)
+        batch = MaintenanceSession(
+            pts, 0.5, alpha=0.6, policy=BernoulliPolicy(0.5, seed=4)
+        )
+        assert edge_table(session.graph) == edge_table(batch.graph)
+        session.move(5, session.position(5) + np.array([0.3, 0.1]))
+        expected = build_qubg(self._coords(session), 0.6, policy=policy)
+        assert edge_table(session.graph) == edge_table(expected)
+
+    def test_wrong_mask_shape_rejected_at_construction(self):
+        policy = _OneVerdict()
+        policy.armed = True
+        with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
+            build_qubg(self._points(), 0.6, policy=policy)
+        with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
+            MaintenanceSession(self._points(), 0.5, alpha=0.6, policy=policy)
+
+    def test_wrong_mask_shape_rejected_on_move(self):
+        policy = _OneVerdict()
+        session = MaintenanceSession(
+            self._points(), 0.5, alpha=0.6, policy=policy
+        )
+        policy.armed = True
+        with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
+            session.move(5, session.position(5) + np.array([0.3, 0.1]))
 
 
 class TestRejectedEvents:

@@ -9,18 +9,10 @@ extensions ride the flattened CSR witness scan of ``split_covered``.
 
 import numpy as np
 import pytest
+from oracles.covered import is_covered, split_covered_reference
 
-from repro.core.covered import (
-    is_covered,
-    split_covered,
-    split_covered_reference,
-)
-from repro.core.oracle import (
-    BoundMethodOracle,
-    ScalarOracleAdapter,
-    as_oracle,
-    has_batch_pairs,
-)
+from repro.core.covered import split_covered
+from repro.core.oracle import BoundMethodOracle, ScalarOracleAdapter, as_oracle
 from repro.extensions.doubling_metric import LpMetricOracle, lp_metric
 from repro.extensions.energy import build_energy_spanner, energy_cost_oracle
 from repro.extensions.fault_tolerance import (
@@ -73,7 +65,6 @@ class TestAsOracle:
         points = random_points()
         oracle = as_oracle(points.distance)
         assert isinstance(oracle, BoundMethodOracle)
-        assert has_batch_pairs(oracle)
 
     def test_pointset_oracle_accessor(self):
         points = random_points()
@@ -92,7 +83,6 @@ class TestAsOracle:
         fn = lambda u, v: points.distance(u, v)  # noqa: E731
         oracle = as_oracle(fn)
         assert isinstance(oracle, ScalarOracleAdapter)
-        assert not has_batch_pairs(oracle)
         u, v = random_pairs(len(points), k=50)
         expect = np.asarray([fn(a, b) for a, b in zip(u, v)])
         assert np.array_equal(oracle.pairs(u, v), expect)
@@ -196,8 +186,6 @@ class TestSplitCoveredEquivalence:
             sum(ord(c) for c in name)
         ))
         params = SpannerParams.from_epsilon(0.5)
-        # split_covered takes the array path exactly for these oracles.
-        assert has_batch_pairs(as_oracle(oracle))
         batch = split_covered(
             edges, spanner, oracle, alpha=params.alpha, theta=params.theta
         )
@@ -219,25 +207,37 @@ class TestSplitCoveredEquivalence:
                 alpha=params.alpha, theta=params.theta,
             )
 
-    def test_auto_kernel_picks_batch_for_protocol_oracles(self):
+    def test_array_scan_asks_only_pairs(self):
         points = random_points(n=50, seed=2)
         oracle = lp_metric(points.coords, 2.0)
         spanner, edges = _filter_inputs(points, oracle, seed=9)
         params = SpannerParams.from_epsilon(0.5)
-        assert has_batch_pairs(as_oracle(oracle))
-        auto = split_covered(
-            edges, spanner, oracle, alpha=params.alpha, theta=params.theta
+        got = split_covered(
+            edges, spanner, _PairsOnly(oracle),
+            alpha=params.alpha, theta=params.theta,
         )
         reference = split_covered_reference(
             edges, spanner, as_oracle(oracle),
             alpha=params.alpha, theta=params.theta,
         )
-        assert auto == reference
+        assert got == reference
+        assert got[0] and got[1]
+
+
+class _PairsOnly:
+    """A protocol oracle whose scalar query fails: only ``pairs`` may be
+    asked."""
+
+    def __init__(self, oracle):
+        self.pairs = oracle.pairs
+
+    def __call__(self, u, v):
+        raise AssertionError(f"scalar query ({u}, {v})")
 
 
 class _OpaqueScalar:
     """A callable the oracle upgrade cannot see through (no pairs, not a
-    bound PointSet.distance) -- forces the scalar reference path."""
+    bound PointSet.distance) -- measured one pair at a time."""
 
     def __init__(self, fn):
         self._fn = fn

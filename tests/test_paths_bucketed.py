@@ -11,13 +11,12 @@ cached.
 import numpy as np
 import pytest
 
+from oracles.paths import multi_source_ball_lists_reference
+
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import build_udg
 from repro.graphs.graph import Graph
-from repro.graphs.paths import (
-    multi_source_ball_lists,
-    multi_source_ball_lists_reference,
-)
+from repro.graphs.paths import multi_source_ball_lists
 
 
 def _assert_bit_identical(got, want):

@@ -1,7 +1,7 @@
-"""Scalar-vs-batch RunResult equality for the ISSUE 4 protocol ports.
+"""Scalar-vs-batch RunResult equality for the convergecast port.
 
-ConvergecastSum and TreeSixColoring complete the batch tier's protocol
-coverage; like the PR 3 suite, equality is exact -- rounds, messages,
+ConvergecastSum completes the batch tier's protocol coverage; like the
+other protocol suites, equality is exact -- rounds, messages,
 words, outputs and output insertion order -- across random topologies,
 random BFS forests, integer and float payloads.
 """
@@ -14,11 +14,6 @@ import pytest
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.protocols.aggregate import ConvergecastSum
 from repro.distributed.protocols.bfs import BFSTree
-from repro.distributed.protocols.coloring import (
-    TreeSixColoring,
-    cv_rounds_needed,
-    tree_coloring_to_mis,
-)
 from repro.distributed.protocols.flooding import KHopGather
 from repro.distributed.protocols.leader import LeaderElection
 from repro.distributed.protocols.luby import LubyMIS
@@ -136,69 +131,28 @@ class TestConvergecastBatch:
             SynchronousNetwork(g).run(proto, engine="batch")
         SynchronousNetwork(g).run(proto)  # auto falls back to scalar
 
-    def test_bad_parent_raises_same_error_both_tiers(self):
-        g = Graph(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(2, 3, 1.0)
-        parents = {0: 0, 1: 0, 2: 0, 3: 2}  # 2's parent is not a neighbor
+    @staticmethod
+    def _assert_same_error_both_tiers(edges, parents):
+        g = Graph(len(parents))
+        for u, v in edges:
+            g.add_edge(u, v, 1.0)
         messages = []
         for engine in ("scalar", "batch"):
-            proto = ConvergecastSum(parents, {u: 1 for u in range(4)})
+            proto = ConvergecastSum(parents, {u: 1 for u in parents})
             with pytest.raises(ProtocolError) as err:
                 SynchronousNetwork(g).run(proto, engine=engine)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
-
-class TestColoringBatch:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_forests(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n = int(rng.integers(3, 60))
-        g = random_graph(n, 3 * n, seed)
-        net = SynchronousNetwork(g, max_rounds=400)
-        proto = TreeSixColoring(bfs_forest(g), cv_rounds_needed(n))
-        assert_equal_runs(net, proto)
-
-    def test_zero_rounds(self):
-        g = random_graph(10, 20, 1)
-        assert_equal_runs(
-            SynchronousNetwork(g), TreeSixColoring(bfs_forest(g), 0)
-        )
-
-    def test_batch_coloring_is_proper_and_yields_mis(self):
-        g = random_graph(40, 120, 5)
-        parents = bfs_forest(g)
-        net = SynchronousNetwork(g, max_rounds=400)
-        run = net.run(
-            TreeSixColoring(parents, cv_rounds_needed(40)), engine="batch"
-        )
-        colors = run.outputs
-        for u, p in parents.items():
-            if p != u:
-                assert colors[u] != colors[p]
-        assert all(0 <= c <= 5 for c in colors.values())
-        tree_adj: dict[int, set[int]] = {u: set() for u in g.vertices()}
-        for u, p in parents.items():
-            if p != u:
-                tree_adj[u].add(p)
-                tree_adj[p].add(u)
-        mis = tree_coloring_to_mis(tree_adj, colors)
-        for u in mis:
-            assert not tree_adj[u] & mis
-
     def test_bad_parent_raises_same_error_both_tiers(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
-        parents = {0: 0, 1: 0, 2: 0}  # 2 is isolated; 0 not its neighbor
-        messages = []
-        for engine in ("scalar", "batch"):
-            with pytest.raises(ProtocolError) as err:
-                SynchronousNetwork(g).run(
-                    TreeSixColoring(parents, 3), engine=engine
-                )
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        # 2's parent is not a neighbor.
+        self._assert_same_error_both_tiers(
+            [(0, 1), (2, 3)], {0: 0, 1: 0, 2: 0, 3: 2}
+        )
+
+    def test_isolated_node_raises_same_error_both_tiers(self):
+        # 2 is isolated, so it has no slot toward its parent at all.
+        self._assert_same_error_both_tiers([(0, 1)], {0: 0, 1: 0, 2: 0})
 
 
 def all_protocols(g: Graph) -> dict:
@@ -213,7 +167,6 @@ def all_protocols(g: Graph) -> dict:
         "leader": lambda: LeaderElection(rounds=6),
         "khop": lambda: KHopGather(facts, k=3),
         "convergecast": lambda: ConvergecastSum(parents, values),
-        "coloring": lambda: TreeSixColoring(parents, cv_rounds_needed(n)),
     }
 
 
@@ -228,7 +181,7 @@ class TestAllProtocolsOnUdg:
 
     @pytest.mark.parametrize(
         "name",
-        ["luby", "bfs", "leader", "khop", "convergecast", "coloring"],
+        ["luby", "bfs", "leader", "khop", "convergecast"],
     )
     def test_tiers_agree_on_dense_udg(self, dense_udg, name):
         make = all_protocols(dense_udg)[name]

@@ -1,4 +1,4 @@
-"""Tests for flooding, Luby MIS, CV coloring and convergecast protocols."""
+"""Tests for flooding, Luby MIS and convergecast protocols."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.mis import run_luby_mis, verify_mis
 from repro.distributed.protocols.aggregate import ConvergecastSum
-from repro.distributed.protocols.coloring import (
-    TreeSixColoring,
-    cv_rounds_needed,
-    tree_coloring_to_mis,
-)
 from repro.distributed.protocols.flooding import KHopGather
 from repro.exceptions import ProtocolError
 from repro.graphs.graph import Graph
@@ -111,64 +106,6 @@ class TestLubyMIS:
     def test_verify_mis_rejects_non_maximal(self):
         with pytest.raises(ProtocolError, match="maximal"):
             verify_mis({0: {1}, 1: {0}, 2: set()}, {0})
-
-
-class TestTreeColoring:
-    def _parents_for_path(self, n):
-        return {i: max(0, i - 1) for i in range(n)}
-
-    def test_proper_coloring_on_path(self):
-        n = 64
-        g = path_graph(n)
-        parents = self._parents_for_path(n)
-        rounds = cv_rounds_needed(n)
-        result = SynchronousNetwork(g).run(TreeSixColoring(parents, rounds))
-        colors = result.outputs
-        for i in range(n - 1):
-            assert colors[i] != colors[i + 1]
-        assert all(0 <= c < 6 for c in colors.values())
-
-    def test_log_star_round_count(self):
-        """The defining signature: rounds grow like log*, i.e. barely."""
-        assert cv_rounds_needed(2**16) <= cv_rounds_needed(2**64) <= 8
-
-    def test_coloring_on_random_tree(self):
-        rng = np.random.default_rng(7)
-        n = 50
-        g = Graph(n)
-        parents = {0: 0}
-        for v in range(1, n):
-            p = int(rng.integers(v))
-            parents[v] = p
-            g.add_edge(v, p, 1.0)
-        result = SynchronousNetwork(g).run(
-            TreeSixColoring(parents, cv_rounds_needed(n))
-        )
-        colors = result.outputs
-        for v in range(1, n):
-            assert colors[v] != colors[parents[v]]
-
-    def test_mis_from_coloring(self):
-        n = 20
-        g = path_graph(n)
-        parents = self._parents_for_path(n)
-        result = SynchronousNetwork(g).run(
-            TreeSixColoring(parents, cv_rounds_needed(n))
-        )
-        adjacency = {
-            u: set(g.neighbors(u)) for u in g.vertices()
-        }
-        mis = tree_coloring_to_mis(adjacency, result.outputs)
-        verify_mis(adjacency, mis)
-
-    def test_parent_must_be_neighbor(self):
-        g = path_graph(4)
-        with pytest.raises(ProtocolError):
-            SynchronousNetwork(g).run(TreeSixColoring({3: 0, 0: 0}, 2))
-
-    def test_rejects_negative_rounds(self):
-        with pytest.raises(ProtocolError):
-            TreeSixColoring({0: 0}, -1)
 
 
 class TestConvergecast:

@@ -1,15 +1,18 @@
 """Tests for mutually-redundant edge elimination (Section 2.2.5)."""
 
+import numpy as np
 import pytest
 
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.cover import build_cluster_cover
 from repro.core.redundancy import (
-    build_conflict_graph,
+    _greedy_mis,
+    conflict_graph_arrays,
     find_redundant_pairs,
-    greedy_mis,
     remove_redundant_edges,
+    remove_unchosen,
 )
+from repro.distributed.mis import run_luby_mis_arrays
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 
@@ -25,25 +28,44 @@ def make_h(edges, n) -> ClusterGraph:
     )
 
 
+def greedy_keys(pairs, n) -> set[tuple[int, int]]:
+    """Edge keys the greedy MIS keeps from the conflict graph of ``pairs``."""
+    key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, n)
+    return {
+        (int(key_u[i]), int(key_v[i])) for i in _greedy_mis(indptr, indices)
+    }
+
+
 class TestGreedyMis:
     def test_empty(self):
-        assert greedy_mis({}) == set()
+        assert greedy_keys([], 4) == set()
 
     def test_independent_and_maximal(self):
-        adjacency = {
-            (0, 1): {(1, 2)},
-            (1, 2): {(0, 1), (2, 3)},
-            (2, 3): {(1, 2)},
-        }
-        mis = greedy_mis(adjacency)
-        for node in mis:
-            assert not adjacency[node] & mis
-        for node in adjacency:
-            assert node in mis or adjacency[node] & mis
+        rng = np.random.default_rng(11)
+        edges = [(u, u + 1, 1.0) for u in range(0, 60, 2)]
+        pairs = []
+        for _ in range(70):
+            i, j = rng.choice(len(edges), size=2, replace=False)
+            pairs.append((edges[i], edges[j]))
+        _, _, indptr, indices = conflict_graph_arrays(pairs, 61)
+        mis = set(_greedy_mis(indptr, indices))
+        for node in range(indptr.size - 1):
+            nbrs = set(indices[indptr[node] : indptr[node + 1]].tolist())
+            if node in mis:
+                assert not nbrs & mis
+            else:
+                assert nbrs & mis
 
     def test_prefers_low_ids(self):
-        adjacency = {(0, 1): {(5, 6)}, (5, 6): {(0, 1)}}
-        assert greedy_mis(adjacency) == {(0, 1)}
+        assert greedy_keys([((5, 6, 1.0), (0, 1, 1.0))], 7) == {(0, 1)}
+        # A low-keyed hub shuts out all its leaves; a high-keyed hub is
+        # dropped in favor of them.
+        hub, leaves = (0, 1, 1.0), [(2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)]
+        assert greedy_keys([(leaf, hub) for leaf in leaves], 8) == {(0, 1)}
+        hub = (8, 9, 1.0)
+        assert greedy_keys([(leaf, hub) for leaf in leaves], 10) == {
+            (2, 3), (4, 5), (6, 7),
+        }
 
 
 class TestFindRedundantPairs:
@@ -94,10 +116,18 @@ class TestFindRedundantPairs:
 
 class TestConflictGraphAndRemoval:
     def test_conflict_graph_symmetric(self):
-        pairs = [(((0, 1, 1.0)), ((2, 3, 1.0)))]
-        adjacency = build_conflict_graph(pairs)
-        assert adjacency[(0, 1)] == {(2, 3)}
-        assert adjacency[(2, 3)] == {(0, 1)}
+        pairs = [((2, 3, 1.0), (1, 0, 1.0))]
+        key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, 4)
+        assert list(zip(key_u.tolist(), key_v.tolist())) == [(0, 1), (2, 3)]
+        assert indptr.tolist() == [0, 1, 2]
+        assert indices.tolist() == [1, 0]
+
+    def test_conflict_graph_empty(self):
+        """No pairs gives zero nodes: one indptr entry, int64 throughout
+        (the static driver builds it every phase, pairs or not)."""
+        arrays = conflict_graph_arrays([], 4)
+        assert [a.tolist() for a in arrays] == [[], [], [0], []]
+        assert all(a.dtype == np.int64 for a in arrays)
 
     def test_removal_keeps_counterpart(self):
         """Every removed edge must keep a surviving redundant partner
@@ -112,9 +142,13 @@ class TestConflictGraphAndRemoval:
         )
         assert len(outcome.removed) == 1
         assert len(outcome.kept) == 1
-        removed_key = (outcome.removed[0][0], outcome.removed[0][1])
-        kept_keys = {(u, v) for u, v, _ in outcome.kept}
-        assert outcome.conflict_graph[removed_key] & kept_keys
+        pairs = find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
+        kept = set(outcome.kept)
+        for edge in outcome.removed:
+            assert any(
+                (edge == a and b in kept) or (edge == b and a in kept)
+                for a, b in pairs
+            )
         # spanner mutated accordingly
         assert spanner.num_edges == 1
 
@@ -127,19 +161,79 @@ class TestConflictGraphAndRemoval:
         )
         assert not outcome.removed and spanner.num_edges == 1
 
-    def test_custom_mis_function_used(self):
-        """The MIS hook decides who survives."""
-        h = make_h([(0, 2, 0.01), (1, 3, 0.01)], 4)
-        spanner = Graph(4)
-        spanner.add_edge(0, 1, 1.0)
-        spanner.add_edge(2, 3, 1.0)
-        added = [(0, 1, 1.0), (2, 3, 1.0)]
+    def test_remove_unchosen_matches_keys_either_orientation(self):
+        """An added edge named high endpoint first still matches its
+        node key; unimplicated edges stay, and both lists keep the
+        order of ``added``."""
+        added = [(3, 2, 1.0), (4, 5, 1.0), (1, 0, 1.0), (7, 6, 1.0)]
+        spanner = Graph(8)
+        for u, v, w in added:
+            spanner.add_edge(u, v, w)
+        pairs = [(added[0], added[2]), (added[3], added[0])]
+        key_u, key_v, _, _ = conflict_graph_arrays(pairs, 8)
+        assert list(zip(key_u.tolist(), key_v.tolist())) == [
+            (0, 1), (2, 3), (6, 7),
+        ]
+        removed, kept = remove_unchosen(spanner, added, key_u, key_v, [0, 2])
+        assert removed == [(3, 2, 1.0)]
+        assert kept == [(4, 5, 1.0), (1, 0, 1.0), (7, 6, 1.0)]
+        assert spanner.edge_set() == {(4, 5), (0, 1), (6, 7)}
 
-        def keep_high(adjacency):
-            return {max(adjacency)}
+    def test_luby_choice_keeps_counterpart(self):
+        """The distributed driver drops Luby's complement through the
+        same helper; every dropped edge keeps a surviving partner."""
+        rng = np.random.default_rng(4)
+        added = [(u, u + 1, 1.0) for u in range(0, 40, 2)]
+        pairs = []
+        for _ in range(45):
+            i, j = rng.choice(len(added), size=2, replace=False)
+            pairs.append((added[i], added[j]))
+        spanner = Graph(40)
+        for u, v, w in added:
+            spanner.add_edge(u, v, w)
+        key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, 40)
+        chosen = run_luby_mis_arrays(indptr, indices, seed=3).independent_set
+        removed, kept = remove_unchosen(spanner, added, key_u, key_v, chosen)
+        assert removed
+        assert len(removed) == len(key_u) - len(chosen)
+        assert sorted(spanner.edges()) == sorted(kept)
+        survivors = set(kept)
+        for edge in removed:
+            assert any(
+                (edge == a and b in survivors) or (edge == b and a in survivors)
+                for a, b in pairs
+            )
 
+    def _removal(self, h_edges, added):
+        h = make_h(h_edges, 6)
+        spanner = Graph(6)
+        for u, v, w in added:
+            spanner.add_edge(u, v, w)
         outcome = remove_redundant_edges(
-            spanner, added, h, t1=1.2, w_cur=1.0, mis=keep_high
+            spanner, added, h, t1=1.15, w_cur=1.0
         )
-        assert outcome.removed[0][:2] == (0, 1)
-        assert spanner.has_edge(2, 3)
+        assert sorted(spanner.edges()) == sorted(outcome.kept)
+        return outcome
+
+    def test_conflict_path_keeps_both_ends(self):
+        """a-b and b-c are redundant pairs, a-c is not (its H detours
+        sum to 1.2 > t1): the greedy MIS in key order keeps a and c."""
+        a, b, c = (0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)
+        h_edges = [(0, 2, 0.05), (1, 3, 0.05), (2, 4, 0.05), (3, 5, 0.05)]
+        outcome = self._removal(h_edges, [c, b, a])
+        assert outcome.num_pairs == 2
+        assert outcome.removed == (b,)
+        assert outcome.kept == (c, a)
+
+    def test_triangle_keeps_lowest_key(self):
+        """All three pairs are redundant; only the lowest key survives,
+        whatever order the phase added the edges in."""
+        a, b, c = (0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)
+        h_edges = [
+            (0, 2, 0.05), (1, 3, 0.05), (2, 4, 0.05),
+            (3, 5, 0.05), (0, 4, 0.05), (1, 5, 0.05),
+        ]
+        outcome = self._removal(h_edges, [c, b, a])
+        assert outcome.num_pairs == 3
+        assert outcome.removed == (c, b)
+        assert outcome.kept == (a,)

@@ -18,28 +18,36 @@ of any relevant ``H``-path by ``2 + ceil(t*r/delta)``.
 Since ``L1 <= L2``, an ``H``-path within a query's cutoff stays inside the
 ``G'``-ball of that radius around the query endpoints, so the drivers
 build ``H`` only over that region (:func:`build_cluster_graph`).
+
+Nothing mutates ``H`` after step iii, and steps iv and v read it only
+through the path kernels, so :class:`ClusterGraph` holds it as one
+symmetric CSR matrix built straight from the intra- and inter-cluster
+edge arrays -- the same coo -> csr construction
+:meth:`repro.graphs.graph.Graph.csr` applies, so every kernel reads the
+rows a :class:`~repro.graphs.graph.Graph` of the same edges would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..exceptions import GraphError
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, check_edge_arrays, symmetric_csr
 from ..graphs.paths import (
-    dijkstra,
     multi_source_ball_lists,
     multi_source_distances,
     nearest_source_distances,
-    pair_distance_matrix,
     pair_distances,
     prefer_batched_sources,
     source_block_size,
 )
 from .cover import ClusterCover
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: Relative slack on the region radius: ``H``-path and ``G'`` Dijkstra
 #: float sums may differ in their last bits; a larger region is safe.
@@ -56,11 +64,18 @@ __all__ = [
 class ClusterGraph:
     """Cluster graph ``H`` with its bookkeeping.
 
+    ``H`` is read-only once built, so it is held as one symmetric CSR
+    matrix and nothing else: the path kernels of
+    :mod:`repro.graphs.paths` read a graph only through
+    :attr:`num_vertices` and :meth:`csr`, so steps iv and v run on it
+    as they run on a :class:`~repro.graphs.graph.Graph`.
+
     Attributes
     ----------
-    graph:
-        The cluster graph itself (same vertex ids as the spanner; only
-        centers and members carry edges).
+    matrix:
+        ``H``'s symmetric ``n x n`` :class:`scipy.sparse.csr_matrix`
+        (same vertex ids as the spanner; only centers and members carry
+        edges), canonical like :meth:`Graph.csr`.
     cover:
         The cluster cover ``H`` was built from.
     w_prev:
@@ -69,46 +84,21 @@ class ClusterGraph:
         Edge-type counts (Lemma 6 bounds inter-cluster degree).
     """
 
-    graph: Graph
+    matrix: csr_matrix
     cover: ClusterCover
     w_prev: float
     num_intra_edges: int
     num_inter_edges: int
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def distance(self, x: int, y: int, *, cutoff: float | None = None) -> float:
-        """Shortest-path distance ``sp_H(x, y)``.
+    @property
+    def num_vertices(self) -> int:
+        """Number of vertices ``n`` (the spanner's)."""
+        return self.matrix.shape[0]
 
-        Returns ``inf`` when no path exists (within ``cutoff`` if given).
-        """
-        if x == y:
-            return 0.0
-        return dijkstra(self.graph, x, cutoff=cutoff, targets={y}).get(
-            y, float("inf")
-        )
-
-    def distances_from(
-        self, x: int, *, cutoff: float | None = None
-    ) -> dict[int, float]:
-        """All ``sp_H(x, .)`` distances within ``cutoff``.
-
-        Single-source dict form (the scalar reference); batch callers
-        use :meth:`distance_rows` instead.
-        """
-        return dijkstra(self.graph, x, cutoff=cutoff)
-
-    def distance_rows(
-        self, sources: Sequence[int], *, cutoff: float | None = None
-    ) -> np.ndarray:
-        """Batched ``sp_H`` distances as a ``(k, n)`` array.
-
-        One C-level multi-source Dijkstra over ``H``'s cached CSR
-        snapshot; row ``i`` holds ``sp_H(sources[i], .)`` with ``inf``
-        beyond ``cutoff``.  The array analogue of
-        :meth:`distances_from` backing the vectorized redundancy check
-        and query answering.
-        """
-        return multi_source_distances(self.graph, sources, cutoff=cutoff)
+    def csr(self):
+        """``H``'s CSR matrix (treat as read-only, like :meth:`Graph.csr`)."""
+        return self.matrix
 
     def distance_pairs(
         self,
@@ -119,52 +109,37 @@ class ClusterGraph:
     ) -> np.ndarray:
         """Batched ``sp_H(us[i], vs[i])`` for aligned endpoint arrays.
 
-        ``H``'s side of the batched distance-oracle contract (the
-        graph-metric ``pairs`` query): one call answers a whole phase's
-        endpoint pairs through :func:`repro.graphs.paths.pair_distances`,
-        which picks the dense blocked rows or the sparse frontier-sharing
-        search per call.  Entries beyond ``cutoff`` (or unreachable) are
-        ``inf``.  Query answering routes through this method;
-        redundancy detection uses the cross-product form
-        :meth:`distance_matrix`.
+        One :func:`repro.graphs.paths.pair_distances` call, which picks
+        the dense blocked rows or the sparse frontier-sharing search per
+        call.  Entries beyond ``cutoff`` (or unreachable) are ``inf``.
+        Query answering (step iv) and the F7 sandwich check read ``H``
+        through this method.
         """
-        return pair_distances(self.graph, us, vs, cutoff=cutoff)
-
-    def distance_matrix(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        *,
-        cutoff: float | None = None,
-    ) -> np.ndarray:
-        """``sp_H`` over the ``sources x targets`` cross product.
-
-        The structured companion of :meth:`distance_pairs` (one batched
-        oracle call per phase instead of ``k^2`` aligned pairs), backing
-        the redundancy endpoint matrix.  See
-        :func:`repro.graphs.paths.pair_distance_matrix`.
-        """
-        return pair_distance_matrix(
-            self.graph, sources, targets, cutoff=cutoff
-        )
+        return pair_distances(self, us, vs, cutoff=cutoff)
 
     def inter_center_degree(self) -> int:
         """Maximum number of inter-cluster edges at any center (Lemma 6).
 
-        Counted as one pass over ``H``'s edge arrays (edges with both
+        Counted as one pass over ``H``'s CSR rows (entries with both
         endpoints centers), not a per-center neighbor scan;
         :func:`build_cluster_graph` records it as it builds.
         """
         got = self._cache.get("inter_center_degree")
         if got is None:
-            g = self.graph
-            us, vs, _ = g.edges_arrays()
-            is_center = np.zeros(g.num_vertices, dtype=bool)
-            is_center[list(self.cover.centers)] = True
-            both = is_center[us] & is_center[vs]
-            got = _max_degree(us[both], vs[both])
+            n = self.num_vertices
+            mat = self.matrix
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
+            is_center = _center_mask(self.cover, n)
+            both = is_center[rows] & is_center[mat.indices]
+            got = int(np.bincount(rows[both], minlength=1).max())
             self._cache["inter_center_degree"] = got
         return got
+
+
+def _center_mask(cover: ClusterCover, n: int) -> np.ndarray:
+    """``mask[v]`` iff ``v`` is a center: the vertex is its own center."""
+    center_of, _ = cover.index_arrays(n)
+    return center_of == np.arange(n, dtype=np.int64)
 
 
 def _max_degree(us: np.ndarray, vs: np.ndarray) -> int:
@@ -218,13 +193,16 @@ def build_cluster_graph(
     for bit.  The Lemma 5 check still covers every crossing pair: one
     whose crossing edge joins the two centers is certified by that edge,
     and every other pair gets its lower center's row, in ``U`` or not.
+
+    The centers are the vertices the cover assigns to themselves.  The
+    edges pass :func:`~repro.graphs.graph.check_edge_arrays` and a
+    no-repeat check before they become ``H``'s matrix.
     """
     if w_prev <= 0.0:
         raise GraphError(f"w_prev must be positive, got {w_prev}")
     if delta <= 0.0:
         raise GraphError(f"delta must be positive, got {delta}")
     n = spanner.num_vertices
-    h = Graph(n)
     center_of, center_dist = cover.index_arrays(n)
     in_region = np.ones(n, dtype=bool)
     if queries is not None:
@@ -239,10 +217,8 @@ def build_cluster_graph(
     own_center = center_of[assigned]
     own_dist = center_dist[assigned]
     intra = (assigned != own_center) & (own_dist > 0.0) & in_region[own_center]
-    h.add_weighted_edges_arrays(
-        own_center[intra], assigned[intra], own_dist[intra]
-    )
-    num_intra = int(np.count_nonzero(intra))
+    intra_a, intra_b = own_center[intra], assigned[intra]
+    intra_d = own_dist[intra]
 
     # Candidate inter-cluster pairs from condition (ii): spanner edges
     # that cross between clusters -- one scan over the edge arrays.
@@ -258,7 +234,7 @@ def build_cluster_graph(
     )
 
     reach = 2.0 * delta * w_prev + max(w_prev, longest_crossing)
-    center_arr = np.asarray(sorted(cover.centers), dtype=np.int64)
+    center_arr = np.flatnonzero(_center_mask(cover, n))
     pos_of = np.full(n, -1, dtype=np.int64)
     pos_of[center_arr] = np.arange(center_arr.size, dtype=np.int64)
     src_arr = np.union1d(center_arr[in_region[center_arr]], pending // n)
@@ -273,8 +249,8 @@ def build_cluster_graph(
     pair_b: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     pair_d: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
     # Center-to-center distances within `reach`: batched multi-source
-    # Dijkstra blocks when the reach balls are wide, per-center dict
-    # search when they are tiny (see prefer_batched_sources).
+    # Dijkstra blocks when the reach balls are wide, the frontier-sharing
+    # sparse search when they are tiny (see prefer_batched_sources).
     if prefer_batched_sources(spanner, src_arr, reach):
         block = source_block_size(spanner)
         for lo in range(0, src_arr.size, block):
@@ -342,12 +318,24 @@ def build_cluster_graph(
         )
     keep = first[in_region[all_a[first]] & in_region[all_b[first]]]
     all_a, all_b = all_a[keep], all_b[keep]
-    h.add_weighted_edges_arrays(all_a, all_b, all_d[keep])
+    us, vs, ws = check_edge_arrays(
+        n,
+        np.concatenate([intra_a, all_a]),
+        np.concatenate([intra_b, all_b]),
+        np.concatenate([intra_d, all_d[keep]]),
+    )
+    keys = np.sort(np.minimum(us, vs) * np.int64(n) + np.maximum(us, vs))
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if twice.size:
+        key = int(keys[twice[0]])
+        raise GraphError(
+            f"cluster-graph edge ({key // n}, {key % n}) appears twice"
+        )
     cluster_graph = ClusterGraph(
-        graph=h,
+        matrix=symmetric_csr(n, us, vs, ws),
         cover=cover,
         w_prev=w_prev,
-        num_intra_edges=num_intra,
+        num_intra_edges=int(intra_a.size),
         num_inter_edges=int(all_a.size),
     )
     cluster_graph._cache["inter_center_degree"] = _max_degree(all_a, all_b)

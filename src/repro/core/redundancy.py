@@ -22,6 +22,12 @@ CSR conflict graph (:func:`conflict_graph_arrays`) and the deletion
 (:func:`remove_unchosen`); they differ only in the MIS.  The sequential
 driver (:func:`remove_redundant_edges`) takes the greedy MIS in node
 order, the distributed one a Luby protocol run.
+
+The pair search never enumerates all ``k^2`` pairs of the phase's
+``k`` additions.  Both conditions of a pairing add an ``sp_H`` term
+between the two edges' endpoints, so only endpoints within ``t1 * W_i``
+of each other in ``H`` can make a pair redundant; the search reads
+those finite endpoint distances and tests only the pairs they reach.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from typing import Iterable
 
 import numpy as np
 
+from ..arrayops import run_expand
 from ..exceptions import GraphError
 from ..graphs.graph import Graph
+from ..graphs.paths import pair_distance_entries
 from .cluster_graph import ClusterGraph
 
 __all__ = [
@@ -71,19 +79,41 @@ def _edge_key(edge: Edge) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
 
-def _endpoint_distance_matrix(
-    cluster_graph: ClusterGraph, endpoints: list[int], cutoff: float
-) -> np.ndarray:
-    """``D[i, j] = sp_H(endpoints[i], endpoints[j])`` within ``cutoff``.
+def _by_endpoint(
+    ends: np.ndarray, num_ends: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group edge indices by endpoint index: the edges whose endpoint is
+    ``p`` are ``order[starts[p]:starts[p + 1]]``, ascending."""
+    order = np.argsort(ends, kind="stable")
+    starts = np.searchsorted(ends[order], np.arange(num_ends + 1))
+    return order, starts
 
-    One :meth:`ClusterGraph.distance_matrix` call over the endpoint
-    cross product -- the graph-metric batched oracle query, which picks
-    dense blocked rows when the cutoff balls are wide and the sparse
-    frontier-sharing scatter when they are tiny.  Entries beyond
-    ``cutoff`` hold ``inf``.
-    """
-    ep_arr = np.asarray(endpoints, dtype=np.int64)
-    return cluster_graph.distance_matrix(ep_arr, ep_arr, cutoff=cutoff)
+
+def _pairs_through(
+    p: np.ndarray,
+    q: np.ndarray,
+    first: tuple[np.ndarray, np.ndarray],
+    second: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, j)`` with edge ``i``'s ``first`` endpoint at ``p[e]``
+    and edge ``j``'s ``second`` endpoint at ``q[e]``, for some entry
+    ``e``: the cartesian product of the two groups, per entry."""
+    order_i, starts_i = first
+    order_j, starts_j = second
+    ni = starts_i[p + 1] - starts_i[p]
+    nj = starts_j[q + 1] - starts_j[q]
+    sizes = ni * nj
+    keep = sizes > 0
+    p, q, nj, sizes = p[keep], q[keep], nj[keep], sizes[keep]
+    if sizes.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    entry = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    within = run_expand(np.zeros(sizes.size, dtype=np.int64), sizes)
+    step_j = nj[entry]
+    i = order_i[starts_i[p][entry] + within // step_j]
+    j = order_j[starts_j[q][entry] + within % step_j]
+    return i, j
 
 
 def find_redundant_pairs(
@@ -95,12 +125,20 @@ def find_redundant_pairs(
 ) -> list[tuple[Edge, Edge]]:
     """All mutually redundant pairs among this phase's added edges.
 
-    The O(|added|^2) pairwise test runs as one broadcast over stacked
-    endpoint distance rows: both endpoint pairings of the Section 2.2.5
-    conditions are evaluated for every ordered pair at once, then the
-    upper triangle is read off in ``(i, j)`` loop order.  The
-    equivalence suite pins it bit-identical to a per-pair scalar
-    reference (same float expressions in the same evaluation order).
+    Every condition of a pair ``(i, j)`` adds the ``sp_H`` distance
+    between an endpoint of edge ``i`` and one of edge ``j``, so a pair
+    can only be redundant where those distances are within the cutoff
+    ``t1 * W_i``.  One :func:`~repro.graphs.paths.pair_distance_entries`
+    call returns just those finite endpoint distances; each entry
+    ``(p, q)`` expands to the pairs ``(i, j)``, ``i < j``, whose first
+    term ``sp_H(u_i, u_j)`` or ``sp_H(u_i, v_j)`` it is, and only those
+    candidates look up their second term and test both pairings of
+    the Section 2.2.5 conditions.  Every other pair has an infinite
+    first term under both pairings and fails both tests.  The equivalence
+    suite pins the result bit-identical, in order, to a per-pair scalar
+    reference: the same float expressions in the same evaluation order,
+    ``sp_H(a, b)`` always read from ``a``'s row, pairs listed ``(i, j)``
+    row-major.
 
     Parameters
     ----------
@@ -113,32 +151,54 @@ def find_redundant_pairs(
         Redundancy stretch, ``1 < t1 < t``.
     w_cur:
         Current bin boundary ``W_i``; redundancy conditions can only hold
-        when ``sp_H`` terms are at most ``t1 * W_i``, so Dijkstra runs are
+        when ``sp_H`` terms are at most ``t1 * W_i``, so the searches are
         cut off there.
     """
     if t1 <= 1.0:
         raise GraphError(f"t1 must be > 1, got {t1}")
     if not added:
         return []
-    cutoff = t1 * w_cur
-    endpoints = sorted({p for u, v, _ in added for p in (u, v)})
-    D = _endpoint_distance_matrix(cluster_graph, endpoints, cutoff)
-    index = {p: i for i, p in enumerate(endpoints)}
-    iu = np.asarray([index[u] for u, _, _ in added], dtype=np.int64)
-    iv = np.asarray([index[v] for _, v, _ in added], dtype=np.int64)
+    k = len(added)
+    us = np.asarray([u for u, _, _ in added], dtype=np.int64)
+    vs = np.asarray([v for _, v, _ in added], dtype=np.int64)
     w = np.asarray([length for _, _, length in added], dtype=np.float64)
-    w_i, w_j = w[:, None], w[None, :]
-    # Pairing (u, x), (v, y): s1 = sp_H(u, x), s2 = sp_H(v, y).
-    s1 = D[iu[:, None], iu[None, :]]
-    s2 = D[iv[:, None], iv[None, :]]
+    endpoints, inverse = np.unique(
+        np.concatenate([us, vs]), return_inverse=True
+    )
+    iu, iv = inverse[:k], inverse[k:]
+    e = np.int64(endpoints.size)
+    row, col, dist = pair_distance_entries(
+        cluster_graph, endpoints, endpoints, cutoff=t1 * w_cur
+    )
+    keys = row * e + col  # sorted: entries come row-major
+
+    def sp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``sp_H(endpoints[a], endpoints[b])`` from ``a``'s row."""
+        want = a * e + b
+        pos = np.searchsorted(keys, want)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == want[found]
+        out = np.full(want.size, np.inf)
+        out[found] = dist[pos[found]]
+        return out
+
+    by_u = _by_endpoint(iu, endpoints.size)
+    by_v = _by_endpoint(iv, endpoints.size)
+    # Candidates: s1 = sp(u_i, u_j) finite (pairing (u, x), (v, y)) or
+    # s1 = sp(u_i, v_j) finite (pairing (u, y), (v, x)).
+    ia, ja = _pairs_through(row, col, by_u, by_u)
+    ib, jb = _pairs_through(row, col, by_u, by_v)
+    cand = np.concatenate([ia * k + ja, ib * k + jb])
+    cand = np.unique(cand[np.concatenate([ia < ja, ib < jb])])
+    i, j = cand // k, cand % k
+    w_i, w_j = w[i], w[j]
+    s1, s2 = sp(iu[i], iu[j]), sp(iv[i], iv[j])
     red = (s1 + w_j + s2 <= t1 * w_i) & (s1 + w_i + s2 <= t1 * w_j)
     # Pairing (u, y), (v, x) -- the d_J minimum over both pairings.
-    s1 = D[iu[:, None], iv[None, :]]
-    s2 = D[iv[:, None], iu[None, :]]
+    s1, s2 = sp(iu[i], iv[j]), sp(iv[i], iu[j])
     red |= (s1 + w_j + s2 <= t1 * w_i) & (s1 + w_i + s2 <= t1 * w_j)
-    red &= np.tri(len(added), k=-1, dtype=bool).T  # strict upper triangle
     return [
-        (added[i], added[j]) for i, j in np.argwhere(red).tolist()
+        (added[a], added[b]) for a, b in zip(i[red].tolist(), j[red].tolist())
     ]
 
 

@@ -246,9 +246,6 @@ class RelaxedGreedySpanner:
             )
         binning = EdgeBinning.for_params(params, n)
         bins = binning.assign(graph.edges())
-        result = SpannerResult(
-            Graph(n), params, num_bins=binning.num_bins
-        )
 
         # ---- phase 0 ------------------------------------------------
         short = bins.pop(0, [])
@@ -256,6 +253,7 @@ class RelaxedGreedySpanner:
             graph, short, dist, params.t, check_clique=self._check_clique
         )
         spanner = outcome.spanner
+        result = SpannerResult(spanner, params, num_bins=binning.num_bins)
         if short:
             result.phases.append(
                 PhaseReport(
@@ -273,8 +271,6 @@ class RelaxedGreedySpanner:
                 spanner, bins[i], i, binning, dist
             )
             result.phases.append(report)
-
-        result.spanner = spanner
         return result
 
     # ------------------------------------------------------------------

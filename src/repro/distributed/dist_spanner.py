@@ -226,12 +226,11 @@ class DistributedRelaxedGreedy:
         params = self.params
         n = graph.num_vertices
         ledger = RoundLedger()
-        result = DistributedSpannerResult(
-            spanner=Graph(n), params=params, ledger=ledger
-        )
         self._clock = 0.0
         if n == 0:
-            return result
+            return DistributedSpannerResult(
+                spanner=Graph(0), params=params, ledger=ledger
+            )
         max_len = graph.max_edge_weight()
         if max_len > 1.0 + 1e-9:
             raise GraphError(
@@ -239,11 +238,18 @@ class DistributedRelaxedGreedy:
             )
         binning = EdgeBinning.for_params(params, n)
         bins = binning.assign(graph.edges())
-        result.num_bins = binning.num_bins
 
-        spanner = self._phase_zero(
-            graph, bins.pop(0, []), dist, ledger, result
+        spanner, report = self._phase_zero(
+            graph, bins.pop(0, []), dist, ledger
         )
+        result = DistributedSpannerResult(
+            spanner=spanner,
+            params=params,
+            ledger=ledger,
+            num_bins=binning.num_bins,
+        )
+        if report is not None:
+            result.phases.append(report)
 
         phase_indices = (
             range(1, binning.num_bins + 1) if self._process_empty else sorted(bins)
@@ -258,7 +264,6 @@ class DistributedRelaxedGreedy:
 
         if self._fault_plan is not None:
             self._finalize_faults(graph, spanner, result)
-        result.spanner = spanner
         return result
 
     # ------------------------------------------------------------------
@@ -332,18 +337,18 @@ class DistributedRelaxedGreedy:
         short_edges: list[tuple[int, int, float]],
         dist: DistanceOracle,
         ledger: RoundLedger,
-        result: DistributedSpannerResult,
-    ) -> Graph:
+    ) -> tuple[Graph, PhaseReport | None]:
         """Theorem 14: process ``E_0`` in O(1) real message rounds.
 
         Every node floods its incident short edges one hop; each node
         then knows the full topology of its ``G_0`` component (Lemma 1
         puts the component inside its closed neighborhood), computes the
         same deterministic clique spanner, and keeps its incident edges.
-        One more round announces kept edges to neighbors.
+        One more round announces kept edges to neighbors.  Returns the
+        phase-0 spanner and its report (``None`` without short edges).
         """
         if not short_edges:
-            return Graph(graph.num_vertices)
+            return Graph(graph.num_vertices), None
         facts = {u: set() for u in graph.vertices()}
         for u, v, w in short_edges:
             facts[u].add((u, v, w))
@@ -364,16 +369,13 @@ class DistributedRelaxedGreedy:
         outcome = process_short_edges(
             graph, short_edges, dist, self.params.t, check_clique=False
         )
-        result.phases.append(
-            PhaseReport(
-                index=0,
-                w_prev=0.0,
-                w_cur=self.params.w0(graph.num_vertices),
-                num_bin_edges=len(short_edges),
-                num_added=outcome.spanner.num_edges,
-            )
+        return outcome.spanner, PhaseReport(
+            index=0,
+            w_prev=0.0,
+            w_cur=self.params.w0(graph.num_vertices),
+            num_bin_edges=len(short_edges),
+            num_added=outcome.spanner.num_edges,
         )
-        return outcome.spanner
 
     # ------------------------------------------------------------------
     def _proximity_graph(

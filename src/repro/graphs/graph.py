@@ -16,6 +16,11 @@ stays small.  Arrays handed out stay frozen: the log copies itself
 before any in-place write (copy-on-write), and a new matrix replaces
 the cached one rather than mutating it, so callers may hold either
 across later mutations.
+
+The batch edge checks and the CSR build are module functions
+(:func:`check_edge_arrays`, :func:`symmetric_csr`): the cluster graph of
+step iii uses them to become a matrix without ever being a
+:class:`Graph`.
 """
 
 from __future__ import annotations
@@ -26,10 +31,69 @@ import numpy as np
 
 from ..exceptions import GraphError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "check_edge_arrays", "symmetric_csr"]
 
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
+
+
+def check_edge_arrays(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a batch of edges ``(u[i], v[i], w[i])`` on ``n`` vertices.
+
+    The array form of :meth:`Graph.add_edge`'s checks: aligned
+    one-dimensional arrays, endpoints in ``[0, n)``, no self-loops and
+    positive weights.  The first offending edge is named.  Returns the
+    arrays as int64, int64 and float64.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if not (u.ndim == v.ndim == w.ndim == 1):
+        raise GraphError("edge arrays must be one-dimensional")
+    if not (u.shape == v.shape == w.shape):
+        raise GraphError(
+            "edge arrays must be aligned: "
+            f"got shapes {u.shape}, {v.shape}, {w.shape}"
+        )
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        vertex = int(u[i]) if not 0 <= u[i] < n else int(v[i])
+        raise GraphError(f"vertex {vertex} out of range [0, {n})")
+    loops = u == v
+    if loops.any():
+        i = int(np.flatnonzero(loops)[0])
+        raise GraphError(f"self-loop at vertex {int(u[i])} not allowed")
+    bad_w = ~(w > 0.0)  # catches non-positive and NaN weights
+    if bad_w.any():
+        i = int(np.flatnonzero(bad_w)[0])
+        raise GraphError(
+            "edge weight must be positive, got "
+            f"{float(w[i])} for ({int(u[i])}, {int(v[i])})"
+        )
+    return u, v, w
+
+
+def symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """Symmetric ``n x n`` :class:`scipy.sparse.csr_matrix` of the
+    undirected edges ``(u[i], v[i], w[i])``.
+
+    One C-level coo -> csr pass over both orientations.  The result is
+    canonical (columns sorted within each row), so it does not depend
+    on the order of the edges.  The edges must be distinct: a repeated
+    pair would have its weights summed.
+    """
+    from scipy.sparse import coo_matrix
+
+    return coo_matrix(
+        (
+            np.concatenate([w, w]),
+            (np.concatenate([u, v]), np.concatenate([v, u])),
+        ),
+        shape=(n, n),
+    ).tocsr()
 
 
 class Graph:
@@ -310,42 +374,16 @@ class Graph:
     ) -> None:
         """Bulk edge insertion from aligned numpy arrays.
 
-        Validates the whole batch up front with array checks (bounds,
-        self-loops, positive weights -- the same invariants
-        :meth:`add_edge` enforces per edge) and then inserts with one
-        tight loop, avoiding per-edge validation dispatch.  Semantics
-        match repeated :meth:`add_edge` calls: later duplicates overwrite
-        earlier weights.
+        Validates the whole batch up front with
+        :func:`check_edge_arrays` (bounds, self-loops, positive weights
+        -- the same invariants :meth:`add_edge` enforces per edge) and
+        then inserts with one tight loop, avoiding per-edge validation
+        dispatch.  Semantics match repeated :meth:`add_edge` calls: later
+        duplicates overwrite earlier weights.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
-        if not (u.ndim == v.ndim == w.ndim == 1):
-            raise GraphError("edge arrays must be one-dimensional")
-        if not (u.shape == v.shape == w.shape):
-            raise GraphError(
-                "edge arrays must be aligned: "
-                f"got shapes {u.shape}, {v.shape}, {w.shape}"
-            )
+        u, v, w = check_edge_arrays(len(self._adj), u, v, w)
         if u.shape[0] == 0:
             return
-        n = len(self._adj)
-        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            vertex = int(u[i]) if not 0 <= u[i] < n else int(v[i])
-            raise GraphError(f"vertex {vertex} out of range [0, {n})")
-        loops = u == v
-        if loops.any():
-            i = int(np.flatnonzero(loops)[0])
-            raise GraphError(f"self-loop at vertex {int(u[i])} not allowed")
-        bad_w = ~(w > 0.0)  # catches non-positive and NaN weights
-        if bad_w.any():
-            i = int(np.flatnonzero(bad_w)[0])
-            raise GraphError(
-                "edge weight must be positive, got "
-                f"{float(w[i])} for ({int(u[i])}, {int(v[i])})"
-            )
         adj = self._adj
         row_of = self._row_of
         k = u.shape[0]
@@ -495,24 +533,13 @@ class Graph:
         """Symmetric :class:`scipy.sparse.csr_matrix` snapshot of the graph.
 
         What the dense analysis, path, MST and component kernels and the
-        sparse ball kernels consume.  Built from :meth:`edges_arrays` in
-        one C-level coo -> csr pass (canonical: rows sorted, no
-        duplicates) and cached until the next mutation.  Treat the
+        sparse ball kernels consume.  Built from :meth:`edges_arrays` by
+        :func:`symmetric_csr` and cached until the next mutation.  Treat the
         result as read-only (every kernel does); it is never mutated in
         place, so held references stay valid across graph mutations.
         """
         if self._csr is None:
-            from scipy.sparse import coo_matrix
-
-            us, vs, ws = self.edges_arrays()
-            n = self.num_vertices
-            self._csr = coo_matrix(
-                (
-                    np.concatenate([ws, ws]),
-                    (np.concatenate([us, vs]), np.concatenate([vs, us])),
-                ),
-                shape=(n, n),
-            ).tocsr()
+            self._csr = symmetric_csr(self.num_vertices, *self.edges_arrays())
         return self._csr
 
     def __repr__(self) -> str:

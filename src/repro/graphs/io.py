@@ -60,6 +60,13 @@ def load_instance(path: str | Path) -> tuple[Graph, PointSet | None, dict]:
     -------
     (graph, points, metadata)
         ``points`` is ``None`` when the file stored no coordinates.
+
+    Raises
+    ------
+    GraphError
+        On an unknown schema, an invalid edge, or a point list whose
+        length differs from the vertex count (the instance
+        :func:`save_instance` refuses to write).
     """
     payload = json.loads(Path(path).read_text())
     if payload.get("schema") != _SCHEMA:
@@ -72,4 +79,9 @@ def load_instance(path: str | Path) -> tuple[Graph, PointSet | None, dict]:
     points = (
         PointSet(payload["points"]) if payload.get("points") is not None else None
     )
+    if points is not None and len(points) != graph.num_vertices:
+        raise GraphError(
+            f"points ({len(points)}) and graph ({graph.num_vertices}) "
+            f"disagree in {path}"
+        )
     return graph, points, dict(payload.get("metadata", {}))

@@ -12,7 +12,7 @@ The relaxed greedy algorithm issues three kinds of path queries:
 
 The dict-based primitives remain the reference implementations for single
 queries (the cluster cover grows its few non-trivial balls with
-:func:`dijkstra`).  Three array kernels answer whole batches of sources
+:func:`dijkstra`).  The array kernels answer whole batches of sources
 over :meth:`repro.graphs.graph.Graph.csr`:
 
 * :func:`multi_source_distances` -- dense ``(k, n)`` rows from one
@@ -23,12 +23,18 @@ over :meth:`repro.graphs.graph.Graph.csr`:
   work O(ball mass); best in the tiny-cutoff regimes that dominate the
   relaxed greedy phases;
 * :func:`nearest_source_distances` -- one ``(n,)`` row of distances to
-  the nearest source, the region a phase's queries can read.
+  the nearest source, the region a phase's queries can read;
+* :func:`pair_distances` and :func:`pair_distance_entries` -- the pair
+  forms (aligned endpoint pairs, and the finite entries of a
+  sources x targets cross product) built on the first two.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
 float weights.  :func:`prefer_batched_sources` probes one ball to pick
-the dense-vs-sparse side of that trade per call site.
+the dense-vs-sparse side of that trade per call site.  A graph reaches
+the array kernels and the probe only through ``num_vertices`` and
+``csr()``, so the step iii cluster graph, held as a matrix alone, uses
+them as they are.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ __all__ = [
     "multi_source_trees",
     "nearest_source_distances",
     "pair_distances",
-    "pair_distance_matrix",
+    "pair_distance_entries",
     "NO_PREDECESSOR",
 ]
 
@@ -92,22 +98,24 @@ def source_block_size(graph: Graph) -> int:
 def prefer_batched_sources(
     graph: Graph, sources: Sequence[int], cutoff: float | None
 ) -> bool:
-    """Whether a batched C-level Dijkstra beats the sparse/dict kernels.
+    """Whether a batched C-level Dijkstra beats the sparse kernels.
 
     The batched kernel pays O(n) dense-output setup per source; the
     sparse kernels pay O(ball size) work per source.  Probing one ball
     from the first source puts the query on the right side of that
     trade: batched wins once balls exceed roughly n/64 vertices (the
     measured numpy-vs-Python constant gap), and always wins for
-    unbounded queries.  The probe ball is discarded -- re-searching one
-    small ball in the scalar fallback is noise next to the k that follow.
+    unbounded queries.  The probe counts that ball with
+    :func:`multi_source_ball_lists` over the CSR matrix, so it serves
+    any graph the kernels serve, and discards it -- re-searching one
+    small ball is noise next to the k that follow.
     """
     if cutoff is None:
         return True
     if len(sources) <= 1 or graph.num_vertices < 256:
         return True  # too small for the constants to matter
-    ball = dijkstra(graph, sources[0], cutoff=cutoff)
-    return len(ball) * 64 >= graph.num_vertices
+    starts, _, _ = multi_source_ball_lists(graph, sources[:1], cutoff)
+    return int(starts[1]) * 64 >= graph.num_vertices
 
 
 def multi_source_distances(
@@ -174,7 +182,7 @@ def pair_distances(
     in the tiny-ball regime the frontier-sharing sparse search runs
     instead (see :func:`prefer_batched_sources`).  Both branches fill
     identical floats.  Callers holding a structured cross product
-    should use :func:`pair_distance_matrix` instead of materializing
+    should use :func:`pair_distance_entries` instead of materializing
     the k x t aligned arrays here.
     """
     us = np.asarray(us, dtype=np.int64)
@@ -207,23 +215,24 @@ def pair_distances(
     return np.where(found, ball_d[safe], np.inf)
 
 
-def pair_distance_matrix(
+def pair_distance_entries(
     graph: Graph,
     sources: np.ndarray,
     targets: np.ndarray,
     *,
-    cutoff: float | None = None,
-) -> np.ndarray:
-    """``D[i, j] = sp(sources[i], targets[j])`` within ``cutoff``.
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finite entries of ``D[i, j] = sp(sources[i], targets[j])``.
 
-    The cross-product form of :func:`pair_distances`: one call fills a
-    whole ``(k, t)`` distance matrix (``inf`` beyond ``cutoff`` or when
-    unreachable).  Dense blocked multi-source rows gather the target
-    columns when balls are wide; in the tiny-cutoff regime the
-    frontier-sharing sparse search scatters each ball into its row
-    instead (O(ball mass), no per-cell lookups).  Both branches fill
-    identical floats.  ``targets`` must be distinct (the scatter keys
-    columns by target id); a repeated target raises
+    The cross-product form of :func:`pair_distances`, returned as
+    ``(row, col, dist)`` arrays holding only the entries within
+    ``cutoff``, sorted by ``(row, col)``: every ``(i, j)`` not listed
+    is beyond the cutoff or unreachable.  Dense blocked multi-source
+    rows gather the target columns when balls are wide; in the
+    tiny-cutoff regime the frontier-sharing sparse search maps each
+    ball onto the target columns instead (O(ball mass), no per-cell
+    work).  Both branches return identical arrays.  ``targets`` must be
+    distinct (columns are keyed by target id); a repeated target raises
     :class:`GraphError` naming the first entry that repeats an earlier
     one.
     """
@@ -237,24 +246,30 @@ def pair_distance_matrix(
             f"targets must be distinct: vertex {int(tgt[repeats.min()])} "
             "is repeated"
         )
-    if cutoff is None or prefer_batched_sources(graph, src, cutoff):
-        out = np.empty((src.size, tgt.size), dtype=np.float64)
+    if prefer_batched_sources(graph, src, cutoff):
+        rows_l = [np.empty(0, dtype=np.int64)]
+        cols_l = [np.empty(0, dtype=np.int64)]
+        dist_l = [np.empty(0, dtype=np.float64)]
         block = source_block_size(graph)
         for lo in range(0, src.size, block):
-            rows = multi_source_distances(
+            sub = multi_source_distances(
                 graph, src[lo : lo + block], cutoff=cutoff
-            )
-            out[lo : lo + rows.shape[0]] = rows[:, tgt]
-        return out
-    out = np.full((src.size, tgt.size), np.inf, dtype=np.float64)
+            )[:, tgt]
+            ii, jj = np.nonzero(np.isfinite(sub))
+            rows_l.append(ii + lo)
+            cols_l.append(jj)
+            dist_l.append(sub[ii, jj])
+        return tuple(map(np.concatenate, (rows_l, cols_l, dist_l)))
     starts, ball_v, ball_d = multi_source_ball_lists(graph, src, cutoff)
     pos_of = np.full(graph.num_vertices, -1, dtype=np.int64)
     pos_of[tgt] = np.arange(tgt.size, dtype=np.int64)
     rows_idx = np.repeat(np.arange(src.size, dtype=np.int64), np.diff(starts))
     cols = pos_of[ball_v]
     hit = cols >= 0
-    out[rows_idx[hit], cols[hit]] = ball_d[hit]
-    return out
+    rows_idx, cols, dist = rows_idx[hit], cols[hit], ball_d[hit]
+    # Balls list vertices by id, the entries go by target position.
+    order = np.argsort(rows_idx * np.int64(tgt.size) + cols, kind="stable")
+    return rows_idx[order], cols[order], dist[order]
 
 
 def _ball_search_setup(graph: Graph, sources: Sequence[int], cutoff: float):

@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.cover import ClusterCover
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.paths import dijkstra
+
+
+def as_graph(cluster_graph: ClusterGraph) -> Graph:
+    """``H`` as a dict :class:`Graph`, read off its CSR matrix.
+
+    ``H`` is held as a matrix only; tests that check edges one at a
+    time or run the dict Dijkstra as a scalar reference read this
+    graph instead.  Each undirected edge is taken once, from the upper
+    triangle.
+    """
+    mat = cluster_graph.csr()
+    n = cluster_graph.num_vertices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
+    upper = rows < mat.indices
+    graph = Graph(n)
+    graph.add_weighted_edges_arrays(
+        rows[upper], mat.indices[upper], mat.data[upper]
+    )
+    return graph
 
 
 def build_cluster_graph_reference(
@@ -17,8 +38,9 @@ def build_cluster_graph_reference(
 ) -> ClusterGraph:
     """Scalar reference construction of ``H_{i-1}``.
 
-    One cutoff dict-Dijkstra per center and per-pair ``add_edge`` calls;
-    the semantic anchor the array assembly of
+    One cutoff dict-Dijkstra per center and per-pair ``add_edge`` calls
+    into a dict :class:`Graph`, whose :meth:`Graph.csr` becomes the
+    returned ``H``'s matrix; the semantic anchor the array assembly of
     :func:`repro.core.cluster_graph.build_cluster_graph` is pinned
     against by the equivalence suite.
     """
@@ -65,7 +87,7 @@ def build_cluster_graph_reference(
                 f"spanner edge exceeds the Lemma 5 bound {reach:.6g}"
             )
     return ClusterGraph(
-        graph=h,
+        matrix=h.csr(),
         cover=cover,
         w_prev=w_prev,
         num_intra_edges=num_intra,

@@ -4,10 +4,22 @@ from __future__ import annotations
 
 from typing import Callable
 
+from oracles.cluster_graph import as_graph
+
 from repro.core.cluster_graph import ClusterGraph
 from repro.exceptions import GraphError
+from repro.graphs.paths import dijkstra
 
 Edge = tuple[int, int, float]
+
+
+def distances_from(
+    cluster_graph: ClusterGraph, x: int, *, cutoff: float | None = None
+) -> dict[int, float]:
+    """All ``sp_H(x, .)`` distances within ``cutoff``: the dict
+    Dijkstra over ``H`` materialized as a :class:`Graph` (the scalar
+    form of the batched kernels)."""
+    return dijkstra(as_graph(cluster_graph), x, cutoff=cutoff)
 
 
 def _mutually_redundant(
@@ -46,7 +58,7 @@ def find_redundant_pairs_reference(
     cutoff = t1 * w_cur
     endpoints = sorted({p for u, v, _ in added for p in (u, v)})
     rows = {
-        p: cluster_graph.distances_from(p, cutoff=cutoff) for p in endpoints
+        p: distances_from(cluster_graph, p, cutoff=cutoff) for p in endpoints
     }
 
     def h_dist(a: int, b: int) -> float:

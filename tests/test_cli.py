@@ -118,6 +118,25 @@ class TestBuild:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("delta", [-10, 1], ids=["short", "long"])
+    def test_point_count_mismatch_exits_with_message(
+        self, instance_path, capsys, delta
+    ):
+        """Too few points used to fail deep in the spanner construction
+        with an IndexError; too many built silently."""
+        payload = json.loads(instance_path.read_text())
+        points = payload["points"]
+        payload["points"] = (
+            points[:delta] if delta < 0 else points + [[0.5, 0.5]] * delta
+        )
+        instance_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["build", str(instance_path), "--epsilon", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"points ({60 + delta}) and graph (60) disagree" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_nan_epsilon_exits_with_message(self, instance_path, capsys):
         capsys.readouterr()
         assert main(["build", str(instance_path), "--epsilon", "nan"]) == 2

@@ -2,14 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from oracles.cluster_graph import as_graph
 
 from repro.core.bins import EdgeBinning
 from repro.core.cluster_graph import build_cluster_graph
 from repro.core.cover import build_cluster_cover
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.paths import dijkstra
+from repro.graphs.paths import dijkstra, dijkstra_distance
 from repro.params import SpannerParams
 
 
@@ -24,10 +26,10 @@ class TestBuildClusterGraph:
     def test_intra_edges_weighted_by_center_distance(self):
         g = path_graph(6, 0.1)
         cover = build_cluster_cover(g, 0.2)  # clusters of 3 consecutive
-        h = build_cluster_graph(g, cover, w_prev=1.0, delta=0.2)
+        h = as_graph(build_cluster_graph(g, cover, w_prev=1.0, delta=0.2))
         for v, center in cover.assignment.items():
             if v != center:
-                assert h.graph.weight(center, v) == pytest.approx(
+                assert h.weight(center, v) == pytest.approx(
                     cover.center_distance[v]
                 )
 
@@ -35,9 +37,9 @@ class TestBuildClusterGraph:
         """Centers within W_prev in G' are joined."""
         g = path_graph(4, 0.3)
         cover = build_cluster_cover(g, 0.0)  # all singleton clusters
-        h = build_cluster_graph(g, cover, w_prev=0.35, delta=0.1)
-        assert h.graph.has_edge(0, 1)  # sp = 0.3 <= 0.35
-        assert not h.graph.has_edge(0, 2)  # sp = 0.6 > 0.35, no crossing...
+        h = as_graph(build_cluster_graph(g, cover, w_prev=0.35, delta=0.1))
+        assert h.has_edge(0, 1)  # sp = 0.3 <= 0.35
+        assert not h.has_edge(0, 2)  # sp = 0.6 > 0.35, no crossing...
 
     def test_inter_edge_condition_ii_crossing(self):
         """A spanner edge crossing two clusters joins their centers even
@@ -52,11 +54,11 @@ class TestBuildClusterGraph:
         cover = build_cluster_cover(g, 0.1)
         a, b = cover.center_of(2), cover.center_of(3)
         assert a != b
-        h = build_cluster_graph(g, cover, w_prev=0.2, delta=0.5)
-        assert h.graph.has_edge(a, b)
+        h = as_graph(build_cluster_graph(g, cover, w_prev=0.2, delta=0.5))
+        assert h.has_edge(a, b)
         # weight is the true sp between centers
         expected = dijkstra(g, a, targets={b})[b]
-        assert h.graph.weight(a, b) == pytest.approx(expected)
+        assert h.weight(a, b) == pytest.approx(expected)
 
     def test_rejects_bad_w_prev(self):
         g = path_graph(3, 0.1)
@@ -81,9 +83,10 @@ class TestBuildClusterGraph:
         g = path_graph(6, 0.1)
         cover = build_cluster_cover(g, 0.2)
         h = build_cluster_graph(g, cover, w_prev=1.0, delta=0.2)
-        assert h.distance(0, 0) == 0.0
-        assert h.distance(0, 5) < float("inf")
-        assert h.distance(0, 5, cutoff=0.01) == float("inf")
+        x, y = np.array([0, 0]), np.array([0, 5])
+        assert h.distance_pairs(x, y)[0] == 0.0
+        assert h.distance_pairs(x, y)[1] < float("inf")
+        assert h.distance_pairs(x, y, cutoff=0.01)[1] == float("inf")
 
 
 class TestLemmaInvariants:
@@ -111,7 +114,7 @@ class TestLemmaInvariants:
         centers = set(cover.centers)
         bound = (2.0 * params.delta + 1.0) * w_prev
         long_phase0 = partial.max_edge_weight() > w_prev
-        for u, v, w in h.graph.edges():
+        for u, v, w in as_graph(h).edges():
             if u in centers and v in centers:
                 if not long_phase0:
                     assert w <= bound + 1e-12
@@ -119,13 +122,12 @@ class TestLemmaInvariants:
     def test_h_never_underestimates(self, phase_setup):
         """sp_H(x,y) >= sp_G'(x,y): H paths are detours, never shortcuts."""
         params, partial, cover, h, w_prev = phase_setup
-        import numpy as np
-
+        hg = as_graph(h)
         rng = np.random.default_rng(1)
         verts = list(partial.vertices())
         for _ in range(15):
             x = int(rng.choice(verts))
-            row_h = dijkstra(h.graph, x, cutoff=3 * w_prev)
+            row_h = dijkstra(hg, x, cutoff=3 * w_prev)
             row_g = dijkstra(partial, x)
             for y, dh in row_h.items():
                 assert dh >= row_g.get(y, float("inf")) - 1e-9
@@ -134,8 +136,7 @@ class TestLemmaInvariants:
         """sp_H <= (1+6d)/(1-2d) * sp_G' for pairs H can see."""
         params, partial, cover, h, w_prev = phase_setup
         ratio = (1.0 + 6.0 * params.delta) / (1.0 - 2.0 * params.delta)
-        import numpy as np
-
+        hg = as_graph(h)
         rng = np.random.default_rng(2)
         verts = list(partial.vertices())
         checked = 0
@@ -145,7 +146,7 @@ class TestLemmaInvariants:
             for y, dg in row_g.items():
                 if y == x or dg == 0:
                     continue
-                dh = h.distance(x, y, cutoff=ratio * dg * 1.001)
+                dh = dijkstra_distance(hg, x, y, cutoff=ratio * dg * 1.001)
                 if not math.isinf(dh):
                     assert dh <= ratio * dg + 1e-9
                     checked += 1
@@ -162,6 +163,6 @@ class TestLemmaInvariants:
         # necessary condition: every H-edge on such a path has weight
         # > delta*W_prev unless intra (then it is one of <= 2 hops).
         centers = set(cover.centers)
-        for u, v, w in h.graph.edges():
+        for u, v, w in as_graph(h).edges():
             if u in centers and v in centers:
                 assert w > params.delta * w_prev - 1e-12

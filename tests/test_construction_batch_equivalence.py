@@ -10,7 +10,7 @@ lists and verdicts.
 
 import numpy as np
 import pytest
-from oracles.cluster_graph import build_cluster_graph_reference
+from oracles.cluster_graph import as_graph, build_cluster_graph_reference
 from oracles.covered import split_covered_reference
 from oracles.redundancy import find_redundant_pairs_reference
 
@@ -19,6 +19,7 @@ import repro.core.cover as cover_mod
 import repro.graphs.paths as paths_mod
 from repro.core.bins import EdgeBinning
 from repro.core.cluster_graph import (
+    ClusterGraph,
     answer_spanner_queries,
     build_cluster_graph,
 )
@@ -30,8 +31,14 @@ from repro.core.cover import (
 from repro.core.covered import split_covered
 from repro.core.redundancy import find_redundant_pairs
 from repro.core.relaxed_greedy import build_spanner
+from repro.exceptions import GraphError
 from repro.experiments.workloads import make_workload
-from repro.graphs.paths import dijkstra, multi_source_ball_lists
+from repro.graphs.graph import Graph
+from repro.graphs.paths import (
+    dijkstra,
+    dijkstra_distance,
+    multi_source_ball_lists,
+)
 
 
 def assert_covers_equal(a, b):
@@ -183,7 +190,7 @@ class TestClusterGraphEquivalence:
         )
         got = build_cluster_graph(spanner, cover, w_prev, delta)
         ref = build_cluster_graph_reference(spanner, cover, w_prev, delta)
-        assert got.graph == ref.graph
+        assert as_graph(got) == as_graph(ref)
         assert got.num_intra_edges == ref.num_intra_edges
         assert got.num_inter_edges == ref.num_inter_edges
         assert got.inter_center_degree() == ref.inter_center_degree()
@@ -198,7 +205,7 @@ class TestClusterGraphEquivalence:
                 lambda g, s, c, _f=forced: _f,
             )
             got = build_cluster_graph(spanner, cover, w_prev, delta)
-            assert got.graph == ref.graph
+            assert as_graph(got) == as_graph(ref)
             assert got.num_inter_edges == ref.num_inter_edges
 
 
@@ -240,6 +247,110 @@ class TestRedundancyEquivalence:
             assert find_redundant_pairs(added, h, 2.5, w_cur=2 * w_prev) == ref
 
 
+def _hand_h(n, edges):
+    """A hand-built ``H`` over ``n`` vertices (cover content is not read
+    by the pair search)."""
+    g = Graph(n)
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return ClusterGraph(
+        matrix=g.csr(),
+        cover=build_cluster_cover(g, 0.0),
+        w_prev=1.0,
+        num_intra_edges=0,
+        num_inter_edges=0,
+    )
+
+
+class TestSparsePairSearch:
+    """Step v reads only the finite endpoint distances; on hand-built
+    inputs it must list the reference's pairs, in the reference's order,
+    through both branches of the entries kernel."""
+
+    @pytest.fixture(params=[True, False], ids=["dense", "sparse"])
+    def branch(self, request, monkeypatch):
+        monkeypatch.setattr(
+            paths_mod,
+            "prefer_batched_sources",
+            lambda g, s, c, _f=request.param: _f,
+        )
+
+    @staticmethod
+    def _both(added, h, t1, w_cur):
+        got = find_redundant_pairs(added, h, t1, w_cur=w_cur)
+        assert got == find_redundant_pairs_reference(
+            added, h, t1, w_cur=w_cur
+        )
+        return got
+
+    def test_endpoint_shared_by_many_edges(self, branch):
+        # Vertex 0 is the first endpoint of four edges and the second
+        # endpoint of a fifth; their far ends sit close together in H.
+        h = _hand_h(
+            8,
+            [(1, 2, 0.02), (2, 3, 0.02), (3, 4, 0.02), (4, 5, 0.02),
+             (6, 7, 0.5)],
+        )
+        added = [
+            (0, 1, 1.0), (0, 2, 1.0), (5, 0, 1.0), (0, 3, 1.01),
+            (0, 4, 0.99), (6, 7, 1.0),
+        ]
+        got = self._both(added, h, 1.2, 1.0)
+        shared = [e for e in added if 0 in e[:2]]
+        assert len(shared) >= 3
+        assert len(got) == len(shared) * (len(shared) - 1) // 2
+
+    def test_pair_only_the_second_pairing_makes_redundant(self, branch):
+        # sp(u_i, v_j) = sp(0, 2) and sp(v_i, u_j) = sp(1, 3) are tiny;
+        # the first pairing's sp(0, 3) and sp(1, 2) are beyond the cutoff.
+        h = _hand_h(4, [(0, 2, 0.01), (1, 3, 0.01)])
+        added = [(0, 1, 1.0), (3, 2, 1.0)]
+        assert self._both(added, h, 1.2, 1.0) == [(added[0], added[1])]
+        # Orienting the second edge the other way makes the first pairing
+        # the redundant one: the same pair either way.
+        flipped = [(0, 1, 1.0), (2, 3, 1.0)]
+        assert self._both(flipped, h, 1.2, 1.0) == [(flipped[0], flipped[1])]
+
+    def test_many_pairs_keep_the_reference_order(self, branch):
+        # Twelve parallel unit edges (2i, 2i + 1) over two short H-chains:
+        # every pair is redundant.  Shuffled order and mixed orientation
+        # make the list order a real check.
+        k = 12
+        chain = [(2 * i, 2 * i + 2, 0.01) for i in range(k - 1)]
+        chain += [(2 * i + 1, 2 * i + 3, 0.01) for i in range(k - 1)]
+        h = _hand_h(2 * k, chain)
+        rng = np.random.default_rng(5)
+        added = []
+        for i in rng.permutation(k).tolist():
+            u, v = 2 * i, 2 * i + 1
+            added.append((v, u, 1.0) if i % 3 == 0 else (u, v, 1.0))
+        got = self._both(added, h, 1.5, 1.0)
+        assert len(got) >= 50
+        index = {e: i for i, e in enumerate(added)}
+        order = [(index[a], index[b]) for a, b in got]
+        assert order == sorted(order) and all(i < j for i, j in order)
+
+    def test_distance_read_from_the_first_edges_row(self, branch):
+        # On the H-path 0 - 1 - 2 - 3 with weights 0.1, 0.2, 0.3 the
+        # float sums differ by direction: sp(0, 3) = 0.6000000000000001
+        # from 0's row, sp(3, 0) = 0.6 from 3's row.  The threshold sits
+        # between them, so the verdict depends on which row is read.
+        h = _hand_h(5, [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)])
+        assert 0.1 + 0.2 + 0.3 > 0.3 + 0.2 + 0.1
+        added = [(3, 4, 0.25), (0, 4, 0.25)]
+        t1 = 4.0 * (0.6 + 0.25)
+        assert self._both(added, h, t1, 0.25) == [(added[0], added[1])]
+        assert self._both(added[::-1], h, t1, 0.25) == []
+
+    @pytest.mark.parametrize("t1", [1.0, 0.5])
+    def test_t1_at_most_one_raises(self, branch, t1):
+        h = _hand_h(4, [(0, 2, 0.01), (1, 3, 0.01)])
+        added = [(0, 1, 1.0), (2, 3, 1.0)]
+        for search in (find_redundant_pairs, find_redundant_pairs_reference):
+            with pytest.raises(GraphError, match="t1 must be > 1"):
+                search(added, h, t1, w_cur=1.0)
+
+
 class TestQueryAnswering:
     def test_verdicts_match_scalar_distance(self, monkeypatch):
         _, spanner, cover, w_prev, delta = _phase_inputs("uniform", 300, 6, 1.0)
@@ -251,8 +362,10 @@ class TestQueryAnswering:
         ]
         queries = [(x, y if y < x else y + 1, w) for x, y, w in queries]
         t = 1.5
+        hg = as_graph(h)
         expected = [
-            h.distance(x, y, cutoff=t * w) > t * w for x, y, w in queries
+            dijkstra_distance(hg, x, y, cutoff=t * w) > t * w
+            for x, y, w in queries
         ]
         for forced in (True, False):
             monkeypatch.setattr(

@@ -10,6 +10,7 @@ their dense/sparse probes run.
 
 import numpy as np
 import pytest
+from oracles.cluster_graph import as_graph, build_cluster_graph_reference
 
 import repro.core.cluster_graph as cluster_graph_mod
 import repro.distributed.dist_spanner as dist_spanner_mod
@@ -27,7 +28,11 @@ from repro.distributed.dist_spanner import DistributedRelaxedGreedy
 from repro.exceptions import GraphError
 from repro.experiments.workloads import make_workload
 from repro.graphs.graph import Graph
-from repro.graphs.paths import dijkstra, multi_source_ball_lists
+from repro.graphs.paths import (
+    dijkstra,
+    multi_source_ball_lists,
+    pair_distance_entries,
+)
 from repro.params import SpannerParams
 
 PARAMS = SpannerParams.from_epsilon(0.5)
@@ -98,7 +103,8 @@ class TestRegionClusterGraph:
         )
         region = _region(spanner, queries, radius)
         assert 0 < len(region) < spanner.num_vertices  # a real reduction
-        full_edges, local_edges = _edge_map(full.graph), _edge_map(local.graph)
+        full_edges = _edge_map(as_graph(full))
+        local_edges = _edge_map(as_graph(local))
         # A subgraph of H, with H's float weights ...
         assert all(full_edges.get(k) == w for k, w in local_edges.items())
         # ... holding every H-edge with both ends in U.
@@ -117,7 +123,7 @@ class TestRegionClusterGraph:
         local = build_cluster_graph(
             spanner, cover, w_prev, DELTA, queries=queries, radius=radius
         )
-        assert local.graph.num_edges < full.graph.num_edges
+        assert as_graph(local).num_edges < as_graph(full).num_edges
         verdicts = answer_spanner_queries(full, queries, PARAMS.t)
         assert answer_spanner_queries(local, queries, PARAMS.t) == verdicts
         assert True in verdicts and False in verdicts
@@ -129,17 +135,45 @@ class TestRegionClusterGraph:
         )
         # Every distance within the region radius, bit for bit.
         ends = np.unique([p for x, y, _ in queries for p in (x, y)])
-        np.testing.assert_array_equal(
-            local.distance_matrix(ends, ends, cutoff=radius),
-            full.distance_matrix(ends, ends, cutoff=radius),
+        for got, want in zip(
+            pair_distance_entries(local, ends, ends, cutoff=radius),
+            pair_distance_entries(full, ends, ends, cutoff=radius),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_matrix_is_the_reference_graph_csr(self, forced, monkeypatch):
+        """``H``'s matrix is, bit for bit, the ``Graph.csr()`` of the
+        scalar reference ``H`` (restricted to ``U`` for the region
+        ``H``): the rows steps iv and v read are a ``Graph``'s rows."""
+        force_probe(monkeypatch, forced, cluster_graph_mod, paths_mod)
+        spanner, cover, w_prev, _, queries, radius = _phase(4)
+        ref = as_graph(
+            build_cluster_graph_reference(spanner, cover, w_prev, DELTA)
         )
+        region = _region(spanner, queries, radius)
+        for kwargs, want in (
+            ({}, ref.csr()),
+            (
+                {"queries": queries, "radius": radius},
+                ref.subgraph(region).csr(),
+            ),
+        ):
+            got = build_cluster_graph(
+                spanner, cover, w_prev, DELTA, **kwargs
+            ).csr()
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
     def test_no_queries_leaves_h_empty(self):
         spanner, cover, w_prev, _, _, radius = _phase(3)
         local = build_cluster_graph(
             spanner, cover, w_prev, DELTA, queries=[], radius=radius
         )
-        assert local.graph.num_edges == 0
+        assert as_graph(local).num_edges == 0
         assert local.inter_center_degree() == 0
 
     def test_lemma6_degree_recorded_equals_counted(self):

@@ -1,5 +1,7 @@
 """Tests for instance serialization."""
 
+import json
+
 import pytest
 
 from repro.exceptions import GraphError
@@ -44,6 +46,23 @@ class TestRoundtrip:
         g, points = instance
         with pytest.raises(GraphError):
             save_instance(tmp_path / "bad.json", Graph(2), points)
+
+    @pytest.mark.parametrize("num_points", [2, 4], ids=["short", "long"])
+    def test_point_count_mismatch_rejected_at_load(
+        self, instance, tmp_path, num_points
+    ):
+        """A point list shorter or longer than the vertex set is refused
+        on load, as :func:`save_instance` refuses to write one."""
+        g, _ = instance
+        path = tmp_path / "bad.json"
+        save_instance(path, g, PointSet([[0.1 * i, 0.0] for i in range(3)]))
+        payload = json.loads(path.read_text())
+        payload["points"] = [[0.1 * i, 0.0] for i in range(num_points)]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            GraphError, match=rf"points \({num_points}\) and graph \(3\)"
+        ):
+            load_instance(path)
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles.cluster_graph import as_graph
 
 from repro.core.bins import EdgeBinning
 from repro.core.cluster_graph import build_cluster_graph
@@ -46,7 +47,8 @@ def dj_setup(medium_build, medium_udg):
     assert len(bin_edges) >= 4
 
     endpoints = sorted({p for u, v, _ in bin_edges for p in (u, v)})
-    rows = {p: dijkstra(h.graph, p) for p in endpoints}
+    hg = as_graph(h)
+    rows = {p: dijkstra(hg, p) for p in endpoints}
 
     def sp(a: int, b: int) -> float:
         if a == b:

@@ -24,7 +24,11 @@ def make_h(edges, n) -> ClusterGraph:
         h.add_edge(u, v, w)
     cover = build_cluster_cover(h, 0.0)
     return ClusterGraph(
-        graph=h, cover=cover, w_prev=1.0, num_intra_edges=0, num_inter_edges=0
+        matrix=h.csr(),
+        cover=cover,
+        w_prev=1.0,
+        num_intra_edges=0,
+        num_inter_edges=0,
     )
 
 

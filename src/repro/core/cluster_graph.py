@@ -37,12 +37,9 @@ import numpy as np
 from ..exceptions import GraphError
 from ..graphs.graph import Graph, check_edge_arrays, symmetric_csr
 from ..graphs.paths import (
-    multi_source_ball_lists,
-    multi_source_distances,
     nearest_source_distances,
+    pair_distance_entries,
     pair_distances,
-    prefer_batched_sources,
-    source_block_size,
 )
 from .cover import ClusterCover
 
@@ -138,8 +135,24 @@ class ClusterGraph:
 
 def _center_mask(cover: ClusterCover, n: int) -> np.ndarray:
     """``mask[v]`` iff ``v`` is a center: the vertex is its own center."""
-    center_of, _ = cover.index_arrays(n)
-    return center_of == np.arange(n, dtype=np.int64)
+    return cover.center == np.arange(n, dtype=np.int64)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending, found by sorting (``np.unique``
+    hashes, which is slower on these key counts)."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _is_in(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``mask[i]`` iff ``keys[i]`` occurs in the ascending ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys
 
 
 def _max_degree(us: np.ndarray, vs: np.ndarray) -> int:
@@ -177,13 +190,15 @@ def build_cluster_graph(
 
     Notes
     -----
-    Inter-cluster distances are computed by one cutoff-Dijkstra per center
-    on ``spanner`` with cutoff ``2*delta*w_prev + max(w_prev, longest
-    crossing spanner edge)``.  For edges added in phases ``1..i-1`` the
-    crossing length is at most ``W_{i-1}`` and the cutoff reduces to the
-    Lemma 5 bound ``(2*delta + 1)*w_prev``; phase-0 clique-spanner edges
-    may be longer (their lengths are bounded by ``alpha``, not ``W_0``), so
-    the cutoff stretches just enough to keep condition (ii) exact.
+    Inter-cluster distances come from one
+    :func:`~repro.graphs.paths.pair_distance_entries` call: a cutoff
+    search per center on ``spanner`` with cutoff ``2*delta*w_prev +
+    max(w_prev, longest crossing spanner edge)``.  For edges added in
+    phases ``1..i-1`` the crossing length is at most ``W_{i-1}`` and the
+    cutoff reduces to the Lemma 5 bound ``(2*delta + 1)*w_prev``;
+    phase-0 clique-spanner edges may be longer (their lengths are
+    bounded by ``alpha``, not ``W_0``), so the cutoff stretches just
+    enough to keep condition (ii) exact.
 
     Only the centers in ``U`` get a row, and ``H`` keeps the ``H``-edges
     with both ends in ``U``, each weighted from its lower center's own
@@ -203,7 +218,7 @@ def build_cluster_graph(
     if delta <= 0.0:
         raise GraphError(f"delta must be positive, got {delta}")
     n = spanner.num_vertices
-    center_of, center_dist = cover.index_arrays(n)
+    center_of, center_dist = cover.center, cover.dist
     in_region = np.ones(n, dtype=bool)
     if queries is not None:
         ends = np.fromiter((p for q in queries for p in q[:2]), np.int64)
@@ -227,102 +242,44 @@ def build_cluster_graph(
     is_crossing = (ea >= 0) & (eb >= 0) & (ea != eb)
     longest_crossing = float(ew[is_crossing].max()) if is_crossing.any() else 0.0
     edge_keys = np.minimum(ea, eb) * np.int64(n) + np.maximum(ea, eb)
-    cross_keys = np.unique(edge_keys[is_crossing])
+    cross_keys = _sorted_unique(edge_keys[is_crossing])
     # Crossing pairs whose Lemma 5 bound only a center's row can certify.
-    pending = np.setdiff1d(
-        cross_keys, edge_keys[is_crossing & (ea == eu) & (eb == ev)]
-    )
+    direct = np.sort(edge_keys[is_crossing & (ea == eu) & (eb == ev)])
+    pending = cross_keys[~_is_in(cross_keys, direct)]
 
+    # Center-to-center distances within `reach` from the region's
+    # centers and the pending pairs' lower centers.  The entries come
+    # sorted by (source, center) and each pair once, so the (a, b)
+    # pairs with a < b below are sorted and distinct.
     reach = 2.0 * delta * w_prev + max(w_prev, longest_crossing)
-    center_arr = np.flatnonzero(_center_mask(cover, n))
-    pos_of = np.full(n, -1, dtype=np.int64)
-    pos_of[center_arr] = np.arange(center_arr.size, dtype=np.int64)
-    src_arr = np.union1d(center_arr[in_region[center_arr]], pending // n)
-    src_pos = np.full(n, -1, dtype=np.int64)
-    src_pos[src_arr] = np.arange(src_arr.size, dtype=np.int64)
-    cross_a = cross_keys // n
-    cross_b = cross_keys % n
-    # Inter-cluster candidates (a, b, sp(a, b)) with a < b, possibly
-    # duplicated between conditions (i) and (ii) -- deduplicated below
-    # (duplicates carry identical distances, both read from a's row).
-    pair_a: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    pair_b: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    pair_d: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
-    # Center-to-center distances within `reach`: batched multi-source
-    # Dijkstra blocks when the reach balls are wide, the frontier-sharing
-    # sparse search when they are tiny (see prefer_batched_sources).
-    if prefer_batched_sources(spanner, src_arr, reach):
-        block = source_block_size(spanner)
-        for lo in range(0, src_arr.size, block):
-            chunk = src_arr[lo : lo + block]
-            rows = multi_source_distances(spanner, chunk, cutoff=reach)
-            sub = rows[:, center_arr]  # (chunk, num_centers)
-            near = np.isfinite(sub) & (sub <= w_prev)  # condition (i)
-            ii, jj = np.nonzero(near)
-            ga, gb = chunk[ii], center_arr[jj]
-            fwd = gb > ga  # handle each unordered pair once
-            pair_a.append(ga[fwd])
-            pair_b.append(gb[fwd])
-            pair_d.append(sub[ii[fwd], jj[fwd]])
-            # Condition (ii): crossing pairs whose lower center is in
-            # this chunk (pairs are stored (min, max), so a < b).
-            in_chunk = (
-                (src_pos[cross_a] >= lo)
-                & (src_pos[cross_a] < lo + chunk.size)
-                & (pos_of[cross_b] >= 0)
-            )
-            if in_chunk.any():
-                sa, sb = cross_a[in_chunk], cross_b[in_chunk]
-                d = sub[src_pos[sa] - lo, pos_of[sb]]
-                finite = np.isfinite(d)
-                pair_a.append(sa[finite])
-                pair_b.append(sb[finite])
-                pair_d.append(d[finite])
-    else:
-        # Tiny reach balls: one frontier-sharing sparse search from all
-        # searched centers at once, then pure array filtering.
-        starts, ball_v, ball_d = multi_source_ball_lists(
-            spanner, src_arr, reach
-        )
-        src = np.repeat(
-            np.arange(src_arr.size, dtype=np.int64), np.diff(starts)
-        )
-        tgt = pos_of[ball_v]
-        hit = tgt >= 0
-        ga = src_arr[src[hit]]
-        gb = ball_v[hit]
-        gd = ball_d[hit]
-        fwd = gb > ga  # handle each unordered pair once
-        ga, gb, gd = ga[fwd], gb[fwd], gd[fwd]
-        keys = ga * np.int64(n) + gb
-        is_cross = cross_keys[
-            np.minimum(
-                np.searchsorted(cross_keys, keys), max(cross_keys.size - 1, 0)
-            )
-        ] == keys if cross_keys.size else np.zeros(keys.size, dtype=bool)
-        keep = (gd <= w_prev) | is_cross
-        pair_a.append(ga[keep])
-        pair_b.append(gb[keep])
-        pair_d.append(gd[keep])
-
-    all_a, all_b, all_d = map(np.concatenate, (pair_a, pair_b, pair_d))
-    have_keys, first = np.unique(all_a * np.int64(n) + all_b, return_index=True)
+    is_center = _center_mask(cover, n)
+    center_arr = np.flatnonzero(is_center)
+    is_src = is_center & in_region
+    is_src[pending // n] = True
+    src_arr = np.flatnonzero(is_src)
+    row, col, all_d = pair_distance_entries(
+        spanner, src_arr, center_arr, cutoff=reach
+    )
+    all_a, all_b = src_arr[row], center_arr[col]
+    keys = all_a * np.int64(n) + all_b
+    # Condition (i) or (ii), each unordered pair once.
+    keep = (all_b > all_a) & ((all_d <= w_prev) | _is_in(keys, cross_keys))
     # Defensive: condition (ii) pairs must have been within the Lemma 5
     # reach; a miss means the cover or spanner handed to us is inconsistent.
-    present = np.isin(pending, have_keys)
+    present = _is_in(pending, keys[keep])
     if not present.all():
         key = int(pending[int(np.argmin(present))])
         raise GraphError(
             f"inter-cluster edge ({key // n}, {key % n}) required by a "
             f"crossing spanner edge exceeds the Lemma 5 bound {reach:.6g}"
         )
-    keep = first[in_region[all_a[first]] & in_region[all_b[first]]]
-    all_a, all_b = all_a[keep], all_b[keep]
+    keep &= in_region[all_a] & in_region[all_b]
+    all_a, all_b, all_d = all_a[keep], all_b[keep], all_d[keep]
     us, vs, ws = check_edge_arrays(
         n,
         np.concatenate([intra_a, all_a]),
         np.concatenate([intra_b, all_b]),
-        np.concatenate([intra_d, all_d[keep]]),
+        np.concatenate([intra_d, all_d]),
     )
     keys = np.sort(np.minimum(us, vs) * np.int64(n) + np.maximum(us, vs))
     twice = np.flatnonzero(keys[1:] == keys[:-1])

@@ -61,10 +61,10 @@ two pins extend rather than fork.
 
 **Persistent cover state.**  Repairs stop discarding cover structure
 between events: the session caches the per-bin dense cover rows
-(``center_of`` / ``dist_to_center``, the arrays
-:meth:`repro.core.cover.ClusterCover.index_arrays` exposes) and
-invalidates only rows whose radius-ball can touch a changed spanner
-edge (every spanner mutation records its endpoint positions; a cached
+(each vertex's center and distance to it, the two arrays a
+:class:`repro.core.cover.ClusterCover` holds) and invalidates only
+rows whose radius-ball can touch a changed spanner edge (every
+spanner mutation records its endpoint positions; a cached
 row ``v -> (c, d)`` can only be wrong if a changed edge lies within
 Euclidean ``radius`` of ``v``, because spanner weights dominate
 straight-line distance).  Surviving rows are served as-is -- they are
@@ -952,11 +952,12 @@ class MaintenanceSession:
                 # delta < 1/2 makes same-cluster candidates impossible
                 # for this bin (sp >= |xy| > W_{i-1} > 2*radius); the
                 # filter is a cheap guard for degenerate parameters.
-                bin_edges = [
-                    (x, y, length)
-                    for x, y, length in bin_edges
-                    if cover.center_of(x) != cover.center_of(y)
-                ]
+                ex, ey = (
+                    np.fromiter((e[j] for e in bin_edges), np.int64)
+                    for j in (0, 1)
+                )
+                apart = cover.center[ex] != cover.center[ey]
+                bin_edges = list(itertools.compress(bin_edges, apart))
                 if not bin_edges:
                     continue
                 selection = select_query_edges(bin_edges, cover, t)
@@ -1105,14 +1106,14 @@ class MaintenanceSession:
         """Cover the bin's candidate endpoints, reusing cached rows.
 
         Cache off: a cold restricted ball-growing on the scalar
-        reference (:func:`build_cluster_cover` allocates O(n) index
-        arrays per call, which would make a per-event repair O(n x
-        bins)).  Cache on: rows surviving invalidation are served
-        as-is (they are exact current distances); only the
-        uncovered remainder grows fresh balls -- the scalar restricted
-        reference, whose per-ball cost is O(ball), beats any dense
-        O(capacity) kernel at repair granularity -- and the new rows
-        persist for the next repair.
+        reference (:func:`build_cluster_cover` scans every spanner edge
+        for its short-edge mask on each call).  Cache on: rows
+        surviving invalidation are served as-is (they are exact
+        current distances); only the uncovered remainder grows fresh
+        balls -- the scalar restricted reference, whose per-ball cost
+        is O(ball), beats any dense O(capacity) kernel at repair
+        granularity -- and the new rows persist for the next repair.
+        The cover holds the endpoints' rows and nothing else.
         """
         t0 = perf_counter()
         try:
@@ -1144,15 +1145,16 @@ class MaintenanceSession:
                 sub = build_cluster_cover_reference(
                     self.spanner, radius, vertices=need.tolist()
                 )
-                k = len(sub.assignment)
-                vs = np.fromiter(sub.assignment.keys(), np.int64, k)
-                crow[vs] = np.fromiter(sub.assignment.values(), np.int64, k)
-                drow[vs] = np.fromiter(
-                    (sub.center_distance[int(v)] for v in vs), np.float64, k
-                )
-            cover = ClusterCover.from_rows(radius, endpoints, crow, drow)
-            report.dirty_balls += cover.num_clusters
-            return cover
+                crow[need] = sub.center[need]
+                drow[need] = sub.dist[need]
+            center = np.full(crow.size, -1, dtype=np.int64)
+            dist = np.full(crow.size, np.inf)
+            center[ep] = crow[ep]
+            dist[ep] = drow[ep]
+            # Centers in first-appearance order over the endpoints.
+            centers = tuple(dict.fromkeys(center[ep].tolist()))
+            report.dirty_balls += len(centers)
+            return ClusterCover(radius, centers, center, dist)
         finally:
             report.cover_s += perf_counter() - t0
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import GraphError
 from .cover import ClusterCover
 
@@ -56,6 +58,10 @@ def select_query_edges(
 ) -> QuerySelection:
     """Pick the minimizer of equation (1) for each cluster pair.
 
+    One array pass over the candidates: each score is evaluated as
+    ``t*|xy| - d(x) - d(y)``, in that order, and each cluster pair keeps
+    its least ``(score, x, y, length)``.
+
     Parameters
     ----------
     candidates:
@@ -70,43 +76,59 @@ def select_query_edges(
     Raises
     ------
     GraphError
-        If a candidate has both endpoints in the same cluster, which
-        would mean the cover radius does not match the bin (a violation
-        of the ``delta < 1`` invariant from Section 2.2.2).
+        If a candidate endpoint is not covered (the error names it), or
+        a candidate has both endpoints in the same cluster, which would
+        mean the cover radius does not match the bin (a violation of the
+        ``delta < 1`` invariant from Section 2.2.2).
     """
     if t < 1.0:
         raise GraphError(f"t must be >= 1, got {t}")
-    best: dict[tuple[int, int], tuple[float, int, int, float]] = {}
-    for u, v, length in candidates:
-        a = cover.center_of(u)
-        b = cover.center_of(v)
-        if a == b:
-            raise GraphError(
-                f"candidate edge ({u}, {v}) has both endpoints in cluster "
-                f"{a}; cover radius {cover.radius:.6g} is too large for "
-                f"this bin (edge length {length:.6g})"
-            )
-        # Normalize the pair key and keep (x, y) aligned so x in C_a.
-        if a > b:
-            a, b, u, v = b, a, v, u
-        score = (
-            t * length
-            - cover.distance_to_center(u)
-            - cover.distance_to_center(v)
+    k = len(candidates)
+    if k == 0:
+        return QuerySelection(
+            queries={}, num_candidates=0, max_queries_per_cluster=0
         )
-        key = (a, b)
-        incumbent = best.get(key)
-        # Deterministic tie-break on (score, x, y).
-        entry = (score, u, v, length)
-        if incumbent is None or entry < incumbent:
-            best[key] = entry
-    queries = {key: (u, v, w) for key, (_, u, v, w) in best.items()}
-    per_cluster: dict[int, int] = {}
-    for a, b in queries:
-        per_cluster[a] = per_cluster.get(a, 0) + 1
-        per_cluster[b] = per_cluster.get(b, 0) + 1
+    u = np.fromiter((c[0] for c in candidates), np.int64, k)
+    v = np.fromiter((c[1] for c in candidates), np.int64, k)
+    length = np.fromiter((c[2] for c in candidates), np.float64, k)
+    # Each endpoint's center, -1 when it is out of range or uncovered.
+    ends = np.concatenate([u, v])
+    inside = (ends >= 0) & (ends < cover.center.size)
+    ab = np.full(2 * k, -1, dtype=np.int64)
+    ab[inside] = cover.center[ends[inside]]
+    a, b = ab[:k], ab[k:]
+    bad = (a < 0) | (b < 0) | (a == b)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, y = int(u[i]), int(v[i])
+        cover.center_of(x)  # an uncovered endpoint raises, named
+        cover.center_of(y)
+        raise GraphError(
+            f"candidate edge ({x}, {y}) has both endpoints in cluster "
+            f"{int(a[i])}; cover radius {cover.radius:.6g} is too large for "
+            f"this bin (edge length {float(length[i]):.6g})"
+        )
+    # Normalize the pair key and keep (x, y) aligned so x in C_a.
+    swap = a > b
+    x, y = np.where(swap, v, u), np.where(swap, u, v)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    score = t * length - cover.dist[x] - cover.dist[y]
+    # Per cluster pair, the least (score, x, y, length): the first of
+    # its run in this order is the deterministic minimizer.
+    order = np.lexsort((length, y, x, score, b, a))
+    a, b = a[order], b[order]
+    first = np.ones(k, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    win = order[first]
+    a, b = a[first], b[first]
+    queries = dict(
+        zip(
+            zip(a.tolist(), b.tolist()),
+            zip(x[win].tolist(), y[win].tolist(), length[win].tolist()),
+        )
+    )
     return QuerySelection(
         queries=queries,
-        num_candidates=len(candidates),
-        max_queries_per_cluster=max(per_cluster.values(), default=0),
+        num_candidates=k,
+        max_queries_per_cluster=int(np.bincount(np.concatenate([a, b])).max()),
     )

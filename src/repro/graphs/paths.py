@@ -31,10 +31,12 @@ over :meth:`repro.graphs.graph.Graph.csr`:
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
 float weights.  :func:`prefer_batched_sources` probes one ball to pick
-the dense-vs-sparse side of that trade per call site.  A graph reaches
-the array kernels and the probe only through ``num_vertices`` and
-``csr()``, so the step iii cluster graph, held as a matrix alone, uses
-them as they are.
+the dense-vs-sparse side of that trade per call.  Steps iii-v reach it
+only through the pair kernels, the covers run the sparse search alone,
+and the distributed proximity graph is the one caller that picks for
+itself.  A graph reaches the array kernels and the probe only through
+``num_vertices`` and ``csr()``, so the step iii cluster graph, held as
+a matrix alone, uses them as they are.
 """
 
 from __future__ import annotations
@@ -417,7 +419,9 @@ def multi_source_ball_lists(
             target = np.minimum(
                 (out_d / delta).astype(np.int64), _BALL_BUCKETS - 1
             )
-            for b in np.unique(target).tolist():
+            for b in np.flatnonzero(
+                np.bincount(target, minlength=_BALL_BUCKETS)
+            ).tolist():
                 sel = target == b
                 pend[b].append((out_k[sel], out_d[sel]))
     slots = best_keys // n

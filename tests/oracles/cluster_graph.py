@@ -50,10 +50,11 @@ def build_cluster_graph_reference(
         raise GraphError(f"delta must be positive, got {delta}")
     h = Graph(spanner.num_vertices)
     num_intra = 0
-    for v, center in cover.assignment.items():
+    for v in np.flatnonzero(cover.center >= 0).tolist():
+        center = int(cover.center[v])
         if v == center:
             continue
-        d = cover.center_distance[v]
+        d = float(cover.dist[v])
         if d > 0.0:
             h.add_edge(center, v, d)
             num_intra += 1
@@ -61,8 +62,8 @@ def build_cluster_graph_reference(
     crossing: set[tuple[int, int]] = set()
     longest_crossing = 0.0
     for u, v, w in spanner.edges():
-        a, b = cover.assignment.get(u), cover.assignment.get(v)
-        if a is None or b is None or a == b:
+        a, b = int(cover.center[u]), int(cover.center[v])
+        if a < 0 or b < 0 or a == b:
             continue
         crossing.add((min(a, b), max(a, b)))
         longest_crossing = max(longest_crossing, w)

@@ -27,11 +27,10 @@ class TestBuildClusterGraph:
         g = path_graph(6, 0.1)
         cover = build_cluster_cover(g, 0.2)  # clusters of 3 consecutive
         h = as_graph(build_cluster_graph(g, cover, w_prev=1.0, delta=0.2))
-        for v, center in cover.assignment.items():
+        for v in np.flatnonzero(cover.center >= 0).tolist():
+            center = int(cover.center[v])
             if v != center:
-                assert h.weight(center, v) == pytest.approx(
-                    cover.center_distance[v]
-                )
+                assert h.weight(center, v) == pytest.approx(cover.dist[v])
 
     def test_inter_edge_condition_i(self):
         """Centers within W_prev in G' are joined."""

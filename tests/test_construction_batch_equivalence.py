@@ -14,8 +14,6 @@ from oracles.cluster_graph import as_graph, build_cluster_graph_reference
 from oracles.covered import split_covered_reference
 from oracles.redundancy import find_redundant_pairs_reference
 
-import repro.core.cluster_graph as cluster_graph_mod
-import repro.core.cover as cover_mod
 import repro.graphs.paths as paths_mod
 from repro.core.bins import EdgeBinning
 from repro.core.cluster_graph import (
@@ -43,9 +41,8 @@ from repro.graphs.paths import (
 
 def assert_covers_equal(a, b):
     assert a.centers == b.centers
-    assert a.assignment == b.assignment
-    assert a.center_distance == b.center_distance
-    assert a.members == b.members
+    assert np.array_equal(a.center, b.center)
+    assert np.array_equal(a.dist, b.dist)
 
 
 RADII = (0.0, 0.03, 0.1, 0.3, 1.0, 4.0)
@@ -124,40 +121,19 @@ class TestClusterCoverEquivalence:
 
 
 class TestCoverFromCentersEquivalence:
-    @pytest.mark.parametrize("radius", [0.08, 0.3, 1.5])
-    def test_all_inner_paths_agree(self, radius, monkeypatch):
-        wl = make_workload("uniform", 300, seed=11)
-        # Centers from ball growing dominate the graph at this radius.
-        centers = build_cluster_cover(wl.graph, radius).centers
-        outputs = []
-        for forced in (True, False, None):
-            if forced is None:
-                monkeypatch.undo()
-            else:
-                monkeypatch.setattr(
-                    cover_mod,
-                    "prefer_batched_sources",
-                    lambda g, s, c, _f=forced: _f,
-                )
-            outputs.append(cover_from_centers(wl.graph, radius, centers))
-        assert_covers_equal(outputs[0], outputs[1])
-        assert_covers_equal(outputs[0], outputs[2])
-
     def test_matches_handwritten_scalar_reference(self):
         wl = make_workload("uniform", 280, seed=13)
         radius = 0.35
         centers = sorted(build_cluster_cover(wl.graph, radius).centers)
         got = cover_from_centers(wl.graph, radius, centers)
-        assignment, distances = {}, {}
+        center = np.full(wl.graph.num_vertices, -1)
+        dist = np.full(wl.graph.num_vertices, np.inf)
         for c in centers:  # ascending: higher ids overwrite
             for v, d in dijkstra(wl.graph, c, cutoff=radius).items():
-                assignment[v] = c
-                distances[v] = d
-        for c in centers:
-            assignment[c] = c
-            distances[c] = 0.0
-        assert got.assignment == assignment
-        assert got.center_distance == distances
+                center[v], dist[v] = c, d
+        center[centers], dist[centers] = centers, 0.0
+        assert np.array_equal(got.center, center)
+        assert np.array_equal(got.dist, dist)
 
 
 def _phase_inputs(scenario, n, seed, radius_scale):
@@ -200,7 +176,7 @@ class TestClusterGraphEquivalence:
         ref = build_cluster_graph_reference(spanner, cover, w_prev, delta)
         for forced in (True, False):
             monkeypatch.setattr(
-                cluster_graph_mod,
+                paths_mod,
                 "prefer_batched_sources",
                 lambda g, s, c, _f=forced: _f,
             )
@@ -451,11 +427,13 @@ class TestEndToEndPinning:
             for p in baseline.phases
         ]
         for forced in (True, False):
-            force = lambda g, s, c, _f=forced: _f
-            # redundancy consults the probe through paths.pair_distances
-            # these days, so patching paths_mod covers it.
-            for mod in (paths_mod, cover_mod, cluster_graph_mod):
-                monkeypatch.setattr(mod, "prefer_batched_sources", force)
+            # Steps iii-v consult the probe only through the pair
+            # kernels of paths_mod, so patching it there covers them.
+            monkeypatch.setattr(
+                paths_mod,
+                "prefer_batched_sources",
+                lambda g, s, c, _f=forced: _f,
+            )
             result = build_spanner(wl.graph, wl.points.distance, 0.5)
             assert sorted(result.spanner.edges()) == base_edges
             assert [

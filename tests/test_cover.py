@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cover import build_cluster_cover, cover_from_centers
+from repro.core.cover import (
+    ClusterCover,
+    build_cluster_cover,
+    cover_from_centers,
+)
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.paths import dijkstra
@@ -77,14 +81,11 @@ class TestBuildClusterCover:
         with pytest.raises(GraphError):
             build_cluster_cover(path_graph(3), -1.0)
 
-    def test_members_inverse_of_assignment(self):
+    def test_every_vertex_joins_a_listed_center(self):
         g = path_graph(10)
         cover = build_cluster_cover(g, 2.0)
-        for center, members in cover.members.items():
-            for m in members:
-                assert cover.center_of(m) == center
-        total = sum(len(m) for m in cover.members.values())
-        assert total == 10
+        assert cover.center.tolist() == [0, 0, 0, 3, 3, 3, 6, 6, 6, 9]
+        assert set(cover.center.tolist()) == set(cover.centers)
 
     def test_custom_order_changes_centers(self):
         g = path_graph(10)
@@ -101,7 +102,7 @@ class TestBuildClusterCover:
         """Subset universe: vertices outside are simply not covered."""
         g = path_graph(6)
         cover = build_cluster_cover(g, 1.0, vertices=[0, 1, 2])
-        assert set(cover.assignment) == {0, 1, 2}
+        assert np.flatnonzero(cover.center >= 0).tolist() == [0, 1, 2]
         with pytest.raises(GraphError):
             cover.center_of(5)
 
@@ -113,6 +114,35 @@ class TestBuildClusterCover:
         g = random_geometric(n, seed)
         cover = build_cluster_cover(g, radius)
         check_cover_invariants(g, cover)
+
+
+class TestArrayCover:
+    """A cover is two read-only ``(n,)`` arrays; the scalar lookups
+    check their vertex before reading them."""
+
+    @pytest.mark.parametrize("v", [-1, 6, 0])
+    def test_lookups_name_an_uncovered_vertex(self, v):
+        # -1 and n = 6 are out of range; 0 is outside the universe.  A
+        # bare center[-1] would answer for vertex 5, which is covered.
+        cover = build_cluster_cover(path_graph(6), 1.0, vertices=[3, 4, 5])
+        assert cover.center_of(5) == 5
+        for lookup in (cover.center_of, cover.distance_to_center):
+            with pytest.raises(GraphError, match=f"vertex {v} is not covered"):
+                lookup(v)
+
+    def test_arrays_are_read_only(self):
+        center = np.array([0, 0, 2])
+        dist = np.array([0.0, 0.5, 0.0])
+        for cover in (
+            build_cluster_cover(path_graph(6), 1.0),
+            ClusterCover(1.0, (0, 2), center, dist),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                cover.center[1] = 2
+            with pytest.raises(ValueError, match="read-only"):
+                cover.dist[1] = 0.25
+        assert center.flags.writeable  # the caller's array is untouched
+        assert cover.center_of(1) == 0 and cover.distance_to_center(1) == 0.5
 
 
 class TestCoverFromCenters:

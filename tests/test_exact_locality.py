@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from oracles.cluster_graph import as_graph, build_cluster_graph_reference
 
-import repro.core.cluster_graph as cluster_graph_mod
 import repro.distributed.dist_spanner as dist_spanner_mod
 import repro.graphs.paths as paths_mod
 from repro.core.cluster_graph import answer_spanner_queries, build_cluster_graph
@@ -43,8 +42,8 @@ DELTA = 0.2
 
 def assert_covers_equal(a, b):
     assert a.centers == b.centers
-    assert a.assignment == b.assignment
-    assert a.center_distance == b.center_distance
+    assert np.array_equal(a.center, b.center)
+    assert np.array_equal(a.dist, b.dist)
 
 
 def force_probe(monkeypatch, forced, *modules):
@@ -117,7 +116,7 @@ class TestRegionClusterGraph:
     def test_verdicts_pairs_and_distances_match_full_h(
         self, forced, monkeypatch
     ):
-        force_probe(monkeypatch, forced, cluster_graph_mod, paths_mod)
+        force_probe(monkeypatch, forced, paths_mod)
         spanner, cover, w_prev, w_cur, queries, radius = _phase(4)
         full = build_cluster_graph(spanner, cover, w_prev, DELTA)
         local = build_cluster_graph(
@@ -146,7 +145,7 @@ class TestRegionClusterGraph:
         """``H``'s matrix is, bit for bit, the ``Graph.csr()`` of the
         scalar reference ``H`` (restricted to ``U`` for the region
         ``H``): the rows steps iv and v read are a ``Graph``'s rows."""
-        force_probe(monkeypatch, forced, cluster_graph_mod, paths_mod)
+        force_probe(monkeypatch, forced, paths_mod)
         spanner, cover, w_prev, _, queries, radius = _phase(4)
         ref = as_graph(
             build_cluster_graph_reference(spanner, cover, w_prev, DELTA)
@@ -199,15 +198,15 @@ class TestLemma5CheckOutsideRegion:
         g.add_weighted_edges_arrays(
             np.arange(n - 1), np.arange(1, n), np.ones(n - 1)
         )
-        assignment = {v: v for v in range(n)}
-        distance = {v: 0.0 for v in range(n)}
-        assignment[295], distance[295] = 280, 0.1
+        center = np.arange(n)
+        dist = np.zeros(n)
+        center[295], dist[295] = 280, 0.1
         centers = tuple(v for v in range(n) if v != 295)
-        return g, ClusterCover(0.1, centers, assignment, distance)
+        return g, ClusterCover(0.1, centers, center, dist)
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_bad_pair_outside_region_raises(self, forced, monkeypatch):
-        force_probe(monkeypatch, forced, cluster_graph_mod)
+        force_probe(monkeypatch, forced, paths_mod)
         g, cover = self._inconsistent()
         queries = [(0, 1, 1.0)]
         assert 280 not in _region(g, queries, 2.0)
@@ -306,11 +305,10 @@ class TestReducedProximityGraph:
             centers
         )
         got = cover_from_centers(wl.graph, radius, centers)
-        assignment, distances = {}, {}
+        center, dist = np.full(300, -1), np.full(300, np.inf)
         for c in centers:  # ascending: higher ids overwrite
             for v, d in dijkstra(wl.graph, c, cutoff=radius).items():
-                assignment[v], distances[v] = c, d
-        for c in centers:
-            assignment[c], distances[c] = c, 0.0
-        assert got.assignment == assignment
-        assert got.center_distance == distances
+                center[v], dist[v] = c, d
+        center[centers], dist[centers] = centers, 0.0
+        assert np.array_equal(got.center, center)
+        assert np.array_equal(got.dist, dist)

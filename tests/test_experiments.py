@@ -69,6 +69,31 @@ class TestRegistry:
         assert len(results) == len(EXPERIMENT_REGISTRY)
 
 
+class TestLemma7Check:
+    """F7 reads H against G' only where they can differ: around
+    multi-vertex clusters."""
+
+    @staticmethod
+    def _row(seed):
+        result = EXPERIMENT_REGISTRY["F"](quick=True, seed=seed)
+        (row,) = [r for r in result.rows if r["check"].startswith("F7")]
+        return row
+
+    def test_measures_real_clusters(self):
+        # Uniform n=96, workload seed 61: 20 phases have a multi-vertex
+        # cluster, and paths through one run longer in H than in G'.
+        row = self._row(0)
+        assert row["phases"] >= 1 and row["pairs"] > 0
+        assert 1.0 < row["value"] <= row["bound"]
+        assert row["bound"] == pytest.approx(1.238, abs=1e-3)
+
+    def test_says_when_it_found_no_cluster(self):
+        # Seed 3's instance has no multi-vertex cluster in any phase.
+        row = self._row(3)
+        assert row["phases"] == 0
+        assert row["value"] == "no multi-vertex cluster"
+
+
 class TestRendering:
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"

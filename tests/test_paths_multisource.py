@@ -165,34 +165,8 @@ class TestAdaptiveDispatch:
         assert prefer_batched_sources(g, sources, cutoff)
         assert not prefer_batched_sources(g, [2000, 2001], cutoff)
 
-    def test_cover_branches_agree(self, monkeypatch):
-        """cover_from_centers must build the identical cover through the
-        batched and the per-center scalar branch."""
-        import repro.core.cover as cover_mod
-        from repro.core.cover import cover_from_centers
-        from repro.graphs.components import component_labels
-
-        g = geometric(300, seed=8, degree=7.0)
-        # One center per component keeps the dominating-set invariant.
-        labels = component_labels(g)
-        centers = sorted(
-            int(np.flatnonzero(labels == lab)[0])
-            for lab in range(int(labels.max()) + 1)
-        )
-        radius = 1e9  # every vertex reachable from its component's center
-        covers = []
-        for forced in (True, False):
-            monkeypatch.setattr(
-                cover_mod, "prefer_batched_sources",
-                lambda *a, forced=forced: forced,
-            )
-            covers.append(cover_from_centers(g, radius, centers))
-        a, b = covers
-        assert a.assignment == b.assignment
-        assert a.center_distance == pytest.approx(b.center_distance)
-
     def test_cluster_graph_branches_agree(self, monkeypatch):
-        import repro.core.cluster_graph as cg_mod
+        import repro.graphs.paths as paths_mod
         from repro.core.cluster_graph import build_cluster_graph
         from repro.core.cover import build_cluster_cover
 
@@ -201,7 +175,7 @@ class TestAdaptiveDispatch:
         graphs = []
         for forced in (True, False):
             monkeypatch.setattr(
-                cg_mod, "prefer_batched_sources",
+                paths_mod, "prefer_batched_sources",
                 lambda *a, forced=forced: forced,
             )
             graphs.append(build_cluster_graph(g, cover, 1.0, 0.5))

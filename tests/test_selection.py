@@ -1,5 +1,6 @@
 """Tests for query-edge selection (equation (1))."""
 
+import numpy as np
 import pytest
 
 from repro.core.cover import ClusterCover
@@ -8,12 +9,16 @@ from repro.exceptions import GraphError
 
 
 def make_cover(assignment: dict, distances: dict, radius: float = 1.0):
-    centers = tuple(sorted(set(assignment.values())))
+    n = max(assignment) + 1
+    center = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
+    for v, c in assignment.items():
+        center[v], dist[v] = c, distances[v]
     return ClusterCover(
         radius=radius,
-        centers=centers,
-        assignment=assignment,
-        center_distance=distances,
+        centers=tuple(sorted(set(assignment.values()))),
+        center=center,
+        dist=dist,
     )
 
 
@@ -63,6 +68,16 @@ class TestSelectQueryEdges:
         # tie-break by (x, y): (1, 11) < (2, 10).
         sel = select_query_edges(edges, two_clusters, 1.5)
         assert sel.queries[(0, 10)] == (1, 11, 2.0)
+
+    def test_tie_on_score_and_x_broken_by_y(self):
+        # d(11) == d(12), so (1, 12) -- given as (12, 1) -- and (1, 11)
+        # tie on score and on x once oriented; the lower y wins.
+        cover = make_cover(
+            {0: 0, 1: 0, 10: 10, 11: 10, 12: 10},
+            {0: 0.0, 1: 0.2, 10: 0.0, 11: 0.3, 12: 0.3},
+        )
+        sel = select_query_edges([(12, 1, 2.0), (1, 11, 2.0)], cover, 1.5)
+        assert sel.queries == {(0, 10): (1, 11, 2.0)}
 
     def test_multiple_cluster_pairs(self):
         assignment = {0: 0, 1: 1, 2: 2}

@@ -14,11 +14,16 @@ batch round engine:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .exceptions import ParameterError
 
 __all__ = [
     "run_expand",
     "offset_cube",
+    "checked_seed",
     "seed_state",
     "mix64",
     "counter_uniforms",
@@ -76,16 +81,30 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def checked_seed(seed: object, owner: str) -> int:
+    """``seed`` as a Python int, numpy integers included, or a
+    :class:`ParameterError` naming ``owner``'s seed -- what a public
+    constructor calls before anything draws from it."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ParameterError(
+            f"{owner} seed must be an integer, got {seed!r}"
+        ) from None
+
+
 def seed_state(seed: int) -> np.uint64:
     """Premixed uint64 hash state for an integer seed.
 
     Computed in Python ints (mod-2^64 wraparound is intended there and
     silent, unlike numpy scalar arithmetic, which warns on overflow for
     negative or huge seeds) and equal to :func:`mix64` of the masked seed
-    plus the golden-ratio increment.  Callers cache this at construction
-    so batch calls skip one full array mixing round.
+    plus the golden-ratio increment.  A numpy integer is read through
+    ``operator.index``, so it draws exactly what the equal int draws.
+    Callers cache this at construction so batch calls skip one full
+    array mixing round.
     """
-    x = (seed + _GOLDEN_INT) & _U64_MASK
+    x = (operator.index(seed) + _GOLDEN_INT) & _U64_MASK
     x ^= x >> 33
     x = (x * 0xFF51AFD7ED558CCD) & _U64_MASK
     x ^= x >> 33

@@ -230,7 +230,7 @@ def build_cluster_cover_reference(
 def cover_from_centers(
     graph: Graph,
     radius: float,
-    centers: Iterable[int],
+    centers: np.ndarray | Iterable[int],
     *,
     vertices: Iterable[int] | None = None,
 ) -> ClusterCover:
@@ -241,6 +241,8 @@ def cover_from_centers(
     v attaches itself to the neighbor in I with the highest identifier").
     Only centers :func:`short_edge_mask` marks reach another vertex, so
     only they are searched from, in one frontier-sharing search.
+    ``centers`` is an index array (what the distributed build passes:
+    the MIS mask's nonzero positions) or any iterable of vertex ids.
 
     Raises
     ------
@@ -259,7 +261,11 @@ def cover_from_centers(
             raise GraphError(f"universe vertices must lie in [0, {n})")
         in_universe[:] = False
         in_universe[universe] = True
-    center_arr = np.fromiter(centers, np.int64)
+    center_arr = (
+        centers.astype(np.int64, copy=False)
+        if isinstance(centers, np.ndarray)
+        else np.fromiter(centers, np.int64)
+    )
     if center_arr.size and (
         center_arr.min() < 0
         or center_arr.max() >= n

@@ -25,7 +25,9 @@ from .event_engine import (
 from .faults import FaultPlan
 from .ledger import LedgerEntry, RoundLedger
 from .mis import (
+    MISMask,
     MISRun,
+    induced_csr,
     run_luby_mis,
     run_luby_mis_arrays,
     verify_mis,
@@ -42,7 +44,6 @@ from .protocols.reliable import HardenedProtocol, harden
 from .unreliable import (
     EventBFSRun,
     EventMISRun,
-    induced_csr,
     repair_bfs,
     repair_mis,
     run_bfs_event,
@@ -64,7 +65,9 @@ __all__ = [
     "ConvergecastSum",
     "BFSTree",
     "LeaderElection",
+    "MISMask",
     "MISRun",
+    "induced_csr",
     "run_luby_mis",
     "run_luby_mis_arrays",
     "verify_mis_arrays",
@@ -89,5 +92,4 @@ __all__ = [
     "repair_mis",
     "repair_bfs",
     "verify_bfs_tree",
-    "induced_csr",
 ]

@@ -24,7 +24,14 @@ Execution model of this implementation:
   mailbox arrays, so these runs -- and the phase-0 flooding below -- scale
   to ``n >= 10^4`` while billing the exact same rounds and messages as
   the per-node reference tier (``engine="auto"`` selects it whenever the
-  protocol supports it, which all hot protocols here do);
+  protocol supports it, which all hot protocols here do).  A node with
+  no derived-graph neighbour joins the MIS in round 0 without a message,
+  so on the reliable path the engine runs only on the nodes that have
+  one, under their own ids (:func:`repro.distributed.mis.
+  run_luby_mis_arrays`), and the MIS travels on as a boolean mask whose
+  nonzero positions feed the cover and the deletions; a fault-plan
+  build runs every alive node, since a crash can strike an isolated
+  node too;
 * **phase 0 is a real message-level run** of 1-hop flooding followed by
   identical node-local computations (Theorem 14);
 * **k-hop gathers of later phases are charged to the ledger at their
@@ -42,10 +49,10 @@ MIS draws) but the test-suite checks both against identical bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
+from ..arrayops import checked_seed
 from ..core.bins import EdgeBinning
 from ..core.cluster_graph import answer_spanner_queries, build_cluster_graph
 from ..core.cover import (
@@ -75,9 +82,9 @@ from ..params import SpannerParams
 from .engine import SynchronousNetwork
 from .faults import FaultPlan
 from .ledger import RoundLedger
-from .mis import run_luby_mis_arrays
+from .mis import induced_csr, run_luby_mis_arrays
 from .protocols.flooding import KHopGather
-from .unreliable import induced_csr, run_luby_mis_event
+from .unreliable import run_luby_mis_event
 
 __all__ = ["DistributedSpannerResult", "DistributedRelaxedGreedy"]
 
@@ -208,7 +215,7 @@ class DistributedRelaxedGreedy:
         if jobs != 1:
             raise ParameterError(f"jobs must be 1, got {jobs!r}")
         self.params = params
-        self._seed = seed
+        self._seed = checked_seed(seed, "DistributedRelaxedGreedy")
         self._process_empty = process_empty_phases
         self._measure_gather = measure_gather_messages
         self._fault_plan = fault_plan
@@ -269,6 +276,12 @@ class DistributedRelaxedGreedy:
     # ------------------------------------------------------------------
     # Fault-plan machinery (event-tier builds)
     # ------------------------------------------------------------------
+    def _dead_mask(self, n: int) -> np.ndarray:
+        """``(n,)`` mask of the nodes the fault plan has down at the
+        shared clock."""
+        nodes = np.arange(n, dtype=np.int64)
+        return ~self._fault_plan.alive_at(nodes, self._clock)
+
     @staticmethod
     def _prune_dead(spanner: Graph, dead: set[int]) -> None:
         """Drop every spanner edge incident to a crashed node -- its
@@ -291,22 +304,17 @@ class DistributedRelaxedGreedy:
         """
         plan = self._fault_plan
         n = graph.num_vertices
-        dead = {u for u in range(n) if plan.dead_at(u, self._clock)}
+        dead_mask = self._dead_mask(n)
+        dead = set(np.flatnonzero(dead_mask).tolist())
         self._prune_dead(spanner, dead)
         result.crashed = tuple(sorted(dead))
         result.final_time = self._clock
-        ever_crashed = any(
-            sched is not None and sched[0] <= self._clock
-            for sched in (plan.crash_schedule(u) for u in range(n))
-        )
-        if not ever_crashed:
+        crash_at, _ = plan.crash_schedules(np.arange(n, dtype=np.int64))
+        if not (crash_at <= self._clock).any():
             return
         us, vs, ws = graph.edges_arrays()
         if us.size == 0:
             return
-        dead_mask = np.zeros(n, dtype=bool)
-        if dead:
-            dead_mask[sorted(dead)] = True
         sel = ~dead_mask[us] & ~dead_mask[vs]
         us, vs, ws = us[sel], vs[sel], ws[sel]
         if us.size == 0:
@@ -531,7 +539,7 @@ class DistributedRelaxedGreedy:
         plan = self._fault_plan
         dead: set[int] = set()
         if plan is not None:
-            dead = {u for u in range(n) if plan.dead_at(u, self._clock)}
+            dead = set(np.flatnonzero(self._dead_mask(n)).tolist())
             self._prune_dead(spanner, dead)
             if len(dead) == n:
                 return PhaseReport(
@@ -588,7 +596,7 @@ class DistributedRelaxedGreedy:
                     "hop factor"
                 ),
             )
-            centers: Iterable[int] = mis_run.independent_set
+            centers: np.ndarray | list[int] = np.flatnonzero(mis_run.chosen)
             universe: list[int] | None = None
         else:
             centers, dead = self._cover_mis_event(
@@ -676,7 +684,7 @@ class DistributedRelaxedGreedy:
                 mis2 = run_luby_mis_arrays(
                     c_indptr, c_indices, seed=mis2_seed
                 )
-                chosen = mis2.independent_set
+                chosen = np.flatnonzero(mis2.chosen)
                 mis2_rounds, mis2_messages = mis2.engine_rounds, mis2.messages
             else:
                 # Conflict-graph nodes are *edges* hosted by alive cluster

@@ -6,11 +6,12 @@ computation, and emits at most one message per neighbor.  The engine:
 
 * runs a :class:`Protocol` over a communication topology -- a weighted
   :class:`repro.graphs.Graph` (the radio network itself), a plain
-  adjacency mapping, or a bare ``(indptr, indices)`` CSR array pair (a
-  *derived* virtual graph such as the proximity graph of Section 3.2.1
-  or the conflict graph ``J`` of Section 3.2.5, whose "edges" are short
-  multi-hop channels in the real network; the CSR form lets the batch
-  tier run on the arrays directly, dict-free);
+  adjacency mapping, or bare CSR arrays (a *derived* virtual graph such
+  as the proximity graph of Section 3.2.1 or the conflict graph ``J``
+  of Section 3.2.5, whose "edges" are short multi-hop channels in the
+  real network; the CSR form lets the batch tier run on the arrays
+  directly, dict-free, and its optional labels let a run cover an
+  induced subgraph while every node keeps its original id);
 * counts rounds, messages, and payload words;
 * refuses to run past ``max_rounds`` (a protocol that fails to halt is a
   bug, not a workload).
@@ -63,6 +64,7 @@ __all__ = [
     "BatchContext",
     "RunResult",
     "SynchronousNetwork",
+    "check_csr_topology",
 ]
 
 
@@ -308,6 +310,97 @@ class RunResult:
     crashed: tuple = ()
 
 
+def _reverse_slots(
+    sources: np.ndarray, indices: np.ndarray, n: int
+) -> np.ndarray:
+    """Reverse-slot permutation of the slots ``sources[e] -> indices[e]``
+    over ``n`` nodes: slot ``(u -> v)`` maps to ``(v -> u)``, or to
+    ``-1`` when the topology has no such slot.
+
+    Keys ``(src, dst)`` of ascending rows are already lexsorted, so the
+    reverse slot is a binary search for ``(dst, src)``.
+    """
+    key_fwd = sources * n + indices
+    key_rev = indices * n + sources
+    rev = np.minimum(
+        np.searchsorted(key_fwd, key_rev), max(key_fwd.size - 1, 0)
+    )
+    rev[key_fwd[rev] != key_rev] = -1
+    return rev
+
+
+def check_csr_topology(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    labels: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a CSR topology and return ``(labels, indptr, indices,
+    rev)`` as int64 arrays.
+
+    ``(indptr, indices)`` must describe a symmetric adjacency over
+    compact ids ``0..k-1`` with strictly ascending, loop-free rows;
+    ``labels`` (default ``0..k-1``) must hold one strictly ascending id
+    per node.  ``rev`` is the reverse-slot permutation the batch tier
+    exchanges mailboxes with.  Raises :class:`ProtocolError` naming the
+    first violation.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indptr.ndim != 1 or indptr.size < 1 or indices.ndim != 1:
+        raise ProtocolError("CSR topology arrays must be 1-D, indptr non-empty")
+    if indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ProtocolError("CSR indptr must span [0, len(indices)]")
+    degrees = np.diff(indptr)
+    if (degrees < 0).any():
+        raise ProtocolError("CSR indptr must be non-decreasing")
+    n = indptr.size - 1
+    if labels is None:
+        labels = np.arange(n, dtype=np.int64)
+    else:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ProtocolError(
+                f"CSR labels must name each of the {n} nodes once, got "
+                f"shape {labels.shape}"
+            )
+        bad = np.diff(labels) <= 0
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise ProtocolError(
+                "CSR labels must be strictly ascending; label "
+                f"{int(labels[i])} of node {i} follows {int(labels[i - 1])}"
+            )
+    owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= n:
+            raise ProtocolError(f"CSR neighbor id out of range [0, {n})")
+        loops = indices == owners
+        if loops.any():
+            slot = int(np.argmax(loops))
+            raise ProtocolError(
+                f"self-loop at {int(owners[slot])} in topology "
+                f"(CSR slot {slot})"
+            )
+        keys = owners * n + indices
+        bad = np.diff(keys) <= 0
+        if bad.any():
+            slot = int(np.argmax(bad)) + 1
+            raise ProtocolError(
+                "CSR rows must be strictly ascending (sorted, no "
+                f"duplicate neighbors); first violation at slot {slot} "
+                f"(node {int(owners[slot])} -> {int(indices[slot])})"
+            )
+    rev = _reverse_slots(owners, indices, n)
+    if (rev < 0).any():
+        slot = int(np.argmax(rev < 0))
+        raise ProtocolError(
+            f"CSR topology is not symmetric: slot {slot} "
+            f"({int(owners[slot])} -> {int(indices[slot])}) "
+            "has no reverse edge"
+        )
+    return labels, indptr, indices, rev
+
+
 class SynchronousNetwork:
     """Executes protocols over a fixed communication topology.
 
@@ -325,10 +418,18 @@ class SynchronousNetwork:
           adjacency with ascending, loop-free rows; the batch tier runs
           on them directly (no per-node dicts are ever built), and the
           scalar reference tier materializes neighbor tuples lazily on
-          first use.
+          first use;
+        * a labeled CSR triple ``(indptr, indices, labels)``: the same
+          arrays over compact ids ``0..k-1``, with ``labels[i]`` the id
+          node ``i`` takes part under on both tiers (what
+          :func:`repro.distributed.mis.induced_csr` returns).  Labels
+          must be strictly ascending, one per node, so compact order is
+          id order and a protocol that draws or breaks ties by id runs
+          exactly as it would on the full topology.
 
         Nodes without entries are not part of the computation.
-        Self-loops are rejected for every topology kind.
+        Self-loops are rejected for every topology kind; a CSR topology
+        is validated by :func:`check_csr_topology`.
     max_rounds:
         Hard budget; exceeding it raises :class:`SimulationLimitError`.
     """
@@ -344,7 +445,7 @@ class SynchronousNetwork:
         self._max_rounds = max_rounds
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._graph = topology if isinstance(topology, Graph) else None
-        self._csr_topology: tuple[np.ndarray, np.ndarray] | None = None
+        self._batch_ctx_arrays: tuple[np.ndarray, ...] | None = None
         if isinstance(topology, Graph):
             self._adj = {}
             for u in topology.vertices():
@@ -353,7 +454,12 @@ class SynchronousNetwork:
                     raise ProtocolError(f"self-loop at {u} in topology")
                 self._adj[u] = nbrs
         elif isinstance(topology, tuple):
-            self._csr_topology = self._check_csr_topology(*topology)
+            if len(topology) not in (2, 3):
+                raise ProtocolError(
+                    "CSR topology must be (indptr, indices) or (indptr, "
+                    f"indices, labels), got a {len(topology)}-tuple"
+                )
+            self._batch_ctx_arrays = check_csr_topology(*topology)
         else:
             sym: dict[int, set[int]] = {u: set() for u in topology}
             for u, nbrs in topology.items():
@@ -363,64 +469,27 @@ class SynchronousNetwork:
                     sym.setdefault(u, set()).add(v)
                     sym.setdefault(v, set()).add(u)
             self._adj = {u: tuple(sorted(ns)) for u, ns in sym.items()}
-        self._batch_ctx_arrays: tuple[np.ndarray, ...] | None = None
         # Snapshot the CSR arrays now: both tiers must see the topology
         # as of construction even if a Graph is mutated afterwards.
         self._topology_arrays()
 
-    @staticmethod
-    def _check_csr_topology(
-        indptr: np.ndarray, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Validate a ``(indptr, indices)`` topology (see ``__init__``)."""
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indptr.ndim != 1 or indptr.size < 1 or indices.ndim != 1:
-            raise ProtocolError("CSR topology arrays must be 1-D, indptr non-empty")
-        if indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ProtocolError("CSR indptr must span [0, len(indices)]")
-        if (np.diff(indptr) < 0).any():
-            raise ProtocolError("CSR indptr must be non-decreasing")
-        n = indptr.size - 1
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n:
-                raise ProtocolError(f"CSR neighbor id out of range [0, {n})")
-            owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            loops = indices == owners
-            if loops.any():
-                slot = int(np.argmax(loops))
-                raise ProtocolError(
-                    f"self-loop at {int(owners[slot])} in topology "
-                    f"(CSR slot {slot})"
-                )
-            keys = owners * n + indices
-            bad = np.diff(keys) <= 0
-            if bad.any():
-                slot = int(np.argmax(bad)) + 1
-                raise ProtocolError(
-                    "CSR rows must be strictly ascending (sorted, no "
-                    f"duplicate neighbors); first violation at slot {slot} "
-                    f"(node {int(owners[slot])} -> {int(indices[slot])})"
-                )
-        return indptr, indices
-
     @property
     def nodes(self) -> list[int]:
         """Participating node ids, sorted."""
-        if self._csr_topology is not None:
-            return list(range(self._csr_topology[0].size - 1))
+        if self._adj is None:
+            return self._batch_ctx_arrays[0].tolist()
         return sorted(self._adj)
 
     def _scalar_adj(self) -> dict[int, tuple[int, ...]]:
         """Neighbor tuples for the scalar tier (built lazily for CSR
         topologies, which the batch tier never needs in dict form)."""
         if self._adj is None:
-            indptr, indices = self._csr_topology
+            labels, indptr, indices, _ = self._batch_ctx_arrays
+            ptr = indptr.tolist()
+            nbrs = labels[indices].tolist()
             self._adj = {
-                u: tuple(
-                    int(x) for x in indices[indptr[u] : indptr[u + 1]]
-                )
-                for u in range(indptr.size - 1)
+                u: tuple(nbrs[ptr[i] : ptr[i + 1]])
+                for i, u in enumerate(labels.tolist())
             }
         return self._adj
 
@@ -432,7 +501,8 @@ class SynchronousNetwork:
 
         Graph topologies reuse the graph's own cached
         :meth:`Graph.csr` structure; mapping topologies build the same
-        arrays from the normalized adjacency.
+        arrays from the normalized adjacency; CSR topologies were
+        validated and snapshotted at construction.
         """
         if self._batch_ctx_arrays is None:
             if self._graph is not None:
@@ -440,9 +510,6 @@ class SynchronousNetwork:
                 labels = np.arange(self._graph.num_vertices, dtype=np.int64)
                 indptr = mat.indptr.astype(np.int64)
                 indices = mat.indices.astype(np.int64)
-            elif self._csr_topology is not None:
-                indptr, indices = self._csr_topology
-                labels = np.arange(indptr.size - 1, dtype=np.int64)
             else:
                 labels = np.asarray(self.nodes, dtype=np.int64)
                 index_of = {int(u): i for i, u in enumerate(labels)}
@@ -453,29 +520,12 @@ class SynchronousNetwork:
                 for i, u in enumerate(labels):
                     row = [index_of[v] for v in self._adj[int(u)]]
                     indices[indptr[i] : indptr[i + 1]] = row
+            # Graph/mapping topologies are symmetric by construction.
             n = labels.size
-            # Reverse-slot permutation: slot (u -> v) maps to (v -> u).
-            # Keys (src, dst) are already lexsorted by construction, so
-            # the reverse slot is a binary search for (dst, src).
             sources = np.repeat(
                 np.arange(n, dtype=np.int64), np.diff(indptr)
             )
-            key_fwd = sources * n + indices
-            key_rev = indices * n + sources
-            rev = np.minimum(
-                np.searchsorted(key_fwd, key_rev), max(key_fwd.size - 1, 0)
-            )
-            if self._csr_topology is not None and key_fwd.size:
-                # Graph/mapping topologies are symmetric by construction;
-                # caller-supplied CSR arrays must prove it.
-                mismatch = key_fwd[rev] != key_rev
-                if mismatch.any():
-                    slot = int(np.argmax(mismatch))
-                    raise ProtocolError(
-                        f"CSR topology is not symmetric: slot {slot} "
-                        f"({int(sources[slot])} -> {int(indices[slot])}) "
-                        "has no reverse edge"
-                    )
+            rev = _reverse_slots(sources, indices, n)
             self._batch_ctx_arrays = (labels, indptr, indices, rev)
         return self._batch_ctx_arrays
 

@@ -23,7 +23,12 @@ from typing import Any
 
 import numpy as np
 
-from ..arrayops import counter_uniform, counter_uniforms, seed_state
+from ..arrayops import (
+    checked_seed,
+    counter_uniform,
+    counter_uniforms,
+    seed_state,
+)
 from ..exceptions import ProtocolError
 
 __all__ = ["FaultPlan"]
@@ -115,6 +120,7 @@ class FaultPlan:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", checked_seed(self.seed, "FaultPlan"))
         for name in ("drop_rate", "burst_rate", "burst_drop", "crash_rate",
                      "flap_rate", "flap_down"):
             value = getattr(self, name)

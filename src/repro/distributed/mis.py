@@ -7,6 +7,14 @@ are growth-bounded UBGs in suitable metrics (Lemmas 15 and 20).  This
 module runs a real message-level MIS protocol on the derived adjacency
 through the synchronous engine, verifies the output, and reports the
 round cost.
+
+Two runners share the protocol.  :func:`run_luby_mis` takes a mapping
+over arbitrary hashable nodes and returns the chosen set
+(:class:`MISRun`).  :func:`run_luby_mis_arrays` takes CSR arrays and
+returns a boolean mask (:class:`MISMask`): a node with no neighbour
+joins in round 0 without a message, so only the subgraph induced on the
+nodes that have one (:func:`induced_csr`) goes through the engine --
+in the distributed build's proximity graphs, a small fraction of them.
 """
 
 from __future__ import annotations
@@ -17,11 +25,13 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from ..exceptions import ProtocolError
-from .engine import SynchronousNetwork
+from .engine import SynchronousNetwork, check_csr_topology
 from .protocols.luby import LubyMIS
 
 __all__ = [
+    "MISMask",
     "MISRun",
+    "induced_csr",
     "run_luby_mis",
     "run_luby_mis_arrays",
     "verify_mis",
@@ -46,6 +56,52 @@ class MISRun:
     independent_set: frozenset
     engine_rounds: int
     messages: int
+
+
+@dataclass(frozen=True)
+class MISMask:
+    """Result of one protocol-backed MIS computation on CSR arrays.
+
+    Attributes
+    ----------
+    chosen:
+        Read-only ``(n,)`` boolean mask over nodes ``0..n-1``: ``True``
+        iff the node is in the MIS.
+    engine_rounds:
+        Message rounds the protocol used on the derived graph.
+    messages:
+        Messages the protocol exchanged.
+    """
+
+    chosen: np.ndarray
+    engine_rounds: int
+    messages: int
+
+
+def induced_csr(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Induce a CSR adjacency on the kept nodes.
+
+    Returns ``(indptr, indices, labels)`` over compact ids ``0..k-1``
+    with ``labels[i]`` the original id of compact node ``i``.  Row order
+    (ascending) is preserved and labels ascend, so the result is a valid
+    labeled engine topology whenever the input was.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    keep = np.asarray(keep, dtype=bool)
+    n = indptr.size - 1
+    labels = np.flatnonzero(keep).astype(np.int64)
+    newid = np.full(n, -1, dtype=np.int64)
+    newid[labels] = np.arange(labels.size, dtype=np.int64)
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    sel = keep[owners] & keep[indices]
+    new_indices = newid[indices[sel]]
+    counts = np.bincount(newid[owners[sel]], minlength=labels.size)
+    new_indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    return new_indptr, new_indices, labels
 
 
 def _normalize(
@@ -150,36 +206,43 @@ def run_luby_mis_arrays(
     seed: int = 0,
     max_rounds: int = 10_000,
     engine: str = "auto",
-) -> MISRun:
+) -> MISMask:
     """Compute an MIS of a CSR-array adjacency with the Luby protocol.
 
-    The dict-free twin of :func:`run_luby_mis`: the ``(indptr,
+    The dict-free twin of :func:`run_luby_mis`.  The ``(indptr,
     indices)`` pair (nodes ``0..n-1``, symmetric, ascending loop-free
     rows -- exactly what
     :meth:`repro.distributed.dist_spanner.DistributedRelaxedGreedy`
-    derives for the cover proximity graph) feeds the engine's batch tier
-    directly, so no per-node dict or set is ever materialized on the
-    ``n = 10^4`` path.  For the same topology and seed the result --
-    rounds, messages and chosen set -- is identical to
-    :func:`run_luby_mis` on the equivalent mapping, which the test-suite
-    pins; the output is validated before being returned.
+    derives for the cover proximity graph) is validated whole, as the
+    engine validates a topology.  Every node without a neighbour is
+    chosen, as Luby's round 0 chooses it, and the protocol runs only on
+    the subgraph induced on the others, under their original ids: its
+    priorities and tie-breaks, hence the chosen set, the rounds and the
+    messages, are those of a run over all ``n`` nodes, which the
+    test-suite pins against :func:`run_luby_mis` and the full-topology
+    engine run.  The result is verified on the whole input before it is
+    returned, as a read-only mask -- no per-node dict or set of all
+    ``n`` nodes is built.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    n = indptr.size - 1
-    if n == 0:
-        return MISRun(frozenset(), engine_rounds=0, messages=0)
-    net = SynchronousNetwork((indptr, indices), max_rounds=max_rounds)
-    result = net.run(LubyMIS(seed=seed), engine=engine)
-    chosen = frozenset(u for u, flag in result.outputs.items() if flag)
-    mask = np.zeros(n, dtype=bool)
-    mask[list(chosen)] = True
-    verify_mis_arrays(indptr, indices, mask)
-    return MISRun(
-        independent_set=chosen,
-        engine_rounds=result.rounds,
-        messages=result.messages,
-    )
+    if max_rounds < 1:
+        raise ProtocolError(f"max_rounds must be >= 1, got {max_rounds}")
+    _, indptr, indices, _ = check_csr_topology(indptr, indices)
+    has_nbr = np.diff(indptr) > 0
+    chosen = ~has_nbr
+    rounds = messages = 0
+    if has_nbr.any():
+        sub_indptr, sub_indices, labels = induced_csr(indptr, indices, has_nbr)
+        net = SynchronousNetwork(
+            (sub_indptr, sub_indices, labels), max_rounds=max_rounds
+        )
+        result = net.run(LubyMIS(seed=seed), engine=engine)
+        # Outputs come in ascending label order, aligned with labels.
+        flags = np.fromiter(result.outputs.values(), bool, labels.size)
+        chosen[labels[flags]] = True
+        rounds, messages = result.rounds, result.messages
+    verify_mis_arrays(indptr, indices, chosen)
+    chosen.setflags(write=False)
+    return MISMask(chosen=chosen, engine_rounds=rounds, messages=messages)
 
 
 def run_luby_mis(

@@ -41,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from ...arrayops import (
+    checked_seed,
     counter_uniform,
     counter_uniforms,
     seed_state,
@@ -89,8 +90,8 @@ class LubyMIS(BatchProtocol):
     name = "luby-mis"
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
-        self._state = seed_state(seed)
+        self._seed = checked_seed(seed, "LubyMIS")
+        self._state = seed_state(self._seed)
 
     # ------------------------------------------------------------------
     # Scalar tier (semantic reference)
@@ -308,8 +309,5 @@ class LubyMIS(BatchProtocol):
         )
 
     def outputs_batch(self, net: BatchContext) -> dict[int, bool]:
-        status = net.state["status"]
-        return {
-            int(u): bool(status[i] == _S_IN_MIS)
-            for i, u in enumerate(net.labels)
-        }
+        chosen = net.state["status"] == _S_IN_MIS
+        return dict(zip(net.labels.tolist(), chosen.tolist()))

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
 from ..exceptions import ProtocolError
 from .engine import RunResult
 from .event_engine import EventNetwork
@@ -49,39 +47,12 @@ __all__ = [
     "repair_mis",
     "repair_bfs",
     "verify_bfs_tree",
-    "induced_csr",
 ]
 
 
 # ----------------------------------------------------------------------
 # Subgraph helpers
 # ----------------------------------------------------------------------
-def induced_csr(
-    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induce a CSR adjacency on the kept nodes.
-
-    Returns ``(indptr, indices, labels)`` over compact ids ``0..k-1``
-    with ``labels[i]`` the original id of compact node ``i``.  Row order
-    (ascending) is preserved, so the result is engine-valid whenever the
-    input was.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    keep = np.asarray(keep, dtype=bool)
-    n = indptr.size - 1
-    labels = np.flatnonzero(keep).astype(np.int64)
-    newid = np.full(n, -1, dtype=np.int64)
-    newid[labels] = np.arange(labels.size, dtype=np.int64)
-    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    sel = keep[owners] & keep[indices]
-    new_indices = newid[indices[sel]]
-    counts = np.bincount(newid[owners[sel]], minlength=labels.size)
-    new_indptr = np.zeros(labels.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, new_indices, labels
-
-
 def _alive_adjacency(
     adjacency: Mapping[int, tuple[int, ...]], alive: set[int]
 ) -> dict[int, set[int]]:

@@ -40,7 +40,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..arrayops import counter_uniforms, seed_state
+from ..arrayops import checked_seed, counter_uniforms, seed_state
 from ..exceptions import GraphError
 from ..geometry.grid import GridIndex
 from ..geometry.metrics import EdgeMetric, EuclideanMetric
@@ -168,8 +168,8 @@ class BernoulliPolicy:
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"p must be in [0, 1], got {p}")
         self._p = p
-        self._seed = seed
-        self._state = _seed_state(seed)
+        self._seed = checked_seed(seed, "BernoulliPolicy")
+        self._state = _seed_state(self._seed)
 
     def decide(self, points: PointSet, u: int, v: int, dist: float) -> bool:
         return bool(_pair_uniform_scalar(self._state, u, v) < self._p)
@@ -206,8 +206,8 @@ class DecayPolicy:
             raise GraphError(f"k must be positive, got {k}")
         self._alpha = alpha
         self._k = k
-        self._seed = seed
-        self._state = _seed_state(seed)
+        self._seed = checked_seed(seed, "DecayPolicy")
+        self._state = _seed_state(self._seed)
 
     def decide(self, points: PointSet, u: int, v: int, dist: float) -> bool:
         mask = self.decide_batch(

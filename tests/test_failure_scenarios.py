@@ -170,6 +170,32 @@ class TestFaultyBuildPins:
         assert build.repair_edges == repair
 
 
+class TestDeadSetsOnArrays:
+    """A fault-plan build asks the plan who is down with one array call
+    per phase and one at the end, never node by node."""
+
+    def test_build_never_asks_node_by_node(self, monkeypatch):
+        sizes = []
+        alive_at = FaultPlan.alive_at
+
+        def counting(plan, nodes, at):
+            sizes.append(len(nodes))
+            return alive_at(plan, nodes, at)
+
+        def refuse(plan, node, at):
+            raise AssertionError(f"dead_at({node}, {at}) called")
+
+        monkeypatch.setattr(FaultPlan, "alive_at", counting)
+        monkeypatch.setattr(FaultPlan, "dead_at", refuse)
+        workload = make_workload("uniform", 80, seed=61)
+        build = DistributedRelaxedGreedy(
+            SpannerParams.from_epsilon(0.5),
+            fault_plan=fault_scenario("crashy").plan(0),
+        ).build(workload.graph, workload.points.distance)
+        long_phases = [p for p in build.phases if p.index > 0]
+        assert sizes == [80] * (len(long_phases) + 1)
+
+
 class TestInjectionDeterminism:
     """S3: same seed => identical reports, different seed may differ."""
 

@@ -2,16 +2,20 @@
 
 The distributed build keeps the proximity graph ``J`` as ``(indptr,
 indices)`` arrays end-to-end; these tests pin the array path against the
-dict path -- identical ``RunResult`` accounting and identical chosen
-sets for every seed -- and the engine's CSR-topology validation.
+dict path and against a full-topology engine run -- identical
+accounting and identical chosen sets for every seed, although the array
+runner hands only the nodes with a neighbour to the engine -- and the
+engine's CSR-topology validation, labeled triples included.
 """
 
 import numpy as np
 import pytest
 
+import repro.distributed.mis as mis_mod
 from repro.distributed.dist_spanner import DistributedRelaxedGreedy
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.mis import (
+    induced_csr,
     run_luby_mis,
     run_luby_mis_arrays,
     verify_mis_arrays,
@@ -44,6 +48,20 @@ def to_csr(adj):
     return indptr, np.asarray(rows, dtype=np.int64)
 
 
+def partly_isolated(n, linked, seed):
+    """CSR graph on ``n`` nodes in which exactly ``linked`` random nodes
+    have a neighbour: a random path through them plus random chords."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(n)[:linked].tolist()
+    adj = {u: set() for u in range(n)}
+    chords = list(zip(nodes, nodes[1:]))
+    chords += [tuple(rng.choice(nodes, 2, replace=False)) for _ in range(linked)]
+    for u, v in chords:
+        adj[int(u)].add(int(v))
+        adj[int(v)].add(int(u))
+    return to_csr(adj)
+
+
 class TestLubyCsrEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("p", [0.05, 0.3])
@@ -52,7 +70,8 @@ class TestLubyCsrEquivalence:
         indptr, indices = to_csr(adj)
         dict_run = run_luby_mis(adj, seed=seed)
         csr_run = run_luby_mis_arrays(indptr, indices, seed=seed)
-        assert csr_run.independent_set == dict_run.independent_set
+        chosen = frozenset(np.flatnonzero(csr_run.chosen).tolist())
+        assert chosen == dict_run.independent_set
         assert csr_run.engine_rounds == dict_run.engine_rounds
         assert csr_run.messages == dict_run.messages
 
@@ -73,14 +92,120 @@ class TestLubyCsrEquivalence:
         )
 
     def test_empty_and_isolated(self):
-        empty = run_luby_mis_arrays(
-            np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert empty.independent_set == frozenset()
-        iso = run_luby_mis_arrays(
-            np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert iso.independent_set == frozenset({0, 1, 2})
+        for n in (0, 1, 3, 7):
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            indices = np.empty(0, dtype=np.int64)
+            full = SynchronousNetwork((indptr, indices)).run(LubyMIS(seed=4))
+            run = run_luby_mis_arrays(indptr, indices, seed=4)
+            assert run.chosen.tolist() == [True] * n
+            assert list(full.outputs.values()) == [True] * n
+            assert run.engine_rounds == full.rounds == 0
+            assert run.messages == full.messages == 0
+
+
+class TestNeighbourOnlyRuns:
+    """The array runner chooses every degree-0 node itself and hands the
+    engine only the nodes with a neighbour, under their own ids; the
+    result must equal a Luby run over the full topology."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("linked", [120, 60, 3, 0])
+    def test_matches_full_topology_run(self, seed, linked):
+        indptr, indices = partly_isolated(120, linked, seed)
+        full = SynchronousNetwork((indptr, indices)).run(LubyMIS(seed=seed))
+        run = run_luby_mis_arrays(indptr, indices, seed=seed)
+        assert run.chosen.tolist() == list(full.outputs.values())
+        assert run.engine_rounds == full.rounds
+        assert run.messages == full.messages
+        assert not run.chosen.flags.writeable
+
+    def test_engine_sees_only_nodes_with_a_neighbour(self, monkeypatch):
+        seen = []
+
+        class Recording(SynchronousNetwork):
+            def run(self, protocol, *, engine="auto"):
+                seen.append(self.nodes)
+                return super().run(protocol, engine=engine)
+
+        monkeypatch.setattr(mis_mod, "SynchronousNetwork", Recording)
+        indptr, indices = partly_isolated(50, 4, seed=2)
+        linked = np.flatnonzero(np.diff(indptr) > 0).tolist()
+        run_luby_mis_arrays(indptr, indices, seed=2)
+        assert seen == [linked]
+        run_luby_mis_arrays(np.zeros(6, dtype=np.int64), np.empty(0, np.int64))
+        assert seen == [linked]  # all isolated: no engine run at all
+
+    @pytest.mark.parametrize(
+        "indptr, indices, kwargs, match",
+        [
+            # Node 0 lists node 1, whose row is empty.
+            ([0, 1, 1], [1], {}, "not symmetric"),
+            ([0, 1, 2], [0, 0], {}, "self-loop"),
+            ([0, 2, 3, 4], [2, 1, 0, 0], {}, "ascending"),
+            ([0, 1, 2], [1, 5], {}, "out of range"),
+            ([1, 1], [], {}, "span"),
+            ([0, 0, 0, 0], [], {"max_rounds": 0}, "max_rounds"),
+            ([0, 1, 2, 2], [1, 0], {"max_rounds": 0}, "max_rounds"),
+        ],
+    )
+    def test_bad_input_still_rejected(self, indptr, indices, kwargs, match):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        with pytest.raises(ProtocolError, match=match):
+            run_luby_mis_arrays(indptr, indices, **kwargs)
+
+
+class TestLabeledTopology:
+    """``(indptr, indices, labels)``: compact CSR rows, original ids."""
+
+    @staticmethod
+    def labeled(seed):
+        indptr, indices = to_csr(random_adjacency(60, 0.1, seed))
+        keep = np.random.default_rng(seed).random(60) < 0.5
+        return induced_csr(indptr, indices, keep)
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_scalar_and_batch_tiers_agree(self, seed):
+        topology = self.labeled(seed)
+        labels = topology[2]
+        assert (np.diff(labels) > 1).any()  # non-contiguous ids
+        runs = {
+            engine: SynchronousNetwork(topology).run(
+                LubyMIS(seed=seed), engine=engine
+            )
+            for engine in ("scalar", "batch")
+        }
+        scalar, batch = runs["scalar"], runs["batch"]
+        assert scalar.rounds == batch.rounds
+        assert scalar.messages == batch.messages
+        assert scalar.words == batch.words
+        assert list(scalar.outputs.items()) == list(batch.outputs.items())
+        assert list(batch.outputs) == labels.tolist()
+
+    def test_nodes_and_scalar_adjacency_use_labels(self):
+        indptr, indices = to_csr({0: {1}, 1: {0, 2}, 2: {1}})
+        net = SynchronousNetwork((indptr, indices, np.array([3, 8, 20])))
+        assert net.nodes == [3, 8, 20]
+        assert net._scalar_adj() == {3: (8,), 8: (3, 20), 20: (8,)}
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ([3, 3, 20], "strictly ascending"),
+            ([8, 3, 20], "strictly ascending"),
+            ([3, 8], "each of the 3 nodes"),
+            ([[3, 8, 20]], "each of the 3 nodes"),
+        ],
+    )
+    def test_rejects_bad_labels(self, labels, match):
+        indptr, indices = to_csr({0: {1}, 1: {0, 2}, 2: {1}})
+        with pytest.raises(ProtocolError, match=match):
+            SynchronousNetwork((indptr, indices, np.asarray(labels)))
+
+    def test_rejects_other_tuple_lengths(self):
+        indptr, indices = to_csr({0: {1}, 1: {0}})
+        with pytest.raises(ProtocolError, match="4-tuple"):
+            SynchronousNetwork((indptr, indices, np.arange(2), None))
 
 
 class TestVerifyMisArrays:

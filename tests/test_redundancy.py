@@ -196,7 +196,8 @@ class TestConflictGraphAndRemoval:
         for u, v, w in added:
             spanner.add_edge(u, v, w)
         key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, 40)
-        chosen = run_luby_mis_arrays(indptr, indices, seed=3).independent_set
+        mis = run_luby_mis_arrays(indptr, indices, seed=3)
+        chosen = np.flatnonzero(mis.chosen)
         removed, kept = remove_unchosen(spanner, added, key_u, key_v, chosen)
         assert removed
         assert len(removed) == len(key_u) - len(chosen)

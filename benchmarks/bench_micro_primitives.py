@@ -59,9 +59,9 @@ def test_cluster_cover(benchmark, deployment):
 def test_edge_binning(benchmark, deployment):
     _, graph = deployment
     binning = EdgeBinning(1.05, 1.0, graph.num_vertices)
-    edges = list(graph.edges())
+    edges = graph.edges_arrays()
     bins = benchmark(lambda: binning.assign(edges))
-    assert sum(len(v) for v in bins.values()) == len(edges)
+    assert sum(v.w.size for v in bins.values()) == edges.w.size
 
 
 def test_seq_greedy_small(benchmark):

@@ -11,16 +11,21 @@ Edges inside a bin may be processed in *any* order (and updated lazily),
 which is what makes the distributed implementation possible.  Because no
 edge of an alpha-UBG is longer than 1 and ``W_m >= 1``, every edge lands in
 exactly one of ``I_0 .. I_m``.
+
+Since a bin's edges are processed as a set, a bin is one
+:class:`~repro.graphs.graph.EdgeArrays` batch: :meth:`EdgeBinning.assign`
+splits the graph's edge arrays into one batch per bin, and every later
+step of the phase selects from that batch by mask or index array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import GraphError, ParameterError
+from ..graphs.graph import EdgeArrays
 from ..params import SpannerParams
 
 __all__ = ["EdgeBinning"]
@@ -167,36 +172,22 @@ class EdgeBinning:
             )
         return idx
 
-    def assign(
-        self, edges: Iterable[tuple[int, int, float]]
-    ) -> dict[int, list[tuple[int, int, float]]]:
-        """Group ``(u, v, length)`` triples by bin index.
+    def assign(self, edges: EdgeArrays) -> dict[int, EdgeArrays]:
+        """Split an edge batch into one batch per bin.
 
-        Only non-empty bins appear in the result; the relaxed greedy
-        algorithm skips empty phases outright (their cluster covers would
-        never be queried).  Bin indices come from one vectorized
-        :meth:`bins_of` call; keys appear in first-occurrence order and
-        per-bin lists keep the input edge order, exactly like the scalar
-        ``setdefault`` walk this replaces.
+        ``edges`` is an :class:`~repro.graphs.graph.EdgeArrays` batch,
+        typically ``graph.edges_arrays()``.  Only non-empty bins appear
+        in the result, with ascending keys; the relaxed greedy algorithm
+        skips empty phases outright (their cluster covers would never be
+        queried).  Bin indices come from one vectorized :meth:`bins_of`
+        call, and each bin's batch keeps the input edge order.
         """
-        edge_list = list(edges)
-        if not edge_list:
-            return {}
-        lengths = np.asarray([w for _, _, w in edge_list], dtype=np.float64)
-        bins = self.bins_of(lengths)
+        bins = self.bins_of(edges.w)
         order = np.argsort(bins, kind="stable")
         sorted_bins = bins[order]
-        bounds = np.flatnonzero(
-            np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1]))
-        )
-        ends = np.append(bounds[1:], order.size)
-        groups = {
-            int(sorted_bins[lo]): [edge_list[i] for i in order[lo:hi].tolist()]
-            for lo, hi in zip(bounds.tolist(), ends.tolist())
+        starts = np.flatnonzero(np.diff(sorted_bins, prepend=-1))
+        ends = np.append(starts[1:], order.size)
+        return {
+            int(sorted_bins[lo]): edges.take(order[lo:hi])
+            for lo, hi in zip(starts.tolist(), ends.tolist())
         }
-        # First-occurrence key order, as the scalar setdefault walk had.
-        first_seen: dict[int, None] = {}
-        for b in bins.tolist():
-            if b not in first_seen:
-                first_seen[b] = None
-        return {b: groups[b] for b in first_seen}

@@ -30,12 +30,12 @@ rows a :class:`~repro.graphs.graph.Graph` of the same edges would give.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exceptions import GraphError
-from ..graphs.graph import Graph, check_edge_arrays, symmetric_csr
+from ..graphs.graph import EdgeArrays, Graph, check_edge_arrays, symmetric_csr
 from ..graphs.paths import (
     nearest_source_distances,
     pair_distance_entries,
@@ -168,7 +168,7 @@ def build_cluster_graph(
     w_prev: float,
     delta: float,
     *,
-    queries: Sequence[tuple[int, int, float]] | None = None,
+    queries: EdgeArrays | None = None,
     radius: float = 0.0,
 ) -> ClusterGraph:
     """Construct ``H_{i-1}`` from the partial spanner and its cover.
@@ -185,8 +185,8 @@ def build_cluster_graph(
         Cover radius factor (used for the Lemma 5 search cutoff).
     queries / radius:
         Build ``H`` only over the region ``U`` within ``G'``-distance
-        ``radius`` of the endpoints of the ``(x, y, length)`` queries
-        (default: ``U`` is every vertex, the full ``H``).
+        ``radius`` of the endpoints of the query batch (default: ``U``
+        is every vertex, the full ``H``).
 
     Notes
     -----
@@ -221,7 +221,7 @@ def build_cluster_graph(
     center_of, center_dist = cover.center, cover.dist
     in_region = np.ones(n, dtype=bool)
     if queries is not None:
-        ends = np.fromiter((p for q in queries for p in q[:2]), np.int64)
+        ends = np.concatenate([queries.u, queries.v])
         cutoff = radius * (1.0 + _REGION_SLACK)
         in_region = np.isfinite(
             nearest_source_distances(spanner, ends, cutoff=cutoff)
@@ -301,10 +301,11 @@ def build_cluster_graph(
 
 def answer_spanner_queries(
     cluster_graph: ClusterGraph,
-    query_edges: list[tuple[int, int, float]],
+    queries: EdgeArrays,
     t: float,
-) -> list[bool]:
-    """Step (iv) verdicts: ``True`` iff the query edge joins the spanner.
+) -> np.ndarray:
+    """Step (iv) verdicts: a mask over the query batch, true where the
+    query edge joins the spanner.
 
     A query edge ``(x, y, length)`` is added exactly when ``H`` has no
     path of length ``<= t * length`` between its endpoints.  All queries
@@ -315,13 +316,10 @@ def answer_spanner_queries(
     are tiny.  Both branches compare the exact same distance against the
     exact same threshold, so verdicts are identical by construction.
     """
-    if not query_edges:
-        return []
-    xs = np.asarray([x for x, _, _ in query_edges], dtype=np.int64)
-    ys = np.asarray([y for _, y, _ in query_edges], dtype=np.int64)
-    thresholds = t * np.asarray(
-        [length for _, _, length in query_edges], dtype=np.float64
-    )
+    xs, ys, lengths = queries
+    if lengths.size == 0:
+        return np.zeros(0, dtype=bool)
+    thresholds = t * lengths
     cutoff = float(thresholds.max())
     dist = cluster_graph.distance_pairs(xs, ys, cutoff=cutoff)
-    return (dist > thresholds).tolist()
+    return dist > thresholds

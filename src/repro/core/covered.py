@@ -17,11 +17,14 @@ never need to be queried.  The angle is computed purely from pairwise
 distances (law of cosines) -- the algorithm never touches coordinates,
 honouring Section 1.1.
 
-Distances come from a :class:`repro.core.oracle.DistanceOracle`: the
-flattened CSR witness scan of :func:`split_covered` measures them with
-one ``pairs`` call per orientation, vectorized for every shipped oracle
-(PointSets, l_p metrics, energy costs, fault-masked oracles) and a
-per-pair loop for a bare scalar callable.
+:func:`split_covered` takes the bin as one
+:class:`~repro.graphs.graph.EdgeArrays` batch and returns the covered
+edges as a boolean mask over it; the candidates are the rest of the
+batch.  Distances come from a :class:`repro.core.oracle.DistanceOracle`:
+the flattened CSR witness scan measures them with one ``pairs`` call
+per orientation, vectorized for every shipped oracle (PointSets, l_p
+metrics, energy costs, fault-masked oracles) and a per-pair loop for a
+bare scalar callable.
 """
 
 from __future__ import annotations
@@ -30,43 +33,42 @@ import numpy as np
 
 from ..arrayops import run_expand
 from ..exceptions import GraphError
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from .oracle import DistanceOracle, as_oracle
 
 __all__ = ["DistanceOracle", "split_covered"]
 
 
 def split_covered(
-    edges: list[tuple[int, int, float]],
+    edges: EdgeArrays,
     spanner: Graph,
     dist: DistanceOracle,
     *,
     alpha: float,
     theta: float,
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
-    """Partition bin edges into (candidates, covered).
+) -> np.ndarray:
+    """Which edges of a bin batch are covered, as a boolean mask.
 
-    Candidates are the edges that survive the covered-edge filter and
+    The bin's candidates are the batch's uncovered edges,
+    ``edges.take(~covered)``: they survive the covered-edge filter and
     move on to per-cluster-pair query selection.  The witness scan runs
     as one flattened array pass: witnesses expanded through the
     spanner's CSR rows, both orientations at once, distances measured
     by one ``pairs`` call per orientation.  The equivalence suite pins
-    the partition equal to a per-edge scalar reference for every
-    shipped oracle and for a bare callable.
+    the mask equal to a per-edge scalar reference for every shipped
+    oracle and for a bare callable.
     """
-    if not edges:
-        return [], []
+    us, vs, ws = edges
+    m = ws.size
+    is_cov = np.zeros(m, dtype=bool)
+    if m == 0:
+        return is_cov
     oracle = as_oracle(dist)
-    ws = np.asarray([w for _, _, w in edges], dtype=np.float64)
     bad = ws <= 0.0
     if bad.any():
         w = float(ws[int(np.argmax(bad))])
         raise GraphError(f"edge length must be positive, got {w}")
-    m = len(edges)
-    is_cov = np.zeros(m, dtype=bool)
     if spanner.num_edges > 0:
-        us = np.asarray([u for u, _, _ in edges], dtype=np.int64)
-        vs = np.asarray([v for _, v, _ in edges], dtype=np.int64)
         mat = spanner.csr()
         indptr = np.asarray(mat.indptr, dtype=np.int64)
         indices = np.asarray(mat.indices, dtype=np.int64)
@@ -87,6 +89,4 @@ def split_covered(
             cos_val = np.clip(cos_val / denom, -1.0, 1.0)
             ok &= np.arccos(cos_val) <= theta
             is_cov |= np.bincount(edge_of[ok], minlength=m) > 0
-    candidates = [e for e, c in zip(edges, is_cov.tolist()) if not c]
-    covered = [e for e, c in zip(edges, is_cov.tolist()) if c]
-    return candidates, covered
+    return is_cov

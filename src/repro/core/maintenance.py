@@ -92,7 +92,7 @@ import numpy as np
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
 from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from ..graphs.paths import detour_distance, dijkstra_distance, pair_distances
 from ..params import SpannerParams
 from .bins import EdgeBinning
@@ -508,12 +508,9 @@ class MaintenanceSession:
         sp = pair_distances(self.spanner, us, vs, cutoff=t)
         ratio = sp / ws
         stretch = float(ratio.max())
-        subset = all(
-            self.graph.has_edge(u, v) for u, v, _ in self.spanner.edges()
-        )
         ok = bool(np.isfinite(stretch)) and stretch <= t * (1.0 + 1e-9)
         return {
-            "ok": ok and subset,
+            "ok": ok and self.spanner.is_subgraph_of(self.graph),
             "stretch": stretch,
             "edges": int(us.size),
         }
@@ -904,6 +901,12 @@ class MaintenanceSession:
         single-event pin is the k=1 case rather than a separate path.
         Batched max-cutoff sweeps were measured slower here: per-edge
         Dijkstra cutoffs are what keep the answered balls tiny.
+
+        Candidates stay one :class:`~repro.graphs.graph.EdgeArrays`
+        batch throughout: the touching base edges outside the spanner,
+        split into bins, filtered by masks and put in query order by
+        ``np.lexsort``; the prune list is a batch of the touching
+        spanner edges in descending ``(w, u, v)`` order.
         """
         t = self.params.t
         t1 = self.params.t1
@@ -917,64 +920,30 @@ class MaintenanceSession:
         tp0 = perf_counter()
         cover_before = report.cover_s
         candidates = self._touching_edges(self.graph, dirty, spanner_gap=True)
-        if candidates:
-            binning = EdgeBinning.for_params(
-                self.params, self.graph.num_vertices
-            )
-            by_bin = binning.assign(candidates)
-            for i in sorted(by_bin):
-                bin_edges = by_bin[i]
-                if i == 0 or len(bin_edges) <= _COVER_MIN_EDGES:
-                    # Short-edge bin (lengths <= alpha/n) or a bin too
-                    # thin for the cover to pay: the cover's only job
-                    # in repair is merging same-cluster-pair queries,
-                    # and with this few candidates the derivation costs
-                    # more than the <= k queries it could save -- query
-                    # each edge directly, greedy in length order.
-                    for x, y, length in sorted(
-                        bin_edges, key=lambda e: (e[2], e[0], e[1])
-                    ):
-                        d = dijkstra_distance(
-                            self.spanner, x, y, cutoff=t * length
-                        )
-                        if d > t * length:
-                            self._span_add(x, y, length, report)
-                    continue
-                radius = self.params.delta * binning.boundary(i - 1)
-                # The selection only needs candidate *endpoints*
-                # covered; restricting the universe to them keeps the
-                # re-promotion O(dirty), not O(halo x bins).
-                endpoints = sorted(
-                    {x for x, _, _ in bin_edges}
-                    | {y for _, y, _ in bin_edges}
-                )
-                cover = self._bin_cover(i, radius, endpoints, report)
-                # delta < 1/2 makes same-cluster candidates impossible
-                # for this bin (sp >= |xy| > W_{i-1} > 2*radius); the
-                # filter is a cheap guard for degenerate parameters.
-                ex, ey = (
-                    np.fromiter((e[j] for e in bin_edges), np.int64)
-                    for j in (0, 1)
-                )
-                apart = cover.center[ex] != cover.center[ey]
-                bin_edges = list(itertools.compress(bin_edges, apart))
-                if not bin_edges:
-                    continue
-                selection = select_query_edges(bin_edges, cover, t)
-                # Step-iv re-answering: scalar cutoff-Dijkstra per
-                # query, each answer visible to the next.  The scalar
-                # search is target-directed -- it stops the moment the
-                # partner vertex settles, typically after exploring a
-                # ball of radius ~sp(x, y) rather than the full cutoff
-                # -- so batched multi-source sweeps, which must flood
-                # every source's whole cutoff ball, were measured 2-5x
-                # slower here despite their C-level inner loop.
-                for x, y, length in selection.edges():
-                    d = dijkstra_distance(
-                        self.spanner, x, y, cutoff=t * length
-                    )
-                    if d > t * length:
-                        self._span_add(x, y, length, report)
+        binning = EdgeBinning.for_params(self.params, self.graph.num_vertices)
+        for i, bin_edges in binning.assign(candidates).items():
+            if i == 0 or bin_edges.w.size <= _COVER_MIN_EDGES:
+                # Short-edge bin (lengths <= alpha/n) or a bin too thin
+                # for the cover to pay: the cover's only job in repair
+                # is merging same-cluster-pair queries, and with this
+                # few candidates the derivation costs more than the
+                # <= k queries it could save -- query each edge
+                # directly, greedy in ascending (w, u, v) order.
+                order = np.lexsort((bin_edges.v, bin_edges.u, bin_edges.w))
+                self._answer(bin_edges.take(order), report)
+                continue
+            radius = self.params.delta * binning.boundary(i - 1)
+            # The selection only needs candidate *endpoints* covered;
+            # restricting the universe to them keeps the re-promotion
+            # O(dirty), not O(halo x bins).
+            endpoints = np.unique(np.concatenate([bin_edges.u, bin_edges.v]))
+            cover = self._bin_cover(i, radius, endpoints, report)
+            # delta < 1/2 makes same-cluster candidates impossible for
+            # this bin (sp >= |xy| > W_{i-1} > 2*radius); the filter is
+            # a cheap guard for degenerate parameters.
+            apart = cover.center[bin_edges.u] != cover.center[bin_edges.v]
+            selection = select_query_edges(bin_edges.take(apart), cover, t)
+            self._answer(selection.queries, report)
         report.promotion_s += (perf_counter() - tp0) - (
             report.cover_s - cover_before
         )
@@ -982,14 +951,10 @@ class MaintenanceSession:
         # Phase (v): redundancy re-verdicts for spanner edges touching
         # the dirty ball -- remove iff a t1-alternative survives.
         tr0 = perf_counter()
-        prune = sorted(
-            (
-                (w, a, b)
-                for a, b, w in self._touching_edges(self.spanner, dirty)
-            ),
-            reverse=True,
-        )
-        for w, a, b in prune:
+        touching = self._touching_edges(self.spanner, dirty)
+        order = np.lexsort((touching.v, touching.u, touching.w))[::-1]
+        prune = touching.take(order)
+        for a, b, w in zip(*(arr.tolist() for arr in prune)):
             if not self.spanner.has_edge(a, b):
                 continue
             # detour_distance answers "would a t1-alternative survive
@@ -1011,44 +976,51 @@ class MaintenanceSession:
         tc0 = perf_counter()
         t = self.params.t
         suspects = self._touching_edges(self.graph, halo, spanner_gap=True)
-        if suspects:
-            us = np.asarray([e[0] for e in suspects], dtype=np.int64)
-            vs = np.asarray([e[1] for e in suspects], dtype=np.int64)
-            ws = np.asarray([e[2] for e in suspects])
-            sp = pair_distances(self.spanner, us, vs, cutoff=t)
-            viol = sp > t * ws
+        if suspects.w.size:
+            sp = pair_distances(self.spanner, suspects.u, suspects.v, cutoff=t)
             for x, y, length in zip(
-                us[viol].tolist(), vs[viol].tolist(), ws[viol].tolist()
+                *(a.tolist() for a in suspects.take(sp > t * suspects.w))
             ):
                 self._span_add(x, y, length, report)
         report.certification_s += perf_counter() - tc0
 
+    def _answer(self, queries: EdgeArrays, report: RepairReport) -> None:
+        """Step-iv re-answering: one scalar cutoff-Dijkstra per query, in
+        batch order, each answer visible to the next.  The scalar search
+        is target-directed -- it stops the moment the partner vertex
+        settles, typically after exploring a ball of radius ~sp(x, y)
+        rather than the full cutoff -- so batched multi-source sweeps,
+        which must flood every source's whole cutoff ball, were measured
+        2-5x slower here despite their C-level inner loop."""
+        t = self.params.t
+        for x, y, length in zip(*(a.tolist() for a in queries)):
+            d = dijkstra_distance(self.spanner, x, y, cutoff=t * length)
+            if d > t * length:
+                self._span_add(x, y, length, report)
+
     def _touching_edges(
         self, graph: Graph, region: np.ndarray, *, spanner_gap: bool = False
-    ) -> list[tuple[int, int, float]]:
-        """Edges of ``graph`` with an endpoint in ``region``, each once
-        as ``(u, v, w)`` with ``u < v``, in the edge store's
-        deterministic order.  With ``spanner_gap`` only edges absent
-        from the maintained spanner survive (the promotion /
-        certification candidate filter): a per-pair adjacency probe on
-        the already-masked selection -- an encoded-key ``np.isin`` was
-        measured slower because it re-sorts all the spanner's edge keys
-        on every call, while the selection it filters is tiny."""
-        us, vs, ws = graph.edges_arrays()
-        if us.size == 0 or region.size == 0:
-            return []
+    ) -> EdgeArrays:
+        """Edges of ``graph`` with an endpoint in ``region`` as one batch
+        with ``u < v``, in the edge store's deterministic order.  With
+        ``spanner_gap`` only edges absent from the maintained spanner
+        survive (the promotion / certification candidate filter): a
+        per-pair adjacency probe on the already-masked selection -- an
+        encoded-key ``np.isin`` was measured slower because it re-sorts
+        all the spanner's edge keys on every call, while the selection
+        it filters is tiny."""
+        edges = graph.edges_arrays()
         mask = np.zeros(graph.num_vertices, dtype=bool)
         mask[region] = True
-        sel = mask[us] | mask[vs]
-        if not sel.any():
-            return []
-        pairs = list(
-            zip(us[sel].tolist(), vs[sel].tolist(), ws[sel].tolist())
-        )
+        edges = edges.take(mask[edges.u] | mask[edges.v])
         if spanner_gap:
             has = self.spanner.has_edge
-            pairs = [(a, b, w) for a, b, w in pairs if not has(a, b)]
-        return pairs
+            gap = [
+                not has(a, b)
+                for a, b in zip(edges.u.tolist(), edges.v.tolist())
+            ]
+            edges = edges.take(np.array(gap, dtype=bool))
+        return edges
 
     # -- persistent cover state ----------------------------------------
     def _kill_node_rows(self, node: int) -> None:
@@ -1100,10 +1072,11 @@ class MaintenanceSession:
         self,
         bin_idx: int,
         radius: float,
-        endpoints: list[int],
+        endpoints: np.ndarray,
         report: RepairReport,
     ) -> ClusterCover:
-        """Cover the bin's candidate endpoints, reusing cached rows.
+        """Cover the bin's candidate endpoints (an ascending array),
+        reusing cached rows.
 
         Cache off: a cold restricted ball-growing on the scalar
         reference (:func:`build_cluster_cover` scans every spanner edge
@@ -1119,7 +1092,7 @@ class MaintenanceSession:
         try:
             if not self._cover_cache_on:
                 cover = build_cluster_cover_reference(
-                    self.spanner, radius, vertices=endpoints
+                    self.spanner, radius, vertices=endpoints.tolist()
                 )
                 report.dirty_balls += cover.num_clusters
                 return cover
@@ -1135,12 +1108,11 @@ class MaintenanceSession:
                 self._cover_bins[bin_idx] = (radius, crow, drow)
             else:
                 _, crow, drow = entry
-            ep = np.asarray(endpoints, dtype=np.int64)
-            have = crow[ep] >= 0
+            have = crow[endpoints] >= 0
             hits = int(have.sum())
             self._cover_hits += hits
-            self._cover_misses += int(ep.size - hits)
-            need = ep[~have]
+            self._cover_misses += int(endpoints.size - hits)
+            need = endpoints[~have]
             if need.size:
                 sub = build_cluster_cover_reference(
                     self.spanner, radius, vertices=need.tolist()
@@ -1149,10 +1121,10 @@ class MaintenanceSession:
                 drow[need] = sub.dist[need]
             center = np.full(crow.size, -1, dtype=np.int64)
             dist = np.full(crow.size, np.inf)
-            center[ep] = crow[ep]
-            dist[ep] = drow[ep]
+            center[endpoints] = crow[endpoints]
+            dist[endpoints] = drow[endpoints]
             # Centers in first-appearance order over the endpoints.
-            centers = tuple(dict.fromkeys(center[ep].tolist()))
+            centers = tuple(dict.fromkeys(center[endpoints].tolist()))
             report.dirty_balls += len(centers)
             return ClusterCover(radius, centers, center, dist)
         finally:

@@ -21,7 +21,11 @@ Both drivers share the pair search (:func:`find_redundant_pairs`), the
 CSR conflict graph (:func:`conflict_graph_arrays`) and the deletion
 (:func:`remove_unchosen`); they differ only in the MIS.  The sequential
 driver (:func:`remove_redundant_edges`) takes the greedy MIS in node
-order, the distributed one a Luby protocol run.
+order, the distributed one a Luby protocol run.  All three read the
+phase's additions as one :class:`~repro.graphs.graph.EdgeArrays` batch
+in the query orientation step iv left them in, and answer in indices
+into it: the pairs are index pairs, the conflict-graph nodes index the
+batch and the removals are a boolean mask over it.
 
 The pair search never enumerates all ``k^2`` pairs of the phase's
 ``k`` additions.  Both conditions of a pairing add an ``sp_H`` term
@@ -39,7 +43,7 @@ import numpy as np
 
 from ..arrayops import run_expand
 from ..exceptions import GraphError
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from ..graphs.paths import pair_distance_entries
 from .cluster_graph import ClusterGraph
 
@@ -51,9 +55,6 @@ __all__ = [
     "remove_redundant_edges",
 ]
 
-Edge = tuple[int, int, float]
-EdgeKey = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class RedundancyOutcome:
@@ -62,21 +63,14 @@ class RedundancyOutcome:
     Attributes
     ----------
     removed:
-        Edges deleted from the phase's additions.
-    kept:
-        Edges retained (MIS members and unimplicated edges).
+        Boolean mask over the phase's additions: the edges deleted.
+        The rest are kept (MIS members and unimplicated edges).
     num_pairs:
         Number of mutually redundant pairs found.
     """
 
-    removed: tuple[Edge, ...]
-    kept: tuple[Edge, ...]
+    removed: np.ndarray
     num_pairs: int
-
-
-def _edge_key(edge: Edge) -> EdgeKey:
-    u, v, _ = edge
-    return (u, v) if u < v else (v, u)
 
 
 def _by_endpoint(
@@ -117,13 +111,14 @@ def _pairs_through(
 
 
 def find_redundant_pairs(
-    added: list[Edge],
+    added: EdgeArrays,
     cluster_graph: ClusterGraph,
     t1: float,
     *,
     w_cur: float,
-) -> list[tuple[Edge, Edge]]:
-    """All mutually redundant pairs among this phase's added edges.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All mutually redundant pairs among this phase's added edges, as
+    index arrays ``(i, j)`` into the ``added`` batch.
 
     Every condition of a pair ``(i, j)`` adds the ``sp_H`` distance
     between an endpoint of edge ``i`` and one of edge ``j``, so a pair
@@ -137,13 +132,13 @@ def find_redundant_pairs(
     first term under both pairings and fails both tests.  The equivalence
     suite pins the result bit-identical, in order, to a per-pair scalar
     reference: the same float expressions in the same evaluation order,
-    ``sp_H(a, b)`` always read from ``a``'s row, pairs listed ``(i, j)``
-    row-major.
+    ``sp_H(a, b)`` always read from ``a``'s row, pairs listed ``(i, j)``,
+    ``i < j``, row-major.
 
     Parameters
     ----------
     added:
-        Edges added in the current phase (all lengths in
+        The batch of edges added in the current phase (all lengths in
         ``(W_{i-1}, W_i]``).
     cluster_graph:
         The frozen ``H_{i-1}`` used for the phase's queries.
@@ -156,12 +151,11 @@ def find_redundant_pairs(
     """
     if t1 <= 1.0:
         raise GraphError(f"t1 must be > 1, got {t1}")
-    if not added:
-        return []
-    k = len(added)
-    us = np.asarray([u for u, _, _ in added], dtype=np.int64)
-    vs = np.asarray([v for _, v, _ in added], dtype=np.int64)
-    w = np.asarray([length for _, _, length in added], dtype=np.float64)
+    us, vs, w = added
+    k = w.size
+    if k == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     endpoints, inverse = np.unique(
         np.concatenate([us, vs]), return_inverse=True
     )
@@ -197,46 +191,34 @@ def find_redundant_pairs(
     # Pairing (u, y), (v, x) -- the d_J minimum over both pairings.
     s1, s2 = sp(iu[i], iv[j]), sp(iv[i], iu[j])
     red |= (s1 + w_j + s2 <= t1 * w_i) & (s1 + w_i + s2 <= t1 * w_j)
-    return [
-        (added[a], added[b]) for a, b in zip(i[red].tolist(), j[red].tolist())
-    ]
+    return i[red], j[red]
 
 
 def conflict_graph_arrays(
-    pairs: Iterable[tuple[Edge, Edge]],
-    num_vertices: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Conflict graph ``J`` as CSR arrays over sorted edge keys.
+    added: EdgeArrays, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conflict graph ``J`` as CSR arrays over the implicated edges.
 
-    Nodes are the implicated edges, arcs the redundant pairs: node ``i``
-    is the ``i``-th implicated edge key in ascending ``(u, v)`` order.
+    ``(i, j)`` are redundant pairs as indices into ``added`` (what
+    :func:`find_redundant_pairs` returns).  Nodes are the implicated
+    edges in ascending ``(min, max)`` endpoint order, the order the
+    greedy MIS scans and the Luby runs number nodes by.
 
-    Returns ``(key_u, key_v, indptr, indices)`` where ``(key_u[i],
-    key_v[i])`` is node ``i``'s edge key and ``(indptr, indices)`` is
-    the symmetric loop-free adjacency over nodes ``0..k-1``.
+    Returns ``(nodes, indptr, indices)``: node ``q`` is the added edge
+    ``nodes[q]`` and ``(indptr, indices)`` is the symmetric loop-free
+    adjacency over nodes ``0..len(nodes)-1``.
     """
-    pair_list = list(pairs)
-    empty = np.empty(0, dtype=np.int64)
-    if not pair_list:
-        return empty, empty, np.zeros(1, dtype=np.int64), empty
-    stride = np.int64(num_vertices)
-    enc = np.empty((len(pair_list), 2), dtype=np.int64)
-    for row, (e1, e2) in enumerate(pair_list):
-        u1, v1 = _edge_key(e1)
-        u2, v2 = _edge_key(e2)
-        enc[row, 0] = u1 * stride + v1
-        enc[row, 1] = u2 * stride + v2
-    # Sorted unique keys give the node ids; lexicographic tuple order
-    # and encoded-integer order agree because 0 <= u < v < stride.
-    nodes = np.unique(enc)
+    lo = np.minimum(added.u, added.v)
+    hi = np.maximum(added.u, added.v)
+    implicated = np.unique(np.concatenate([i, j]))
+    nodes = implicated[np.lexsort((hi[implicated], lo[implicated]))]
+    node_of = np.empty(lo.size, dtype=np.int64)
+    node_of[nodes] = np.arange(nodes.size)
+    a, b = node_of[i], node_of[j]
     k = np.int64(nodes.size)
-    a = np.searchsorted(nodes, enc[:, 0])
-    b = np.searchsorted(nodes, enc[:, 1])
     arcs = np.unique(np.concatenate([a * k + b, b * k + a]))
-    indptr = np.searchsorted(
-        arcs, np.arange(nodes.size + 1, dtype=np.int64) * k
-    )
-    return nodes // stride, nodes % stride, indptr, arcs % k
+    indptr = np.searchsorted(arcs, np.arange(k + 1, dtype=np.int64) * k)
+    return nodes, indptr, arcs % k
 
 
 def _greedy_mis(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -253,35 +235,28 @@ def _greedy_mis(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
 
 def remove_unchosen(
     spanner: Graph,
-    added: list[Edge],
-    key_u: np.ndarray,
-    key_v: np.ndarray,
+    added: EdgeArrays,
+    nodes: np.ndarray,
     chosen: Iterable[int],
-) -> tuple[list[Edge], list[Edge]]:
+) -> np.ndarray:
     """Delete every implicated edge outside the MIS ``chosen``.
 
-    ``(key_u, key_v)`` are the conflict-graph node keys
+    ``nodes`` are the conflict-graph nodes
     :func:`conflict_graph_arrays` returns and ``chosen`` holds node
-    indices into them.  Mutates ``spanner`` and returns the phase's
-    additions split into ``(removed, kept)``, each in ``added`` order.
+    indices into them.  Mutates ``spanner``, removing edges in ``added``
+    order, and returns the removals as a boolean mask over ``added``.
     """
-    implicated = set(zip(key_u.tolist(), key_v.tolist()))
-    keep = {(int(key_u[i]), int(key_v[i])) for i in chosen}
-    removed: list[Edge] = []
-    kept: list[Edge] = []
-    for edge in added:
-        key = _edge_key(edge)
-        if key in implicated and key not in keep:
-            spanner.remove_edge(edge[0], edge[1])
-            removed.append(edge)
-        else:
-            kept.append(edge)
-    return removed, kept
+    removed = np.zeros(added.w.size, dtype=bool)
+    removed[nodes] = True
+    removed[nodes[np.fromiter(chosen, np.int64)]] = False
+    for x, y in zip(added.u[removed].tolist(), added.v[removed].tolist()):
+        spanner.remove_edge(x, y)
+    return removed
 
 
 def remove_redundant_edges(
     spanner: Graph,
-    added: list[Edge],
+    added: EdgeArrays,
     cluster_graph: ClusterGraph,
     t1: float,
     *,
@@ -294,13 +269,9 @@ def remove_redundant_edges(
     order, so an edge survives iff no lower-keyed edge it conflicts
     with survives.
     """
-    pairs = find_redundant_pairs(added, cluster_graph, t1, w_cur=w_cur)
-    key_u, key_v, indptr, indices = conflict_graph_arrays(
-        pairs, spanner.num_vertices
+    i, j = find_redundant_pairs(added, cluster_graph, t1, w_cur=w_cur)
+    nodes, indptr, indices = conflict_graph_arrays(added, i, j)
+    removed = remove_unchosen(
+        spanner, added, nodes, _greedy_mis(indptr, indices)
     )
-    removed, kept = remove_unchosen(
-        spanner, added, key_u, key_v, _greedy_mis(indptr, indices)
-    )
-    return RedundancyOutcome(
-        removed=tuple(removed), kept=tuple(kept), num_pairs=len(pairs)
-    )
+    return RedundancyOutcome(removed=removed, num_pairs=int(i.size))

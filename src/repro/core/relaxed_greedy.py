@@ -20,6 +20,13 @@ over the edge bins of :class:`repro.core.bins.EdgeBinning`:
 The output satisfies Theorems 10/11/13: stretch ``t``, constant maximum
 degree, and weight ``O(w(MST))``.
 
+Each bin goes through the five steps as one
+:class:`~repro.graphs.graph.EdgeArrays` batch: the covered filter is a
+mask over the bin, selection turns the remaining candidates into a query
+batch, step iv's verdicts are a mask over the queries that picks the
+additions, which join the spanner in one bulk insert, and step v's
+removals are a mask over those.
+
 Empty bins are skipped outright (their phases would do no work); phase
 statistics record both scheduled and executed phases so the distributed
 round accounting can reflect either convention.
@@ -29,8 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..exceptions import GraphError
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from ..params import SpannerParams
 from .bins import EdgeBinning
 from .cluster_graph import (
@@ -48,10 +57,10 @@ __all__ = ["PhaseReport", "SpannerResult", "RelaxedGreedySpanner", "build_spanne
 
 
 def query_reach(
-    queries: list[tuple[int, int, float]], params: SpannerParams, w_cur: float
+    queries: EdgeArrays, params: SpannerParams, w_cur: float
 ) -> float:
     """The largest cutoff steps iv and v search ``H`` with."""
-    longest = max((length for _, _, length in queries), default=0.0)
+    longest = float(queries.w.max()) if queries.w.size else 0.0
     return max(params.t * longest, params.t1 * w_cur)
 
 
@@ -245,31 +254,30 @@ class RelaxedGreedySpanner:
                 "rescale the instance"
             )
         binning = EdgeBinning.for_params(params, n)
-        bins = binning.assign(graph.edges())
+        edges = graph.edges_arrays()
+        bins = binning.assign(edges)
 
         # ---- phase 0 ------------------------------------------------
-        short = bins.pop(0, [])
+        short = bins.pop(0, edges.take(slice(0, 0)))
         outcome = process_short_edges(
             graph, short, dist, params.t, check_clique=self._check_clique
         )
         spanner = outcome.spanner
         result = SpannerResult(spanner, params, num_bins=binning.num_bins)
-        if short:
+        if short.w.size:
             result.phases.append(
                 PhaseReport(
                     index=0,
                     w_prev=0.0,
                     w_cur=binning.boundary(0),
-                    num_bin_edges=len(short),
+                    num_bin_edges=int(short.w.size),
                     num_added=spanner.num_edges,
                 )
             )
 
         # ---- phases 1..m --------------------------------------------
-        for i in sorted(bins):
-            report = self._run_phase(
-                spanner, bins[i], i, binning, dist
-            )
+        for i, bin_edges in bins.items():
+            report = self._run_phase(spanner, bin_edges, i, binning, dist)
             result.phases.append(report)
         return result
 
@@ -277,7 +285,7 @@ class RelaxedGreedySpanner:
     def _run_phase(
         self,
         spanner: Graph,
-        bin_edges: list[tuple[int, int, float]],
+        bin_edges: EdgeArrays,
         index: int,
         binning: EdgeBinning,
         dist: DistanceOracle,
@@ -295,14 +303,15 @@ class RelaxedGreedySpanner:
 
         # Step (ii): covered-edge filter + query selection.
         if self._use_covered_filter:
-            candidates, covered = split_covered(
+            covered = split_covered(
                 bin_edges, spanner, dist,
                 alpha=params.alpha, theta=params.theta,
             )
         else:
-            candidates, covered = list(bin_edges), []
+            covered = np.zeros(bin_edges.w.size, dtype=bool)
+        candidates = bin_edges.take(~covered)
         selection = select_query_edges(candidates, cover, params.t)
-        queries = selection.edges()
+        queries = selection.queries
 
         # Step (iii): cluster graph H_{i-1}, only around the queries:
         # steps iv and v read it within their largest cutoffs.
@@ -313,10 +322,10 @@ class RelaxedGreedySpanner:
 
         # Step (iv): shortest-path queries on H, answered as one batch
         # against the frozen cluster graph.
-        verdicts = answer_spanner_queries(cluster_graph, queries, params.t)
-        added = [query for query, joins in zip(queries, verdicts) if joins]
-        if added:
-            spanner.add_weighted_edges_arrays(*zip(*added))
+        added = queries.take(
+            answer_spanner_queries(cluster_graph, queries, params.t)
+        )
+        spanner.add_weighted_edges_arrays(*added)
 
         # Step (v): redundancy elimination.
         if self._use_redundancy:
@@ -327,7 +336,7 @@ class RelaxedGreedySpanner:
                 params.t1,
                 w_cur=w_cur,
             )
-            num_removed = len(outcome.removed)
+            num_removed = int(outcome.removed.sum())
         else:
             num_removed = 0
 
@@ -335,13 +344,13 @@ class RelaxedGreedySpanner:
             index=index,
             w_prev=w_prev,
             w_cur=w_cur,
-            num_bin_edges=len(bin_edges),
-            num_covered=len(covered),
-            num_candidates=len(candidates),
+            num_bin_edges=int(bin_edges.w.size),
+            num_covered=int(covered.sum()),
+            num_candidates=int(candidates.w.size),
             num_clusters=cover.num_clusters,
-            num_queries=len(selection.queries),
+            num_queries=int(queries.w.size),
             max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=len(added),
+            num_added=int(added.w.size),
             num_removed=num_removed,
             num_intra_edges=cluster_graph.num_intra_edges,
             num_inter_edges=cluster_graph.num_inter_edges,

@@ -12,6 +12,10 @@ If the selected edge ends up with a t-spanner path, inequality chains in
 Theorem 10's proof guarantee t-spanner paths for every other edge of the
 pair, so one query per cluster pair suffices.  Lemma 4 bounds the number
 of selected edges incident on any cluster by a constant.
+
+The candidates come in as one :class:`~repro.graphs.graph.EdgeArrays`
+batch and the queries leave as another, in ascending cluster-pair order
+and oriented ``x in C_a``: steps iv and v read them in that orientation.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import GraphError
+from ..graphs.graph import EdgeArrays
 from .cover import ClusterCover
 
 __all__ = ["QuerySelection", "select_query_edges"]
@@ -33,8 +38,9 @@ class QuerySelection:
     Attributes
     ----------
     queries:
-        ``(a, b) -> (x, y, length)`` with ``a < b`` cluster centers,
-        ``x in C_a``, ``y in C_b``: the unique query edge per cluster pair.
+        The query edges as one ``(x, y, length)`` batch, one per
+        cluster pair ``(C_a, C_b)``, ``a < b``, in ascending ``(a, b)``
+        order, oriented so that ``x in C_a`` and ``y in C_b``.
     num_candidates:
         Candidate edges examined.
     max_queries_per_cluster:
@@ -42,17 +48,13 @@ class QuerySelection:
         the quantity Lemma 4 bounds by ``O(t^d ((4*delta + r)/delta)^d)``.
     """
 
-    queries: dict[tuple[int, int], tuple[int, int, float]]
+    queries: EdgeArrays
     num_candidates: int
     max_queries_per_cluster: int
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """The selected query edges in deterministic order."""
-        return [self.queries[key] for key in sorted(self.queries)]
-
 
 def select_query_edges(
-    candidates: list[tuple[int, int, float]],
+    candidates: EdgeArrays,
     cover: ClusterCover,
     t: float,
 ) -> QuerySelection:
@@ -65,8 +67,8 @@ def select_query_edges(
     Parameters
     ----------
     candidates:
-        Candidate (non-covered) edges ``(u, v, length)`` of the current
-        bin.
+        Candidate (non-covered) edges of the current bin, as one
+        ``(u, v, length)`` batch in either orientation.
     cover:
         The phase's cluster cover; every candidate endpoint must be
         covered, and no candidate may have both endpoints in one cluster.
@@ -83,14 +85,12 @@ def select_query_edges(
     """
     if t < 1.0:
         raise GraphError(f"t must be >= 1, got {t}")
-    k = len(candidates)
+    u, v, length = candidates
+    k = length.size
     if k == 0:
         return QuerySelection(
-            queries={}, num_candidates=0, max_queries_per_cluster=0
+            queries=candidates, num_candidates=0, max_queries_per_cluster=0
         )
-    u = np.fromiter((c[0] for c in candidates), np.int64, k)
-    v = np.fromiter((c[1] for c in candidates), np.int64, k)
-    length = np.fromiter((c[2] for c in candidates), np.float64, k)
     # Each endpoint's center, -1 when it is out of range or uncovered.
     ends = np.concatenate([u, v])
     inside = (ends >= 0) & (ends < cover.center.size)
@@ -114,21 +114,17 @@ def select_query_edges(
     a, b = np.minimum(a, b), np.maximum(a, b)
     score = t * length - cover.dist[x] - cover.dist[y]
     # Per cluster pair, the least (score, x, y, length): the first of
-    # its run in this order is the deterministic minimizer.
+    # its run in this order is the deterministic minimizer, and the
+    # winners come out in ascending (a, b) order.
     order = np.lexsort((length, y, x, score, b, a))
     a, b = a[order], b[order]
     first = np.ones(k, dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     win = order[first]
-    a, b = a[first], b[first]
-    queries = dict(
-        zip(
-            zip(a.tolist(), b.tolist()),
-            zip(x[win].tolist(), y[win].tolist(), length[win].tolist()),
-        )
-    )
     return QuerySelection(
-        queries=queries,
+        queries=EdgeArrays(x[win], y[win], length[win]),
         num_candidates=k,
-        max_queries_per_cluster=int(np.bincount(np.concatenate([a, b])).max()),
+        max_queries_per_cluster=int(
+            np.bincount(np.concatenate([a[first], b[first]])).max()
+        ),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..exceptions import GraphError
 from ..graphs.components import connected_components
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from .covered import DistanceOracle
 from .seq_greedy import GreedyStats, greedy_spanner_of_clique
 
@@ -48,7 +48,7 @@ class ShortEdgeOutcome:
 
 def process_short_edges(
     graph: Graph,
-    short_edges: list[tuple[int, int, float]],
+    short_edges: EdgeArrays,
     dist: DistanceOracle,
     t: float,
     *,
@@ -62,7 +62,7 @@ def process_short_edges(
         The input alpha-UBG (used to validate Lemma 1 when
         ``check_clique``).
     short_edges:
-        The edges of ``E_0`` as ``(u, v, length)``.
+        The edges of ``E_0`` as one ``(u, v, length)`` batch.
     dist:
         Euclidean distance oracle (clique edge weights).
     t:
@@ -80,8 +80,7 @@ def process_short_edges(
     if t < 1.0:
         raise GraphError(f"t must be >= 1, got {t}")
     g0 = Graph(graph.num_vertices)
-    for u, v, w in short_edges:
-        g0.add_edge(u, v, w)
+    g0.add_weighted_edges_arrays(*short_edges)
     spanner = Graph(graph.num_vertices)
     stats = GreedyStats()
     processed: list[tuple[int, ...]] = []
@@ -106,6 +105,6 @@ def process_short_edges(
     return ShortEdgeOutcome(
         spanner=spanner,
         components=tuple(processed),
-        num_short_edges=len(short_edges),
+        num_short_edges=int(short_edges.w.size),
         stats=stats,
     )

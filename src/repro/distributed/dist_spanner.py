@@ -70,7 +70,7 @@ from ..core.relaxed_greedy import PhaseReport, query_reach
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
 from ..exceptions import GraphError, ParameterError
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from ..graphs.paths import (
     multi_source_ball_lists,
     multi_source_distances,
@@ -244,10 +244,12 @@ class DistributedRelaxedGreedy:
                 f"alpha-UBG edges must have length <= 1, found {max_len:.6g}"
             )
         binning = EdgeBinning.for_params(params, n)
-        bins = binning.assign(graph.edges())
+        edges = graph.edges_arrays()
+        bins = binning.assign(edges)
+        no_edges = edges.take(slice(0, 0))
 
         spanner, report = self._phase_zero(
-            graph, bins.pop(0, []), dist, ledger
+            graph, bins.pop(0, no_edges), dist, ledger
         )
         result = DistributedSpannerResult(
             spanner=spanner,
@@ -259,10 +261,10 @@ class DistributedRelaxedGreedy:
             result.phases.append(report)
 
         phase_indices = (
-            range(1, binning.num_bins + 1) if self._process_empty else sorted(bins)
+            range(1, binning.num_bins + 1) if self._process_empty else bins
         )
         for i in phase_indices:
-            bin_edges = bins.get(i, [])
+            bin_edges = bins.get(i, no_edges)
             report = self._phase(
                 graph, spanner, bin_edges, i, binning, dist, ledger, result
             )
@@ -312,11 +314,8 @@ class DistributedRelaxedGreedy:
         crash_at, _ = plan.crash_schedules(np.arange(n, dtype=np.int64))
         if not (crash_at <= self._clock).any():
             return
-        us, vs, ws = graph.edges_arrays()
-        if us.size == 0:
-            return
-        sel = ~dead_mask[us] & ~dead_mask[vs]
-        us, vs, ws = us[sel], vs[sel], ws[sel]
+        edges = graph.edges_arrays()
+        us, vs, ws = edges.take(~dead_mask[edges.u] & ~dead_mask[edges.v])
         if us.size == 0:
             return
         t = self.params.t
@@ -342,7 +341,7 @@ class DistributedRelaxedGreedy:
     def _phase_zero(
         self,
         graph: Graph,
-        short_edges: list[tuple[int, int, float]],
+        short_edges: EdgeArrays,
         dist: DistanceOracle,
         ledger: RoundLedger,
     ) -> tuple[Graph, PhaseReport | None]:
@@ -355,10 +354,10 @@ class DistributedRelaxedGreedy:
         One more round announces kept edges to neighbors.  Returns the
         phase-0 spanner and its report (``None`` without short edges).
         """
-        if not short_edges:
+        if not short_edges.w.size:
             return Graph(graph.num_vertices), None
         facts = {u: set() for u in graph.vertices()}
-        for u, v, w in short_edges:
+        for u, v, w in zip(*(a.tolist() for a in short_edges)):
             facts[u].add((u, v, w))
             facts[v].add((u, v, w))
         net = SynchronousNetwork(graph, max_rounds=16)
@@ -381,7 +380,7 @@ class DistributedRelaxedGreedy:
             index=0,
             w_prev=0.0,
             w_cur=self.params.w0(graph.num_vertices),
-            num_bin_edges=len(short_edges),
+            num_bin_edges=int(short_edges.w.size),
             num_added=outcome.spanner.num_edges,
         )
 
@@ -519,7 +518,7 @@ class DistributedRelaxedGreedy:
         self,
         graph: Graph,
         spanner: Graph,
-        bin_edges: list[tuple[int, int, float]],
+        bin_edges: EdgeArrays,
         index: int,
         binning: EdgeBinning,
         dist: DistanceOracle,
@@ -613,14 +612,15 @@ class DistributedRelaxedGreedy:
         )
         ledger.charge(index, "cover.attach", k_cluster, detail="join center")
 
-        if dead and bin_edges:
+        if dead:
             # Crashed endpoints take their pending bin edges with them.
-            bin_edges = [
-                e for e in bin_edges
-                if e[0] not in dead and e[1] not in dead
-            ]
+            is_dead = np.zeros(n, dtype=bool)
+            is_dead[list(dead)] = True
+            bin_edges = bin_edges.take(
+                ~(is_dead[bin_edges.u] | is_dead[bin_edges.v])
+            )
 
-        if not bin_edges:
+        if not bin_edges.w.size:
             # Scheduled-but-empty phase: only the cover schedule ran.
             return PhaseReport(
                 index=index,
@@ -631,11 +631,12 @@ class DistributedRelaxedGreedy:
             )
 
         # ---- Step (ii): query selection (Theorem 17) -----------------
-        candidates, covered = split_covered(
+        covered = split_covered(
             bin_edges, spanner, dist, alpha=params.alpha, theta=params.theta
         )
+        candidates = bin_edges.take(~covered)
         selection = select_query_edges(candidates, cover, params.t)
-        queries = selection.edges()
+        queries = selection.queries
         ledger.charge(
             index,
             "select.gather",
@@ -657,10 +658,10 @@ class DistributedRelaxedGreedy:
         )
 
         # ---- Step (iv): queries (Theorem 19) --------------------------
-        verdicts = answer_spanner_queries(cluster_graph, queries, params.t)
-        added = [query for query, joins in zip(queries, verdicts) if joins]
-        if added:
-            spanner.add_weighted_edges_arrays(*zip(*added))
+        added = queries.take(
+            answer_spanner_queries(cluster_graph, queries, params.t)
+        )
+        spanner.add_weighted_edges_arrays(*added)
         ledger.charge(
             index,
             "query.gather",
@@ -669,15 +670,15 @@ class DistributedRelaxedGreedy:
         )
 
         # ---- Step (v): redundancy removal (Theorem 21) ----------------
-        pairs = find_redundant_pairs(
+        pair_i, pair_j = find_redundant_pairs(
             added, cluster_graph, params.t1, w_cur=w_cur
         )
-        removed: list[tuple[int, int, float]] = []
-        if pairs:
-            # The conflict graph stays CSR end-to-end: node i is the
-            # i-th implicated edge key in ascending (u, v) order.
-            key_u, key_v, c_indptr, c_indices = conflict_graph_arrays(
-                pairs, n
+        removed = np.zeros(added.w.size, dtype=bool)
+        if pair_i.size:
+            # The conflict graph stays CSR end-to-end: node q is the
+            # q-th implicated edge in ascending (min, max) key order.
+            nodes, c_indptr, c_indices = conflict_graph_arrays(
+                added, pair_i, pair_j
             )
             mis2_seed = self._seed * 2_000_003 + index
             if plan is None:
@@ -717,9 +718,7 @@ class DistributedRelaxedGreedy:
                     f"{mis2_rounds} J-rounds x {k_query} hop factor"
                 ),
             )
-            removed, _ = remove_unchosen(
-                spanner, added, key_u, key_v, chosen
-            )
+            removed = remove_unchosen(spanner, added, nodes, chosen)
         ledger.charge(
             index, "redundant.gather", k_query, detail="pair discovery"
         )
@@ -728,14 +727,14 @@ class DistributedRelaxedGreedy:
             index=index,
             w_prev=w_prev,
             w_cur=w_cur,
-            num_bin_edges=len(bin_edges),
-            num_covered=len(covered),
-            num_candidates=len(candidates),
+            num_bin_edges=int(bin_edges.w.size),
+            num_covered=int(covered.sum()),
+            num_candidates=int(candidates.w.size),
             num_clusters=cover.num_clusters,
-            num_queries=len(selection.queries),
+            num_queries=int(queries.w.size),
             max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=len(added),
-            num_removed=len(removed),
+            num_added=int(added.w.size),
+            num_removed=int(removed.sum()),
             num_intra_edges=cluster_graph.num_intra_edges,
             num_inter_edges=cluster_graph.num_inter_edges,
             inter_center_degree=cluster_graph.inter_center_degree(),

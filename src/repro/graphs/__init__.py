@@ -28,7 +28,7 @@ from .components import (
     is_connected,
     largest_component,
 )
-from .graph import Graph
+from .graph import EdgeArrays, Graph
 from .io import load_instance, save_instance
 from .mst import kruskal_mst, mst_weight, prim_mst
 from .paths import (
@@ -45,6 +45,7 @@ from .paths import (
 from .unionfind import UnionFind
 
 __all__ = [
+    "EdgeArrays",
     "Graph",
     "UnionFind",
     "build_udg",

@@ -25,27 +25,47 @@ step iii uses them to become a matrix without ever being a
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..exceptions import GraphError
 
-__all__ = ["Graph", "check_edge_arrays", "symmetric_csr"]
+__all__ = ["EdgeArrays", "Graph", "check_edge_arrays", "symmetric_csr"]
 
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
 
 
+class EdgeArrays(NamedTuple):
+    """A batch of edges ``(u[i], v[i], w[i])`` as three aligned arrays.
+
+    The one edge format of the construction pipeline: a weight bin and
+    a phase's candidates, queries and additions are batches, and each
+    step selects from the batch it is given with a boolean mask or an
+    index array (:meth:`take`).  It unpacks like the plain triple,
+    ``us, vs, ws = batch``.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def take(self, sel) -> "EdgeArrays":
+        """The edges ``sel`` picks (a boolean mask, index array or
+        slice), in the order it picks them."""
+        return EdgeArrays(self.u[sel], self.v[sel], self.w[sel])
+
+
 def check_edge_arrays(
     n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> EdgeArrays:
     """Validate a batch of edges ``(u[i], v[i], w[i])`` on ``n`` vertices.
 
     The array form of :meth:`Graph.add_edge`'s checks: aligned
     one-dimensional arrays, endpoints in ``[0, n)``, no self-loops and
     positive weights.  The first offending edge is named.  Returns the
-    arrays as int64, int64 and float64.
+    edges as one batch of int64, int64 and float64 arrays.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -73,7 +93,7 @@ def check_edge_arrays(
             "edge weight must be positive, got "
             f"{float(w[i])} for ({int(u[i])}, {int(v[i])})"
         )
-    return u, v, w
+    return EdgeArrays(u, v, w)
 
 
 def symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -135,7 +155,7 @@ class Graph:
         # True once edges_arrays() handed out views of the log buffers;
         # in-place perturbations must copy first (copy-on-write).
         self._log_shared = False
-        self._edges_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._edges_cache: EdgeArrays | None = None
         # Cached csr() matrix; every mutation clears it.
         self._csr = None
 
@@ -271,8 +291,8 @@ class Graph:
         """The set of edges as ``(min, max)`` vertex pairs."""
         return {(u, v) for u, v, _ in self.edges()}
 
-    def edges_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All edges as aligned arrays ``(u, v, w)`` with ``u < v``.
+    def edges_arrays(self) -> EdgeArrays:
+        """All edges as one :class:`EdgeArrays` batch with ``u < v``.
 
         Rows appear in insertion-log order (an unspecified but
         deterministic order; deletions may reorder surviving rows).  The
@@ -289,7 +309,7 @@ class Graph:
             for arr in (us, vs, ws):
                 arr.setflags(write=False)
             self._log_shared = True
-            self._edges_cache = (us, vs, ws)
+            self._edges_cache = EdgeArrays(us, vs, ws)
         return self._edges_cache
 
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.edges import batch, tuples
 
 from repro.core.bins import EdgeBinning
 from repro.exceptions import GraphError, ParameterError
@@ -95,14 +96,14 @@ class TestAssign:
     def test_groups_by_bin(self):
         b = EdgeBinning(2.0, 1.0, 4)  # W: 0.25, 0.5, 1.0
         edges = [(0, 1, 0.1), (1, 2, 0.3), (2, 3, 0.9), (0, 3, 0.26)]
-        bins = b.assign(edges)
+        bins = b.assign(batch(edges))
         assert sorted(bins) == [0, 1, 2]
-        assert bins[0] == [(0, 1, 0.1)]
-        assert sorted(bins[1]) == [(0, 3, 0.26), (1, 2, 0.3)]
-        assert bins[2] == [(2, 3, 0.9)]
+        assert tuples(bins[0]) == [(0, 1, 0.1)]
+        assert sorted(tuples(bins[1])) == [(0, 3, 0.26), (1, 2, 0.3)]
+        assert tuples(bins[2]) == [(2, 3, 0.9)]
 
     def test_empty_input(self):
-        assert EdgeBinning(1.5, 1.0, 4).assign([]) == {}
+        assert EdgeBinning(1.5, 1.0, 4).assign(batch([])) == {}
 
     def test_every_edge_assigned_once(self):
         import numpy as np
@@ -111,6 +112,6 @@ class TestAssign:
         edges = [
             (i, i + 1, float(rng.uniform(1e-4, 1.0))) for i in range(200)
         ]
-        bins = EdgeBinning(1.1, 0.9, 300).assign(edges)
-        total = sum(len(v) for v in bins.values())
+        bins = EdgeBinning(1.1, 0.9, 300).assign(batch(edges))
+        total = sum(v.w.size for v in bins.values())
         assert total == 200

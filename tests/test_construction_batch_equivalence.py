@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from oracles.cluster_graph import as_graph, build_cluster_graph_reference
 from oracles.covered import split_covered_reference
+from oracles.edges import batch, tuples
 from oracles.redundancy import find_redundant_pairs_reference
 
 import repro.graphs.paths as paths_mod
@@ -185,6 +186,13 @@ class TestClusterGraphEquivalence:
             assert got.num_inter_edges == ref.num_inter_edges
 
 
+def redundant_pairs(added, h, t1, *, w_cur):
+    """``find_redundant_pairs`` on a tuple list, its index pairs read
+    back as the reference's ``(edge, edge)`` pairs."""
+    i, j = find_redundant_pairs(batch(added), h, t1, w_cur=w_cur)
+    return [(added[a], added[b]) for a, b in zip(i.tolist(), j.tolist())]
+
+
 class TestRedundancyEquivalence:
     def _added_edges(self, seed, k=18):
         _, spanner, cover, w_prev, delta = _phase_inputs("uniform", 300, seed, 1.0)
@@ -203,7 +211,7 @@ class TestRedundancyEquivalence:
     def test_pairs_match_reference(self, seed):
         added, h, w_prev = self._added_edges(seed)
         for t1 in (1.2, 2.0, 4.0):
-            got = find_redundant_pairs(added, h, t1, w_cur=2 * w_prev)
+            got = redundant_pairs(added, h, t1, w_cur=2 * w_prev)
             ref = find_redundant_pairs_reference(
                 added, h, t1, w_cur=2 * w_prev
             )
@@ -220,7 +228,7 @@ class TestRedundancyEquivalence:
                 "prefer_batched_sources",
                 lambda g, s, c, _f=forced: _f,
             )
-            assert find_redundant_pairs(added, h, 2.5, w_cur=2 * w_prev) == ref
+            assert redundant_pairs(added, h, 2.5, w_cur=2 * w_prev) == ref
 
 
 def _hand_h(n, edges):
@@ -253,7 +261,7 @@ class TestSparsePairSearch:
 
     @staticmethod
     def _both(added, h, t1, w_cur):
-        got = find_redundant_pairs(added, h, t1, w_cur=w_cur)
+        got = redundant_pairs(added, h, t1, w_cur=w_cur)
         assert got == find_redundant_pairs_reference(
             added, h, t1, w_cur=w_cur
         )
@@ -322,7 +330,7 @@ class TestSparsePairSearch:
     def test_t1_at_most_one_raises(self, branch, t1):
         h = _hand_h(4, [(0, 2, 0.01), (1, 3, 0.01)])
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        for search in (find_redundant_pairs, find_redundant_pairs_reference):
+        for search in (redundant_pairs, find_redundant_pairs_reference):
             with pytest.raises(GraphError, match="t1 must be > 1"):
                 search(added, h, t1, w_cur=1.0)
 
@@ -349,7 +357,8 @@ class TestQueryAnswering:
                 "prefer_batched_sources",
                 lambda g, s, c, _f=forced: _f,
             )
-            assert answer_spanner_queries(h, queries, t) == expected
+            got = answer_spanner_queries(h, batch(queries), t)
+            assert got.tolist() == expected
 
 
 class TestCoveredFilterEquivalence:
@@ -361,21 +370,23 @@ class TestCoveredFilterEquivalence:
         bin_edges = list(
             zip(us[sel].tolist(), vs[sel].tolist(), ws[sel].tolist())
         )[:300]
-        batch = split_covered(
-            bin_edges, spanner, wl.points.distance, alpha=1.0, theta=0.5
+        edges = batch(bin_edges)
+        got = split_covered(
+            edges, spanner, wl.points.distance, alpha=1.0, theta=0.5
         )
         scalar_oracle = lambda u, v: wl.points.distance(u, v)  # noqa: E731
         scalar = split_covered(
-            bin_edges, spanner, scalar_oracle, alpha=1.0, theta=0.5
+            edges, spanner, scalar_oracle, alpha=1.0, theta=0.5
         )
-        assert batch == scalar
+        assert np.array_equal(got, scalar)
         # A bare callable rides the same array scan, one oracle call per
         # pair; it must partition exactly like the per-edge reference.
         assert len(bin_edges) >= 256
-        assert scalar == split_covered_reference(
+        partition = (tuples(edges.take(~scalar)), tuples(edges.take(scalar)))
+        assert partition == split_covered_reference(
             bin_edges, spanner, scalar_oracle, alpha=1.0, theta=0.5
         )
-        assert scalar[0] and scalar[1]
+        assert partition[0] and partition[1]
 
 
 class TestBinningEquivalence:
@@ -400,21 +411,21 @@ class TestBinningEquivalence:
             (int(rng.integers(300)), int(rng.integers(300)), float(w))
             for w in rng.uniform(1e-5, 1.0, 500)
         ]
-        got = binning.assign(edges)
+        got = binning.assign(batch(edges))
         ref: dict = {}
         for u, v, w in edges:
             ref.setdefault(binning.bin_of(w), []).append((u, v, w))
-        assert got == ref
-        assert list(got) == list(ref)  # first-occurrence key order
+        assert {i: tuples(e) for i, e in got.items()} == ref
+        assert list(got) == sorted(ref)  # ascending keys
 
     def test_assign_error_matches_scalar_walk(self):
         from repro.exceptions import GraphError
 
         binning = EdgeBinning(1.5, 1.0, 100)
         with pytest.raises(GraphError, match="must be positive"):
-            binning.assign([(0, 1, 0.5), (1, 2, -1.0), (2, 3, 99.0)])
+            binning.assign(batch([(0, 1, 0.5), (1, 2, -1.0), (2, 3, 99.0)]))
         with pytest.raises(GraphError, match="exceeds top bin"):
-            binning.assign([(0, 1, 0.5), (1, 2, 99.0), (2, 3, -1.0)])
+            binning.assign(batch([(0, 1, 0.5), (1, 2, 99.0), (2, 3, -1.0)]))
 
 
 class TestEndToEndPinning:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from oracles.covered import is_covered
+from oracles.edges import batch
 
 from repro.core.covered import split_covered
 from repro.exceptions import GraphError
@@ -106,17 +107,17 @@ class TestSplitCovered:
     def test_partition(self, params):
         points, spanner = witness_setup(params.theta * 0.5, 0.3)
         edges = [(0, 1, 1.0)]
-        candidates, covered = split_covered(
-            edges, spanner, points.distance,
+        covered = split_covered(
+            batch(edges), spanner, points.distance,
             alpha=params.alpha, theta=params.theta,
         )
-        assert covered == [(0, 1, 1.0)] and candidates == []
+        assert covered.tolist() == [True]
 
     def test_all_candidates_when_spanner_empty(self, params):
         points = PointSet([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
         edges = [(0, 1, 1.0), (0, 2, points.distance(0, 2))]
-        candidates, covered = split_covered(
-            edges, Graph(3), points.distance,
+        covered = split_covered(
+            batch(edges), Graph(3), points.distance,
             alpha=params.alpha, theta=params.theta,
         )
-        assert len(candidates) == 2 and not covered
+        assert covered.tolist() == [False, False]

@@ -11,6 +11,7 @@ their dense/sparse probes run.
 import numpy as np
 import pytest
 from oracles.cluster_graph import as_graph, build_cluster_graph_reference
+from oracles.edges import batch
 
 import repro.distributed.dist_spanner as dist_spanner_mod
 import repro.graphs.paths as paths_mod
@@ -67,15 +68,13 @@ def _phase(seed):
     short = ws <= w_prev
     spanner.add_weighted_edges_arrays(us[short], vs[short], ws[short])
     near = dijkstra(spanner, 0, cutoff=6.0 * w_prev)
-    queries = [
+    queries = batch(
         (int(u), int(v), float(w))
         for u, v, w in zip(us, vs, ws)
         if w_prev < w <= w_cur and int(u) in near and int(v) in near
-    ]
-    cover = build_cluster_cover(spanner, DELTA * w_prev)
-    radius = max(
-        PARAMS.t * max(length for _, _, length in queries), PARAMS.t1 * w_cur
     )
+    cover = build_cluster_cover(spanner, DELTA * w_prev)
+    radius = max(PARAMS.t * float(queries.w.max()), PARAMS.t1 * w_cur)
     return spanner, cover, w_prev, w_cur, queries, radius
 
 
@@ -83,7 +82,7 @@ def _region(spanner, queries, radius):
     """``U``: every vertex within ``radius`` of a query endpoint, found
     with the dict Dijkstra and the builder's relative slack."""
     region = set()
-    for s in {p for x, y, _ in queries for p in (x, y)}:
+    for s in np.unique(np.concatenate([queries.u, queries.v])).tolist():
         region.update(dijkstra(spanner, s, cutoff=radius * (1.0 + 1e-9)))
     return region
 
@@ -124,16 +123,19 @@ class TestRegionClusterGraph:
         )
         assert as_graph(local).num_edges < as_graph(full).num_edges
         verdicts = answer_spanner_queries(full, queries, PARAMS.t)
-        assert answer_spanner_queries(local, queries, PARAMS.t) == verdicts
-        assert True in verdicts and False in verdicts
-        pairs = find_redundant_pairs(queries, full, PARAMS.t1, w_cur=w_cur)
-        assert pairs  # the check below compares something
-        assert (
-            find_redundant_pairs(queries, local, PARAMS.t1, w_cur=w_cur)
-            == pairs
+        np.testing.assert_array_equal(
+            answer_spanner_queries(local, queries, PARAMS.t), verdicts
         )
+        assert verdicts.any() and not verdicts.all()
+        pairs = find_redundant_pairs(queries, full, PARAMS.t1, w_cur=w_cur)
+        assert pairs[0].size  # the check below compares something
+        for got, want in zip(
+            find_redundant_pairs(queries, local, PARAMS.t1, w_cur=w_cur),
+            pairs,
+        ):
+            np.testing.assert_array_equal(got, want)
         # Every distance within the region radius, bit for bit.
-        ends = np.unique([p for x, y, _ in queries for p in (x, y)])
+        ends = np.unique(np.concatenate([queries.u, queries.v]))
         for got, want in zip(
             pair_distance_entries(local, ends, ends, cutoff=radius),
             pair_distance_entries(full, ends, ends, cutoff=radius),
@@ -170,7 +172,7 @@ class TestRegionClusterGraph:
     def test_no_queries_leaves_h_empty(self):
         spanner, cover, w_prev, _, _, radius = _phase(3)
         local = build_cluster_graph(
-            spanner, cover, w_prev, DELTA, queries=[], radius=radius
+            spanner, cover, w_prev, DELTA, queries=batch([]), radius=radius
         )
         assert as_graph(local).num_edges == 0
         assert local.inter_center_degree() == 0
@@ -208,7 +210,7 @@ class TestLemma5CheckOutsideRegion:
     def test_bad_pair_outside_region_raises(self, forced, monkeypatch):
         force_probe(monkeypatch, forced, paths_mod)
         g, cover = self._inconsistent()
-        queries = [(0, 1, 1.0)]
+        queries = batch([(0, 1, 1.0)])
         assert 280 not in _region(g, queries, 2.0)
         with pytest.raises(GraphError, match=r"\(280, 294\).*Lemma 5"):
             build_cluster_graph(

@@ -93,6 +93,17 @@ class TestLemma7Check:
         assert row["phases"] == 0
         assert row["value"] == "no multi-vertex cluster"
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_full_run_measures_real_clusters(self, seed):
+        # The full run's default instance is clustered n=160: its covers
+        # have real clusters, so some H-paths run longer than in G'.
+        result = EXPERIMENT_REGISTRY["F"](quick=False, seed=seed)
+        (row,) = [r for r in result.rows if r["check"].startswith("F7")]
+        assert row["pairs"] > 0
+        assert isinstance(row["value"], float)
+        assert 1.0 < row["value"] <= row["bound"]
+        assert result.passed, result.to_text()
+
 
 class TestRendering:
     def test_format_table_empty(self):

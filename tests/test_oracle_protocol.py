@@ -10,6 +10,7 @@ extensions ride the flattened CSR witness scan of ``split_covered``.
 import numpy as np
 import pytest
 from oracles.covered import is_covered, split_covered_reference
+from oracles.edges import batch, tuples
 
 from repro.core.covered import split_covered
 from repro.core.oracle import BoundMethodOracle, ScalarOracleAdapter, as_oracle
@@ -173,6 +174,16 @@ def _filter_inputs(points: PointSet, oracle, seed=0):
     return spanner, edges
 
 
+def _partition(edges, spanner, oracle, params):
+    """``split_covered``'s mask as the reference's ``(candidates,
+    covered)`` lists."""
+    edges = batch(edges)
+    covered = split_covered(
+        edges, spanner, oracle, alpha=params.alpha, theta=params.theta
+    )
+    return tuples(edges.take(~covered)), tuples(edges.take(covered))
+
+
 class TestSplitCoveredEquivalence:
     @pytest.mark.parametrize(
         "name",
@@ -186,16 +197,14 @@ class TestSplitCoveredEquivalence:
             sum(ord(c) for c in name)
         ))
         params = SpannerParams.from_epsilon(0.5)
-        batch = split_covered(
-            edges, spanner, oracle, alpha=params.alpha, theta=params.theta
-        )
+        got = _partition(edges, spanner, oracle, params)
         scalar = split_covered_reference(
             edges, spanner, as_oracle(oracle),
             alpha=params.alpha, theta=params.theta,
         )
-        assert batch == scalar
+        assert got == scalar
         # Verdicts agree with the per-edge predicate too.
-        candidates, covered = batch
+        candidates, covered = got
         for u, v, w in covered:
             assert is_covered(
                 u, v, w, spanner, oracle,
@@ -212,10 +221,7 @@ class TestSplitCoveredEquivalence:
         oracle = lp_metric(points.coords, 2.0)
         spanner, edges = _filter_inputs(points, oracle, seed=9)
         params = SpannerParams.from_epsilon(0.5)
-        got = split_covered(
-            edges, spanner, _PairsOnly(oracle),
-            alpha=params.alpha, theta=params.theta,
-        )
+        got = _partition(edges, spanner, _PairsOnly(oracle), params)
         reference = split_covered_reference(
             edges, spanner, as_oracle(oracle),
             alpha=params.alpha, theta=params.theta,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.edges import batch
 
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.cover import build_cluster_cover
@@ -32,17 +33,44 @@ def make_h(edges, n) -> ClusterGraph:
     )
 
 
-def greedy_keys(pairs, n) -> set[tuple[int, int]]:
+def pair_indices(pairs):
+    """The edges ``pairs`` name as one batch, in first-seen order, and
+    the pairs as index arrays ``(i, j)`` into it."""
+    edges = list(dict.fromkeys(e for pair in pairs for e in pair))
+    pos = {e: k for k, e in enumerate(edges)}
+    i = np.array([pos[a] for a, _ in pairs], dtype=np.int64)
+    j = np.array([pos[b] for _, b in pairs], dtype=np.int64)
+    return batch(edges), i, j
+
+
+def greedy_keys(pairs) -> set[tuple[int, int]]:
     """Edge keys the greedy MIS keeps from the conflict graph of ``pairs``."""
-    key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, n)
-    return {
-        (int(key_u[i]), int(key_v[i])) for i in _greedy_mis(indptr, indices)
-    }
+    added, i, j = pair_indices(pairs)
+    nodes, indptr, indices = conflict_graph_arrays(added, i, j)
+    kept = nodes[_greedy_mis(indptr, indices)]
+    lo, hi = np.minimum(added.u, added.v), np.maximum(added.u, added.v)
+    return set(zip(lo[kept].tolist(), hi[kept].tolist()))
+
+
+def redundant(added, h, **kwargs) -> list[tuple[int, int]]:
+    """``find_redundant_pairs`` on a tuple list, as ``(i, j)`` pairs."""
+    i, j = find_redundant_pairs(batch(added), h, **kwargs)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def split(added, removed) -> tuple[list, list]:
+    """The tuple list ``added`` split by the mask ``removed`` into
+    ``(removed, kept)``, each in ``added`` order."""
+    flags = removed.tolist()
+    return (
+        [e for e, r in zip(added, flags) if r],
+        [e for e, r in zip(added, flags) if not r],
+    )
 
 
 class TestGreedyMis:
     def test_empty(self):
-        assert greedy_keys([], 4) == set()
+        assert greedy_keys([]) == set()
 
     def test_independent_and_maximal(self):
         rng = np.random.default_rng(11)
@@ -51,7 +79,7 @@ class TestGreedyMis:
         for _ in range(70):
             i, j = rng.choice(len(edges), size=2, replace=False)
             pairs.append((edges[i], edges[j]))
-        _, _, indptr, indices = conflict_graph_arrays(pairs, 61)
+        _, indptr, indices = conflict_graph_arrays(*pair_indices(pairs))
         mis = set(_greedy_mis(indptr, indices))
         for node in range(indptr.size - 1):
             nbrs = set(indices[indptr[node] : indptr[node + 1]].tolist())
@@ -61,13 +89,13 @@ class TestGreedyMis:
                 assert nbrs & mis
 
     def test_prefers_low_ids(self):
-        assert greedy_keys([((5, 6, 1.0), (0, 1, 1.0))], 7) == {(0, 1)}
+        assert greedy_keys([((5, 6, 1.0), (0, 1, 1.0))]) == {(0, 1)}
         # A low-keyed hub shuts out all its leaves; a high-keyed hub is
         # dropped in favor of them.
         hub, leaves = (0, 1, 1.0), [(2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)]
-        assert greedy_keys([(leaf, hub) for leaf in leaves], 8) == {(0, 1)}
+        assert greedy_keys([(leaf, hub) for leaf in leaves]) == {(0, 1)}
         hub = (8, 9, 1.0)
-        assert greedy_keys([(leaf, hub) for leaf in leaves], 10) == {
+        assert greedy_keys([(leaf, hub) for leaf in leaves]) == {
             (2, 3), (4, 5), (6, 7),
         }
 
@@ -79,25 +107,25 @@ class TestFindRedundantPairs:
         # u=0, v=1 and u'=2, v'=3; H gives sp(0,2)=sp(1,3)=0.01.
         h = make_h([(0, 2, 0.01), (1, 3, 0.01)], 4)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        pairs = find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
+        pairs = redundant(added, h, t1=1.2, w_cur=1.0)
         assert len(pairs) == 1
 
     def test_far_edges_not_redundant(self):
         h = make_h([(0, 2, 3.0), (1, 3, 3.0)], 4)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        assert not find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
+        assert not redundant(added, h, t1=1.2, w_cur=1.0)
 
     def test_disconnected_endpoints_not_redundant(self):
         h = make_h([], 4)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        assert not find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
+        assert not redundant(added, h, t1=1.2, w_cur=1.0)
 
     def test_opposite_orientation_detected(self):
         """Pairing (u,v') and (v,u') must also be checked (d_J takes the
         min of the two pairings)."""
         h = make_h([(0, 3, 0.01), (1, 2, 0.01)], 4)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        pairs = find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
+        pairs = redundant(added, h, t1=1.2, w_cur=1.0)
         assert len(pairs) == 1
 
     def test_one_sided_condition_insufficient(self):
@@ -106,31 +134,31 @@ class TestFindRedundantPairs:
         # sp(0,2)=0.01 but sp(1,3)=5 -> neither condition can hold.
         h = make_h([(0, 2, 0.01), (1, 3, 5.0)], 4)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
-        assert not find_redundant_pairs(added, h, t1=1.2, w_cur=5.0)
+        assert not redundant(added, h, t1=1.2, w_cur=5.0)
 
     def test_rejects_bad_t1(self):
         h = make_h([], 2)
         with pytest.raises(GraphError):
-            find_redundant_pairs([(0, 1, 1.0)], h, t1=1.0, w_cur=1.0)
+            redundant([(0, 1, 1.0)], h, t1=1.0, w_cur=1.0)
 
     def test_empty_added(self):
         h = make_h([], 2)
-        assert find_redundant_pairs([], h, t1=1.2, w_cur=1.0) == []
+        assert redundant([], h, t1=1.2, w_cur=1.0) == []
 
 
 class TestConflictGraphAndRemoval:
     def test_conflict_graph_symmetric(self):
-        pairs = [((2, 3, 1.0), (1, 0, 1.0))]
-        key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, 4)
-        assert list(zip(key_u.tolist(), key_v.tolist())) == [(0, 1), (2, 3)]
+        added, i, j = pair_indices([((2, 3, 1.0), (1, 0, 1.0))])
+        nodes, indptr, indices = conflict_graph_arrays(added, i, j)
+        assert nodes.tolist() == [1, 0]  # keys (0, 1), (2, 3)
         assert indptr.tolist() == [0, 1, 2]
         assert indices.tolist() == [1, 0]
 
     def test_conflict_graph_empty(self):
         """No pairs gives zero nodes: one indptr entry, int64 throughout
         (the static driver builds it every phase, pairs or not)."""
-        arrays = conflict_graph_arrays([], 4)
-        assert [a.tolist() for a in arrays] == [[], [], [0], []]
+        arrays = conflict_graph_arrays(*pair_indices([]))
+        assert [a.tolist() for a in arrays] == [[], [0], []]
         assert all(a.dtype == np.int64 for a in arrays)
 
     def test_removal_keeps_counterpart(self):
@@ -142,13 +170,17 @@ class TestConflictGraphAndRemoval:
         spanner.add_edge(2, 3, 1.0)
         added = [(0, 1, 1.0), (2, 3, 1.0)]
         outcome = remove_redundant_edges(
-            spanner, added, h, t1=1.2, w_cur=1.0
+            spanner, batch(added), h, t1=1.2, w_cur=1.0
         )
-        assert len(outcome.removed) == 1
-        assert len(outcome.kept) == 1
-        pairs = find_redundant_pairs(added, h, t1=1.2, w_cur=1.0)
-        kept = set(outcome.kept)
-        for edge in outcome.removed:
+        removed, kept = split(added, outcome.removed)
+        assert len(removed) == 1
+        assert len(kept) == 1
+        pairs = [
+            (added[i], added[j])
+            for i, j in redundant(added, h, t1=1.2, w_cur=1.0)
+        ]
+        kept = set(kept)
+        for edge in removed:
             assert any(
                 (edge == a and b in kept) or (edge == b and a in kept)
                 for a, b in pairs
@@ -161,9 +193,9 @@ class TestConflictGraphAndRemoval:
         spanner = Graph(4)
         spanner.add_edge(0, 1, 1.0)
         outcome = remove_redundant_edges(
-            spanner, [(0, 1, 1.0)], h, t1=1.2, w_cur=1.0
+            spanner, batch([(0, 1, 1.0)]), h, t1=1.2, w_cur=1.0
         )
-        assert not outcome.removed and spanner.num_edges == 1
+        assert not outcome.removed.any() and spanner.num_edges == 1
 
     def test_remove_unchosen_matches_keys_either_orientation(self):
         """An added edge named high endpoint first still matches its
@@ -173,12 +205,12 @@ class TestConflictGraphAndRemoval:
         spanner = Graph(8)
         for u, v, w in added:
             spanner.add_edge(u, v, w)
-        pairs = [(added[0], added[2]), (added[3], added[0])]
-        key_u, key_v, _, _ = conflict_graph_arrays(pairs, 8)
-        assert list(zip(key_u.tolist(), key_v.tolist())) == [
-            (0, 1), (2, 3), (6, 7),
-        ]
-        removed, kept = remove_unchosen(spanner, added, key_u, key_v, [0, 2])
+        i, j = np.array([0, 3]), np.array([2, 0])
+        nodes, _, _ = conflict_graph_arrays(batch(added), i, j)
+        assert nodes.tolist() == [2, 0, 3]  # keys (0, 1), (2, 3), (6, 7)
+        removed, kept = split(
+            added, remove_unchosen(spanner, batch(added), nodes, [0, 2])
+        )
         assert removed == [(3, 2, 1.0)]
         assert kept == [(4, 5, 1.0), (1, 0, 1.0), (7, 6, 1.0)]
         assert spanner.edge_set() == {(4, 5), (0, 1), (6, 7)}
@@ -188,19 +220,21 @@ class TestConflictGraphAndRemoval:
         same helper; every dropped edge keeps a surviving partner."""
         rng = np.random.default_rng(4)
         added = [(u, u + 1, 1.0) for u in range(0, 40, 2)]
-        pairs = []
-        for _ in range(45):
-            i, j = rng.choice(len(added), size=2, replace=False)
-            pairs.append((added[i], added[j]))
+        i, j = np.array(
+            [rng.choice(len(added), size=2, replace=False) for _ in range(45)]
+        ).T
+        pairs = [(added[a], added[b]) for a, b in zip(i, j)]
         spanner = Graph(40)
         for u, v, w in added:
             spanner.add_edge(u, v, w)
-        key_u, key_v, indptr, indices = conflict_graph_arrays(pairs, 40)
+        nodes, indptr, indices = conflict_graph_arrays(batch(added), i, j)
         mis = run_luby_mis_arrays(indptr, indices, seed=3)
         chosen = np.flatnonzero(mis.chosen)
-        removed, kept = remove_unchosen(spanner, added, key_u, key_v, chosen)
+        removed, kept = split(
+            added, remove_unchosen(spanner, batch(added), nodes, chosen)
+        )
         assert removed
-        assert len(removed) == len(key_u) - len(chosen)
+        assert len(removed) == len(nodes) - len(chosen)
         assert sorted(spanner.edges()) == sorted(kept)
         survivors = set(kept)
         for edge in removed:
@@ -215,20 +249,21 @@ class TestConflictGraphAndRemoval:
         for u, v, w in added:
             spanner.add_edge(u, v, w)
         outcome = remove_redundant_edges(
-            spanner, added, h, t1=1.15, w_cur=1.0
+            spanner, batch(added), h, t1=1.15, w_cur=1.0
         )
-        assert sorted(spanner.edges()) == sorted(outcome.kept)
-        return outcome
+        removed, kept = split(added, outcome.removed)
+        assert sorted(spanner.edges()) == sorted(kept)
+        return outcome.num_pairs, removed, kept
 
     def test_conflict_path_keeps_both_ends(self):
         """a-b and b-c are redundant pairs, a-c is not (its H detours
         sum to 1.2 > t1): the greedy MIS in key order keeps a and c."""
         a, b, c = (0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)
         h_edges = [(0, 2, 0.05), (1, 3, 0.05), (2, 4, 0.05), (3, 5, 0.05)]
-        outcome = self._removal(h_edges, [c, b, a])
-        assert outcome.num_pairs == 2
-        assert outcome.removed == (b,)
-        assert outcome.kept == (c, a)
+        num_pairs, removed, kept = self._removal(h_edges, [c, b, a])
+        assert num_pairs == 2
+        assert removed == [b]
+        assert kept == [c, a]
 
     def test_triangle_keeps_lowest_key(self):
         """All three pairs are redundant; only the lowest key survives,
@@ -238,7 +273,7 @@ class TestConflictGraphAndRemoval:
             (0, 2, 0.05), (1, 3, 0.05), (2, 4, 0.05),
             (3, 5, 0.05), (0, 4, 0.05), (1, 5, 0.05),
         ]
-        outcome = self._removal(h_edges, [c, b, a])
-        assert outcome.num_pairs == 3
-        assert outcome.removed == (c, b)
-        assert outcome.kept == (a,)
+        num_pairs, removed, kept = self._removal(h_edges, [c, b, a])
+        assert num_pairs == 3
+        assert removed == [c, b]
+        assert kept == [a]

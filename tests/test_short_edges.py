@@ -1,6 +1,7 @@
 """Tests for phase 0 (PROCESS-SHORT-EDGES, Lemma 1, Theorem 2)."""
 
 import pytest
+from oracles.edges import batch, tuples
 
 from repro.core.short_edges import process_short_edges
 from repro.exceptions import GraphError
@@ -21,7 +22,7 @@ def blob():
 
 
 def short_edges_of(graph, w0):
-    return [(u, v, w) for u, v, w in graph.edges() if w <= w0]
+    return batch((u, v, w) for u, v, w in graph.edges() if w <= w0)
 
 
 class TestProcessShortEdges:
@@ -38,7 +39,7 @@ class TestProcessShortEdges:
         short = short_edges_of(graph, 0.02)
         outcome = process_short_edges(graph, short, points.distance, 1.5)
         base = Graph(graph.num_vertices)
-        for u, v, w in short:
+        for u, v, w in tuples(short):
             base.add_edge(u, v, w)
         assert measure_stretch(base, outcome.spanner).max_stretch <= 1.5 + 1e-9
 
@@ -50,7 +51,7 @@ class TestProcessShortEdges:
 
     def test_no_short_edges(self, blob):
         points, graph = blob
-        outcome = process_short_edges(graph, [], points.distance, 1.5)
+        outcome = process_short_edges(graph, batch([]), points.distance, 1.5)
         assert outcome.spanner.num_edges == 0
         assert outcome.components == ()
 
@@ -65,7 +66,7 @@ class TestProcessShortEdges:
         g.add_edge(1, 2, 0.5)
         with pytest.raises(GraphError, match="Lemma 1"):
             process_short_edges(
-                g, [(0, 1, 0.5), (1, 2, 0.5)], points.distance, 1.5
+                g, batch([(0, 1, 0.5), (1, 2, 0.5)]), points.distance, 1.5
             )
 
     def test_check_clique_disabled_skips_validation(self):
@@ -74,7 +75,7 @@ class TestProcessShortEdges:
         g.add_edge(0, 1, 0.5)
         g.add_edge(1, 2, 0.5)
         outcome = process_short_edges(
-            g, [(0, 1, 0.5), (1, 2, 0.5)], points.distance, 1.5,
+            g, batch([(0, 1, 0.5), (1, 2, 0.5)]), points.distance, 1.5,
             check_clique=False,
         )
         assert outcome.spanner.num_edges >= 2
@@ -82,7 +83,7 @@ class TestProcessShortEdges:
     def test_rejects_bad_t(self, blob):
         points, graph = blob
         with pytest.raises(GraphError):
-            process_short_edges(graph, [], points.distance, 0.9)
+            process_short_edges(graph, batch([]), points.distance, 0.9)
 
     def test_multiple_components(self):
         """Two separate blobs produce two clique spanners."""
@@ -101,4 +102,4 @@ class TestProcessShortEdges:
         short = short_edges_of(graph, 0.02)
         outcome = process_short_edges(graph, short, points.distance, 1.5)
         assert outcome.stats.num_edges_examined > 0
-        assert outcome.num_short_edges == len(short)
+        assert outcome.num_short_edges == short.w.size

@@ -30,7 +30,7 @@ def _points(n: int):
 
 
 def _obstacle_policy(points) -> ObstaclePolicy:
-    lower, upper = points.bounding_box()
+    lower, upper = points.coords.min(axis=0), points.coords.max(axis=0)
     span = upper - lower
     obstacles = tuple(
         (

@@ -13,7 +13,7 @@ import pytest
 from repro.core.bins import EdgeBinning
 from repro.core.cover import build_cluster_cover
 from repro.core.seq_greedy import seq_greedy
-from repro.distributed.mis import run_luby_mis
+from repro.distributed.mis import run_luby_mis_arrays
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import build_udg
 from repro.graphs.mst import kruskal_mst
@@ -83,7 +83,13 @@ def test_luby_mis_protocol(benchmark):
         if a != b:
             adj[a].add(b)
             adj[b].add(a)
-    run = benchmark.pedantic(
-        lambda: run_luby_mis(adj, seed=4), rounds=3, iterations=1
+    indptr = np.cumsum([0] + [len(adj[u]) for u in range(150)])
+    indices = np.asarray(
+        [v for u in range(150) for v in sorted(adj[u])], dtype=np.int64
     )
-    assert run.independent_set
+    run = benchmark.pedantic(
+        lambda: run_luby_mis_arrays(indptr, indices, seed=4),
+        rounds=3,
+        iterations=1,
+    )
+    assert run.chosen.any()

@@ -28,7 +28,6 @@ Quickstart::
 
 from .exceptions import (
     GraphError,
-    NotReachableError,
     ParameterError,
     ProtocolError,
     ReproError,
@@ -53,7 +52,6 @@ from .graphs import (
     measure_stretch,
     mst_weight,
     power_cost,
-    verify_spanner,
 )
 from .core import (
     RelaxedGreedySpanner,
@@ -70,7 +68,6 @@ __all__ = [
     "ReproError",
     "ParameterError",
     "GraphError",
-    "NotReachableError",
     "ProtocolError",
     "SimulationLimitError",
     "PointSet",
@@ -86,7 +83,6 @@ __all__ = [
     "kruskal_mst",
     "mst_weight",
     "measure_stretch",
-    "verify_spanner",
     "lightness",
     "power_cost",
     "assess",

@@ -12,13 +12,12 @@ from ..graphs.graph import Graph
 from ..graphs.mst import kruskal_mst
 from .proximity import gabriel_graph, relative_neighborhood_graph
 from .xtc import xtc_graph
-from .yao import theta_graph, yao_graph, yao_stretch_bound
+from .yao import theta_graph, yao_graph
 from .yao_gg import yao_gabriel_graph
 
 __all__ = [
     "yao_graph",
     "theta_graph",
-    "yao_stretch_bound",
     "gabriel_graph",
     "relative_neighborhood_graph",
     "xtc_graph",

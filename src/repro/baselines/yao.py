@@ -31,7 +31,7 @@ from ..exceptions import GraphError
 from ..geometry.points import PointSet
 from ..graphs.graph import Graph
 
-__all__ = ["yao_graph", "theta_graph", "yao_stretch_bound"]
+__all__ = ["yao_graph", "theta_graph"]
 
 
 def _check_2d(points: PointSet) -> None:
@@ -39,13 +39,6 @@ def _check_2d(points: PointSet) -> None:
         raise GraphError(
             f"cone-based constructions are 2-D only; got d={points.dim}"
         )
-
-
-def yao_stretch_bound(k: int) -> float:
-    """Classical stretch bound ``1/(1 - 2*sin(pi/k))`` (finite for k > 6)."""
-    if k <= 6:
-        return math.inf
-    return 1.0 / (1.0 - 2.0 * math.sin(math.pi / k))
 
 
 def _directed_edges(

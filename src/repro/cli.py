@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .core.relaxed_greedy import RelaxedGreedySpanner
 from .distributed.dist_spanner import DistributedRelaxedGreedy
@@ -36,7 +37,17 @@ from .params import SpannerParams
 __all__ = ["main"]
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ReproError(f"output directory {target.parent} does not exist")
+    if target.is_dir():
+        raise ReproError(f"output path {target} is a directory")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     workload = make_workload(
         args.workload,
         args.n,
@@ -63,11 +74,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    if args.output:
+        _check_output(args.output)
     graph, points, meta = load_instance(args.instance)
     if points is None:
-        print("instance has no coordinates; cannot build", file=sys.stderr)
-        return 2
-    alpha = float(meta.get("alpha", 1.0))
+        raise ReproError(f"{args.instance} has no coordinates; cannot build")
+    try:
+        alpha = float(meta.get("alpha", 1.0))
+    except (TypeError, ValueError):
+        raise ReproError(
+            f"alpha {meta['alpha']!r} in {args.instance} is not a number"
+        ) from None
     params = SpannerParams.from_epsilon(
         args.epsilon, alpha=alpha, dim=points.dim
     )

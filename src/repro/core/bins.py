@@ -98,15 +98,6 @@ class EdgeBinning:
             raise GraphError(f"bin index must be >= 0, got {i}")
         return (self._r**i) * self._w0
 
-    def interval(self, i: int) -> tuple[float, float]:
-        """Half-open interval ``I_i = (lo, hi]`` of bin ``i``.
-
-        ``I_0`` is ``(0, W_0]``.
-        """
-        if i == 0:
-            return (0.0, self._w0)
-        return (self.boundary(i - 1), self.boundary(i))
-
     def bin_of(self, length: float) -> int:
         """Index of the bin containing ``length``.
 

@@ -91,11 +91,6 @@ class ClusterCover:
             raise GraphError(f"vertex {v} is not covered")
         return c
 
-    def distance_to_center(self, v: int) -> float:
-        """Shortest-path distance from ``v`` to its cluster center."""
-        self.center_of(v)
-        return float(self.dist[v])
-
 
 def short_edge_mask(graph: Graph, radius: float) -> np.ndarray:
     """``(n,)`` mask of the vertices touching an edge no longer than

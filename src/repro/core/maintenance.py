@@ -4,10 +4,10 @@ The paper's scheme is *local* -- coverage, cluster-graph and spanner
 decisions depend only on O(1)-hop neighborhoods -- yet a naive pipeline
 answers every topology change with a from-scratch rebuild (~2 s at
 n=10^4).  :class:`MaintenanceSession` closes that gap: it owns the
-built spanner state (base graph, spanner, routing, per-event repair
-accounting) and consumes a stream of ``insert(point)`` /
-``delete(node)`` / ``move(node, new_pos)`` events, repairing locally
-via *dirty-ball invalidation*:
+built spanner state (base graph, spanner, per-event repair accounting)
+and consumes a stream of ``insert(point)`` / ``delete(node)`` /
+``move(node, new_pos)`` events, repairing locally via *dirty-ball
+invalidation*:
 
 1. the event marks the ball of alive nodes within ``dirty_radius``
    (``t + 1``: the query cutoff plus the unit communication radius) of
@@ -102,7 +102,6 @@ from .selection import select_query_edges
 
 if TYPE_CHECKING:
     from ..distributed.faults import FaultPlan
-    from ..routing import RoutingTable
 
 __all__ = [
     "MaintenanceEvent",
@@ -288,7 +287,6 @@ class MaintenanceSession:
         self._cells: dict[tuple[int, ...], set[int]] = {}
         for idx in range(self._coords.shape[0]):
             self._cell_add(idx)
-        self._routing: "RoutingTable | None" = None
         self.reports: list[RepairReport] = []
         # Persistent cover state: bin -> (radius, center_of, dist rows)
         # over the capacity id space, plus the pending positions of
@@ -318,23 +316,9 @@ class MaintenanceSession:
         """Size of the id space (alive + dead + inserted)."""
         return self._coords.shape[0]
 
-    def alive_nodes(self) -> np.ndarray:
-        """Ids of the alive nodes, ascending."""
-        return np.flatnonzero(self._alive)
-
     def position(self, node: int) -> np.ndarray:
         """Current stored position of ``node`` (alive or dead)."""
         return self._coords[node].copy()
-
-    @property
-    def routing(self) -> "RoutingTable":
-        """Routing table over the maintained spanner (rebuilt lazily
-        after each event; warmed sources re-warm on first use)."""
-        if self._routing is None:
-            from ..routing import RoutingTable
-
-            self._routing = RoutingTable(self.spanner)
-        return self._routing
 
     def stats(self) -> dict[str, float]:
         """Aggregate repair accounting across all applied events.
@@ -443,7 +427,6 @@ class MaintenanceSession:
                 RepairReport(kind=event.kind, node=node, time=event.time)
             )
             sites_list.append(sites)
-        self._routing = None
         if self.repair_mode == "rebuild":
             self._rebuild_spanner()
             reports[-1].resync = True

@@ -139,46 +139,6 @@ class SpannerResult:
         """Number of phases that had edges to process."""
         return len(self.phases)
 
-    @property
-    def total_added(self) -> int:
-        """Edges ever added (before redundancy removal)."""
-        return sum(p.num_added for p in self.phases)
-
-    @property
-    def total_removed(self) -> int:
-        """Edges removed as redundant."""
-        return sum(p.num_removed for p in self.phases)
-
-    def phase_table(self, *, max_rows: int = 20) -> str:
-        """Fixed-width table of per-phase statistics (debugging aid).
-
-        Shows up to ``max_rows`` of the executed phases, preferring the
-        busiest ones (by bin size), in phase order.
-        """
-        if not self.phases:
-            return "(no executed phases)"
-        shown = sorted(
-            sorted(self.phases, key=lambda p: -p.num_bin_edges)[:max_rows],
-            key=lambda p: p.index,
-        )
-        header = (
-            f"{'phase':>5} {'W_prev':>9} {'edges':>6} {'cover':>6} "
-            f"{'cand':>5} {'clus':>5} {'query':>5} {'add':>4} {'rm':>3}"
-        )
-        lines = [header, "-" * len(header)]
-        for p in shown:
-            lines.append(
-                f"{p.index:>5} {p.w_prev:>9.3g} {p.num_bin_edges:>6} "
-                f"{p.num_covered:>6} {p.num_candidates:>5} "
-                f"{p.num_clusters:>5} {p.num_queries:>5} "
-                f"{p.num_added:>4} {p.num_removed:>3}"
-            )
-        if len(self.phases) > max_rows:
-            lines.append(
-                f"... ({len(self.phases) - max_rows} more phases elided)"
-            )
-        return "\n".join(lines)
-
 
 class RelaxedGreedySpanner:
     """Configured builder for relaxed greedy spanners.

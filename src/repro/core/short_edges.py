@@ -79,10 +79,14 @@ def process_short_edges(
     """
     if t < 1.0:
         raise GraphError(f"t must be >= 1, got {t}")
-    g0 = Graph(graph.num_vertices)
-    g0.add_weighted_edges_arrays(*short_edges)
     spanner = Graph(graph.num_vertices)
     stats = GreedyStats()
+    if short_edges.w.size == 0:
+        # No short edge, no component to process: G_0 would only label
+        # n singletons.
+        return ShortEdgeOutcome(spanner, (), 0, stats)
+    g0 = Graph(graph.num_vertices)
+    g0.add_weighted_edges_arrays(*short_edges)
     processed: list[tuple[int, ...]] = []
     for component in connected_components(g0):
         if len(component) < 2:

@@ -26,9 +26,7 @@ from .faults import FaultPlan
 from .ledger import LedgerEntry, RoundLedger
 from .mis import (
     MISMask,
-    MISRun,
     induced_csr,
-    run_luby_mis,
     run_luby_mis_arrays,
     verify_mis,
     verify_mis_arrays,
@@ -66,9 +64,7 @@ __all__ = [
     "BFSTree",
     "LeaderElection",
     "MISMask",
-    "MISRun",
     "induced_csr",
-    "run_luby_mis",
     "run_luby_mis_arrays",
     "verify_mis_arrays",
     "verify_mis",

@@ -18,8 +18,7 @@ key on ``u * 2**21 + v`` (directed); node ids must stay below ``2**21``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,10 +181,6 @@ class FaultPlan:
             and self.drift == 0.0
         )
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """Same fault intensity, fresh randomness."""
-        return replace(self, seed=seed)
-
     def _state(self, tag: int) -> int:
         return self._states[tag]
 
@@ -315,14 +310,6 @@ class FaultPlan:
             dead = at >= crash_at
         return ~dead
 
-    def clock_rates(self, nodes: np.ndarray) -> np.ndarray:
-        """Per-node clock speeds; elementwise :meth:`clock_rate`."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if self.drift == 0.0:
-            return np.ones(nodes.shape)
-        u = counter_uniforms(self._state(_T_DRIFT), nodes, 0)
-        return 1.0 + self.drift * (2.0 * u - 1.0)
-
     def latencies(
         self, us: np.ndarray, vs: np.ndarray, counters: np.ndarray
     ) -> np.ndarray:
@@ -385,18 +372,3 @@ class FaultPlan:
                 < self.drop_rate
             )
         return lost
-
-    # ------------------------------------------------------------------
-    def describe(self) -> dict[str, Any]:
-        """Flat dict of the fault axes (for experiment rows/reports)."""
-        return {
-            "seed": self.seed,
-            "drop_rate": self.drop_rate,
-            "burst_rate": self.burst_rate,
-            "crash_rate": self.crash_rate,
-            "flap_rate": self.flap_rate,
-            "latency": self.latency,
-            "jitter": self.jitter,
-            "drift": self.drift,
-            "recover_after": self.recover_after,
-        }

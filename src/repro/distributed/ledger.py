@@ -105,13 +105,6 @@ class RoundLedger:
             out[e.step] = out.get(e.step, 0) + e.rounds
         return out
 
-    def rounds_by_phase(self) -> dict[int, int]:
-        """Aggregate rounds per phase."""
-        out: dict[int, int] = {}
-        for e in self.entries:
-            out[e.phase] = out.get(e.phase, 0) + e.rounds
-        return out
-
     def mis_rounds(self) -> int:
         """Rounds spent inside MIS invocations (the ``log*``/``log`` term)."""
         return sum(e.rounds for e in self.entries if e.step.endswith(".mis"))

@@ -1,4 +1,4 @@
-"""MIS runners over derived graphs.
+"""The MIS runner over derived graphs.
 
 The distributed algorithm needs maximal independent sets of two derived
 graphs per phase: the proximity graph of the cluster cover (Section 3.2.1)
@@ -8,13 +8,13 @@ module runs a real message-level MIS protocol on the derived adjacency
 through the synchronous engine, verifies the output, and reports the
 round cost.
 
-Two runners share the protocol.  :func:`run_luby_mis` takes a mapping
-over arbitrary hashable nodes and returns the chosen set
-(:class:`MISRun`).  :func:`run_luby_mis_arrays` takes CSR arrays and
-returns a boolean mask (:class:`MISMask`): a node with no neighbour
-joins in round 0 without a message, so only the subgraph induced on the
-nodes that have one (:func:`induced_csr`) goes through the engine --
-in the distributed build's proximity graphs, a small fraction of them.
+:func:`run_luby_mis_arrays` takes CSR arrays and returns a boolean mask
+(:class:`MISMask`): a node with no neighbour joins in round 0 without a
+message, so only the subgraph induced on the nodes that have one
+(:func:`induced_csr`) goes through the engine -- in the distributed
+build's proximity graphs, a small fraction of them.  :func:`verify_mis`
+checks a chosen set over a mapping adjacency, for the event-tier MIS
+runs.
 """
 
 from __future__ import annotations
@@ -30,32 +30,11 @@ from .protocols.luby import LubyMIS
 
 __all__ = [
     "MISMask",
-    "MISRun",
     "induced_csr",
-    "run_luby_mis",
     "run_luby_mis_arrays",
     "verify_mis",
     "verify_mis_arrays",
 ]
-
-
-@dataclass(frozen=True)
-class MISRun:
-    """Result of one protocol-backed MIS computation.
-
-    Attributes
-    ----------
-    independent_set:
-        The chosen nodes.
-    engine_rounds:
-        Message rounds the protocol used on the derived graph.
-    messages:
-        Messages the protocol exchanged.
-    """
-
-    independent_set: frozenset
-    engine_rounds: int
-    messages: int
 
 
 @dataclass(frozen=True)
@@ -102,19 +81,6 @@ def induced_csr(
     new_indptr = np.zeros(labels.size + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
     return new_indptr, new_indices, labels
-
-
-def _normalize(
-    adjacency: Mapping[Hashable, set],
-) -> tuple[dict[int, set[int]], dict[int, Hashable]]:
-    """Relabel arbitrary hashable nodes to ``0..k-1`` for the engine."""
-    nodes = sorted(adjacency)
-    to_int = {node: i for i, node in enumerate(nodes)}
-    back = {i: node for node, i in to_int.items()}
-    relabeled = {
-        to_int[u]: {to_int[v] for v in nbrs} for u, nbrs in adjacency.items()
-    }
-    return relabeled, back
 
 
 def verify_mis(adjacency: Mapping[Hashable, set], chosen: set) -> None:
@@ -209,9 +175,8 @@ def run_luby_mis_arrays(
 ) -> MISMask:
     """Compute an MIS of a CSR-array adjacency with the Luby protocol.
 
-    The dict-free twin of :func:`run_luby_mis`.  The ``(indptr,
-    indices)`` pair (nodes ``0..n-1``, symmetric, ascending loop-free
-    rows -- exactly what
+    The ``(indptr, indices)`` pair (nodes ``0..n-1``, symmetric,
+    ascending loop-free rows -- exactly what
     :meth:`repro.distributed.dist_spanner.DistributedRelaxedGreedy`
     derives for the cover proximity graph) is validated whole, as the
     engine validates a topology.  Every node without a neighbour is
@@ -219,7 +184,7 @@ def run_luby_mis_arrays(
     the subgraph induced on the others, under their original ids: its
     priorities and tie-breaks, hence the chosen set, the rounds and the
     messages, are those of a run over all ``n`` nodes, which the
-    test-suite pins against :func:`run_luby_mis` and the full-topology
+    test-suite pins against a dict-adjacency run and the full-topology
     engine run.  The result is verified on the whole input before it is
     returned, as a read-only mask -- no per-node dict or set of all
     ``n`` nodes is built.
@@ -243,36 +208,3 @@ def run_luby_mis_arrays(
     verify_mis_arrays(indptr, indices, chosen)
     chosen.setflags(write=False)
     return MISMask(chosen=chosen, engine_rounds=rounds, messages=messages)
-
-
-def run_luby_mis(
-    adjacency: Mapping[Hashable, set],
-    *,
-    seed: int = 0,
-    max_rounds: int = 10_000,
-    engine: str = "auto",
-) -> MISRun:
-    """Compute an MIS of ``adjacency`` with the Luby protocol.
-
-    Nodes may be arbitrary hashables (the conflict graph uses edge-key
-    tuples); the runner relabels them for the engine and restores labels
-    in the output.  The result is validated before being returned --
-    a protocol bug can never silently corrupt a spanner build.
-
-    ``engine`` selects the execution tier (``"auto"`` runs the batch
-    tier, stepping all nodes per round over CSR mailbox arrays;
-    ``"scalar"`` forces the per-node reference tier).  Both produce the
-    identical MIS, round count and message count for a given seed.
-    """
-    if not adjacency:
-        return MISRun(frozenset(), engine_rounds=0, messages=0)
-    relabeled, back = _normalize(adjacency)
-    net = SynchronousNetwork(relabeled, max_rounds=max_rounds)
-    result = net.run(LubyMIS(seed=seed), engine=engine)
-    chosen = frozenset(back[i] for i, flag in result.outputs.items() if flag)
-    verify_mis(adjacency, set(chosen))
-    return MISRun(
-        independent_set=chosen,
-        engine_rounds=result.rounds,
-        messages=result.messages,
-    )

@@ -6,8 +6,8 @@ is exactly ``k`` rounds of flooding: every node starts with a set of local
 *facts* (e.g. its incident spanner edges) and forwards newly learned facts
 to all neighbors each round.  After ``k`` rounds a node knows precisely
 the facts originating within its ``k``-hop ball -- the engine-level proof
-of Theorems 14 and 16--19's round counts, and the property our tests
-assert against :func:`repro.graphs.paths.k_hop_neighborhood`.
+of Theorems 14 and 16--19's round counts, and the property the tests
+assert against a BFS of the same ``k``-hop ball.
 
 Batch execution: facts are interned to integer ids once; each node's
 known set is a sorted array of ``node * F + fact`` keys, and one round of

@@ -30,10 +30,6 @@ class GraphError(ReproError, ValueError):
     """
 
 
-class NotReachableError(GraphError):
-    """A shortest-path query was asked for an unreachable vertex pair."""
-
-
 class ProtocolError(ReproError, RuntimeError):
     """A distributed protocol violated its own invariants at runtime.
 

@@ -1,8 +1,9 @@
 """The DESIGN.md experiment suite (E1-E11 + F-series).
 
 Importing this package populates
-:data:`repro.experiments.runner.EXPERIMENT_REGISTRY`; ``run_all`` executes
-every experiment and renders EXPERIMENTS.md-ready markdown.
+:data:`repro.experiments.runner.EXPERIMENT_REGISTRY`; the
+:mod:`repro.experiments.run_all` driver (``repro experiments``) runs
+them and writes their artifacts.
 """
 
 from . import (  # noqa: F401 -- imported for registration side effects
@@ -50,13 +51,5 @@ __all__ = [
     "FAULT_REGISTRY",
     "FaultScenarioSpec",
     "fault_scenario",
-    "run_all",
 ]
 
-
-def run_all(quick: bool = False, seed: int = 0) -> list[ExperimentResult]:
-    """Run every registered experiment in id order."""
-    results = []
-    for name in sorted(EXPERIMENT_REGISTRY):
-        results.append(EXPERIMENT_REGISTRY[name](quick=quick, seed=seed))
-    return results

@@ -17,7 +17,7 @@ tier's outputs.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from ..distributed.faults import FaultPlan
 
@@ -26,7 +26,6 @@ __all__ = [
     "FAULT_REGISTRY",
     "register_fault",
     "fault_scenario",
-    "fault_names",
 ]
 
 
@@ -100,11 +99,6 @@ def fault_scenario(name: str) -> FaultScenarioSpec:
             f"unknown fault scenario {name!r}; "
             f"known: {sorted(FAULT_REGISTRY)}"
         ) from None
-
-
-def fault_names() -> Iterator[str]:
-    """Registered scenario names, registration order."""
-    return iter(FAULT_REGISTRY)
 
 
 register_fault(

@@ -9,12 +9,10 @@ from .energy import (
 )
 from .fault_tolerance import (
     FaultInjectionReport,
-    EdgeFaultMaskedOracle,
     FaultMaskedOracle,
     fault_injection_report,
     is_k_vertex_fault_tolerant,
     multipass_fault_tolerant_spanner,
-    one_fault_greedy,
 )
 from .power_cost import (
     PowerCostReport,
@@ -24,11 +22,9 @@ from .power_cost import (
 )
 
 __all__ = [
-    "EdgeFaultMaskedOracle",
     "FaultMaskedOracle",
     "EnergyCostOracle",
     "energy_cost_oracle",
-    "one_fault_greedy",
     "multipass_fault_tolerant_spanner",
     "FaultInjectionReport",
     "fault_injection_report",

@@ -5,18 +5,13 @@ algorithm to produce k-vertex/k-edge fault-tolerant t-spanners in
 polylogarithmic rounds, with details omitted for space.  This module
 supplies the reproduction's working version of that extension:
 
-* :func:`one_fault_greedy` -- an *exact* sequential greedy for ``k = 1``
-  vertex faults (the Czumaj--Zhao greedy specialised to single faults:
-  an edge is added unless the current spanner survives the worst single
-  vertex deletion for that pair).  Exponential in ``k``, so only ``k = 1``
-  is offered exactly;
 * :func:`multipass_fault_tolerant_spanner` -- the general-``k``
   construction used by experiments: ``k + 1`` edge-disjoint passes of the
   relaxed greedy builder, unioned.  Each pass certifies stretch using
   edges disjoint from all earlier passes, so ``k`` edge faults leave at
   least one pass intact; vertex faults are validated empirically;
 * :func:`fault_injection_report` -- randomized fault injection measuring
-  surviving stretch, the acceptance check both constructions share.
+  surviving stretch, the construction's acceptance check.
 """
 
 from __future__ import annotations
@@ -32,13 +27,10 @@ from ..core.relaxed_greedy import RelaxedGreedySpanner
 from ..exceptions import GraphError
 from ..graphs.analysis import measure_stretch
 from ..graphs.graph import Graph
-from ..graphs.paths import dijkstra
 from ..params import SpannerParams
 
 __all__ = [
     "FaultMaskedOracle",
-    "EdgeFaultMaskedOracle",
-    "one_fault_greedy",
     "multipass_fault_tolerant_spanner",
     "FaultInjectionReport",
     "fault_injection_report",
@@ -90,106 +82,6 @@ class FaultMaskedOracle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultMaskedOracle(faults={sorted(self._faults)})"
-
-
-class EdgeFaultMaskedOracle:
-    """Distance oracle with a set of failed *edges* masked to ``inf``.
-
-    The edge-fault companion of :class:`FaultMaskedOracle`: exactly the
-    pairs listed in ``failed_edges`` (as unordered ``{u, v}``) report
-    ``inf``; every other pair -- including other pairs touching the same
-    vertices -- defers to the wrapped base oracle.  Composes freely with
-    other batched wrappers: ``EnergyCostOracle(EdgeFaultMaskedOracle(...))``
-    masks the same pairs in energy space, since the energy metric maps
-    ``inf`` to ``inf``.  Scalar and ``pairs`` queries agree bit-for-bit
-    whenever the base oracle's do (masked entries are the same literal
-    ``inf`` on both paths).
-
-    Pair keys use ``min * 2**32 + max`` -- exact for any vertex ids below
-    ``2**32``, far beyond the point sets this repository builds.
-    """
-
-    __slots__ = ("_base", "_edges", "_key_arr")
-
-    def __init__(self, base: DistanceOracle, failed_edges) -> None:
-        self._base = as_oracle(base)
-        self._edges = frozenset(
-            (int(min(u, v)), int(max(u, v))) for u, v in failed_edges
-        )
-        self._key_arr = np.asarray(
-            sorted(
-                (np.int64(a) << np.int64(32)) + np.int64(b)
-                for a, b in self._edges
-            ),
-            dtype=np.int64,
-        )
-
-    @property
-    def failed_edges(self) -> frozenset:
-        """The masked edges, as sorted ``(min, max)`` tuples."""
-        return self._edges
-
-    def __call__(self, u: int, v: int) -> float:
-        if (min(u, v), max(u, v)) in self._edges:
-            return float("inf")
-        return self._base(u, v)
-
-    def pairs(self, u, v):
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        out = np.asarray(self._base.pairs(u, v), dtype=np.float64)
-        if self._key_arr.size:
-            keys = (
-                np.minimum(u, v) << np.int64(32)
-            ) + np.maximum(u, v)
-            masked = np.isin(keys, self._key_arr)
-            if masked.any():
-                out = np.where(masked, np.inf, out)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeFaultMaskedOracle(failed_edges={sorted(self._edges)})"
-
-
-def _survives_worst_single_fault(
-    spanner: Graph, u: int, v: int, threshold: float
-) -> bool:
-    """Whether every single-vertex deletion leaves a ``threshold`` path.
-
-    Only vertices on *some* short path matter; we simply test deleting
-    each vertex within the threshold ball of ``u`` (others cannot lie on
-    a relevant path).
-    """
-    ball = dijkstra(spanner, u, cutoff=threshold)
-    for z in list(ball):
-        if z in (u, v):
-            continue
-        keep = set(spanner.vertices()) - {z}
-        reduced = spanner.subgraph(keep)
-        if dijkstra(reduced, u, cutoff=threshold, targets={v}).get(
-            v, float("inf")
-        ) > threshold:
-            return False
-    # Also the no-fault case must hold.
-    return ball.get(v, float("inf")) <= threshold
-
-
-def one_fault_greedy(graph: Graph, t: float) -> Graph:
-    """Exact 1-vertex-fault-tolerant greedy t-spanner.
-
-    Processes edges in increasing weight; an edge joins the spanner
-    unless the partial spanner already guarantees a ``t``-path for its
-    endpoints under every single-vertex deletion.  Quadratic-ish in the
-    ball sizes -- intended for moderate instances and as the test oracle
-    for the multipass construction.
-    """
-    if t < 1.0:
-        raise GraphError(f"t must be >= 1, got {t}")
-    spanner = Graph(graph.num_vertices)
-    for w, u, v in sorted((w, u, v) for u, v, w in graph.edges()):
-        if not _survives_worst_single_fault(spanner, u, v, t * w):
-            spanner.add_edge(u, v, w)
-    return spanner
 
 
 def multipass_fault_tolerant_spanner(

@@ -6,7 +6,7 @@ coordinates, distance queries and point processes that workloads and
 baselines need.
 """
 
-from .angles import angle_at_vertex, angle_from_sides, yao_cone_count
+from .angles import angle_from_sides, yao_cone_count
 from .doubling import DoublingReport, estimate_doubling_dimension
 from .grid import GridIndex
 from .metrics import EdgeMetric, EnergyMetric, EuclideanMetric
@@ -28,7 +28,6 @@ __all__ = [
     "EuclideanMetric",
     "EnergyMetric",
     "angle_from_sides",
-    "angle_at_vertex",
     "yao_cone_count",
     "DoublingReport",
     "estimate_doubling_dimension",

@@ -5,20 +5,17 @@ the locations of nodes ... just the pairwise Euclidean distances".  The only
 geometric predicate the algorithm uses is the covered-edge test
 ``angle(v, u, z) <= theta`` (Section 2.2.2), and the angle at a triangle
 vertex is determined by the three side lengths via the law of cosines.
-This module implements that computation, plus a coordinate-based reference
-used in tests, plus Yao's cone-count bound used in the Theorem 11 degree
-analysis.
+This module implements that computation, plus Yao's cone-count bound
+used in the Theorem 11 degree analysis.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..exceptions import GraphError
 
-__all__ = ["angle_from_sides", "angle_at_vertex", "yao_cone_count"]
+__all__ = ["angle_from_sides", "yao_cone_count"]
 
 
 def angle_from_sides(opposite: float, side_a: float, side_b: float) -> float:
@@ -60,26 +57,6 @@ def angle_from_sides(opposite: float, side_a: float, side_b: float) -> float:
     cos_val = (side_a * side_a + side_b * side_b - opposite * opposite) / (
         2.0 * side_a * side_b
     )
-    cos_val = max(-1.0, min(1.0, cos_val))
-    return math.acos(cos_val)
-
-
-def angle_at_vertex(
-    apex: np.ndarray, p: np.ndarray, q: np.ndarray
-) -> float:
-    """Angle ``p-apex-q`` computed directly from coordinates.
-
-    Reference implementation used by the test-suite to validate
-    :func:`angle_from_sides`; production code paths use the coordinate-free
-    version.
-    """
-    vec_p = np.asarray(p, dtype=np.float64) - np.asarray(apex, dtype=np.float64)
-    vec_q = np.asarray(q, dtype=np.float64) - np.asarray(apex, dtype=np.float64)
-    norm_p = float(np.linalg.norm(vec_p))
-    norm_q = float(np.linalg.norm(vec_q))
-    if norm_p == 0.0 or norm_q == 0.0:
-        raise GraphError("angle undefined when a ray has zero length")
-    cos_val = float(np.dot(vec_p, vec_q)) / (norm_p * norm_q)
     cos_val = max(-1.0, min(1.0, cos_val))
     return math.acos(cos_val)
 

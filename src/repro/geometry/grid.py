@@ -16,9 +16,7 @@ instead of per-point Python loops.  :meth:`GridIndex.pairs_within_arrays`
 is the bulk entry point -- it returns the complete ``(u, v, dist)`` edge
 candidate set as three aligned numpy arrays with each unordered pair
 reported exactly once (``u < v``, rows sorted lexicographically), and each
-distance measured exactly once.  The legacy iterator
-:meth:`GridIndex.all_pairs_within` is a thin wrapper over the array path,
-so both share one distance computation per pair and agree bit-for-bit.
+distance measured exactly once.
 
 Determinism contract: for a fixed point set and radius the arrays returned
 by :meth:`pairs_within_arrays` are identical run-to-run (pure floor/sort
@@ -27,8 +25,6 @@ arithmetic, no hashing of float coordinates), which the graph builders in
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -116,29 +112,6 @@ class GridIndex:
         """Grid cell side length."""
         return self._cell_width
 
-    @property
-    def num_cells(self) -> int:
-        """Number of non-empty cells."""
-        return int(self._uids.shape[0])
-
-    def cell_of(self, idx: int) -> tuple[int, ...]:
-        """Grid cell key containing point ``idx``."""
-        return tuple(int(c) for c in self._keys[idx])
-
-    def points_in_cell(self, key: tuple[int, ...]) -> list[int]:
-        """Indices of points stored in cell ``key`` (empty list if none)."""
-        key_arr = np.asarray(key, dtype=np.int64)
-        if key_arr.shape != self._kmin.shape:
-            return []
-        if np.any(key_arr < self._kmin) or np.any(key_arr > self._kmax):
-            return []
-        linear = int((key_arr - self._kmin) @ self._strides)
-        pos = int(np.searchsorted(self._uids, linear))
-        if pos >= self._uids.shape[0] or self._uids[pos] != linear:
-            return []
-        lo, hi = int(self._starts[pos]), int(self._starts[pos + 1])
-        return self._order[lo:hi].tolist()
-
     def _positive_offsets(self, reach: int) -> np.ndarray:
         """All offsets in ``[-reach, reach]^d`` that are lexicographically
         positive (first nonzero component > 0): visiting ``(cell, cell +
@@ -219,8 +192,8 @@ class GridIndex:
 
         Returns ``(u, v, dist)`` with ``u < v`` elementwise, rows sorted
         lexicographically by ``(u, v)``, and each Euclidean distance
-        measured exactly once.  This is the bulk fast path the graph
-        builders consume; :meth:`all_pairs_within` wraps it.
+        measured exactly once.  This is the bulk path the graph builders
+        consume.
         """
         if radius < 0.0:
             raise GraphError(f"radius must be >= 0, got {radius}")
@@ -246,50 +219,3 @@ class GridIndex:
             u, v = u2, v2
         order = np.lexsort((v, u))
         return u[order], v[order], dist[order]
-
-    def neighbors_within(self, idx: int, radius: float) -> list[int]:
-        """Indices of points within Euclidean ``radius`` of point ``idx``.
-
-        The point itself is excluded.  Results are sorted for determinism.
-        """
-        if radius < 0.0:
-            raise GraphError(f"radius must be >= 0, got {radius}")
-        n = self._keys.shape[0]
-        if n <= 1:
-            return []
-        reach = max(1, int(np.ceil(radius / self._cell_width)))
-        key = self._keys[idx]
-        shifted = key + offset_cube(key.shape[0], reach)
-        valid = np.all(
-            (shifted >= self._kmin) & (shifted <= self._kmax), axis=1
-        )
-        if not valid.any():
-            return []
-        nbr_linear = (shifted[valid] - self._kmin) @ self._strides
-        found, rank = self._cell_lookup(nbr_linear)
-        if not found.any():
-            return []
-        rank = rank[found]
-        cand = self._order[
-            run_expand(self._starts[rank], self._counts[rank])
-        ]
-        cand = cand[cand != idx]
-        if cand.shape[0] == 0:
-            return []
-        coords = self._points.coords
-        diff = coords[cand] - coords[idx]
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        close = cand[dist_sq <= radius * radius]
-        close.sort()
-        return close.tolist()
-
-    def all_pairs_within(self, radius: float) -> Iterator[tuple[int, int, float]]:
-        """Yield every unordered pair ``(u, v, distance)`` with
-        ``distance <= radius`` exactly once (``u < v``).
-
-        Legacy iterator API: a thin wrapper over
-        :meth:`pairs_within_arrays`, so each distance is measured once on
-        the array path and simply re-emitted here.
-        """
-        u, v, dist = self.pairs_within_arrays(radius)
-        yield from zip(u.tolist(), v.tolist(), dist.tolist())

@@ -97,19 +97,13 @@ class PointSet:
         diff = self._coords[u] - self._coords[v]
         return float(np.sqrt(np.einsum("i,i->", diff, diff)))
 
-    def sq_distance(self, u: int, v: int) -> float:
-        """Squared Euclidean distance (cheaper when only comparing)."""
-        diff = self._coords[u] - self._coords[v]
-        return float(np.einsum("i,i->", diff, diff))
-
     def sq_distances_between(
         self, u: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
         """Squared distances ``|u_i v_i|^2`` for aligned index arrays.
 
         The batch graph-construction pipeline uses this to measure whole
-        candidate-pair arrays in one numpy call instead of ``len(u)``
-        Python-level :meth:`sq_distance` calls.
+        candidate-pair arrays in one numpy call.
         """
         diff = self._coords[np.asarray(u)] - self._coords[np.asarray(v)]
         return np.einsum("ij,ij->i", diff, diff)
@@ -131,34 +125,6 @@ class PointSet:
         from ..core.oracle import BoundMethodOracle
 
         return BoundMethodOracle(self.distance, self.distances_between)
-
-    def distances_from(self, u: int) -> np.ndarray:
-        """Vector of Euclidean distances from ``u`` to every point."""
-        diff = self._coords - self._coords[u]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    def pairwise_distances(self) -> np.ndarray:
-        """Full ``(n, n)`` Euclidean distance matrix.
-
-        Quadratic memory -- intended for the moderate ``n`` this library's
-        simulations use; large-scale callers should prefer
-        :meth:`distances_from` or :class:`repro.geometry.grid.GridIndex`.
-        """
-        diff = self._coords[:, None, :] - self._coords[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` corners of the axis-aligned bounding box."""
-        return self._coords.min(axis=0), self._coords.max(axis=0)
-
-    def translated(self, offset: Sequence[float]) -> "PointSet":
-        """A new point set with ``offset`` added to every point."""
-        off = np.asarray(offset, dtype=np.float64)
-        if off.shape != (self.dim,):
-            raise GraphError(
-                f"offset must have shape ({self.dim},); got {off.shape}"
-            )
-        return PointSet(self._coords + off)
 
     def scaled(self, factor: float) -> "PointSet":
         """A new point set with every coordinate multiplied by ``factor``."""

@@ -33,12 +33,11 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 from ..exceptions import GraphError
 from .graph import Graph
 from .mst import mst_weight
-from .paths import pair_distances, source_block_size
+from .paths import source_block_size
 
 __all__ = [
     "StretchReport",
     "measure_stretch",
-    "verify_spanner",
     "lightness",
     "power_cost",
     "hop_diameter",
@@ -139,15 +138,6 @@ def measure_stretch(base: Graph, spanner: Graph) -> StretchReport:
     )
 
 
-def verify_spanner(
-    base: Graph, spanner: Graph, t: float, *, tol: float = 1e-9
-) -> bool:
-    """Whether ``spanner`` is a ``t``-spanner of ``base`` (exact check)."""
-    if t < 1.0:
-        raise GraphError(f"t must be >= 1, got {t}")
-    return measure_stretch(base, spanner).max_stretch <= t * (1.0 + tol)
-
-
 def lightness(base: Graph, spanner: Graph) -> float:
     """Weight ratio ``w(spanner) / w(MST(base))``.
 
@@ -246,60 +236,3 @@ def assess(base: Graph, spanner: Graph) -> SpannerQuality:
         edges=spanner.num_edges,
         power_cost_ratio=ratio,
     )
-
-
-def sample_pair_stretch(
-    base: Graph,
-    spanner: Graph,
-    num_pairs: int,
-    *,
-    seed: int | None = 0,
-) -> float:
-    """Stretch over ``num_pairs`` random connected vertex pairs.
-
-    Unlike :func:`measure_stretch` (edges only -- sufficient for the
-    spanner property) this samples arbitrary pairs, giving a direct view of
-    path-level stretch for dashboards and examples.  Returns 1.0 when no
-    valid pair is found.
-
-    Distances are resolved in bulk: candidate pairs are drawn up front
-    and each side's shortest paths come from blocked multi-source
-    batches over :meth:`Graph.csr` -- no per-pair dict Dijkstras.
-    """
-    if num_pairs <= 0:
-        raise GraphError(f"num_pairs must be positive, got {num_pairs}")
-    rng = np.random.default_rng(seed)
-    n = base.num_vertices
-    if n < 2:
-        return 1.0
-    cand = rng.integers(n, size=(20 * num_pairs, 2))
-    cand = cand[cand[:, 0] != cand[:, 1]]
-    # Chunked early exit: on connected graphs the first chunk already
-    # yields num_pairs valid pairs, so the 20x oversample is only ever
-    # resolved against the Dijkstra kernel when disconnection forces it.
-    chunk = max(64, 2 * num_pairs)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    ds: list[np.ndarray] = []
-    need = num_pairs
-    for lo in range(0, cand.shape[0], chunk):
-        part = cand[lo : lo + chunk]
-        base_d = pair_distances(base, part[:, 0], part[:, 1])
-        picks = np.flatnonzero(np.isfinite(base_d) & (base_d > 0.0))[:need]
-        if picks.size:
-            us.append(part[picks, 0])
-            vs.append(part[picks, 1])
-            ds.append(base_d[picks])
-            need -= picks.size
-        if need == 0:
-            break
-    if not us:
-        return 1.0
-    span_d = pair_distances(
-        spanner, np.concatenate(us), np.concatenate(vs)
-    )
-    worst = float(np.max(span_d / np.concatenate(ds)))
-    return max(1.0, worst)
-
-
-__all__.append("sample_pair_stretch")

@@ -1,21 +1,19 @@
-"""Connected components and clique checks.
+"""Connected components.
 
 Phase 0 of the relaxed greedy algorithm (Section 2.1) partitions the
 short-edge graph ``G_0`` into connected components; Lemma 1 guarantees each
-component induces a clique in ``G``.  Both operations live here, computed
-as array kernels (union-find labels over the CSR snapshot), with the
-output contract of the original BFS implementation preserved exactly.
+component induces a clique in ``G``.  The components are computed as
+array kernels (union-find labels over the CSR snapshot), with the output
+contract of the original BFS implementation preserved exactly.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["connected_components", "component_labels", "is_connected", "largest_component", "is_clique"]
+__all__ = ["connected_components", "component_labels"]
 
 
 def component_labels(graph: Graph) -> np.ndarray:
@@ -57,26 +55,3 @@ def connected_components(graph: Graph) -> list[list[int]]:
     ]
     comps.sort(key=len, reverse=True)
     return comps
-
-
-def is_connected(graph: Graph) -> bool:
-    """Whether the graph has at most one connected component."""
-    if graph.num_vertices == 0:
-        return True
-    return bool(component_labels(graph).max() == 0)
-
-
-def largest_component(graph: Graph) -> list[int]:
-    """Vertices of the largest connected component (sorted)."""
-    components = connected_components(graph)
-    return components[0] if components else []
-
-
-def is_clique(graph: Graph, nodes: Iterable[int]) -> bool:
-    """Whether every pair in ``nodes`` is joined by an edge of ``graph``."""
-    members = sorted(set(nodes))
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not graph.has_edge(u, v):
-                return False
-    return True

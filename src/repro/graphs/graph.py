@@ -382,13 +382,6 @@ class Graph:
         self._num_edges -= 1
         self._log_delete(min(u, v), max(u, v))
 
-    def add_edges_from(
-        self, edges: Iterable[tuple[int, int, float]]
-    ) -> None:
-        """Bulk :meth:`add_edge` from ``(u, v, weight)`` triples."""
-        for u, v, w in edges:
-            self.add_edge(u, v, w)
-
     def add_weighted_edges_arrays(
         self, u: np.ndarray, v: np.ndarray, w: np.ndarray
     ) -> None:
@@ -475,24 +468,6 @@ class Graph:
                     out.add_edge(u, v, w)
         return out
 
-    def spanning_union(self, other: "Graph") -> "Graph":
-        """New graph with the union of this graph's and ``other``'s edges.
-
-        Both graphs must share the vertex count.  On weight conflicts the
-        *smaller* weight wins (weights here always agree in practice since
-        both sides derive from the same point set).
-        """
-        if other.num_vertices != self.num_vertices:
-            raise GraphError(
-                "vertex count mismatch: "
-                f"{self.num_vertices} vs {other.num_vertices}"
-            )
-        out = self.copy()
-        for u, v, w in other.edges():
-            if not out.has_edge(u, v) or out.weight(u, v) > w:
-                out.add_edge(u, v, w)
-        return out
-
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
@@ -520,34 +495,6 @@ class Graph:
         if other.num_vertices != self.num_vertices:
             return False
         return all(other.has_edge(u, v) for u, v, _ in self.edges())
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` with ``weight`` attributes."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices())
-        g.add_weighted_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, g) -> "Graph":
-        """Build from a :class:`networkx.Graph` with integer nodes 0..n-1.
-
-        Edge weights are read from the ``weight`` attribute (default 1.0).
-        """
-        nodes = sorted(g.nodes())
-        if nodes and (nodes[0] != 0 or nodes[-1] != len(nodes) - 1):
-            raise GraphError(
-                "networkx graph must be labelled with integers 0..n-1"
-            )
-        out = cls(len(nodes))
-        for u, v, data in g.edges(data=True):
-            out.add_edge(u, v, float(data.get("weight", 1.0)))
-        return out
 
     def csr(self):
         """Symmetric :class:`scipy.sparse.csr_matrix` snapshot of the graph.

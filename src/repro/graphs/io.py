@@ -64,24 +64,46 @@ def load_instance(path: str | Path) -> tuple[Graph, PointSet | None, dict]:
     Raises
     ------
     GraphError
-        On an unknown schema, an invalid edge, or a point list whose
-        length differs from the vertex count (the instance
+        Naming ``path`` and the problem, when the file cannot be read or
+        is not a JSON object, on an unknown schema, a missing or
+        malformed field, an invalid edge, or a point list whose length
+        differs from the vertex count (the instance
         :func:`save_instance` refuses to write).
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise GraphError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise GraphError(
+            f"{path} holds a JSON {type(payload).__name__}, not an instance"
+        )
     if payload.get("schema") != _SCHEMA:
         raise GraphError(
             f"unsupported schema {payload.get('schema')!r} in {path}"
         )
-    graph = Graph(int(payload["num_vertices"]))
-    for u, v, w in payload["edges"]:
-        graph.add_edge(int(u), int(v), float(w))
-    points = (
-        PointSet(payload["points"]) if payload.get("points") is not None else None
-    )
+    field = "num_vertices"
+    try:
+        graph = Graph(int(payload[field]))
+        field = "edges"
+        for u, v, w in payload[field]:
+            graph.add_edge(int(u), int(v), float(w))
+        field = "points"
+        coords = payload.get(field)
+        points = PointSet(coords) if coords is not None else None
+        field = "metadata"
+        metadata = dict(payload.get(field, {}))
+    except GraphError:
+        raise
+    except KeyError:
+        raise GraphError(f"{path} has no {field!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"malformed {field!r} in {path}: {exc}") from None
     if points is not None and len(points) != graph.num_vertices:
         raise GraphError(
             f"points ({len(points)}) and graph ({graph.num_vertices}) "
             f"disagree in {path}"
         )
-    return graph, points, dict(payload.get("metadata", {}))
+    return graph, points, metadata

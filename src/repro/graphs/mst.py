@@ -1,26 +1,23 @@
 """Minimum spanning trees (well, forests).
 
 Theorem 13's lightness guarantee is relative to ``w(MST(G))``; every weight
-experiment needs an MST baseline.  Kruskal is the default; Prim is provided
-as an independent implementation so the test-suite can cross-check the two
-(and both against networkx).  :func:`mst_weight` -- the quantity every
-lightness measurement actually needs -- runs as an array kernel over the
-CSR snapshot (all minimum spanning forests share one total weight, so no
-tie-breaking convention is involved).
+experiment needs an MST baseline.  :func:`kruskal_mst` builds the forest
+itself; :func:`mst_weight` -- the quantity every lightness measurement
+actually needs -- runs as an array kernel over the CSR snapshot (all
+minimum spanning forests share one total weight, so no tie-breaking
+convention is involved).
 
-On a disconnected graph both functions return the minimum spanning
+On a disconnected graph both functions work on the minimum spanning
 *forest*, which is the right comparison object since any spanner of a
 disconnected graph is disconnected the same way.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from .graph import Graph
 from .unionfind import UnionFind
 
-__all__ = ["kruskal_mst", "prim_mst", "mst_weight"]
+__all__ = ["kruskal_mst", "mst_weight"]
 
 
 def kruskal_mst(graph: Graph) -> Graph:
@@ -33,30 +30,6 @@ def kruskal_mst(graph: Graph) -> Graph:
     for w, u, v in sorted((w, u, v) for u, v, w in graph.edges()):
         if dsu.union(u, v):
             forest.add_edge(u, v, w)
-    return forest
-
-
-def prim_mst(graph: Graph) -> Graph:
-    """Minimum spanning forest via Prim's algorithm (lazy deletion heap)."""
-    forest = Graph(graph.num_vertices)
-    in_tree = [False] * graph.num_vertices
-    for root in graph.vertices():
-        if in_tree[root]:
-            continue
-        in_tree[root] = True
-        heap: list[tuple[float, int, int]] = [
-            (w, root, v) for v, w in graph.neighbor_items(root)
-        ]
-        heapq.heapify(heap)
-        while heap:
-            w, u, v = heapq.heappop(heap)
-            if in_tree[v]:
-                continue
-            in_tree[v] = True
-            forest.add_edge(u, v, w)
-            for x, wx in graph.neighbor_items(v):
-                if not in_tree[x]:
-                    heapq.heappush(heap, (wx, v, x))
     return forest
 
 

@@ -1,14 +1,15 @@
-"""Shortest-path and hop-bounded search primitives.
+"""Shortest-path search primitives.
 
-The relaxed greedy algorithm issues three kinds of path queries:
+The relaxed greedy algorithm issues two kinds of path queries:
 
 * full single-source Dijkstra (cluster-cover construction, Section 2.2.1);
 * *bounded* Dijkstra with a distance cutoff -- most queries only need to
   know whether some path of length ``<= t * |xy|`` exists, so the search
   may stop as soon as the frontier passes the cutoff (this is the lazy
-  early-exit that makes the sequential algorithm fast);
-* hop-bounded BFS (the distributed algorithm's "gather information from
-  ``<= k`` hops away" primitive, Theorem 9 / Section 3).
+  early-exit that makes the sequential algorithm fast).
+
+The distributed algorithm's hop-bounded gathering (Theorem 9 / Section
+3) is the flooding protocol of :mod:`repro.distributed.protocols.flooding`.
 
 The dict-based primitives remain the reference implementations for single
 queries (the cluster cover grows its few non-trivial balls with
@@ -42,34 +43,24 @@ a matrix alone, uses them as they are.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from ..arrayops import run_expand
-from ..exceptions import GraphError, NotReachableError
+from ..exceptions import GraphError
 from .graph import Graph
 
 __all__ = [
     "dijkstra",
     "dijkstra_distance",
     "detour_distance",
-    "bfs_hops",
-    "k_hop_neighborhood",
-    "k_hop_subgraph",
-    "shortest_path_tree",
     "multi_source_ball_lists",
     "multi_source_distances",
-    "multi_source_trees",
     "nearest_source_distances",
     "pair_distances",
     "pair_distance_entries",
-    "NO_PREDECESSOR",
 ]
-
-#: Sentinel scipy's csgraph uses for "no predecessor" in tree arrays.
-NO_PREDECESSOR = -9999
 
 #: Soft bound on floats held by one batched distance block (rows x n).
 _BLOCK_ENTRIES = 4_000_000
@@ -429,31 +420,6 @@ def multi_source_ball_lists(
     return starts, best_keys % n, best_d
 
 
-def multi_source_trees(
-    graph: Graph, sources: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched shortest-path trees: ``(dist, predecessors)`` arrays.
-
-    Both are ``(k, n)``; ``predecessors[i, v]`` is the parent of ``v`` on
-    a shortest path from ``sources[i]`` (:data:`NO_PREDECESSOR` for the
-    source itself and for unreachable vertices).  Array analogue of
-    :func:`shortest_path_tree` for whole batches of sources.
-    """
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    idx = _check_sources(graph, sources)
-    n = graph.num_vertices
-    if idx.size == 0:
-        return (
-            np.empty((0, n), dtype=np.float64),
-            np.empty((0, n), dtype=np.int32),
-        )
-    dist, pred = sp_dijkstra(
-        graph.csr(), directed=False, indices=idx, return_predecessors=True
-    )
-    return dist.reshape(idx.size, n), pred.reshape(idx.size, n)
-
-
 def dijkstra(
     graph: Graph,
     source: int,
@@ -594,128 +560,3 @@ def detour_distance(
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return inf
-
-
-def bfs_hops(
-    graph: Graph, source: int, *, max_hops: int | None = None
-) -> dict[int, int]:
-    """Hop counts from ``source`` via BFS.
-
-    Parameters
-    ----------
-    max_hops:
-        If given, exploration stops at this hop radius.
-
-    Returns
-    -------
-    dict[int, int]
-        ``vertex -> hops`` for every vertex within the radius.
-    """
-    graph._check_vertex(source)
-    hops = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if max_hops is not None and hops[u] >= max_hops:
-            continue
-        for v in graph.neighbors(u):
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
-def k_hop_neighborhood(graph: Graph, source: int, k: int) -> set[int]:
-    """Vertices within ``k`` hops of ``source`` (including ``source``)."""
-    if k < 0:
-        raise GraphError(f"k must be >= 0, got {k}")
-    return set(bfs_hops(graph, source, max_hops=k))
-
-
-def k_hop_subgraph(graph: Graph, source: int, k: int) -> Graph:
-    """Subgraph induced by the ``k``-hop neighborhood of ``source``.
-
-    This is the "local view" a node obtains after ``k`` communication
-    rounds in the LOCAL model (Section 3); vertex ids are preserved.
-    """
-    return graph.subgraph(k_hop_neighborhood(graph, source, k))
-
-
-def shortest_path_tree(
-    graph: Graph, source: int, *, cutoff: float | None = None
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Dijkstra with parent pointers.
-
-    Returns
-    -------
-    (dist, parent)
-        ``dist`` as in :func:`dijkstra`; ``parent`` maps each settled
-        vertex (except ``source``) to its predecessor on a shortest path.
-    """
-    graph._check_vertex(source)
-    dist: dict[int, float] = {source: 0.0}
-    parent: dict[int, int] = {}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v, w in graph.neighbor_items(u):
-            nd = d + w
-            if cutoff is not None and nd > cutoff:
-                continue
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    dist = {v: d for v, d in dist.items() if v in settled}
-    parent = {v: p for v, p in parent.items() if v in dist}
-    return dist, parent
-
-
-def reconstruct_path(
-    parent: dict[int, int], source: int, target: int
-) -> list[int]:
-    """Vertex sequence from ``source`` to ``target`` using ``parent``.
-
-    Raises
-    ------
-    NotReachableError
-        If ``target`` was not reached by the search that built ``parent``.
-    """
-    if target == source:
-        return [source]
-    if target not in parent:
-        raise NotReachableError(f"no recorded path from {source} to {target}")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def reconstruct_path_array(
-    pred_row: np.ndarray, source: int, target: int
-) -> list[int]:
-    """Vertex sequence from ``source`` to ``target`` using one
-    predecessor row of :func:`multi_source_trees`.
-
-    Raises
-    ------
-    NotReachableError
-        If ``target`` is unreachable from ``source`` in the tree.
-    """
-    if target == source:
-        return [source]
-    if int(pred_row[target]) == NO_PREDECESSOR:
-        raise NotReachableError(f"no recorded path from {source} to {target}")
-    path = [target]
-    while path[-1] != source:
-        path.append(int(pred_row[path[-1]]))
-    path.reverse()
-    return path
-
-
-__all__.extend(["reconstruct_path", "reconstruct_path_array"])

@@ -18,22 +18,16 @@ class UnionFind:
     union by rank.
     """
 
-    __slots__ = ("_parent", "_rank", "_num_sets")
+    __slots__ = ("_parent", "_rank")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise GraphError(f"n must be >= 0, got {n}")
         self._parent = list(range(n))
         self._rank = [0] * n
-        self._num_sets = n
 
     def __len__(self) -> int:
         return len(self._parent)
-
-    @property
-    def num_sets(self) -> int:
-        """Current number of disjoint sets."""
-        return self._num_sets
 
     def find(self, x: int) -> int:
         """Representative of the set containing ``x``."""
@@ -63,12 +57,7 @@ class UnionFind:
         self._parent[ry] = rx
         if self._rank[rx] == self._rank[ry]:
             self._rank[rx] += 1
-        self._num_sets -= 1
         return True
-
-    def connected(self, x: int, y: int) -> bool:
-        """Whether ``x`` and ``y`` are in the same set."""
-        return self.find(x) == self.find(y)
 
     def groups(self) -> dict[int, list[int]]:
         """Mapping from representative to sorted members of its set."""

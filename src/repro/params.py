@@ -26,7 +26,7 @@ can be constructed directly (all fields validated) or derived from a target
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exceptions import ParameterError
 
@@ -302,16 +302,3 @@ class SpannerParams:
         ``ceil(2*(2*delta + 1)*W_{i-1}/alpha)`` (Section 3.2.3), at least 1."""
         radius = (2.0 * self.delta + 1.0) * self.w(i - 1, n)
         return max(1, math.ceil(2.0 * radius / self.alpha))
-
-    def with_alpha(self, alpha: float) -> "SpannerParams":
-        """Return a copy with a different ``alpha`` (re-validated)."""
-        return replace(self, alpha=alpha, beta=self._derive_beta(self.t, alpha))
-
-    def describe(self) -> str:
-        """Human-readable one-line summary of the parameter bundle."""
-        return (
-            f"SpannerParams(t={self.t:.4g}, t1={self.t1:.4g}, "
-            f"delta={self.delta:.4g}, r={self.r:.4g}, "
-            f"theta={math.degrees(self.theta):.3g}deg, beta={self.beta:.4g}, "
-            f"alpha={self.alpha:.4g}, d={self.dim}, t_delta={self.t_delta:.4g})"
-        )

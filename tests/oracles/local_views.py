@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from oracles.covered import is_covered
+from oracles.paths import k_hop_neighborhood
 
 from repro.core.oracle import DistanceOracle
 from repro.graphs.graph import Graph
-from repro.graphs.paths import k_hop_neighborhood
 from repro.params import SpannerParams
 
 

@@ -1,11 +1,15 @@
-"""Label-correcting reference of the bounded multi-source ball search."""
+"""Path references: the label-correcting bounded multi-source ball
+search, and hop-count BFS for the hop-bounded protocol and analysis
+checks."""
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 import numpy as np
 
+from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.paths import _ball_search_setup, _relax_frontier
 
@@ -66,3 +70,30 @@ def multi_source_ball_lists_reference(
     slots = best_keys // n
     starts = np.searchsorted(slots, np.arange(k + 1, dtype=np.int64))
     return starts, best_keys % n, best_d
+
+
+def bfs_hops(
+    graph: Graph, source: int, *, max_hops: int | None = None
+) -> dict[int, int]:
+    """``vertex -> hops`` from ``source`` for every vertex within
+    ``max_hops`` (every reachable vertex when it is ``None``)."""
+    graph._check_vertex(source)
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if max_hops is not None and hops[u] >= max_hops:
+            continue
+        for v in graph.neighbors(u):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
+def k_hop_neighborhood(graph: Graph, source: int, k: int) -> set[int]:
+    """Vertices within ``k`` hops of ``source``, ``source`` included: the
+    ball a node learns in ``k`` LOCAL-model rounds."""
+    if k < 0:
+        raise GraphError(f"k must be >= 0, got {k}")
+    return set(bfs_hops(graph, source, max_hops=k))

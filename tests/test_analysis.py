@@ -11,8 +11,6 @@ from repro.graphs.analysis import (
     lightness,
     measure_stretch,
     power_cost,
-    sample_pair_stretch,
-    verify_spanner,
 )
 from repro.graphs.graph import Graph
 
@@ -62,24 +60,6 @@ class TestMeasureStretch:
         spanner.remove_edge(0, 2)
         report = measure_stretch(g, spanner)
         assert 1.0 <= report.mean_stretch <= report.max_stretch
-
-
-class TestVerifySpanner:
-    def test_accepts_exact(self):
-        g = square()
-        spanner = g.copy()
-        spanner.remove_edge(0, 2)
-        assert verify_spanner(g, spanner, 1.5)
-
-    def test_rejects_too_tight(self):
-        g = square()
-        spanner = g.copy()
-        spanner.remove_edge(0, 2)
-        assert not verify_spanner(g, spanner, 1.1)
-
-    def test_rejects_t_below_one(self):
-        with pytest.raises(GraphError):
-            verify_spanner(square(), square(), 0.9)
 
 
 class TestLightness:
@@ -146,22 +126,3 @@ class TestAssess:
             "stretch", "mean_stretch", "max_degree", "avg_degree",
             "lightness", "weight", "edges", "power_cost_ratio",
         }
-
-
-class TestSamplePairStretch:
-    def test_identity_is_one(self):
-        g = square()
-        assert sample_pair_stretch(g, g, 20, seed=1) == pytest.approx(1.0)
-
-    def test_detour_detected(self):
-        g = square()
-        spanner = g.copy()
-        spanner.remove_edge(0, 2)
-        assert sample_pair_stretch(g, spanner, 50, seed=1) > 1.0
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(GraphError):
-            sample_pair_stretch(square(), square(), 0)
-
-    def test_tiny_graph(self):
-        assert sample_pair_stretch(Graph(1), Graph(1), 5) == 1.0

@@ -12,6 +12,7 @@ sub-spanners with large detours.
 import math
 
 import pytest
+from oracles.paths import bfs_hops
 
 from repro.baselines.proximity import gabriel_graph, relative_neighborhood_graph
 from repro.geometry.sampling import uniform_points
@@ -20,7 +21,7 @@ from repro.graphs.build import build_udg
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.mst import kruskal_mst, mst_weight
-from repro.graphs.paths import bfs_hops, dijkstra
+from repro.graphs.paths import dijkstra
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.baselines import (
     xtc_graph,
     yao_gabriel_graph,
     yao_graph,
-    yao_stretch_bound,
 )
 from repro.exceptions import GraphError
 from repro.geometry.points import PointSet
@@ -68,13 +67,6 @@ class TestYao:
         points, graph = deployment
         with pytest.raises(GraphError):
             yao_graph(graph, points, 1)
-
-    def test_stretch_bound_formula(self):
-        assert yao_stretch_bound(6) == math.inf
-        assert yao_stretch_bound(7) == pytest.approx(
-            1.0 / (1.0 - 2.0 * math.sin(math.pi / 7))
-        )
-        assert yao_stretch_bound(12) < yao_stretch_bound(8)
 
 
 class TestTheta:

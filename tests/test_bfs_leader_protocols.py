@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from oracles.paths import bfs_hops
 
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.protocols.bfs import BFSTree
 from repro.distributed.protocols.leader import LeaderElection
 from repro.exceptions import ProtocolError
 from repro.graphs.graph import Graph
-from repro.graphs.paths import bfs_hops
 
 
 def path_graph(n: int) -> Graph:

@@ -46,12 +46,6 @@ class TestBoundaries:
             b = EdgeBinning(1.03, 0.7, n)
             assert b.boundary(b.num_bins) >= 1.0
 
-    def test_interval_shape(self):
-        b = EdgeBinning(2.0, 1.0, 4)
-        assert b.interval(0) == (0.0, 0.25)
-        assert b.interval(1) == (0.25, 0.5)
-        assert b.interval(2) == (0.5, 1.0)
-
     def test_negative_index_rejected(self):
         with pytest.raises(GraphError):
             EdgeBinning(1.5, 1.0, 10).boundary(-1)
@@ -88,8 +82,8 @@ class TestBinOf:
         that contains it."""
         b = EdgeBinning(r, alpha, n)
         idx = b.bin_of(length)
-        lo, hi = b.interval(idx)
-        assert lo < length <= hi
+        lo = 0.0 if idx == 0 else b.boundary(idx - 1)
+        assert lo < length <= b.boundary(idx)
 
 
 class TestAssign:

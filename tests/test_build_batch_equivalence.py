@@ -207,18 +207,6 @@ class TestGridArrayPath:
                 zip(u.tolist(), v.tolist())
             )
 
-    def test_iterator_wraps_array_path(self):
-        from repro.geometry.grid import GridIndex
-
-        rng = np.random.default_rng(4)
-        points = PointSet(rng.uniform(0.0, 2.0, size=(30, 2)))
-        index = GridIndex(points, cell_width=1.0)
-        u, v, dist = index.pairs_within_arrays(1.0)
-        legacy = list(index.all_pairs_within(1.0))
-        assert legacy == list(
-            zip(u.tolist(), v.tolist(), dist.tolist())
-        )
-
 
 class TestBaselineEquivalence:
     """The vectorized cone/proximity baselines match scalar references."""

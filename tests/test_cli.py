@@ -46,6 +46,23 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not path.exists()
 
+    def test_missing_output_directory_refused_before_sampling(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "absent" / "inst.json"
+        assert main(["generate", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: output directory {target.parent} does not exist\n"
+
+    def test_directory_as_output_refused_before_sampling(
+        self, tmp_path, capsys
+    ):
+        assert main(["generate", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: output path {tmp_path} is a directory\n"
+
     def test_all_workloads(self, tmp_path):
         for name in ("clustered", "grid", "corridor", "uniform3d"):
             code = main(
@@ -89,6 +106,50 @@ class TestBuild:
         g.add_edge(0, 1, 0.5)
         save_instance(path, g)
         assert main(["build", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path} has no coordinates; cannot build\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read"),
+            ("not json", "is not JSON"),
+            ("[1, 2]", "holds a JSON list"),
+            ('{"schema": 1}', "has no 'num_vertices' field"),
+            ('{"schema": 1, "num_vertices": "x", "edges": []}',
+             "malformed 'num_vertices'"),
+            ('{"schema": 1, "num_vertices": 2, "edges": [[0, 1]]}',
+             "malformed 'edges'"),
+            ('{"schema": 1, "num_vertices": 1, "edges": [], '
+             '"points": [[0.0, 0.0]], "metadata": "x"}',
+             "malformed 'metadata'"),
+            ('{"schema": 1, "num_vertices": 1, "edges": [], '
+             '"points": [[0.0, 0.0]], "metadata": {"alpha": "x"}}',
+             "alpha 'x' in"),
+        ],
+        ids=["missing", "not-json", "list", "no-vertices", "bad-vertices",
+             "short-edge-row", "bad-metadata", "bad-alpha"],
+    )
+    def test_unreadable_instance_exits_with_message(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["build", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_missing_output_directory_refused_before_build(
+        self, instance_path, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        target = tmp_path / "absent" / "spanner.json"
+        assert main(["build", str(instance_path), "--output", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing was built
+        assert err == f"error: output directory {target.parent} does not exist\n"
 
     @pytest.mark.parametrize(
         "coords,weight,message",

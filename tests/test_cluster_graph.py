@@ -154,8 +154,6 @@ class TestLemmaInvariants:
     def test_lemma8_hop_bound(self, phase_setup):
         """Relevant H-paths have O(1) hops: 2 + ceil(t*r/delta)."""
         params, partial, cover, h, w_prev = phase_setup
-        from repro.graphs.paths import bfs_hops
-
         hop_bound = 2 + math.ceil(params.t * params.r / params.delta)
         # Check via weighted/hop joint search: any path of weight
         # <= t*r*W_prev uses at most hop_bound hops.  We verify the

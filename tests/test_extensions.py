@@ -9,7 +9,6 @@ from repro.extensions.fault_tolerance import (
     fault_injection_report,
     is_k_vertex_fault_tolerant,
     multipass_fault_tolerant_spanner,
-    one_fault_greedy,
 )
 from repro.extensions.power_cost import (
     power_assignment,
@@ -68,26 +67,6 @@ class TestEnergySpanner:
 
 
 class TestFaultTolerance:
-    def test_one_fault_greedy_exhaustive(self):
-        points = uniform_points(30, seed=67)
-        graph = build_udg(points)
-        spanner = one_fault_greedy(graph, 1.5)
-        assert is_k_vertex_fault_tolerant(graph, spanner, 1.5, 1)
-
-    def test_one_fault_greedy_denser_than_plain(self):
-        from repro.core.seq_greedy import seq_greedy
-
-        points = uniform_points(30, seed=68)
-        graph = build_udg(points)
-        assert (
-            one_fault_greedy(graph, 1.5).num_edges
-            >= seq_greedy(graph, 1.5).num_edges
-        )
-
-    def test_one_fault_rejects_bad_t(self):
-        with pytest.raises(GraphError):
-            one_fault_greedy(Graph(2), 0.9)
-
     def test_multipass_k0_is_plain_spanner(self, deployment):
         points, graph = deployment
         union = multipass_fault_tolerant_spanner(

@@ -27,7 +27,6 @@ from repro.experiments import EXPERIMENT_REGISTRY
 from repro.experiments.failures import (
     FAULT_REGISTRY,
     FaultScenarioSpec,
-    fault_names,
     fault_scenario,
     register_fault,
 )
@@ -50,9 +49,6 @@ class TestScenarioRegistry:
     def test_unknown_scenario_names_known_ones(self):
         with pytest.raises(KeyError, match="known:"):
             fault_scenario("nope")
-
-    def test_fault_names_matches_registry(self):
-        assert set(fault_names()) == set(FAULT_REGISTRY)
 
     def test_reliable_is_the_zero_fault_plan(self):
         plan = fault_scenario("reliable").plan(seed=9)

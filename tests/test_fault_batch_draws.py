@@ -1,7 +1,7 @@
 """Satellite pin: vectorized FaultPlan draw kernels == scalar draws.
 
 Sweeps every named failure scenario and asserts the batch kernels
-(`drop_mask`, `latencies`, `alive_at`, `clock_rates`, `crash_schedules`,
+(`drop_mask`, `latencies`, `alive_at`, `crash_schedules`,
 `link_down_mask`) equal the per-call scalar draws elementwise, bit for
 bit.  This is the contract the batch event engine rests on: an epoch's
 draws can be deferred and evaluated in one hash pass without changing
@@ -19,9 +19,9 @@ import pytest
 from repro.arrayops import counter_uniform, counter_uniforms, seed_state
 from repro.distributed.faults import FaultPlan, _NODE_SPAN
 from repro.exceptions import ProtocolError
-from repro.experiments.failures import FAULT_REGISTRY, fault_names
+from repro.experiments.failures import FAULT_REGISTRY
 
-SCENARIOS = list(fault_names())
+SCENARIOS = list(FAULT_REGISTRY)
 # Sample times straddling burst windows, flap periods and crash windows.
 TIMES = (0.0, 1.0, 7.5, 16.0, 23.9, 31.4, 64.0, 97.25, 260.0)
 
@@ -77,12 +77,6 @@ class TestScenarioDrawEquivalence:
             scalar = [not plan.dead_at(int(nd), at) for nd in nodes]
             assert batch.tolist() == scalar
 
-    def test_clock_rates_match_scalar(self, plan):
-        nodes = np.arange(3000, dtype=np.int64)
-        batch = plan.clock_rates(nodes)
-        scalar = [plan.clock_rate(int(nd)) for nd in nodes]
-        assert batch.tolist() == scalar
-
     def test_crash_schedules_match_scalar(self, plan):
         nodes = np.arange(3000, dtype=np.int64)
         crash_at, recover_at = plan.crash_schedules(nodes)
@@ -111,7 +105,7 @@ class TestKernelEdgeCases:
         assert not plan.drop_mask(us, vs, counters, 5.0).any()
         assert (plan.latencies(us, vs, counters) == 1.0).all()
         assert plan.alive_at(np.arange(50), 99.0).all()
-        assert (plan.clock_rates(np.arange(50)) == 1.0).all()
+        assert all(plan.clock_rate(node) == 1.0 for node in range(50))
 
 
 class TestCounterUniformScalarPath:

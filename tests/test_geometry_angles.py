@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.geometry.angles import angle_at_vertex, angle_from_sides, yao_cone_count
+from repro.geometry.angles import angle_from_sides, yao_cone_count
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -60,27 +60,12 @@ class TestAngleFromSides:
         if da < 1e-6 or db < 1e-6:
             return  # degenerate rays
         dpq = float(np.linalg.norm(p - q))
-        expected = angle_at_vertex(apex, p, q)
+        cos_pq = float(np.dot(p - apex, q - apex)) / (da * db)
+        expected = math.acos(max(-1.0, min(1.0, cos_pq)))
         computed = angle_from_sides(dpq, da, db)
         eps = np.finfo(float).eps
         rounding = math.sqrt(6.0 * eps) * dpq / math.sqrt(da * db)
         assert computed == pytest.approx(expected, abs=1e-6 + rounding)
-
-
-class TestAngleAtVertex:
-    def test_right_angle(self):
-        assert angle_at_vertex(
-            np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        ) == pytest.approx(math.pi / 2)
-
-    def test_rejects_zero_ray(self):
-        with pytest.raises(GraphError):
-            angle_at_vertex(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
-
-    def test_works_in_3d(self):
-        assert angle_at_vertex(
-            np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 0, 1.0])
-        ) == pytest.approx(math.pi / 2)
 
 
 class TestYaoConeCount:

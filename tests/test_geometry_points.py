@@ -52,13 +52,7 @@ class TestDistances:
 
     def test_sq_distance(self):
         ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
-        assert ps.sq_distance(0, 1) == pytest.approx(25.0)
-
-    def test_distances_from_matches_pairwise(self):
-        ps = PointSet(np.random.default_rng(0).uniform(size=(8, 3)))
-        full = ps.pairwise_distances()
-        for u in range(8):
-            np.testing.assert_allclose(ps.distances_from(u), full[u])
+        assert ps.sq_distances_between([0], [1])[0] == pytest.approx(25.0)
 
     @settings(max_examples=30, deadline=None)
     @given(coords_strategy)
@@ -76,14 +70,6 @@ class TestDistances:
 
 
 class TestTransforms:
-    def test_translated(self):
-        ps = PointSet([[0.0, 0.0], [1.0, 0.0]]).translated([5.0, 5.0])
-        assert ps[0][0] == 5.0 and ps.distance(0, 1) == pytest.approx(1.0)
-
-    def test_translated_shape_mismatch(self):
-        with pytest.raises(GraphError):
-            PointSet([[0.0, 0.0]]).translated([1.0, 2.0, 3.0])
-
     def test_scaled(self):
         ps = PointSet([[0.0, 0.0], [1.0, 0.0]]).scaled(3.0)
         assert ps.distance(0, 1) == pytest.approx(3.0)
@@ -96,11 +82,6 @@ class TestTransforms:
         ps = PointSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         sub = ps.subset([0, 2])
         assert len(sub) == 2 and sub.distance(0, 1) == pytest.approx(2.0)
-
-    def test_bounding_box(self):
-        ps = PointSet([[0.0, 5.0], [2.0, 1.0]])
-        lo, hi = ps.bounding_box()
-        assert list(lo) == [0.0, 1.0] and list(hi) == [2.0, 5.0]
 
 
 class TestEquality:

@@ -69,3 +69,37 @@ class TestRoundtrip:
         path.write_text('{"schema": 99, "num_vertices": 0, "edges": []}')
         with pytest.raises(GraphError):
             load_instance(path)
+
+
+class TestUnreadableFiles:
+    """Every bad file raises GraphError naming the path and the problem,
+    not the OSError, JSONDecodeError, KeyError or ValueError beneath."""
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(GraphError, match="cannot read .*missing.json"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("not json", "is not JSON"),
+            ("[1, 2]", "holds a JSON list, not an instance"),
+            ('{"schema": 1}', "has no 'num_vertices' field"),
+            ('{"schema": 1, "num_vertices": "x", "edges": []}',
+             "malformed 'num_vertices'"),
+            ('{"schema": 1, "num_vertices": 2}', "has no 'edges' field"),
+            ('{"schema": 1, "num_vertices": 2, "edges": [[0, 1]]}',
+             "malformed 'edges'"),
+            ('{"schema": 1, "num_vertices": 2, "edges": [], '
+             '"points": [[0.0], [1.0, 2.0]]}', "malformed 'points'"),
+        ],
+        ids=["not-json", "list", "no-vertices", "bad-vertices", "no-edges",
+             "short-edge-row", "ragged-points"],
+    )
+    def test_bad_payload(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=message) as info:
+            load_instance(path)
+        assert str(path) in str(info.value)

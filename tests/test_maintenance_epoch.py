@@ -104,7 +104,7 @@ class TestEpochEquivalence:
         rng = np.random.default_rng(200 + seed)
         lo, hi = pts.coords.min(axis=0), pts.coords.max(axis=0)
         for t in range(6):
-            node = int(rng.choice(batched.alive_nodes()))
+            node = int(rng.choice(np.flatnonzero(batched._alive)))
             new = np.clip(
                 batched.position(node) + rng.normal(0.0, 0.3, 2), lo, hi
             )

@@ -10,13 +10,13 @@ engine's CSR-topology validation, labeled triples included.
 
 import numpy as np
 import pytest
+from oracles.mis import run_luby_mis
 
 import repro.distributed.mis as mis_mod
 from repro.distributed.dist_spanner import DistributedRelaxedGreedy
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.mis import (
     induced_csr,
-    run_luby_mis,
     run_luby_mis_arrays,
     verify_mis_arrays,
 )

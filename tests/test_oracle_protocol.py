@@ -17,7 +17,6 @@ from repro.core.oracle import BoundMethodOracle, ScalarOracleAdapter, as_oracle
 from repro.extensions.doubling_metric import LpMetricOracle, lp_metric
 from repro.extensions.energy import build_energy_spanner, energy_cost_oracle
 from repro.extensions.fault_tolerance import (
-    EdgeFaultMaskedOracle,
     FaultMaskedOracle,
 )
 from repro.geometry.points import PointSet
@@ -48,13 +47,8 @@ def oracles_under_test(points: PointSet):
         "lpinf": lp_metric(points.coords, float("inf")),
         "energy": energy_cost_oracle(points.distance, gamma=2.0, c=1.5),
         "fault": FaultMaskedOracle(points.distance, faults=(1, 7, 13)),
-        "edge-fault": EdgeFaultMaskedOracle(
-            points.distance, failed_edges=((2, 9), (14, 3), (0, 21))
-        ),
-        "edge-fault-energy": energy_cost_oracle(
-            EdgeFaultMaskedOracle(
-                points.distance, failed_edges=((2, 9), (14, 3), (0, 21))
-            ),
+        "fault-energy": energy_cost_oracle(
+            FaultMaskedOracle(points.distance, faults=(1, 7, 13)),
             gamma=2.0,
             c=1.5,
         ),
@@ -101,7 +95,7 @@ class TestScalarBatchBitEquality:
     @pytest.mark.parametrize(
         "name",
         ["euclidean", "lp1", "lp2", "lpinf", "energy", "fault",
-         "edge-fault", "edge-fault-energy"]
+         "fault-energy"]
     )
     def test_pairs_equal_scalar_bitwise(self, name):
         points = random_points(n=80, seed=11, dim=3)
@@ -124,32 +118,18 @@ class TestScalarBatchBitEquality:
         assert np.isinf(got[0]) and np.isinf(got[1])
         assert got[2] == points.distance(3, 9)
 
-    def test_edge_fault_masking(self):
+    def test_fault_composes_under_energy(self):
         points = random_points()
-        oracle = EdgeFaultMaskedOracle(
-            points.distance, failed_edges=((7, 3), (11, 20))
-        )
-        assert oracle.failed_edges == frozenset({(3, 7), (11, 20)})
-        # Both argument orders hit the mask; other pairs on the same
-        # vertices do not (the vertex-fault oracle would kill those too).
-        assert oracle(3, 7) == float("inf")
-        assert oracle(7, 3) == float("inf")
-        assert oracle(3, 8) == points.distance(3, 8)
-        assert oracle(7, 11) == points.distance(7, 11)
-        got = oracle.pairs(np.array([7, 20, 7]), np.array([3, 11, 11]))
-        assert np.isinf(got[0]) and np.isinf(got[1])
-        assert got[2] == points.distance(7, 11)
-
-    def test_edge_fault_composes_under_energy(self):
-        points = random_points()
-        inner = EdgeFaultMaskedOracle(points.distance, failed_edges=((4, 9),))
+        inner = FaultMaskedOracle(points.distance, faults=(4,))
         composed = energy_cost_oracle(inner, gamma=2.0, c=1.5)
         assert composed(4, 9) == float("inf")
         assert composed(9, 4) == float("inf")
-        assert composed(4, 8) == 1.5 * points.distance(4, 8) ** 2.0
+        assert composed(9, 8) == 1.5 * points.distance(9, 8) ** 2.0
         got = composed.pairs(np.array([9, 4]), np.array([4, 8]))
-        assert np.isinf(got[0])
-        assert got[1] == composed(4, 8)
+        assert np.isinf(got).all()
+        assert composed.pairs(np.array([9]), np.array([8]))[0] == composed(
+            9, 8
+        )
 
 
 def _filter_inputs(points: PointSet, oracle, seed=0):
@@ -188,7 +168,7 @@ class TestSplitCoveredEquivalence:
     @pytest.mark.parametrize(
         "name",
         ["euclidean", "lp1", "lp2", "lpinf", "energy", "fault",
-         "edge-fault", "edge-fault-energy"]
+         "fault-energy"]
     )
     def test_batch_kernel_matches_scalar_reference(self, name):
         points = random_points(n=70, seed=23)

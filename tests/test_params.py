@@ -200,15 +200,6 @@ class TestDerivedQuantities:
         p2 = SpannerParams.from_epsilon(0.5, alpha=0.5)
         assert p2.query_hop_bound() >= p1.query_hop_bound()
 
-    def test_with_alpha_revalidates(self):
-        p = SpannerParams.from_epsilon(0.5)
-        q = p.with_alpha(0.5)
-        assert q.alpha == 0.5 and q.t == p.t
-
-    def test_describe_mentions_key_values(self):
-        text = SpannerParams.from_epsilon(0.5).describe()
-        assert "t=1.5" in text and "alpha=" in text
-
 
 class TestBinningRateBound:
     def test_bound_above_one_for_valid_inputs(self):

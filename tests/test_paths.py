@@ -5,17 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError, NotReachableError
+from oracles.nx import to_networkx
+from oracles.paths import bfs_hops, k_hop_neighborhood
+from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.paths import (
-    bfs_hops,
-    dijkstra,
-    dijkstra_distance,
-    k_hop_neighborhood,
-    k_hop_subgraph,
-    reconstruct_path,
-    shortest_path_tree,
-)
+from repro.graphs.paths import dijkstra, dijkstra_distance
 
 
 def path_graph(n: int, w: float = 1.0) -> Graph:
@@ -75,7 +69,7 @@ class TestDijkstra:
 
         g = random_graph(n, m, seed)
         expected = nx.single_source_dijkstra_path_length(
-            g.to_networkx(), 0
+            to_networkx(g), 0
         )
         assert dijkstra(g, 0) == pytest.approx(expected)
 
@@ -121,37 +115,3 @@ class TestBfs:
     def test_k_hop_rejects_negative(self):
         with pytest.raises(GraphError):
             k_hop_neighborhood(path_graph(5), 2, -1)
-
-    def test_k_hop_subgraph_edges(self):
-        sub = k_hop_subgraph(path_graph(10), 5, 1)
-        assert sub.has_edge(4, 5) and sub.has_edge(5, 6)
-        assert not sub.has_edge(3, 4) and not sub.has_edge(6, 7)
-
-
-class TestShortestPathTree:
-    def test_parents_reconstruct(self):
-        g = path_graph(5)
-        dist, parent = shortest_path_tree(g, 0)
-        assert reconstruct_path(parent, 0, 4) == [0, 1, 2, 3, 4]
-        assert dist[4] == 4.0
-
-    def test_source_path(self):
-        _, parent = shortest_path_tree(path_graph(3), 0)
-        assert reconstruct_path(parent, 0, 0) == [0]
-
-    def test_unreachable_raises(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
-        _, parent = shortest_path_tree(g, 0)
-        with pytest.raises(NotReachableError):
-            reconstruct_path(parent, 0, 2)
-
-    def test_path_length_matches_dist(self):
-        g = random_graph(15, 40, seed=5)
-        dist, parent = shortest_path_tree(g, 0)
-        for v, d in dist.items():
-            path = reconstruct_path(parent, 0, v)
-            total = sum(
-                g.weight(path[i], path[i + 1]) for i in range(len(path) - 1)
-            )
-            assert total == pytest.approx(d)

@@ -5,20 +5,13 @@ import math
 import numpy as np
 import pytest
 from oracles.cluster_graph import as_graph
+from oracles.paths import bfs_hops
 
-from repro.exceptions import GraphError, NotReachableError
+from repro.exceptions import GraphError
 from repro.geometry.sampling import uniform_points
 from repro.graphs.build import build_udg
 from repro.graphs.graph import Graph
-from repro.graphs.paths import (
-    NO_PREDECESSOR,
-    bfs_hops,
-    dijkstra,
-    multi_source_distances,
-    multi_source_trees,
-    reconstruct_path_array,
-    shortest_path_tree,
-)
+from repro.graphs.paths import dijkstra, multi_source_distances
 
 
 def geometric(n=60, seed=2, degree=6.0):
@@ -69,44 +62,6 @@ class TestMultiSourceDistances:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(GraphError):
             multi_source_distances(Graph(3), [0], cutoff=-1.0)
-
-
-class TestMultiSourceTrees:
-    def test_distances_match_reference_tree(self):
-        g = geometric()
-        dist, pred = multi_source_trees(g, [0, 9])
-        for i, s in enumerate((0, 9)):
-            ref_dist, _ = shortest_path_tree(g, s)
-            for v in range(g.num_vertices):
-                assert dist[i, v] == pytest.approx(
-                    ref_dist.get(v, math.inf)
-                )
-
-    def test_predecessor_walk_reconstructs_shortest_path(self):
-        g = geometric()
-        dist, pred = multi_source_trees(g, [0])
-        ref = dijkstra(g, 0)
-        for target, d in ref.items():
-            path = reconstruct_path_array(pred[0], 0, target)
-            assert path[0] == 0 and path[-1] == target
-            cost = sum(
-                g.weight(a, b) for a, b in zip(path, path[1:])
-            )
-            assert cost == pytest.approx(d)
-
-    def test_unreachable_raises(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
-        dist, pred = multi_source_trees(g, [0])
-        assert math.isinf(dist[0, 2])
-        assert int(pred[0, 2]) == NO_PREDECESSOR
-        with pytest.raises(NotReachableError):
-            reconstruct_path_array(pred[0], 0, 2)
-
-    def test_source_trivial_path(self):
-        g = geometric(10)
-        _, pred = multi_source_trees(g, [4])
-        assert reconstruct_path_array(pred[0], 4, 4) == [4]
 
 
 class TestAdaptiveDispatch:

@@ -10,6 +10,8 @@ an invalid result), so a clean return *is* the certificate; the tests
 additionally pin the repair helpers and the degradation accounting.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.distributed import (
@@ -47,9 +49,9 @@ class TestMISValidityMatrix:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_terminates_with_verified_mis(self, plan, seed):
         graph = make_workload("uniform", 36, seed=seed).graph
-        run = run_luby_mis_event(graph, seed=seed, plan=plan.with_seed(
-            plan.seed + seed
-        ))
+        run = run_luby_mis_event(
+            graph, seed=seed, plan=replace(plan, seed=plan.seed + seed)
+        )
         # run_luby_mis_event verified the MIS on the alive subgraph;
         # check the bookkeeping is consistent too.
         assert run.independent_set <= set(run.alive)

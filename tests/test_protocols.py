@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.mis import run_luby_mis
+from oracles.paths import k_hop_neighborhood
 
 from repro.distributed.engine import SynchronousNetwork
-from repro.distributed.mis import run_luby_mis, verify_mis
+from repro.distributed.mis import verify_mis
 from repro.distributed.protocols.aggregate import ConvergecastSum
 from repro.distributed.protocols.flooding import KHopGather
 from repro.exceptions import ProtocolError
 from repro.graphs.graph import Graph
-from repro.graphs.paths import k_hop_neighborhood
 
 
 def path_graph(n: int) -> Graph:

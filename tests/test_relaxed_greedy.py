@@ -158,10 +158,10 @@ class TestResultBookkeeping:
         assert indices == sorted(indices)
 
     def test_added_minus_removed_equals_edges(self, medium_build):
-        assert (
-            medium_build.total_added - medium_build.total_removed
-            == medium_build.spanner.num_edges
-        )
+        phases = medium_build.phases
+        added = sum(p.num_added for p in phases)
+        removed = sum(p.num_removed for p in phases)
+        assert added - removed == medium_build.spanner.num_edges
 
     def test_bin_edges_partition_input(self, medium_build, medium_udg):
         assert (

@@ -27,17 +27,3 @@ class TestThousandNodes:
         assert stretch <= 1.5 * (1.0 + 1e-9)
         assert result.spanner.max_degree() <= 10
         assert lightness(graph, result.spanner) <= 4.0
-
-    def test_phase_table_renders(self):
-        points = uniform_points(300, seed=54321)
-        graph = build_udg(points)
-        result = build_spanner(graph, points.distance, 0.5)
-        table = result.phase_table(max_rows=8)
-        assert "phase" in table and "W_prev" in table
-        assert "elided" in table  # more than 8 phases executed
-
-    def test_empty_phase_table(self):
-        from repro.graphs.graph import Graph
-
-        result = build_spanner(Graph(3), lambda u, v: 5.0, 0.5)
-        assert result.phase_table() == "(no executed phases)"

@@ -98,7 +98,3 @@ class TestBadSeeds:
         match = f"{owner} seed must be an integer"
         with pytest.raises(ParameterError, match=match):
             CONSTRUCTORS[owner](seed)
-
-    def test_fault_plan_with_seed_checks_too(self):
-        with pytest.raises(ParameterError, match="seed"):
-            FaultPlan().with_seed(0.5)

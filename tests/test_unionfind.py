@@ -11,27 +11,27 @@ from repro.graphs.unionfind import UnionFind
 class TestBasics:
     def test_initial_singletons(self):
         dsu = UnionFind(4)
-        assert dsu.num_sets == 4
+        assert len(dsu.groups()) == 4
         assert all(dsu.find(i) == i for i in range(4))
 
     def test_union_merges(self):
         dsu = UnionFind(4)
         assert dsu.union(0, 1) is True
-        assert dsu.connected(0, 1)
-        assert dsu.num_sets == 3
+        assert dsu.find(0) == dsu.find(1)
+        assert len(dsu.groups()) == 3
 
     def test_union_idempotent(self):
         dsu = UnionFind(4)
         dsu.union(0, 1)
         assert dsu.union(1, 0) is False
-        assert dsu.num_sets == 3
+        assert len(dsu.groups()) == 3
 
     def test_transitivity(self):
         dsu = UnionFind(5)
         dsu.union(0, 1)
         dsu.union(1, 2)
-        assert dsu.connected(0, 2)
-        assert not dsu.connected(0, 3)
+        assert dsu.find(0) == dsu.find(2)
+        assert dsu.find(0) != dsu.find(3)
 
     def test_groups(self):
         dsu = UnionFind(4)
@@ -86,5 +86,6 @@ def test_matches_naive_partition(n, ops):
         naive.union(a, b)
     for a in range(n):
         for b in range(n):
-            assert dsu.connected(a, b) == (naive.find_set(a) is naive.find_set(b))
-    assert dsu.num_sets == len(naive.sets)
+            same = dsu.find(a) == dsu.find(b)
+            assert same == (naive.find_set(a) is naive.find_set(b))
+    assert len(dsu.groups()) == len(naive.sets)

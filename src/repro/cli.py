@@ -25,6 +25,7 @@ from pathlib import Path
 from .core.relaxed_greedy import RelaxedGreedySpanner
 from .distributed.dist_spanner import DistributedRelaxedGreedy
 from .exceptions import ReproError
+from .experiments import sweep as sweep_mod
 from .experiments.workloads import (
     SCENARIO_REGISTRY,
     WORKLOAD_NAMES,
@@ -142,25 +143,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return run_all_main(forwarded)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments.sweep import main as sweep_main
-
-    forwarded = [
-        "--scenarios", args.scenarios,
-        "--sizes", args.sizes,
-        "--seeds", args.seeds,
-        "--experiments", args.experiments,
-        "--faults", args.faults,
-        "--epsilon", str(args.epsilon),
-        "--alpha", str(args.alpha),
-        "--jobs", str(args.jobs),
-        "--output", args.output,
-    ]
-    if args.diff:
-        forwarded.extend(["--diff", args.diff])
-    return sweep_main(forwarded)
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .experiments.runner import format_table
 
@@ -225,31 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="fan a (scenario x n x seed) grid over a worker pool"
     )
-    sweep.add_argument(
-        "--scenarios", default="",
-        help="comma-separated scenario names (default: all)",
-    )
-    sweep.add_argument("--sizes", default="128,256")
-    sweep.add_argument("--seeds", default="0")
-    sweep.add_argument(
-        "--experiments", default="",
-        help="experiment ids (e.g. E1,E4) to fan over the grid instead "
-             "of build cells",
-    )
-    sweep.add_argument(
-        "--faults", default="",
-        help="failure scenario names (e.g. reliable,lossy,chaos) adding "
-             "a fault axis to experiment cells",
-    )
-    sweep.add_argument(
-        "--diff", default="",
-        help="previous sweep.json to report metric deltas against",
-    )
-    sweep.add_argument("--epsilon", type=float, default=0.5)
-    sweep.add_argument("--alpha", type=float, default=1.0)
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--output", default="results/sweep.json")
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep_mod.add_arguments(sweep)
+    sweep.set_defaults(func=sweep_mod.run)
 
     scen = sub.add_parser(
         "scenarios", help="list the deployment-scenario registry"

@@ -10,7 +10,8 @@ measured for every experiment).  With ``--jobs > 1`` experiments execute
 on a process pool (each experiment is independent and seeds its own
 workloads, so parallel order cannot change any row); results are always
 reported in experiment-id order.  With ``--results-dir`` every result is
-persisted as a JSON artifact plus an ``index.json`` summary.
+persisted as a JSON artifact plus an ``index.json`` summary, in a
+directory made (or refused, with exit 2) before any experiment runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ import os
 import sys
 import time
 
-from .runner import EXPERIMENT_REGISTRY, ExperimentResult, save_results
+from ..exceptions import ReproError
+from .runner import (
+    EXPERIMENT_REGISTRY,
+    ExperimentResult,
+    make_output_dir,
+    save_results,
+)
 
 
 def _run_one(name: str, quick: bool, seed: int) -> ExperimentResult:
@@ -93,6 +100,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.results_dir:
+        try:
+            make_output_dir(args.results_dir)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     jobs = args.jobs if args.jobs > 0 else default_jobs()
     results = run_experiments(
         sorted(wanted), quick=args.quick, seed=args.seed, jobs=jobs

@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from ..exceptions import ReproError
+
 __all__ = [
     "ExperimentResult",
     "format_table",
     "EXPERIMENT_REGISTRY",
     "register",
     "stopwatch",
+    "make_output_dir",
     "save_results",
 ]
 
@@ -132,9 +135,7 @@ class ExperimentResult:
 
     def save_json(self, directory: str | Path) -> Path:
         """Persist this result as ``<directory>/<experiment>.json``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.experiment}.json"
+        path = Path(directory) / f"{self.experiment}.json"
         path.write_text(
             json.dumps(self.to_json_dict(), indent=2, default=str) + "\n"
         )
@@ -169,6 +170,18 @@ def format_table(rows: list[dict[str, Any]]) -> str:
     for r in rendered:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
     return "\n".join(lines)
+
+
+def make_output_dir(directory: str | Path) -> None:
+    """Create ``directory`` if it is missing, but never its parents: a
+    path that cannot be made (a missing parent, a file in the way)
+    raises :class:`ReproError`, so drivers refuse it before any work."""
+    try:
+        Path(directory).mkdir(exist_ok=True)
+    except OSError as exc:
+        raise ReproError(
+            f"cannot create {directory}: {exc.strerror}"
+        ) from None
 
 
 def save_results(

@@ -38,9 +38,15 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ..core.relaxed_greedy import RelaxedGreedySpanner
+from ..exceptions import ReproError
 from ..graphs.analysis import assess
 from ..params import SpannerParams
-from .runner import EXPERIMENT_REGISTRY, format_table, stopwatch
+from .runner import (
+    EXPERIMENT_REGISTRY,
+    format_table,
+    make_output_dir,
+    stopwatch,
+)
 from .workloads import make_workload, scenario_names
 
 __all__ = [
@@ -49,6 +55,8 @@ __all__ = [
     "run_sweep",
     "save_sweep",
     "diff_reports",
+    "add_arguments",
+    "run",
     "main",
 ]
 
@@ -240,7 +248,6 @@ def run_sweep(
 def save_sweep(report: dict[str, Any], path: str | Path) -> Path:
     """Persist the aggregated sweep report as one JSON artifact."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, default=str) + "\n")
     return path
 
@@ -317,9 +324,8 @@ def _csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep options, shared by ``repro sweep`` and :func:`main`."""
     parser.add_argument(
         "--scenarios", default="",
         help="comma-separated scenario names (default: all registered)",
@@ -359,8 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         "--diff", default="",
         help="previous sweep.json to diff the fresh report against",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed sweep command line; returns a process exit code."""
     scenarios = _csv(args.scenarios) or list(scenario_names())
     unknown = set(scenarios) - set(scenario_names())
     if unknown:
@@ -398,6 +406,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.output:
+        try:
+            make_output_dir(Path(args.output).parent)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     sizes = [int(x) for x in _csv(args.sizes)]
     seeds = [int(x) for x in _csv(args.seeds)]
     report = run_sweep(
@@ -422,6 +436,13 @@ def main(argv: list[str] | None = None) -> int:
         path = save_sweep(report, args.output)
         print(f"wrote {report['num_cells']} cell(s) to {path}", file=sys.stderr)
     return 0 if report["passed"] else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit code."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -12,28 +12,26 @@ These are the quantities the paper's three theorems bound:
 * **power cost** ``sum_u max_{v in N(u)} w(u, v)`` (Section 1.6(3)).
 
 Everything here is an array kernel over :meth:`Graph.csr` /
-:meth:`Graph.edges_arrays`: per-edge shortest paths come from batched
-:func:`scipy.sparse.csgraph.dijkstra` calls with index-array gathers (no
-per-vertex dicts anywhere).  Stretch uses a distance-bounded escalation:
-edges whose endpoints sit in different spanner components are ``inf`` by
-the component labelling, and the rest are resolved with a doubling
-``limit`` so each Dijkstra only explores a small ball instead of the
-whole graph -- exact results at a fraction of the unbounded cost.
+:meth:`Graph.edges_arrays` (no per-vertex dicts anywhere).  Stretch is
+one :func:`repro.graphs.paths.pair_distances` call over the base edges
+without a cutoff: edges whose endpoints sit in different spanner
+components are ``inf`` by the component labelling, and the rest are
+searched at the spanner's longest edge, escalating only the edges left
+unresolved with a doubled cutoff.  A certificate path stays inside a
+small ball around its edge, so most edges resolve on the first rung and
+only the rest pay for wider searches.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components as _cc
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from ..exceptions import GraphError
 from .graph import Graph
 from .mst import mst_weight
-from .paths import source_block_size
+from .paths import multi_source_distances, pair_distances, source_block_size
 
 __all__ = [
     "StretchReport",
@@ -69,47 +67,6 @@ class StretchReport:
     num_edges_checked: int
 
 
-def _edge_shortest_paths(
-    spanner: Graph, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
-) -> np.ndarray:
-    """``sp_spanner(us[i], vs[i])`` for every edge, as one float array.
-
-    Cross-component pairs are settled to ``inf`` up front from the
-    component labels; the remaining pairs are resolved by multi-source
-    Dijkstra with a doubling distance ``limit`` (start: 4x the longest
-    base edge), so the typical spanner-verification query only explores a
-    radius-``O(t * w_max)`` ball.  Finite distances under a limit are
-    exact, so escalation never changes a resolved value.
-    """
-    mat = spanner.csr()
-    n = spanner.num_vertices
-    sp = np.full(us.shape[0], np.inf)
-    if n == 0 or us.shape[0] == 0:
-        return sp
-    _, labels = _cc(mat, directed=False)
-    unresolved = labels[us] == labels[vs]
-    if not unresolved.any():
-        return sp
-    block = source_block_size(spanner)
-    limit = 4.0 * float(ws.max())
-    while unresolved.any():
-        pending = np.flatnonzero(unresolved)
-        sources = np.unique(us[pending])
-        if limit >= n * float(ws.max()):
-            limit = np.inf  # final escalation: nothing can be farther
-        for lo in range(0, sources.size, block):
-            src = sources[lo : lo + block]
-            rows = _sp_dijkstra(mat, directed=False, indices=src, limit=limit)
-            rows = rows.reshape(src.size, n)
-            take = pending[np.isin(us[pending], src)]
-            sp[take] = rows[np.searchsorted(src, us[take]), vs[take]]
-        unresolved[pending] = ~np.isfinite(sp[pending])
-        if not math.isfinite(limit):
-            break
-        limit *= 4.0
-    return sp
-
-
 def measure_stretch(base: Graph, spanner: Graph) -> StretchReport:
     """Exact stretch of ``spanner`` w.r.t. ``base``.
 
@@ -126,7 +83,7 @@ def measure_stretch(base: Graph, spanner: Graph) -> StretchReport:
     m = us.shape[0]
     if m == 0:
         return StretchReport(1.0, 1.0, None, 0)
-    sp = _edge_shortest_paths(spanner, us, vs, ws)
+    sp = pair_distances(spanner, us, vs)
     ratios = sp / ws
     worst_i = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_i])
@@ -167,23 +124,20 @@ def power_cost(graph: Graph) -> float:
 def hop_diameter(graph: Graph) -> int:
     """Largest hop eccentricity within any connected component.
 
-    Computed as BFS-level arrays: blocks of unweighted multi-source
-    Dijkstra rows over the CSR snapshot, taking the largest finite entry
-    (exact on general graphs, not just trees).
+    Computed as BFS-level arrays: blocks of unweighted
+    :func:`~repro.graphs.paths.multi_source_distances` rows, taking the
+    largest finite entry (exact on general graphs, not just trees).
     """
     n = graph.num_vertices
     if n == 0 or graph.num_edges == 0:
         return 0
-    mat = graph.csr()
     block = source_block_size(graph)
     worst = 0.0
     for lo in range(0, n, block):
-        src = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        rows = _sp_dijkstra(mat, directed=False, indices=src, unweighted=True)
-        rows = rows.reshape(src.size, n)
-        finite = rows[np.isfinite(rows)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
+        rows = multi_source_distances(
+            graph, np.arange(lo, min(lo + block, n)), unweighted=True
+        )
+        worst = max(worst, rows[np.isfinite(rows)].max(initial=0.0))
     return int(worst)
 
 

@@ -27,7 +27,9 @@ over :meth:`repro.graphs.graph.Graph.csr`:
   the nearest source, the region a phase's queries can read;
 * :func:`pair_distances` and :func:`pair_distance_entries` -- the pair
   forms (aligned endpoint pairs, and the finite entries of a
-  sources x targets cross product) built on the first two.
+  sources x targets cross product) built on the first two.  Exact pair
+  distances (stretch) escalate too: a doubling cutoff from the graph's
+  longest edge searches only the pairs left unresolved.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
@@ -49,6 +51,7 @@ import numpy as np
 
 from ..arrayops import run_expand
 from ..exceptions import GraphError
+from .components import component_labels
 from .graph import Graph
 
 __all__ = [
@@ -89,7 +92,7 @@ def source_block_size(graph: Graph) -> int:
 
 
 def prefer_batched_sources(
-    graph: Graph, sources: Sequence[int], cutoff: float | None
+    graph: Graph, sources: Sequence[int], cutoff: float
 ) -> bool:
     """Whether a batched C-level Dijkstra beats the sparse kernels.
 
@@ -97,14 +100,11 @@ def prefer_batched_sources(
     sparse kernels pay O(ball size) work per source.  Probing one ball
     from the first source puts the query on the right side of that
     trade: batched wins once balls exceed roughly n/64 vertices (the
-    measured numpy-vs-Python constant gap), and always wins for
-    unbounded queries.  The probe counts that ball with
-    :func:`multi_source_ball_lists` over the CSR matrix, so it serves
-    any graph the kernels serve, and discards it -- re-searching one
-    small ball is noise next to the k that follow.
+    measured numpy-vs-Python constant gap).  The probe counts that ball
+    with :func:`multi_source_ball_lists` over the CSR matrix, so it
+    serves any graph the kernels serve, and discards it -- re-searching
+    one small ball is noise next to the k that follow.
     """
-    if cutoff is None:
-        return True
     if len(sources) <= 1 or graph.num_vertices < 256:
         return True  # too small for the constants to matter
     starts, _, _ = multi_source_ball_lists(graph, sources[:1], cutoff)
@@ -170,23 +170,51 @@ def pair_distances(
     ``out[i] = sp(us[i], vs[i])`` (``inf`` when unreachable, or beyond
     ``cutoff``) -- the graph-metric analogue of a distance oracle's
     batched ``pairs`` query, and the single kernel behind query
-    answering and redundancy detection.  Sources group into blocked
-    dense multi-source batches when balls are wide; with a ``cutoff``
-    in the tiny-ball regime the frontier-sharing sparse search runs
-    instead (see :func:`prefer_batched_sources`).  Both branches fill
-    identical floats.  Callers holding a structured cross product
-    should use :func:`pair_distance_entries` instead of materializing
-    the k x t aligned arrays here.
+    answering, redundancy detection and stretch certification.
+    Sources group into blocked dense multi-source batches when balls
+    are wide; in the tiny-ball regime the frontier-sharing sparse
+    search runs instead (see :func:`prefer_batched_sources`).  Both
+    branches fill identical floats.  Callers holding a structured cross
+    product should use :func:`pair_distance_entries` instead of
+    materializing the k x t aligned arrays here.
+
+    Without a ``cutoff`` the distances are exact: pairs in different
+    components are ``inf``, the rest are searched at the graph's longest
+    edge, and each rung doubles the cutoff for the pairs still unresolved
+    (at most ``n - 1`` longest edges apart, so no rung is unbounded).  A
+    rung whose sources fit one dense block skips the probe.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     if us.shape != vs.shape or us.ndim != 1:
         raise GraphError("endpoint arrays must be aligned one-dimensional")
     _check_sources(graph, vs)
+    _check_sources(graph, us)
+    if cutoff is not None:
+        return _pairs_within(graph, us, vs, cutoff, rung=False)
+    out = np.full(us.shape[0], np.inf)
+    labels = component_labels(graph)
+    pending = np.flatnonzero(labels[us] == labels[vs])
+    limit = float(graph.csr().data.max(initial=0.0))
+    while pending.size:
+        out[pending] = _pairs_within(
+            graph, us[pending], vs[pending], limit, rung=True
+        )
+        pending = pending[np.isinf(out[pending])]
+        limit *= 2.0
+    return out
+
+
+def _pairs_within(
+    graph: Graph, us: np.ndarray, vs: np.ndarray, cutoff: float, *, rung: bool
+) -> np.ndarray:
+    """:func:`pair_distances` within a finite ``cutoff``: blocked dense
+    rows, or the sparse search and key lookups into its balls."""
     src = np.unique(us)
-    if cutoff is None or prefer_batched_sources(graph, src, cutoff):
+    block = source_block_size(graph)
+    one_block = rung and src.size <= block
+    if one_block or prefer_batched_sources(graph, src, cutoff):
         out = np.empty(us.shape[0], dtype=np.float64)
-        block = source_block_size(graph)
         for lo in range(0, src.size, block):
             chunk = src[lo : lo + block]
             rows = multi_source_distances(graph, chunk, cutoff=cutoff)

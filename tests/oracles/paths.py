@@ -1,17 +1,27 @@
 """Path references: the label-correcting bounded multi-source ball
-search, and hop-count BFS for the hop-bounded protocol and analysis
-checks."""
+search, the dense-row exact pair distances stretch was measured with
+before the escalating pair kernel, and hop-count BFS for the
+hop-bounded protocol and analysis checks."""
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Sequence
 
+import math
+
 import numpy as np
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.exceptions import GraphError
+from repro.graphs.analysis import StretchReport
 from repro.graphs.graph import Graph
-from repro.graphs.paths import _ball_search_setup, _relax_frontier
+from repro.graphs.paths import (
+    _ball_search_setup,
+    _relax_frontier,
+    source_block_size,
+)
 
 
 def multi_source_ball_lists_reference(
@@ -70,6 +80,63 @@ def multi_source_ball_lists_reference(
     slots = best_keys // n
     starts = np.searchsorted(slots, np.arange(k + 1, dtype=np.int64))
     return starts, best_keys % n, best_d
+
+
+def edge_shortest_paths_reference(
+    graph: Graph, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+) -> np.ndarray:
+    """Dense-row reference of :func:`repro.graphs.paths.pair_distances`
+    without a cutoff: ``sp(us[i], vs[i])`` for every pair.
+
+    Cross-component pairs are ``inf`` from the component labels; the
+    rest are resolved by blocked multi-source Dijkstra rows of ``n``
+    floats with a distance limit starting at 4x ``ws.max()`` and
+    growing 4x per round, the last round unbounded.  ``ws`` only sets
+    the first limit: the distances are exact for any ``ws``.
+    """
+    mat = graph.csr()
+    n = graph.num_vertices
+    sp = np.full(us.shape[0], np.inf)
+    if n == 0 or us.shape[0] == 0:
+        return sp
+    _, labels = connected_components(mat, directed=False)
+    unresolved = labels[us] == labels[vs]
+    if not unresolved.any():
+        return sp
+    block = source_block_size(graph)
+    limit = 4.0 * float(ws.max())
+    while unresolved.any():
+        pending = np.flatnonzero(unresolved)
+        sources = np.unique(us[pending])
+        if limit >= n * float(ws.max()):
+            limit = np.inf  # final escalation: nothing can be farther
+        for lo in range(0, sources.size, block):
+            src = sources[lo : lo + block]
+            rows = sp_dijkstra(mat, directed=False, indices=src, limit=limit)
+            rows = rows.reshape(src.size, n)
+            take = pending[np.isin(us[pending], src)]
+            sp[take] = rows[np.searchsorted(src, us[take]), vs[take]]
+        unresolved[pending] = ~np.isfinite(sp[pending])
+        if not math.isfinite(limit):
+            break
+        limit *= 4.0
+    return sp
+
+
+def stretch_report_reference(base: Graph, spanner: Graph) -> StretchReport:
+    """:func:`repro.graphs.analysis.measure_stretch` on the distances of
+    :func:`edge_shortest_paths_reference`."""
+    us, vs, ws = base.edges_arrays()
+    if us.size == 0:
+        return StretchReport(1.0, 1.0, None, 0)
+    ratios = edge_shortest_paths_reference(spanner, us, vs, ws) / ws
+    worst = int(np.argmax(ratios))
+    return StretchReport(
+        max_stretch=float(ratios[worst]),
+        mean_stretch=float(ratios.mean()),
+        worst_edge=(int(us[worst]), int(vs[worst])),
+        num_edges_checked=int(us.size),
+    )
 
 
 def bfs_hops(

@@ -6,22 +6,34 @@ tests re-implement the pre-array scalar semantics with the package's own
 dict-based primitives and require exact (or float-equal) agreement on
 random geometric graphs across dimensions, plus the tricky regimes:
 disconnected spanners (inf stretch), edgeless graphs and sparse
-sub-spanners with large detours.
+sub-spanners with large detours.  At n=3,000 the stretch ladder's sparse
+rungs are pinned bit-for-bit against the dense-row kernel it replaced.
 """
 
 import math
 
+import numpy as np
 import pytest
-from oracles.paths import bfs_hops
+from oracles.paths import (
+    bfs_hops,
+    edge_shortest_paths_reference,
+    stretch_report_reference,
+)
 
+import repro.graphs.paths as paths_mod
 from repro.baselines.proximity import gabriel_graph, relative_neighborhood_graph
+from repro.core.cluster_graph import build_cluster_graph
+from repro.core.cover import build_cluster_cover
+from repro.core.relaxed_greedy import RelaxedGreedySpanner
+from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
 from repro.graphs.analysis import assess, hop_diameter, measure_stretch, power_cost
 from repro.graphs.build import build_udg
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.mst import kruskal_mst, mst_weight
-from repro.graphs.paths import dijkstra
+from repro.graphs.paths import dijkstra, pair_distances, source_block_size
+from repro.params import SpannerParams
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +116,10 @@ class TestStretchEquivalence:
 
     def test_mst_as_spanner_stresses_limit_escalation(self, dim, seed):
         # MST shortest paths are far longer than base edges, so the
-        # doubling-limit search must escalate several times and still
-        # come back exact.
+        # ladder climbs several rungs, doubling the cutoff from the
+        # MST's longest edge, and must still come back exact.  Every
+        # rung here fits one dense block; TestSparseRungPins covers the
+        # sparse rungs.
         base, points = random_instance(70, dim, seed + 200)
         spanner = kruskal_mst(base)
         report = measure_stretch(base, spanner)
@@ -198,3 +212,89 @@ class TestDisconnectedAggregates:
     def test_mst_weight_forest(self):
         g = self.make_islands()
         assert mst_weight(g) == pytest.approx(2.0 + 6.0)
+
+
+class TestSparseRungPins:
+    """The stretch ladder at n=3,000, where the base edges have more
+    sources than one dense block holds, so rungs run the sparse search.
+    Distances must equal the dense-row reference bit for bit, and every
+    ``StretchReport`` field must be equal."""
+
+    N = 3000
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        workload = make_workload("uniform", self.N, seed=7)
+        spanner = RelaxedGreedySpanner(SpannerParams.from_epsilon(0.5)).build(
+            workload.graph, workload.points.distance
+        ).spanner
+        return workload.graph, spanner
+
+    @pytest.fixture()
+    def ball_sizes(self, monkeypatch):
+        sizes = []
+        search = paths_mod.multi_source_ball_lists
+
+        def counted(graph, sources, cutoff):
+            sizes.append(len(sources))
+            return search(graph, sources, cutoff)
+
+        monkeypatch.setattr(paths_mod, "multi_source_ball_lists", counted)
+        return sizes
+
+    def check(self, base, spanner, sizes, *, sparse=True):
+        sizes.clear()
+        us, vs, ws = base.edges_arrays()
+        assert np.array_equal(
+            pair_distances(spanner, us, vs),
+            edge_shortest_paths_reference(spanner, us, vs, ws),
+        )
+        assert measure_stretch(base, spanner) == stretch_report_reference(
+            base, spanner
+        )
+        if sparse:  # a rung searched more sources than one block holds
+            assert max(sizes, default=0) > source_block_size(spanner)
+
+    def test_relaxed_greedy_spanner(self, instance, ball_sizes):
+        base, spanner = instance
+        self.check(base, spanner, ball_sizes)
+
+    def test_mst_many_rungs(self, instance, ball_sizes):
+        base, _ = instance
+        self.check(base, kruskal_mst(base), ball_sizes)
+
+    def test_isolated_vertex_is_inf(self, instance, ball_sizes):
+        base, spanner = instance
+        cut = spanner.copy()
+        hub = max(range(self.N), key=cut.degree)
+        for v in list(cut.neighbors(hub)):
+            cut.remove_edge(hub, v)
+        self.check(base, cut, ball_sizes)
+        assert math.isinf(measure_stretch(base, cut).max_stretch)
+
+    def test_empty_spanner_and_equal_endpoints(self, instance, ball_sizes):
+        base, spanner = instance
+        self.check(base, Graph(self.N), ball_sizes, sparse=False)
+        us, vs, _ = base.edges_arrays()
+        ids = np.arange(self.N, dtype=np.int64)
+        pu, pv = np.concatenate([us, ids]), np.concatenate([vs, ids])
+        ones = np.ones(pu.size)
+        for graph in (Graph(self.N), spanner):
+            got = pair_distances(graph, pu, pv)
+            assert np.array_equal(
+                got, edge_shortest_paths_reference(graph, pu, pv, ones)
+            )
+            assert np.all(got[us.size :] == 0.0)
+
+    def test_cluster_graph(self, instance, ball_sizes):
+        base, spanner = instance
+        h = build_cluster_graph(
+            spanner, build_cluster_cover(spanner, 0.25), 1.0, 0.25
+        )
+        us, vs, ws = base.edges_arrays()
+        ball_sizes.clear()
+        assert np.array_equal(
+            h.distance_pairs(us, vs),
+            edge_shortest_paths_reference(h, us, vs, ws),
+        )
+        assert max(ball_sizes) > source_block_size(h)

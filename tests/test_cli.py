@@ -211,6 +211,30 @@ class TestExperimentsCommand:
         assert code == 0
         assert "Theorem 11" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "target", ["a/b", "file/res"],
+        ids=["two-missing-levels", "under-a-file"],
+    )
+    def test_unusable_results_dir_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        import repro.experiments.run_all as run_all
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(run_all, "run_experiments", no_run)
+        (tmp_path / "file").write_text("")
+        code = main([
+            "experiments", "--quick", "--only", "E7",
+            "--results-dir", str(tmp_path / target),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
 
 class TestParser:
     def test_requires_command(self):

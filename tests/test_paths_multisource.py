@@ -69,7 +69,7 @@ class TestAdaptiveDispatch:
         from repro.graphs.paths import prefer_batched_sources
 
         g = geometric(60)
-        assert prefer_batched_sources(g, [0, 1], None)
+        assert prefer_batched_sources(g, [0, 1], math.inf)
         assert prefer_batched_sources(g, [0, 1], 0.01)  # n < 256
 
     def test_tiny_balls_prefer_scalar_on_large_graphs(self):

@@ -60,6 +60,44 @@ class TestSweepCli:
         assert report["cells"][0]["scenario"] == "uniform"
         assert "build_s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", ["repro-sweep", "module-main"])
+    @pytest.mark.parametrize(
+        "target", ["a/b/x.json", "file/x.json"],
+        ids=["two-missing-levels", "under-a-file"],
+    )
+    def test_unusable_output_refused_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, target, entry
+    ):
+        import repro.experiments.sweep as sweep_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", no_run)
+        (tmp_path / "file").write_text("")
+        argv = [
+            "--scenarios", "ring", "--sizes", "32", "--seeds", "0",
+            "--output", str(tmp_path / target),
+        ]
+        if entry == "repro-sweep":
+            code = cli_main(["sweep", *argv])
+        else:
+            code = main(argv)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_missing_output_directory_created(self, tmp_path):
+        out = tmp_path / "new" / "sweep.json"
+        code = main(
+            ["--scenarios", "ring", "--sizes", "32", "--seeds", "0",
+             "--output", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["num_cells"] == 1
+
     def test_unknown_scenario_rejected(self, capsys):
         assert main(["--scenarios", "nonsense", "--output", ""]) == 2
         assert "unknown scenario" in capsys.readouterr().err

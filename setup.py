@@ -3,8 +3,8 @@ installs work without the ``wheel`` package that PEP 660 builds need).
 
 The library lives under ``src/repro``; its version is read from
 ``repro.__version__`` so the two cannot disagree.  The library needs
-numpy and scipy; the test suite also uses networkx, pytest, hypothesis
-and pytest-benchmark.
+numpy and scipy; the test suite also uses networkx, pytest and
+hypothesis.
 """
 
 import re

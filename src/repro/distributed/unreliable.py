@@ -243,7 +243,6 @@ def _execute(
     t0: float,
     max_time: float,
     max_events: int,
-    engine: str,
 ) -> tuple[EventNetwork, RunResult]:
     plan = plan if plan is not None else FaultPlan()
     net = EventNetwork(
@@ -255,9 +254,9 @@ def _execute(
         max_events=max_events,
     )
     if plan.zero_fault and plan.latency == 1.0:
-        result = net.run_sync(protocol, engine=engine)
+        result = net.run_sync(protocol)
     else:
-        result = net.run(harden(protocol), engine=engine)
+        result = net.run(harden(protocol))
     return net, result
 
 
@@ -270,20 +269,17 @@ def run_luby_mis_event(
     t0: float = 0.0,
     max_time: float = 1_000_000.0,
     max_events: int = 5_000_000,
-    engine: str = "auto",
 ) -> EventMISRun:
     """Luby MIS on the event tier, repaired and verified on survivors.
 
     ``topology`` takes any engine form (Graph, mapping, CSR pair).
     Under a zero-fault unit-latency plan this runs the synchronous
     adapter, so outputs equal ``SynchronousNetwork.run(...,
-    engine="scalar")`` exactly.  ``engine`` selects the event execution
-    path (``auto``/``batch``/``scalar``) -- the batch wheel is pinned
-    bit-equal to the scalar heap, so this only affects wall time.
+    engine="scalar")`` exactly.
     """
     net, result = _execute(
         topology, LubyMIS(seed=seed), plan, fault_labels, t0,
-        max_time, max_events, engine,
+        max_time, max_events,
     )
     crashed = set(result.crashed)
     adjacency = net.adjacency()
@@ -311,7 +307,6 @@ def run_bfs_event(
     t0: float = 0.0,
     max_time: float = 1_000_000.0,
     max_events: int = 5_000_000,
-    engine: str = "auto",
 ) -> EventBFSRun:
     """BFS tree on the event tier, re-attached and verified on survivors.
 
@@ -320,7 +315,7 @@ def run_bfs_event(
     recovery from a dead initiator)."""
     net, result = _execute(
         topology, BFSTree(root, patience=patience), plan, fault_labels,
-        t0, max_time, max_events, engine,
+        t0, max_time, max_events,
     )
     crashed = set(result.crashed)
     adjacency = net.adjacency()

@@ -23,7 +23,6 @@ from . import (  # noqa: F401 -- imported for registration side effects
     f_lemmas,
     x1_doubling,
 )
-from .bench_store import BenchStore
 from .failures import FAULT_REGISTRY, FaultScenarioSpec, fault_scenario
 from .runner import EXPERIMENT_REGISTRY, ExperimentResult, format_table
 from .workloads import (
@@ -39,7 +38,6 @@ from .workloads import (
 __all__ = [
     "EXPERIMENT_REGISTRY",
     "ExperimentResult",
-    "BenchStore",
     "format_table",
     "Workload",
     "make_workload",

@@ -66,6 +66,24 @@ def run_experiments(
         return [futures[name].result() for name in names]
 
 
+def _selection(only: str) -> list[str]:
+    """The experiment ids ``--only`` names, sorted; every registered one
+    when it is empty.  Text that names none (``,``) or an unknown id is
+    refused."""
+    if not only:
+        return sorted(EXPERIMENT_REGISTRY)
+    wanted = {w.strip() for w in only.split(",") if w.strip()}
+    if not wanted:
+        raise ReproError(f"--only {only!r} names no experiment")
+    unknown = wanted - set(EXPERIMENT_REGISTRY)
+    if unknown:
+        raise ReproError(
+            f"unknown experiment id(s): {sorted(unknown)}; "
+            f"available: {sorted(EXPERIMENT_REGISTRY)}"
+        )
+    return sorted(wanted)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -86,29 +104,16 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for per-experiment JSON artifacts (empty = skip)",
     )
     args = parser.parse_args(argv)
-
-    wanted = (
-        {w.strip() for w in args.only.split(",") if w.strip()}
-        if args.only
-        else set(EXPERIMENT_REGISTRY)
-    )
-    unknown = wanted - set(EXPERIMENT_REGISTRY)
-    if unknown:
-        print(
-            f"unknown experiment id(s): {sorted(unknown)}; "
-            f"available: {sorted(EXPERIMENT_REGISTRY)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.results_dir:
-        try:
+    try:
+        names = _selection(args.only)
+        if args.results_dir:
             make_output_dir(args.results_dir)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs > 0 else default_jobs()
     results = run_experiments(
-        sorted(wanted), quick=args.quick, seed=args.seed, jobs=jobs
+        names, quick=args.quick, seed=args.seed, jobs=jobs
     )
     for result in results:
         if args.markdown:

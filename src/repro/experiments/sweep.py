@@ -324,6 +324,49 @@ def _csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _names(option: str, text: str) -> list[str]:
+    """The names a comma-separated option lists.  The empty default
+    lists none; given text that lists none (``,``) is refused."""
+    names = _csv(text)
+    if text and not names:
+        raise ReproError(f"{option} {text!r} names nothing")
+    return names
+
+
+def _ints(option: str, text: str, low: int) -> list[int]:
+    """The integers a comma-separated option lists; an empty or
+    malformed list, or a value below ``low``, is refused."""
+    try:
+        values = [int(x) for x in _csv(text)]
+    except ValueError:
+        values = []
+    if not values or min(values) < low:
+        raise ReproError(
+            f"{option} needs comma-separated integers >= {low}, "
+            f"got {text!r}"
+        )
+    return values
+
+
+def _load_report(path: str) -> dict[str, Any]:
+    """A previous sweep report for ``--diff``; a file that cannot be
+    read, is not JSON or holds no list of cells is refused."""
+    try:
+        report = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read --diff {path}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise ReproError(f"--diff {path} is not JSON: {exc}") from None
+    cells = report.get("cells") if isinstance(report, dict) else None
+    if not isinstance(cells, list) or not all(
+        isinstance(row, dict) for row in cells
+    ):
+        raise ReproError(f"--diff {path} is not a sweep report")
+    return report
+
+
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """The sweep options, shared by ``repro sweep`` and :func:`main`."""
     parser.add_argument(
@@ -368,60 +411,58 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run a parsed sweep command line; returns a process exit code."""
-    scenarios = _csv(args.scenarios) or list(scenario_names())
+    """Run a parsed sweep command line; returns a process exit code.
+
+    Every option is checked, and the output directory made, before any
+    cell runs: bad input raises :class:`ReproError` and writes nothing.
+    """
+    scenarios = _names("--scenarios", args.scenarios) or list(
+        scenario_names()
+    )
     unknown = set(scenarios) - set(scenario_names())
     if unknown:
-        print(
+        raise ReproError(
             f"unknown scenario(s): {sorted(unknown)}; "
-            f"available: {list(scenario_names())}",
-            file=sys.stderr,
+            f"available: {list(scenario_names())}"
         )
-        return 2
-    experiments = [e.upper() for e in _csv(args.experiments)]
+    experiments = [
+        e.upper() for e in _names("--experiments", args.experiments)
+    ]
     unknown = set(experiments) - set(EXPERIMENT_REGISTRY)
     if unknown:
-        print(
+        raise ReproError(
             f"unknown experiment id(s): {sorted(unknown)}; "
-            f"available: {sorted(EXPERIMENT_REGISTRY)}",
-            file=sys.stderr,
+            f"available: {sorted(EXPERIMENT_REGISTRY)}"
         )
-        return 2
-    faults = _csv(args.faults)
+    faults = _names("--faults", args.faults)
     if faults:
         from .failures import FAULT_REGISTRY
 
         unknown = set(faults) - set(FAULT_REGISTRY)
         if unknown:
-            print(
+            raise ReproError(
                 f"unknown fault scenario(s): {sorted(unknown)}; "
-                f"available: {sorted(FAULT_REGISTRY)}",
-                file=sys.stderr,
+                f"available: {sorted(FAULT_REGISTRY)}"
             )
-            return 2
         if not experiments:
-            print(
+            raise ReproError(
                 "--faults requires --experiments (build cells have no "
-                "fault axis)",
-                file=sys.stderr,
+                "fault axis)"
             )
-            return 2
+    sizes = _ints("--sizes", args.sizes, 1)
+    seeds = _ints("--seeds", args.seeds, 0)
+    old = _load_report(args.diff) if args.diff else None
     if args.output:
-        try:
-            make_output_dir(Path(args.output).parent)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    sizes = [int(x) for x in _csv(args.sizes)]
-    seeds = [int(x) for x in _csv(args.seeds)]
+        if Path(args.output).is_dir():
+            raise ReproError(f"output path {args.output} is a directory")
+        make_output_dir(Path(args.output).parent)
     report = run_sweep(
         scenarios, sizes, seeds,
         epsilon=args.epsilon, alpha=args.alpha, jobs=args.jobs,
         experiments=experiments, faults=faults,
     )
     print(format_table(report["cells"]))
-    if args.diff:
-        old = json.loads(Path(args.diff).read_text())
+    if old is not None:
         delta = diff_reports(old, report)
         print(f"\ndiff vs {args.diff}:")
         if delta["changed"]:
@@ -442,7 +483,11 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
     add_arguments(parser)
-    return run(parser.parse_args(argv))
+    try:
+        return run(parser.parse_args(argv))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -235,6 +235,43 @@ class TestExperimentsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
+    @pytest.mark.parametrize("only", [",", " , "])
+    def test_selection_of_nothing_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, only
+    ):
+        import repro.experiments.run_all as run_all
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(run_all, "run_experiments", no_run)
+        code = main([
+            "experiments", "--quick", "--only", only,
+            "--results-dir", str(tmp_path / "res"),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --only {only!r} names no experiment\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_only_runs_every_experiment(self, monkeypatch):
+        import repro.experiments.run_all as run_all
+        from repro.experiments import EXPERIMENT_REGISTRY
+
+        ran = []
+
+        def record(names, **kwargs):
+            ran.extend(names)
+            return []
+
+        monkeypatch.setattr(run_all, "run_experiments", record)
+        code = main([
+            "experiments", "--quick", "--only", "", "--results-dir", "",
+        ])
+        assert code == 0
+        assert ran == sorted(EXPERIMENT_REGISTRY)
+
 
 class TestParser:
     def test_requires_command(self):

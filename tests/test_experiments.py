@@ -45,6 +45,33 @@ class TestWorkloads:
         assert make_workload("uniform3d", 30, seed=4).dim == 3
 
 
+def _e5_ours_beside_input(rows):
+    by_name = {row["topology"]: row for row in rows}
+    ours = by_name["RelaxedGreedy eps=0.25"]
+    return (
+        ours["max_degree"] <= 12
+        and ours["lightness"] <= by_name["UDG (input)"]["lightness"]
+    )
+
+
+#: Row predicates that an experiment's ``passed`` does not imply: the
+#: absolute degree and weight bands, and the coverage of each table.
+ROW_CHECKS = {
+    "E2": lambda rows: max(row["spanner_max_deg"] for row in rows) <= 10,
+    "E3": lambda rows: all(row["lightness"] <= 5.0 for row in rows),
+    "E4": lambda rows: all(
+        row["stretch_ok"] and row["gather_per_phase"] <= 40 for row in rows
+    ),
+    "E5": _e5_ours_beside_input,
+    "E7": lambda rows: {row["d"] for row in rows} == {2, 3},
+    # Every quick size runs the naive baseline, and beats it.
+    "E8": lambda rows: all(row.get("query_ratio", 1.0) < 1.0 for row in rows),
+    "X1": lambda rows: (
+        {row["metric"] for row in rows} == {"l1", "l2", "linf"}
+    ),
+}
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENT_REGISTRY) == {
@@ -59,6 +86,8 @@ class TestRegistry:
         assert isinstance(result, ExperimentResult)
         assert result.rows, f"{name} produced no rows"
         assert result.passed, f"{name} failed:\n{result.to_text()}"
+        check = ROW_CHECKS.get(name)
+        assert check is None or check(result.rows), result.to_text()
 
     def test_run_all_collects_everything(self):
         results = run_experiments(sorted(EXPERIMENT_REGISTRY), quick=True, seed=5)

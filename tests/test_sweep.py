@@ -7,6 +7,25 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments.sweep import main, run_cell, run_sweep, save_sweep
 
+ENTRIES = ["repro-sweep", "module-main"]
+CELL = ["--scenarios", "ring", "--sizes", "32", "--seeds", "0"]
+
+
+def refused(monkeypatch, capsys, entry, argv):
+    """Run a sweep command line that must be refused before any cell
+    runs; returns its one ``error:`` line."""
+    import repro.experiments.sweep as sweep_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep_mod, "run_sweep", no_run)
+    code = cli_main(["sweep", *argv]) if entry == "repro-sweep" else main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
 
 class TestRunCell:
     def test_cell_row_shape(self):
@@ -60,34 +79,64 @@ class TestSweepCli:
         assert report["cells"][0]["scenario"] == "uniform"
         assert "build_s" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("entry", ["repro-sweep", "module-main"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize(
-        "target", ["a/b/x.json", "file/x.json"],
-        ids=["two-missing-levels", "under-a-file"],
+        "target", ["a/b/x.json", "file/x.json", "."],
+        ids=["two-missing-levels", "under-a-file", "a-directory"],
     )
     def test_unusable_output_refused_before_any_cell(
         self, tmp_path, capsys, monkeypatch, target, entry
     ):
-        import repro.experiments.sweep as sweep_mod
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(sweep_mod, "run_sweep", no_run)
         (tmp_path / "file").write_text("")
-        argv = [
-            "--scenarios", "ring", "--sizes", "32", "--seeds", "0",
-            "--output", str(tmp_path / target),
-        ]
-        if entry == "repro-sweep":
-            code = cli_main(["sweep", *argv])
-        else:
-            code = main(argv)
-        assert code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        argv = [*CELL, "--output", str(tmp_path / target)]
+        err = refused(monkeypatch, capsys, entry, argv)
+        assert str(tmp_path) in err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "content", [None, "not json", "[1, 2]", '{"cells": [1]}'],
+        ids=["missing", "not-json", "not-an-object", "cells-not-rows"],
+    )
+    def test_unusable_diff_refused_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, content, entry
+    ):
+        old = tmp_path / "old.json"
+        if content is not None:
+            old.write_text(content)
+        argv = [
+            *CELL, "--output", str(tmp_path / "res" / "x.json"),
+            "--diff", str(old),
+        ]
+        err = refused(monkeypatch, capsys, entry, argv)
+        assert f"--diff {old}" in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--sizes", ""), ("--seeds", ""), ("--sizes", "3x2"),
+            ("--seeds", "0,x"), ("--sizes", "32,0"), ("--seeds", "-1"),
+            ("--scenarios", ","), ("--experiments", ","),
+            ("--faults", " , "),
+        ],
+        ids=[
+            "sizes-empty", "seeds-empty", "sizes-3x2", "seeds-0,x",
+            "sizes-0", "seeds-negative", "scenarios-comma",
+            "experiments-comma", "faults-comma",
+        ],
+    )
+    def test_empty_or_malformed_selection_refused(
+        self, tmp_path, capsys, monkeypatch, option, value, entry
+    ):
+        argv = [
+            *CELL, "--output", str(tmp_path / "res" / "x.json"),
+            option, value,
+        ]
+        err = refused(monkeypatch, capsys, entry, argv)
+        assert option in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_directory_created(self, tmp_path):
         out = tmp_path / "new" / "sweep.json"

@@ -5,6 +5,7 @@ copy-pasted between the grid index, the builders, the baselines and the
 batch round engine:
 
 * run expansion and offset cubes (grid/builder pipelines);
+* key lookup in an ascending array (CSR entries, settled pair sets);
 * the counter-based SplitMix64/Murmur3 hash family that gives the
   stochastic gray-zone policies and the batch protocols their
   order-independent, scalar==batch randomness;
@@ -23,6 +24,7 @@ from .exceptions import ParameterError
 __all__ = [
     "run_expand",
     "offset_cube",
+    "sorted_find",
     "checked_seed",
     "seed_state",
     "mix64",
@@ -49,6 +51,16 @@ def run_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     return np.repeat(starts, counts) + within
+
+
+def sorted_find(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index of each ``want[i]`` in the ascending ``keys``, or ``-1``
+    where it does not occur: one ``searchsorted`` and one gather."""
+    pos = np.searchsorted(keys, want)
+    if keys.size == 0:
+        return np.full(pos.shape, -1, dtype=np.int64)
+    pos = np.minimum(pos, keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
 
 
 def offset_cube(dim: int, reach: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..arrayops import sorted_find
 from ..exceptions import GraphError
 from ..graphs.graph import EdgeArrays, Graph, check_edge_arrays, symmetric_csr
 from ..graphs.paths import (
@@ -149,10 +150,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def _is_in(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """``mask[i]`` iff ``keys[i]`` occurs in the ascending ``sorted_keys``."""
-    if sorted_keys.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[at] == keys
+    return sorted_find(sorted_keys, keys) >= 0
 
 
 def _max_degree(us: np.ndarray, vs: np.ndarray) -> int:

@@ -16,23 +16,28 @@ invalidation*:
 2. the base alpha-UBG is patched incrementally, O(degree) edge writes
    per event (the cached CSR is rebuilt by the next array kernel that
    reads it);
-3. the paper's phases re-run *only on the induced dirty subgraph*:
-   cover re-promotion (:func:`build_cluster_cover` restricted to the
-   dirty universe), per-bin query selection (equation (1) minimizers),
-   and step-iv query re-answering -- the dirty region is small enough
-   that exact spanner distances subsume the cluster-graph
-   approximation;
+3. the paper's phases re-run over the base edges *touching* the dirty
+   ball that the spanner lacks: cover re-promotion (the cover grown
+   only around the candidates' endpoints), per-bin query selection
+   (equation (1) minimizers), and step-iv re-answering with exact
+   spanner distances in place of the cluster-graph approximation.  A
+   candidate that a two-edge spanner path already joins within
+   ``t * |xy|`` at region entry is settled without a search
+   (:func:`~repro.graphs.paths.two_hop_within`): promotion only adds
+   spanner edges, so that path still stands when its query comes up;
 4. redundancy verdicts for spanner edges touching the dirty ball are
    re-taken (remove iff a ``t1``-alternative survives), and
-5. a certification sweep over base edges within ``dirty_radius + t``
-   of the sites re-adds any edge whose ``t``-certificate the repair
-   broke.  A certificate path for base edge ``(x, y)`` stays within
-   Euclidean ``t`` of ``x``; every spanner edge the repair removed has
-   an endpoint within ``dirty_radius`` of a site, so any base edge
-   whose certificate could have broken has an endpoint within
-   ``dirty_radius + t`` -- the sweep radius.  The invariant after
-   every event: **the maintained spanner is a t-spanner of the
-   current base graph** (:meth:`MaintenanceSession.verify`).
+5. a certification sweep over base edges with an endpoint within
+   ``dirty_radius + t`` of the sites re-adds any edge whose
+   ``t``-certificate the repair broke, searching only the suspects no
+   two-edge spanner path certifies.  A certificate path for base edge
+   ``(x, y)`` stays within Euclidean ``t`` of ``x``; every spanner
+   edge the repair removed has an endpoint within ``dirty_radius`` of
+   a site, so any base edge whose certificate could have broken has
+   an endpoint within ``dirty_radius + t`` -- the sweep radius.  The
+   invariant after every event: **the maintained spanner is a
+   t-spanner of the current base graph**
+   (:meth:`MaintenanceSession.verify`).
 
 Repair modes: ``repair="local"`` (the default) runs the dirty-ball
 pipeline and is pinned by a tested stretch bound; ``repair="rebuild"``
@@ -89,11 +94,17 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ..arrayops import sorted_find
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
 from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
-from ..graphs.graph import EdgeArrays, Graph
-from ..graphs.paths import detour_distance, dijkstra_distance, pair_distances
+from ..graphs.graph import EdgeArrays, Graph, csr_find
+from ..graphs.paths import (
+    detour_distance,
+    dijkstra_distance,
+    pair_distances,
+    two_hop_within,
+)
 from ..params import SpannerParams
 from .bins import EdgeBinning
 from .cover import ClusterCover, build_cluster_cover_reference
@@ -741,10 +752,13 @@ class MaintenanceSession:
         self._cover_bins.clear()
         self._cover_pending.clear()
 
-    def _site_distances(self, sites: list[np.ndarray]) -> np.ndarray:
-        alive_idx = np.flatnonzero(self._alive)
-        coords = self._coords[alive_idx]
-        best = np.full(alive_idx.shape, np.inf)
+    @staticmethod
+    def _site_distances(
+        coords: np.ndarray, sites: list[np.ndarray]
+    ) -> np.ndarray:
+        """Euclidean distance from each row of ``coords`` to the nearest
+        of ``sites``."""
+        best = np.full(coords.shape[0], np.inf)
         for site in sites:
             diff = coords - site
             np.minimum(
@@ -806,36 +820,29 @@ class MaintenanceSession:
         dirty_mask = np.zeros(n, dtype=bool)
         halo_mask = np.zeros(n, dtype=bool)
         halo_radius = self.dirty_radius + self.params.t
+        coords = self._coords[alive_idx]
+        limit = self.resync_fraction * alive_idx.size
         for gi, group in enumerate(groups):
             lead = reports[group[0]]
             for idx in group[1:]:
                 reports[idx].coalesced = True
-            sites = [s for idx in group for s in sites_list[idx]]
-            d_site = self._site_distances(sites)
-            dirty = alive_idx[d_site <= self.dirty_radius]
-            lead.dirty_nodes = int(dirty.size)
             # The resync escalation is keyed to *per-event* dirty
             # balls, exactly like the per-event path: coalescing k
             # overlapping events must never escalate an epoch that
             # none of the k events would have escalated on its own
             # (merged-component checks were measured to force rebuilds
-            # 6x slower than the local repair they preempted).  For a
-            # singleton group the component ball *is* the event ball,
-            # so the already-computed distances answer it.
-            if len(group) == 1:
-                oversized = (
-                    dirty.size > self.resync_fraction * alive_idx.size
-                )
-            else:
-                limit = self.resync_fraction * alive_idx.size
-                oversized = any(
-                    alive_idx[
-                        self._site_distances(sites_list[idx])
-                        <= self.dirty_radius
-                    ].size
-                    > limit
-                    for idx in group
-                )
+            # 6x slower than the local repair they preempted).  Each
+            # event's distance row is computed once: counted for its
+            # own ball, then folded into the group's minimum.
+            d_site = np.full(alive_idx.size, np.inf)
+            oversized = False
+            for idx in group:
+                row = self._site_distances(coords, sites_list[idx])
+                if np.count_nonzero(row <= self.dirty_radius) > limit:
+                    oversized = True
+                np.minimum(d_site, row, out=d_site)
+            dirty = alive_idx[d_site <= self.dirty_radius]
+            lead.dirty_nodes = int(dirty.size)
             if oversized:
                 self._rebuild_spanner()
                 lead.resync = True
@@ -882,14 +889,17 @@ class MaintenanceSession:
         candidates, covers and verdicts are examined once per region
         instead of once per event), not a different algorithm, so the
         single-event pin is the k=1 case rather than a separate path.
-        Batched max-cutoff sweeps were measured slower here: per-edge
-        Dijkstra cutoffs are what keep the answered balls tiny.
 
         Candidates stay one :class:`~repro.graphs.graph.EdgeArrays`
         batch throughout: the touching base edges outside the spanner,
         split into bins, filtered by masks and put in query order by
         ``np.lexsort``; the prune list is a batch of the touching
-        spanner edges in descending ``(w, u, v)`` order.
+        spanner edges in descending ``(w, u, v)`` order.  One
+        :func:`~repro.graphs.paths.two_hop_within` pass at region entry
+        settles every candidate a two-edge spanner path already joins
+        within ``t * |xy|``: promotion only adds spanner edges, so that
+        path still stands when any bin queries the pair, and
+        :meth:`_answer` searches only the queries left open.
         """
         t = self.params.t
         t1 = self.params.t1
@@ -902,8 +912,15 @@ class MaintenanceSession:
         # re-answering with exact spanner distances.
         tp0 = perf_counter()
         cover_before = report.cover_s
+        n = self.graph.num_vertices
         candidates = self._touching_edges(self.graph, dirty, spanner_gap=True)
-        binning = EdgeBinning.for_params(self.params, self.graph.num_vertices)
+        settled = candidates.take(
+            two_hop_within(
+                self.spanner, candidates.u, candidates.v, t * candidates.w
+            )
+        )
+        settled_keys = np.sort(settled.u * n + settled.v)
+        binning = EdgeBinning.for_params(self.params, n)
         for i, bin_edges in binning.assign(candidates).items():
             if i == 0 or bin_edges.w.size <= _COVER_MIN_EDGES:
                 # Short-edge bin (lengths <= alpha/n) or a bin too thin
@@ -913,7 +930,7 @@ class MaintenanceSession:
                 # <= k queries it could save -- query each edge
                 # directly, greedy in ascending (w, u, v) order.
                 order = np.lexsort((bin_edges.v, bin_edges.u, bin_edges.w))
-                self._answer(bin_edges.take(order), report)
+                self._answer(bin_edges.take(order), settled_keys, report)
                 continue
             radius = self.params.delta * binning.boundary(i - 1)
             # The selection only needs candidate *endpoints* covered;
@@ -926,7 +943,7 @@ class MaintenanceSession:
             # a cheap guard for degenerate parameters.
             apart = cover.center[bin_edges.u] != cover.center[bin_edges.v]
             selection = select_query_edges(bin_edges.take(apart), cover, t)
-            self._answer(selection.queries, report)
+            self._answer(selection.queries, settled_keys, report)
         report.promotion_s += (perf_counter() - tp0) - (
             report.cover_s - cover_before
         )
@@ -955,27 +972,47 @@ class MaintenanceSession:
         """Certification sweep: re-certify every base edge whose
         t-certificate could have crossed a dirty ball this epoch;
         re-add the violated ones directly.  This is the correctness
-        backstop that keeps the t-spanner invariant unconditional."""
+        backstop that keeps the t-spanner invariant unconditional.
+        Suspects a two-edge path of the spanner under check joins
+        within ``t * |xy|`` hold their certificate
+        (:func:`~repro.graphs.paths.two_hop_within`); only the rest
+        are searched."""
         tc0 = perf_counter()
         t = self.params.t
         suspects = self._touching_edges(self.graph, halo, spanner_gap=True)
+        limits = t * suspects.w
+        open_ = ~two_hop_within(self.spanner, suspects.u, suspects.v, limits)
+        suspects, limits = suspects.take(open_), limits[open_]
         if suspects.w.size:
             sp = pair_distances(self.spanner, suspects.u, suspects.v, cutoff=t)
             for x, y, length in zip(
-                *(a.tolist() for a in suspects.take(sp > t * suspects.w))
+                *(a.tolist() for a in suspects.take(sp > limits))
             ):
                 self._span_add(x, y, length, report)
         report.certification_s += perf_counter() - tc0
 
-    def _answer(self, queries: EdgeArrays, report: RepairReport) -> None:
-        """Step-iv re-answering: one scalar cutoff-Dijkstra per query, in
-        batch order, each answer visible to the next.  The scalar search
-        is target-directed -- it stops the moment the partner vertex
-        settles, typically after exploring a ball of radius ~sp(x, y)
-        rather than the full cutoff -- so batched multi-source sweeps,
-        which must flood every source's whole cutoff ball, were measured
-        2-5x slower here despite their C-level inner loop."""
+    def _answer(
+        self, queries: EdgeArrays, settled: np.ndarray, report: RepairReport
+    ) -> None:
+        """Step-iv re-answering: one scalar cutoff-Dijkstra per query
+        left open, in batch order, each answer visible to the next.
+
+        ``settled`` holds the ascending keys ``min * n + max`` of the
+        region's candidates with a two-hop certificate; a query whose
+        endpoints key into it is answered "covered" without a search.
+        The scalar search is target-directed: it stops the moment the
+        partner vertex settles, typically after exploring a ball of
+        radius ~sp(x, y) rather than the full cutoff.  One batched
+        :func:`pair_distances` sweep over every query would pay a fixed
+        cost (sixteen distance bands plus the dense-or-sparse probe)
+        larger than the few hundred scalar searches a single event
+        makes, and it was measured slower per epoch as well."""
         t = self.params.t
+        n = self.graph.num_vertices
+        keys = np.minimum(queries.u, queries.v) * n + np.maximum(
+            queries.u, queries.v
+        )
+        queries = queries.take(sorted_find(settled, keys) < 0)
         for x, y, length in zip(*(a.tolist() for a in queries)):
             d = dijkstra_distance(self.spanner, x, y, cutoff=t * length)
             if d > t * length:
@@ -987,22 +1024,17 @@ class MaintenanceSession:
         """Edges of ``graph`` with an endpoint in ``region`` as one batch
         with ``u < v``, in the edge store's deterministic order.  With
         ``spanner_gap`` only edges absent from the maintained spanner
-        survive (the promotion / certification candidate filter): a
-        per-pair adjacency probe on the already-masked selection -- an
-        encoded-key ``np.isin`` was measured slower because it re-sorts
-        all the spanner's edge keys on every call, while the selection
-        it filters is tiny."""
+        survive (the promotion / certification candidate filter): one
+        key lookup per selected edge among the spanner CSR's sorted
+        entries (:func:`~repro.graphs.graph.csr_find`), a matrix the
+        two-hop pass that follows reads anyway."""
         edges = graph.edges_arrays()
         mask = np.zeros(graph.num_vertices, dtype=bool)
         mask[region] = True
         edges = edges.take(mask[edges.u] | mask[edges.v])
         if spanner_gap:
-            has = self.spanner.has_edge
-            gap = [
-                not has(a, b)
-                for a, b in zip(edges.u.tolist(), edges.v.tolist())
-            ]
-            edges = edges.take(np.array(gap, dtype=bool))
+            found = csr_find(self.spanner.csr(), edges.u, edges.v)
+            edges = edges.take(found < 0)
         return edges
 
     # -- persistent cover state ----------------------------------------

@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..arrayops import run_expand
+from ..arrayops import run_expand, sorted_find
 from ..exceptions import GraphError
 from ..graphs.graph import EdgeArrays, Graph
 from ..graphs.paths import pair_distance_entries
@@ -168,11 +168,9 @@ def find_redundant_pairs(
 
     def sp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``sp_H(endpoints[a], endpoints[b])`` from ``a``'s row."""
-        want = a * e + b
-        pos = np.searchsorted(keys, want)
-        found = pos < keys.size
-        found[found] = keys[pos[found]] == want[found]
-        out = np.full(want.size, np.inf)
+        pos = sorted_find(keys, a * e + b)
+        found = pos >= 0
+        out = np.full(pos.size, np.inf)
         out[found] = dist[pos[found]]
         return out
 

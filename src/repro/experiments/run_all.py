@@ -105,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            # Experiments seed numpy generators with offsets of it.
+            raise ReproError(f"--seed must be >= 0, got {args.seed}")
         names = _selection(args.only)
         if args.results_dir:
             make_output_dir(args.results_dir)

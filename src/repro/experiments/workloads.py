@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..arrayops import checked_seed
 from ..exceptions import GraphError, ParameterError
 from ..geometry.points import PointSet
 from ..geometry.sampling import (
@@ -253,6 +254,15 @@ class Workload:
         return self.points.dim
 
 
+def _generator_seed(seed: object, owner: str) -> int:
+    """``seed`` as the non-negative int numpy's generators take, or a
+    :class:`ParameterError` naming ``owner``'s seed."""
+    seed = checked_seed(seed, owner)
+    if seed < 0:
+        raise ParameterError(f"{owner} seed must be >= 0, got {seed}")
+    return seed
+
+
 def make_workload(
     name: str,
     n: int,
@@ -271,7 +281,8 @@ def make_workload(
     n:
         Node count.
     seed:
-        Point-process seed (also seeds stochastic gray-zone policies).
+        Point-process seed (also seeds stochastic gray-zone policies):
+        a non-negative integer, or :class:`ParameterError`.
     alpha:
         Quasi-UBG parameter in ``(0, 1]``; 1.0 yields a plain UDG.
         Values outside that range raise :class:`ParameterError`.
@@ -285,6 +296,7 @@ def make_workload(
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha!r}")
+    seed = _generator_seed(seed, "make_workload")
     spec = get_scenario(name)
     points = spec.factory(n, np.random.default_rng(seed), expected_degree)
     if alpha == 1.0:
@@ -554,8 +566,9 @@ def make_mobility(
 
     Works in any dimension: the model inherits the dimensionality of
     the coordinate array (2-D fields and 3-D drone swarms alike).
+    ``seed`` must be a non-negative integer (:class:`ParameterError`
+    otherwise).
     """
+    rng = np.random.default_rng(_generator_seed(seed, "make_mobility"))
     spec = get_mobility(name)
-    return spec.factory(
-        np.asarray(coords, dtype=np.float64), np.random.default_rng(seed), speed
-    )
+    return spec.factory(np.asarray(coords, dtype=np.float64), rng, speed)

@@ -17,10 +17,10 @@ before any in-place write (copy-on-write), and a new matrix replaces
 the cached one rather than mutating it, so callers may hold either
 across later mutations.
 
-The batch edge checks and the CSR build are module functions
-(:func:`check_edge_arrays`, :func:`symmetric_csr`): the cluster graph of
-step iii uses them to become a matrix without ever being a
-:class:`Graph`.
+The batch edge checks, the CSR build and the CSR entry lookup are
+module functions (:func:`check_edge_arrays`, :func:`symmetric_csr`,
+:func:`csr_find`): the cluster graph of step iii uses them to become a
+matrix without ever being a :class:`Graph`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,16 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from ..arrayops import sorted_find
 from ..exceptions import GraphError
 
-__all__ = ["EdgeArrays", "Graph", "check_edge_arrays", "symmetric_csr"]
+__all__ = [
+    "EdgeArrays",
+    "Graph",
+    "check_edge_arrays",
+    "csr_find",
+    "symmetric_csr",
+]
 
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
@@ -114,6 +121,24 @@ def symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         ),
         shape=(n, n),
     ).tocsr()
+
+
+def csr_find(mat, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Index into ``mat.data`` of each entry ``(rows[i], cols[i])`` of a
+    canonical CSR matrix, or ``-1`` where the entry is absent.
+
+    Canonical rows (what :func:`symmetric_csr` builds) list their
+    columns ascending, so the row-major keys ``row * ncols + col``
+    ascend and one :func:`~repro.arrayops.sorted_find` locates every
+    entry; the keys cost one O(nnz) pass per call.
+    """
+    ncols = np.int64(mat.shape[1])
+    keys = (
+        np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+        * ncols
+        + mat.indices
+    )
+    return sorted_find(keys, np.asarray(rows, dtype=np.int64) * ncols + cols)
 
 
 class Graph:

@@ -29,7 +29,10 @@ over :meth:`repro.graphs.graph.Graph.csr`:
   forms (aligned endpoint pairs, and the finite entries of a
   sources x targets cross product) built on the first two.  Exact pair
   distances (stretch) escalate too: a doubling cutoff from the graph's
-  longest edge searches only the pairs left unresolved.
+  longest edge searches only the pairs left unresolved;
+* :func:`two_hop_within` -- no search at all: which pairs a two-edge
+  path already joins within their limits, the certificate that lets
+  churn repair skip a search whose verdict it knows.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
@@ -49,10 +52,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arrayops import run_expand
+from ..arrayops import run_expand, sorted_find
 from ..exceptions import GraphError
 from .components import component_labels
-from .graph import Graph
+from .graph import Graph, csr_find
 
 __all__ = [
     "dijkstra",
@@ -63,6 +66,7 @@ __all__ = [
     "nearest_source_distances",
     "pair_distances",
     "pair_distance_entries",
+    "two_hop_within",
 ]
 
 #: Soft bound on floats held by one batched distance block (rows x n).
@@ -228,12 +232,54 @@ def _pairs_within(
         np.repeat(np.arange(src.size, dtype=np.int64), np.diff(starts)) * n
         + ball_v
     )
-    want = np.searchsorted(src, us) * n + vs
-    pos = np.searchsorted(keys, want)
-    in_range = pos < keys.size
-    safe = np.where(in_range, pos, 0)
-    found = in_range & (keys[safe] == want)
-    return np.where(found, ball_d[safe], np.inf)
+    pos = sorted_find(keys, np.searchsorted(src, us) * n + vs)
+    return np.where(pos >= 0, ball_d[pos], np.inf)
+
+
+def two_hop_within(
+    graph: Graph, us: np.ndarray, vs: np.ndarray, limits: np.ndarray
+) -> np.ndarray:
+    """Whether a two-edge path joins each pair within its limit.
+
+    ``out[i]`` is true iff some common neighbour ``z`` of ``us[i]`` and
+    ``vs[i]`` has ``w(us[i], z) + w(z, vs[i]) <= limits[i]``, the sum
+    taken in floats.  One pass over the cached CSR: the row of every
+    ``us[i]`` expands into its neighbours ``z``, and each ``(z, vs[i])``
+    is looked up among the matrix's sorted row-major keys
+    (:func:`~repro.graphs.graph.csr_find`).
+
+    A true entry settles the pair for every search in this module.
+    Weights are positive and float rounding is monotone, so a search
+    from ``us[i]`` labels ``z`` at most ``w(us[i], z)`` and then
+    ``vs[i]`` at most the two-edge sum; neither relaxation exceeds
+    ``limits[i]``, so a cutoff of at least the limit never prunes it,
+    and a ``vs[i]`` settled before ``z`` has a label of at most
+    ``z``'s.  :func:`dijkstra_distance`, the sparse ball kernel's
+    fixpoint and the dense rows therefore all report at most
+    ``limits[i]`` -- on this graph and on any graph that keeps its
+    edges and adds more.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    limits = np.asarray(limits, dtype=np.float64)
+    if us.ndim != 1 or vs.shape != us.shape or limits.shape != us.shape:
+        raise GraphError(
+            "pair and limit arrays must be aligned one-dimensional"
+        )
+    _check_sources(graph, us)
+    _check_sources(graph, vs)
+    mat = graph.csr()
+    indptr = mat.indptr.astype(np.int64)
+    deg = indptr[us + 1] - indptr[us]
+    first = run_expand(indptr[us], deg)
+    pair = np.repeat(np.arange(us.size, dtype=np.int64), deg)
+    second = csr_find(mat, mat.indices[first], vs[pair])
+    hit = second >= 0
+    pair, first, second = pair[hit], first[hit], second[hit]
+    within = mat.data[first] + mat.data[second] <= limits[pair]
+    out = np.zeros(us.size, dtype=bool)
+    out[pair[within]] = True
+    return out
 
 
 def pair_distance_entries(

@@ -46,6 +46,15 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not path.exists()
 
+    def test_negative_seed_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        code = main(["generate", str(path), "--n", "50", "--seed", "-1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: make_workload seed must be >= 0, got -1\n"
+        assert not path.exists()
+
     def test_missing_output_directory_refused_before_sampling(
         self, tmp_path, capsys
     ):
@@ -253,6 +262,25 @@ class TestExperimentsCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: --only {only!r} names no experiment\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", "-1000"])
+    def test_negative_seed_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        import repro.experiments.run_all as run_all
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(run_all, "run_experiments", no_run)
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiments", "--quick", "--only", "E2", "--seed", seed])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --seed must be >= 0, got {seed}\n"
+        # The default results directory is not created.
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_only_runs_every_experiment(self, monkeypatch):

@@ -15,7 +15,7 @@ from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.faults import FaultPlan
 from repro.distributed.protocols.luby import LubyMIS
 from repro.exceptions import ParameterError
-from repro.experiments.workloads import make_workload
+from repro.experiments.workloads import make_mobility, make_workload
 from repro.graphs.build import BernoulliPolicy, DecayPolicy
 from repro.params import SpannerParams
 
@@ -98,3 +98,44 @@ class TestBadSeeds:
         match = f"{owner} seed must be an integer"
         with pytest.raises(ParameterError, match=match):
             CONSTRUCTORS[owner](seed)
+
+
+GENERATORS = {
+    "make_workload": lambda s: make_workload("uniform", 50, s),
+    "make_mobility": lambda s: make_mobility(
+        "flocking", np.zeros((3, 2)), seed=s
+    ),
+}
+
+
+class TestGeneratorSeeds:
+    """The workload and mobility samplers hand their seed to numpy's
+    generators, which take only non-negative integers: anything else is
+    refused first, with the seed named."""
+
+    @pytest.mark.parametrize("owner", sorted(GENERATORS))
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_non_integer_seed_named(self, owner, seed):
+        match = f"{owner} seed must be an integer"
+        with pytest.raises(ParameterError, match=match):
+            GENERATORS[owner](seed)
+
+    @pytest.mark.parametrize("owner", sorted(GENERATORS))
+    @pytest.mark.parametrize("seed", [-1, -1000, np.int64(-3)], ids=repr)
+    def test_negative_seed_named(self, owner, seed):
+        match = f"{owner} seed must be >= 0, got {int(seed)}"
+        with pytest.raises(ParameterError, match=match):
+            GENERATORS[owner](seed)
+
+    def test_numpy_integer_seed_draws_like_int(self):
+        a = make_workload("uniform", 60, np.int32(5))
+        b = make_workload("uniform", 60, 5)
+        assert np.array_equal(a.points.coords, b.points.coords)
+        assert type(a.seed) is int
+        coords = b.points.coords
+        moved = make_mobility("flocking", coords, seed=np.uint8(4)).step(0.5)
+        same = make_mobility("flocking", coords, seed=4).step(0.5)
+        assert [n for n, _ in moved] == [n for n, _ in same]
+        assert np.array_equal(
+            np.array([p for _, p in moved]), np.array([p for _, p in same])
+        )

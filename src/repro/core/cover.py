@@ -189,8 +189,7 @@ def build_cluster_cover_reference(
     per center).
 
     The kernel :func:`build_cluster_cover` runs on the short-edge
-    vertices, the maintenance engine's cover kernel, and the semantic
-    anchor both are pinned against.
+    vertices, and the semantic anchor it is pinned against.
     """
     if radius < 0.0:
         raise GraphError(f"radius must be >= 0, got {radius}")

@@ -16,15 +16,17 @@ invalidation*:
 2. the base alpha-UBG is patched incrementally, O(degree) edge writes
    per event (the cached CSR is rebuilt by the next array kernel that
    reads it);
-3. the paper's phases re-run over the base edges *touching* the dirty
-   ball that the spanner lacks: cover re-promotion (the cover grown
-   only around the candidates' endpoints), per-bin query selection
-   (equation (1) minimizers), and step-iv re-answering with exact
-   spanner distances in place of the cluster-graph approximation.  A
-   candidate that a two-edge spanner path already joins within
-   ``t * |xy|`` at region entry is settled without a search
+3. promotion takes the base edges *touching* the dirty ball that the
+   spanner lacks in ascending ``(w, u, v)`` order, one exact greedy
+   pass: a candidate joins the spanner iff an exact cutoff search finds
+   no spanner path within ``t * |xy|``.  The paper's cluster cover,
+   query selection and cluster graph exist to bound distributed rounds;
+   repair runs centrally, and the certification sweep below, not a
+   cover, keeps its output a t-spanner.  A candidate that a two-edge
+   spanner path already joins within ``t * |xy|`` at region entry is
+   settled without a search
    (:func:`~repro.graphs.paths.two_hop_within`): promotion only adds
-   spanner edges, so that path still stands when its query comes up;
+   spanner edges, so that path still stands when its turn comes up;
 4. redundancy verdicts for spanner edges touching the dirty ball are
    re-taken (remove iff a ``t1``-alternative survives), and
 5. a certification sweep over base edges with an endpoint within
@@ -53,29 +55,16 @@ nodes, the local path escalates to a spanner rebuild on its own.
 
 **Epoch batching.**  A mobility step moves hundreds of nearby nodes
 whose dirty balls overlap almost completely; repairing each event in
-isolation re-derives the same region's cover over and over.
+isolation re-examines the same region's candidates over and over.
 :meth:`MaintenanceSession.apply_epoch` applies one epoch of events
 together: every mutation lands on the base graph first, the per-event
 balls coalesce into merged dirty *regions* (connected components of
 the ball-overlap graph), promotion and redundancy run once per region
--- deduplicating every overlapping ball's candidates, covers and
-verdicts -- and one certification sweep closes the epoch over the
-union of the region halos.  A single-event epoch takes exactly the
-per-event path (``apply`` *is* ``apply_epoch`` of one event), so the
-two pins extend rather than fork.
-
-**Persistent cover state.**  Repairs stop discarding cover structure
-between events: the session caches the per-bin dense cover rows
-(each vertex's center and distance to it, the two arrays a
-:class:`repro.core.cover.ClusterCover` holds) and invalidates only
-rows whose radius-ball can touch a changed spanner edge (every
-spanner mutation records its endpoint positions; a cached
-row ``v -> (c, d)`` can only be wrong if a changed edge lies within
-Euclidean ``radius`` of ``v``, because spanner weights dominate
-straight-line distance).  Surviving rows are served as-is -- they are
-*exact* current shortest-path distances, which
-:meth:`MaintenanceSession.cover_cache_audit` re-derives and checks
-bit-for-bit.
+-- deduplicating every overlapping ball's candidates and verdicts --
+and one certification sweep closes the epoch over the union of the
+region halos.  A single-event epoch takes exactly the per-event path
+(``apply`` *is* ``apply_epoch`` of one event), so the two pins extend
+rather than fork.
 
 :func:`events_from_fault_plan` adapts :class:`repro.distributed.faults.
 FaultPlan` crash/recover schedules onto delete/insert event streams, so
@@ -94,7 +83,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..arrayops import sorted_find
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
 from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
@@ -106,10 +94,7 @@ from ..graphs.paths import (
     two_hop_within,
 )
 from ..params import SpannerParams
-from .bins import EdgeBinning
-from .cover import ClusterCover, build_cluster_cover_reference
 from .relaxed_greedy import RelaxedGreedySpanner, SpannerResult
-from .selection import select_query_edges
 
 if TYPE_CHECKING:
     from ..distributed.faults import FaultPlan
@@ -120,13 +105,6 @@ __all__ = [
     "RepairReport",
     "events_from_fault_plan",
 ]
-
-# Candidate-count floor below which a bin's repair skips the cluster
-# cover and queries every candidate edge directly: the cover's query
-# economy (one query per cluster pair) cannot save more than the k
-# queries a k-edge bin has, so deriving it only pays past this size
-# (measured crossover on flocking churn at n = 10^4).
-_COVER_MIN_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -165,8 +143,6 @@ class RepairReport:
     time: float = 0.0
     #: Alive nodes inside the invalidated dirty ball(s).
     dirty_nodes: int = 0
-    #: Clusters re-promoted on the dirty subgraph (summed over bins).
-    dirty_balls: int = 0
     #: Spanner edges the repair added (promotion + certification).
     added_edges: int = 0
     #: Spanner edges the repair removed (redundancy re-verdicts).
@@ -180,7 +156,6 @@ class RepairReport:
     coalesced: bool = False
     wall_s: float = 0.0
     #: Per-phase wall splits of the region this event led.
-    cover_s: float = 0.0
     promotion_s: float = 0.0
     redundancy_s: float = 0.0
     certification_s: float = 0.0
@@ -202,14 +177,14 @@ def events_from_fault_plan(
     contract as every other draw in the fault tier.
     """
     node_arr = np.asarray(list(nodes), dtype=np.int64)
-    crash_at, recover_at = plan.crash_schedules(node_arr)
+    crash_at, revive_at = plan.crash_schedules(node_arr)
     events: list[MaintenanceEvent] = []
     for i, node in enumerate(node_arr.tolist()):
         ca = float(crash_at[i])
         if not math.isfinite(ca) or ca > horizon:
             continue
         events.append(MaintenanceEvent("delete", node=node, time=ca))
-        ra = float(recover_at[i])
+        ra = float(revive_at[i])
         if math.isfinite(ra) and ra <= horizon:
             events.append(MaintenanceEvent("insert", node=node, time=ra))
     events.sort(key=lambda e: (e.time, 0 if e.kind == "delete" else 1, e.node))
@@ -245,9 +220,6 @@ class MaintenanceSession:
         The check is per event even under epoch batching: coalescing
         events into one processing region never escalates an epoch
         that none of its events would have escalated alone.
-    cover_cache:
-        Keep per-bin cover rows alive between events (default).  Off,
-        every repair re-derives its covers from scratch, as PR 9 did.
     """
 
     def __init__(
@@ -259,7 +231,6 @@ class MaintenanceSession:
         policy=None,
         repair: str = "local",
         resync_fraction: float = 0.25,
-        cover_cache: bool = True,
     ) -> None:
         coords = np.asarray(
             points.coords if isinstance(points, PointSet) else points,
@@ -299,16 +270,6 @@ class MaintenanceSession:
         for idx in range(self._coords.shape[0]):
             self._cell_add(idx)
         self.reports: list[RepairReport] = []
-        # Persistent cover state: bin -> (radius, center_of, dist rows)
-        # over the capacity id space, plus the pending positions of
-        # changed spanner-edge endpoints awaiting invalidation.
-        self._cover_cache_on = bool(cover_cache)
-        self._cover_bins: dict[
-            int, tuple[float, np.ndarray, np.ndarray]
-        ] = {}
-        self._cover_pending: list[np.ndarray] = []
-        self._cover_hits = 0
-        self._cover_misses = 0
         self._epochs = 0
         self.graph = self._build_base()
         self.build_result: SpannerResult = self._build_result()
@@ -334,30 +295,40 @@ class MaintenanceSession:
     def stats(self) -> dict[str, float]:
         """Aggregate repair accounting across all applied events.
 
-        Per-phase wall splits (cover / promotion / redundancy /
-        certification) come straight from the reports, so optimization
-        rounds profile from here instead of ad-hoc timers; the cover
-        cache's hit/miss counters ride along.
+        Per-phase wall splits (promotion / redundancy / certification)
+        come straight from the reports, so optimization rounds profile
+        from here instead of ad-hoc timers.
         """
         n = len(self.reports)
         wall = sum(r.wall_s for r in self.reports)
         return {
             "events": n,
             "epochs": self._epochs,
-            "dirty_balls": sum(r.dirty_balls for r in self.reports),
             "repaired_edges": sum(r.repaired_edges for r in self.reports),
             "resyncs": sum(1 for r in self.reports if r.resync),
             "wall_s": wall,
             "mean_wall_s": wall / n if n else 0.0,
-            "cover_s": sum(r.cover_s for r in self.reports),
             "promotion_s": sum(r.promotion_s for r in self.reports),
             "redundancy_s": sum(r.redundancy_s for r in self.reports),
             "certification_s": sum(
                 r.certification_s for r in self.reports
             ),
-            "cover_cache_hits": self._cover_hits,
-            "cover_cache_misses": self._cover_misses,
+            **self._BENCHMARK_CONSTANTS,
         }
+
+    # perfbench/pipeline.py still reads five names of the repair cover
+    # that repair no longer has: these four stats() keys, which read 0,
+    # and cover_cache_audit(), which finds nothing.  They leave together
+    # with those reads (ROADMAP item 1a).
+    _BENCHMARK_CONSTANTS = {
+        "dirty_balls": 0,
+        "cover_s": 0.0,
+        "cover_cache_hits": 0,
+        "cover_cache_misses": 0,
+    }
+
+    def cover_cache_audit(self) -> list:
+        return []
 
     # ------------------------------------------------------------------
     # Event API
@@ -402,42 +373,110 @@ class MaintenanceSession:
         region, with one certification sweep over the union of halos
         closing the epoch.  ``repair="rebuild"`` epochs re-derive the
         spanner once (still bit-equal to a scratch rebuild).  Returns
-        one report per event; an empty epoch is a no-op.  Every given
-        position must be finite with ``dim`` coordinates, checked for
-        the whole epoch before any event is applied.
+        one report per event; an empty epoch is a no-op.
+
+        Kinds, positions and node ids are checked for the whole epoch
+        before any event is applied (:meth:`_check_epoch`).  A target
+        that another alive node occupies is found only as its event
+        comes up, because earlier events move nodes: that event writes
+        nothing, the events before it are repaired and their reports
+        recorded, and its :class:`GraphError` propagates.
         """
         events = list(events)
         if not events:
             return []
-        for event in events:
-            if event.kind not in ("insert", "delete", "move"):
-                raise ParameterError(f"unknown event kind {event.kind!r}")
-            if event.pos is not None and not (
-                len(event.pos) == self._dim
-                and all(math.isfinite(c) for c in event.pos)
-            ):
-                who = (
-                    "fresh node" if event.node is None
-                    else f"node {event.node}"
-                )
-                raise GraphError(
-                    f"{event.kind} of {who} needs a finite dim-{self._dim} "
-                    f"position, got {event.pos}"
-                )
+        self._check_epoch(events)
         t0 = perf_counter()
         reports: list[RepairReport] = []
         sites_list: list[list[np.ndarray]] = []
         for event in events:
-            if event.kind == "insert":
-                node, sites = self._do_insert(event.node, event.pos)
-            elif event.kind == "delete":
-                node, sites = self._do_delete(event.node)
+            node = self.capacity if event.node is None else int(event.node)
+            if event.kind == "delete":
+                sites = self._do_delete(node)
             else:
-                node, sites = self._do_move(event.node, event.pos)
+                # A revival without a position returns to its old site.
+                target = self._coords[node] if event.pos is None else event.pos
+                try:
+                    cand, dist = self._near_target(node, target)
+                except GraphError:  # an alive node sits on the target
+                    self._close_epoch(reports, sites_list, t0)
+                    raise
+                if event.kind == "insert":
+                    sites = self._do_insert(node, event.pos, cand, dist)
+                else:
+                    sites = self._do_move(node, event.pos, cand, dist)
             reports.append(
                 RepairReport(kind=event.kind, node=node, time=event.time)
             )
             sites_list.append(sites)
+        self._close_epoch(reports, sites_list, t0)
+        return reports
+
+    def _check_epoch(self, events: list[MaintenanceEvent]) -> None:
+        """Raise on the first event the epoch cannot apply, before any
+        event is written.
+
+        Every kind must be known and every given position finite with
+        ``dim`` coordinates; a move and a fresh insert need one.  A node
+        id is ``None`` only for a fresh insert.  Otherwise it is an
+        ``int`` or numpy integer, never a ``bool``, below the capacity
+        (counting the epoch's earlier fresh inserts), and alive or dead
+        as the epoch's earlier events leave it: a revival needs a dead
+        node, a delete or a move an alive one.
+        """
+        capacity = self.capacity
+        alive_now: dict[int, bool] = {}  # as the earlier events leave it
+        for event in events:
+            kind, node, pos = event.kind, event.node, event.pos
+            if kind not in ("insert", "delete", "move"):
+                raise ParameterError(f"unknown event kind {kind!r}")
+            if node is None:
+                if kind != "insert":
+                    raise GraphError(f"{kind} needs a node id, got None")
+                who = "fresh node"
+            elif isinstance(node, bool) or not isinstance(
+                node, (int, np.integer)
+            ):
+                raise GraphError(f"node {node!r} is not an integer id")
+            else:
+                who = f"node {int(node)}"
+            if pos is None:
+                if kind == "move" or node is None:
+                    raise GraphError(
+                        f"{kind} of {who} needs a dim-{self._dim} position"
+                    )
+            elif not (
+                len(pos) == self._dim and all(math.isfinite(c) for c in pos)
+            ):
+                raise GraphError(
+                    f"{kind} of {who} needs a finite dim-{self._dim} "
+                    f"position, got {pos}"
+                )
+            if node is None:
+                alive_now[capacity] = True
+                capacity += 1
+                continue
+            node = int(node)
+            if not 0 <= node < capacity:
+                raise GraphError(f"{who} out of range [0, {capacity})")
+            alive = alive_now.get(node)
+            if alive is None:
+                alive = bool(self._alive[node])
+            if alive and kind == "insert":
+                raise GraphError(f"{who} is already alive")
+            if not alive and kind != "insert":
+                raise GraphError(f"{who} is not alive")
+            alive_now[node] = kind != "delete"
+
+    def _close_epoch(
+        self,
+        reports: list[RepairReport],
+        sites_list: list[list[np.ndarray]],
+        t0: float,
+    ) -> None:
+        """Repair the epoch's written events and record their reports."""
+        if not reports:
+            return
         if self.repair_mode == "rebuild":
             self._rebuild_spanner()
             reports[-1].resync = True
@@ -451,7 +490,6 @@ class MaintenanceSession:
             report.wall_s = share
         self.reports.extend(reports)
         self._epochs += 1
-        return reports
 
     def apply_stream(
         self,
@@ -509,28 +547,6 @@ class MaintenanceSession:
             "edges": int(us.size),
         }
 
-    def cover_cache_audit(self) -> list[tuple[int, int, int, float, float]]:
-        """Re-derive every live cached cover row and report mismatches.
-
-        For each cached row ``v -> (c, d)`` of each bin, the exact
-        spanner distance ``sp(c, v)`` is recomputed cold; any row where
-        the cached float is not **bit-equal** to the re-derivation (or
-        exceeds the bin radius) comes back as
-        ``(bin, v, c, cached, exact)``.  An empty list is the cache's
-        correctness certificate: conservative invalidation never serves
-        a stale row.
-        """
-        self._flush_cover_invalidation()
-        bad: list[tuple[int, int, int, float, float]] = []
-        for bin_idx, (radius, crow, drow) in self._cover_bins.items():
-            for v in np.flatnonzero(crow >= 0).tolist():
-                c = int(crow[v])
-                d = float(drow[v])
-                exact = dijkstra_distance(self.spanner, c, v, cutoff=radius)
-                if exact != d or d > radius:
-                    bad.append((bin_idx, v, c, d, exact))
-        return bad
-
     # ------------------------------------------------------------------
     # Base-graph patching (incremental alpha-UBG)
     # ------------------------------------------------------------------
@@ -586,8 +602,8 @@ class MaintenanceSession:
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_near` of an event's target position, rejecting one
         that another alive node already occupies (it would need a
-        zero-length edge).  Events call this before writing any state,
-        so a rejected event leaves the session unchanged."""
+        zero-length edge).  :meth:`apply_epoch` calls this before the
+        event writes anything, so a rejected event writes nothing."""
         cand, dist = self._near(pos, exclude=node)
         same = cand[dist == 0.0]
         if same.size:
@@ -618,33 +634,23 @@ class MaintenanceSession:
             )
         return cand[keep], dist[keep]
 
+    # The writers below take an event :meth:`_check_epoch` accepted and
+    # the target's :meth:`_near_target` neighbours, and return its sites.
     def _do_insert(
-        self, node: int | None, pos: tuple[float, ...] | None
-    ) -> tuple[int, list[np.ndarray]]:
-        if node is None:
-            if pos is None:
-                raise GraphError("insert of a fresh node needs a position")
-            node = self._coords.shape[0]
-            cand, dist = self._near_target(node, pos)
+        self,
+        node: int,
+        pos: tuple[float, ...] | None,
+        cand: np.ndarray,
+        dist: np.ndarray,
+    ) -> list[np.ndarray]:
+        if node == self.capacity:
             self._coords = np.vstack([self._coords, [pos]])
             self._alive = np.append(self._alive, False)
             self.graph.add_vertices(1)
             self.spanner.add_vertices(1)
-            # Capacity growth re-bins every length and resizes the row
-            # arrays; start the cover cache over.
-            self._cover_bins.clear()
-            self._cover_pending.clear()
-        else:
-            if not 0 <= node < self.capacity:
-                raise GraphError(f"node {node} out of range")
-            if self._alive[node]:
-                raise GraphError(f"node {node} is already alive")
-            cand, dist = self._near_target(
-                node, self._coords[node] if pos is None else pos
-            )
-            if pos is not None:
-                self._coords = self._coords.copy()
-                self._coords[node] = pos
+        elif pos is not None:
+            self._coords = self._coords.copy()
+            self._coords[node] = pos
         self._pts_cache = None
         self._alive[node] = True
         position = self._coords[node]
@@ -652,51 +658,30 @@ class MaintenanceSession:
         for v, w in zip(nbrs.tolist(), ws.tolist()):
             self.graph.add_edge(node, v, w)
         self._cell_add(node)
-        return node, [position.copy()]
+        return [position.copy()]
 
-    def _do_delete(self, node: int) -> tuple[int, list[np.ndarray]]:
-        if not (0 <= node < self.capacity and self._alive[node]):
-            raise GraphError(f"node {node} is not alive")
+    def _do_delete(self, node: int) -> list[np.ndarray]:
         site = self._coords[node].copy()
-        if self._cover_cache_on:
-            self._kill_node_rows(node)
-            self._cover_pending.append(site)
-            for v in self.spanner.neighbors(node):
-                self._cover_pending.append(self._coords[v].copy())
         for v in list(self.spanner.neighbors(node)):
             self.spanner.remove_edge(node, v)
         for v in list(self.graph.neighbors(node)):
             self.graph.remove_edge(node, v)
         self._cell_remove(node)
         self._alive[node] = False
-        return node, [site]
+        return [site]
 
     def _do_move(
-        self, node: int, pos: tuple[float, ...] | None
-    ) -> tuple[int, list[np.ndarray]]:
-        if not (0 <= node < self.capacity and self._alive[node]):
-            raise GraphError(f"node {node} is not alive")
-        if pos is None:
-            raise GraphError(f"move needs a dim-{self._dim} position")
-        cand, dist = self._near_target(node, pos)
+        self,
+        node: int,
+        pos: tuple[float, ...],
+        cand: np.ndarray,
+        dist: np.ndarray,
+    ) -> list[np.ndarray]:
         old = self._coords[node].copy()
-        if self._cover_cache_on:
-            # Every spanner edge at the node changes weight or dies;
-            # kill its own rows outright (the flush gathers from the
-            # grid at *current* positions, which no longer see the old
-            # site), then record the derivation-time geometry (old
-            # position) plus the still-current neighbor positions.
-            self._kill_node_rows(node)
-            self._cover_pending.append(old.copy())
-            for v in self.spanner.neighbors(node):
-                self._cover_pending.append(self._coords[v].copy())
         self._cell_remove(node)
         self._coords = self._coords.copy()
         self._coords[node] = pos
         self._pts_cache = None
-        new_pos = self._coords[node]
-        if self._cover_cache_on:
-            self._cover_pending.append(new_pos.copy())
         nbrs, ws = self._decide_edges(node, cand, dist)
         new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
         for v in list(self.graph.neighbors(node)):
@@ -710,7 +695,7 @@ class MaintenanceSession:
                 # Persisting spanner edge: refresh its length.
                 self.spanner.add_edge(node, v, w)
         self._cell_add(node)
-        return node, [old, new_pos.copy()]
+        return [old, self._coords[node].copy()]
 
     # ------------------------------------------------------------------
     # Repair
@@ -748,9 +733,6 @@ class MaintenanceSession:
     def _rebuild_spanner(self) -> None:
         self.build_result = self._build_result()
         self.spanner = self.build_result.spanner
-        # A rebuild rewrites the covered graph wholesale.
-        self._cover_bins.clear()
-        self._cover_pending.clear()
 
     @staticmethod
     def _site_distances(
@@ -854,11 +836,11 @@ class MaintenanceSession:
             halo_mask[alive_idx[d_site <= halo_radius]] = True
         # One repair pass over the union of all component balls.  For
         # disjoint components this is verdict-for-verdict identical to
-        # repairing them one at a time (candidates, cluster pairs and
-        # detour balls are all cutoff-local, so components cannot
-        # interact), but every per-region fixed cost -- the cover
-        # flush, the edge-store scans, the bin loop -- is paid once
-        # per epoch instead of once per component.
+        # repairing them one at a time (candidates and detour balls
+        # are cutoff-local, so components cannot interact), but every
+        # per-region fixed cost -- the edge-store scans, the sort, the
+        # two-hop pass -- is paid once per epoch instead of once per
+        # component.
         self._repair_region(np.flatnonzero(dirty_mask), epoch_lead)
         self._certify(np.flatnonzero(halo_mask), epoch_lead)
 
@@ -867,86 +849,41 @@ class MaintenanceSession:
     ) -> None:
         self.spanner.add_edge(x, y, length)
         report.added_edges += 1
-        if self._cover_cache_on:
-            self._cover_pending.append(self._coords[x].copy())
-            self._cover_pending.append(self._coords[y].copy())
-
-    def _span_dropped(self, x: int, y: int, report: RepairReport) -> None:
-        """Account a redundancy removal (edge already off the spanner)."""
-        report.removed_edges += 1
-        if self._cover_cache_on:
-            self._cover_pending.append(self._coords[x].copy())
-            self._cover_pending.append(self._coords[y].copy())
 
     def _repair_region(
         self, dirty: np.ndarray, report: RepairReport
     ) -> None:
-        """Phases (i)-(v) on one merged dirty region.
+        """Promotion and redundancy on one merged dirty region.
 
         A multi-event region runs the *same* sequential pipeline as a
         single-event ball, just over the merged dirty set -- the
         epoch's saving is deduplication (each overlapping ball's
-        candidates, covers and verdicts are examined once per region
-        instead of once per event), not a different algorithm, so the
-        single-event pin is the k=1 case rather than a separate path.
+        candidates and verdicts are examined once per region instead of
+        once per event), not a different algorithm, so the single-event
+        pin is the k=1 case rather than a separate path.
 
-        Candidates stay one :class:`~repro.graphs.graph.EdgeArrays`
-        batch throughout: the touching base edges outside the spanner,
-        split into bins, filtered by masks and put in query order by
-        ``np.lexsort``; the prune list is a batch of the touching
-        spanner edges in descending ``(w, u, v)`` order.  One
-        :func:`~repro.graphs.paths.two_hop_within` pass at region entry
-        settles every candidate a two-edge spanner path already joins
-        within ``t * |xy|``: promotion only adds spanner edges, so that
-        path still stands when any bin queries the pair, and
-        :meth:`_answer` searches only the queries left open.
+        Promotion is one exact greedy pass: the touching base edges
+        outside the spanner, as one :class:`~repro.graphs.graph.
+        EdgeArrays` batch, put in ascending ``(w, u, v)`` order by
+        ``np.lexsort`` and handed to :meth:`_answer` whole.  One
+        :func:`~repro.graphs.paths.two_hop_within` pass over that batch
+        at region entry settles every candidate a two-edge spanner path
+        already joins within ``t * |xy|``: promotion only adds spanner
+        edges, so that path still stands when the pass reaches the
+        pair.  The prune list is a batch of the touching spanner edges
+        in descending ``(w, u, v)`` order.
         """
         t = self.params.t
         t1 = self.params.t1
-        tf = perf_counter()
-        self._flush_cover_invalidation()
-        report.cover_s += perf_counter() - tf
-
-        # Phase (i)-(iv) on the dirty subgraph: per-bin cover
-        # re-promotion, equation-(1) query selection, and step-iv
-        # re-answering with exact spanner distances.
         tp0 = perf_counter()
-        cover_before = report.cover_s
-        n = self.graph.num_vertices
         candidates = self._touching_edges(self.graph, dirty, spanner_gap=True)
-        settled = candidates.take(
-            two_hop_within(
-                self.spanner, candidates.u, candidates.v, t * candidates.w
-            )
+        order = np.lexsort((candidates.v, candidates.u, candidates.w))
+        candidates = candidates.take(order)
+        settled = two_hop_within(
+            self.spanner, candidates.u, candidates.v, t * candidates.w
         )
-        settled_keys = np.sort(settled.u * n + settled.v)
-        binning = EdgeBinning.for_params(self.params, n)
-        for i, bin_edges in binning.assign(candidates).items():
-            if i == 0 or bin_edges.w.size <= _COVER_MIN_EDGES:
-                # Short-edge bin (lengths <= alpha/n) or a bin too thin
-                # for the cover to pay: the cover's only job in repair
-                # is merging same-cluster-pair queries, and with this
-                # few candidates the derivation costs more than the
-                # <= k queries it could save -- query each edge
-                # directly, greedy in ascending (w, u, v) order.
-                order = np.lexsort((bin_edges.v, bin_edges.u, bin_edges.w))
-                self._answer(bin_edges.take(order), settled_keys, report)
-                continue
-            radius = self.params.delta * binning.boundary(i - 1)
-            # The selection only needs candidate *endpoints* covered;
-            # restricting the universe to them keeps the re-promotion
-            # O(dirty), not O(halo x bins).
-            endpoints = np.unique(np.concatenate([bin_edges.u, bin_edges.v]))
-            cover = self._bin_cover(i, radius, endpoints, report)
-            # delta < 1/2 makes same-cluster candidates impossible for
-            # this bin (sp >= |xy| > W_{i-1} > 2*radius); the filter is
-            # a cheap guard for degenerate parameters.
-            apart = cover.center[bin_edges.u] != cover.center[bin_edges.v]
-            selection = select_query_edges(bin_edges.take(apart), cover, t)
-            self._answer(selection.queries, settled_keys, report)
-        report.promotion_s += (perf_counter() - tp0) - (
-            report.cover_s - cover_before
-        )
+        self._answer(candidates, settled, report)
+        report.promotion_s += perf_counter() - tp0
 
         # Phase (v): redundancy re-verdicts for spanner edges touching
         # the dirty ball -- remove iff a t1-alternative survives.
@@ -965,7 +902,7 @@ class MaintenanceSession:
             d = detour_distance(self.spanner, a, b, cutoff=t1 * w)
             if d <= t1 * w:
                 self.spanner.remove_edge(a, b)
-                self._span_dropped(a, b, report)
+                report.removed_edges += 1
         report.redundancy_s += perf_counter() - tr0
 
     def _certify(self, halo: np.ndarray, report: RepairReport) -> None:
@@ -997,22 +934,18 @@ class MaintenanceSession:
         """Step-iv re-answering: one scalar cutoff-Dijkstra per query
         left open, in batch order, each answer visible to the next.
 
-        ``settled`` holds the ascending keys ``min * n + max`` of the
-        region's candidates with a two-hop certificate; a query whose
-        endpoints key into it is answered "covered" without a search.
-        The scalar search is target-directed: it stops the moment the
-        partner vertex settles, typically after exploring a ball of
-        radius ~sp(x, y) rather than the full cutoff.  One batched
+        ``settled`` is the :func:`~repro.graphs.paths.two_hop_within`
+        mask aligned with ``queries``; a settled query is answered
+        "covered" without a search.  The scalar search is
+        target-directed: it stops the moment the partner vertex
+        settles, typically after exploring a ball of radius ~sp(x, y)
+        rather than the full cutoff.  One batched
         :func:`pair_distances` sweep over every query would pay a fixed
         cost (sixteen distance bands plus the dense-or-sparse probe)
         larger than the few hundred scalar searches a single event
         makes, and it was measured slower per epoch as well."""
         t = self.params.t
-        n = self.graph.num_vertices
-        keys = np.minimum(queries.u, queries.v) * n + np.maximum(
-            queries.u, queries.v
-        )
-        queries = queries.take(sorted_find(settled, keys) < 0)
+        queries = queries.take(~settled)
         for x, y, length in zip(*(a.tolist() for a in queries)):
             d = dijkstra_distance(self.spanner, x, y, cutoff=t * length)
             if d > t * length:
@@ -1036,114 +969,6 @@ class MaintenanceSession:
             found = csr_find(self.spanner.csr(), edges.u, edges.v)
             edges = edges.take(found < 0)
         return edges
-
-    # -- persistent cover state ----------------------------------------
-    def _kill_node_rows(self, node: int) -> None:
-        """Clear the node's own cached rows across every bin (a dead or
-        moved vertex is no grid-reachable target for the flush)."""
-        for _, crow, drow in self._cover_bins.values():
-            crow[node] = -1
-            drow[node] = np.inf
-
-    def _flush_cover_invalidation(self) -> None:
-        """Apply pending spanner-change positions to every cached bin.
-
-        A cached row ``v -> (c, d)`` can only be stale if some changed
-        edge lies on (or shortens) a path of length <= radius from
-        ``v``; edge weights dominate straight-line distance, so it
-        suffices to clear rows within Euclidean ``radius`` of any
-        changed endpoint.  Bin radii are ``delta * W_{i-1} < delta <
-        1/2`` (a non-empty bin has ``W_{i-1} < 1``, and
-        :meth:`SpannerParams.validate` enforces ``delta < (t1 - 1) /
-        (6 + 2 t1)``) -- under the unit grid-cell width -- so the rows
-        at risk come out of the event sites' own cell neighborhoods,
-        keeping the flush O(changed neighborhood), not O(capacity).
-        """
-        if not self._cover_pending:
-            return
-        if not self._cover_bins:
-            self._cover_pending.clear()
-            return
-        rmax = max(radius for radius, _, _ in self._cover_bins.values())
-        pts = self._cover_pending
-        self._cover_pending = []
-        hits: list[np.ndarray] = []
-        dists: list[np.ndarray] = []
-        for pos in pts:
-            ids, d = self._near(pos, rmax)
-            if ids.size:
-                hits.append(ids)
-                dists.append(d)
-        if not hits:
-            return
-        ids = np.concatenate(hits)
-        d = np.concatenate(dists)
-        for radius, crow, drow in self._cover_bins.values():
-            sel = ids[d <= radius]
-            crow[sel] = -1
-            drow[sel] = np.inf
-
-    def _bin_cover(
-        self,
-        bin_idx: int,
-        radius: float,
-        endpoints: np.ndarray,
-        report: RepairReport,
-    ) -> ClusterCover:
-        """Cover the bin's candidate endpoints (an ascending array),
-        reusing cached rows.
-
-        Cache off: a cold restricted ball-growing on the scalar
-        reference (:func:`build_cluster_cover` scans every spanner edge
-        for its short-edge mask on each call).  Cache on: rows
-        surviving invalidation are served as-is (they are exact
-        current distances); only the uncovered remainder grows fresh
-        balls -- the scalar restricted reference, whose per-ball cost
-        is O(ball), beats any dense O(capacity) kernel at repair
-        granularity -- and the new rows persist for the next repair.
-        The cover holds the endpoints' rows and nothing else.
-        """
-        t0 = perf_counter()
-        try:
-            if not self._cover_cache_on:
-                cover = build_cluster_cover_reference(
-                    self.spanner, radius, vertices=endpoints.tolist()
-                )
-                report.dirty_balls += cover.num_clusters
-                return cover
-            # Invalidation was flushed at region entry; edges this
-            # region's own promotion added invalidate at the *next*
-            # flush -- at most one region of staleness, which only
-            # perturbs equation-(1) minimizers (certification backstops
-            # stretch, and the audit flushes before checking).
-            entry = self._cover_bins.get(bin_idx)
-            if entry is None or entry[0] != radius:
-                crow = np.full(self.capacity, -1, dtype=np.int64)
-                drow = np.full(self.capacity, np.inf)
-                self._cover_bins[bin_idx] = (radius, crow, drow)
-            else:
-                _, crow, drow = entry
-            have = crow[endpoints] >= 0
-            hits = int(have.sum())
-            self._cover_hits += hits
-            self._cover_misses += int(endpoints.size - hits)
-            need = endpoints[~have]
-            if need.size:
-                sub = build_cluster_cover_reference(
-                    self.spanner, radius, vertices=need.tolist()
-                )
-                crow[need] = sub.center[need]
-                drow[need] = sub.dist[need]
-            center = np.full(crow.size, -1, dtype=np.int64)
-            dist = np.full(crow.size, np.inf)
-            center[endpoints] = crow[endpoints]
-            dist[endpoints] = drow[endpoints]
-            # Centers in first-appearance order over the endpoints.
-            centers = tuple(dict.fromkeys(center[endpoints].tolist()))
-            report.dirty_balls += len(centers)
-            return ClusterCover(radius, centers, center, dist)
-        finally:
-            report.cover_s += perf_counter() - t0
 
 
 def _tup(pos: Sequence[float] | None) -> tuple[float, ...] | None:

@@ -17,15 +17,16 @@ relative to the static pipeline.  Shape:
   size ratio against the rebuilt reference (quality drift);
 * every churn row runs under both application modes -- ``batch=event``
   (repair after every move) and ``batch=epoch`` (one coalesced repair
-  per mobility epoch) -- with per-phase millisecond splits (cover /
-  promotion / redundancy / certification) from the session's repair
+  per mobility epoch) -- with per-phase millisecond splits
+  (promotion / redundancy / certification) from the session's repair
   reports, so the amortization the epoch path buys is a column, not a
   claim;
 * a **long-horizon sweep** follows local repair over >= 500 events,
   checkpointing ``edges_ratio``, the symmetric-difference ``drift``
-  against a canonical rebuild, and the certified stretch; the tested
-  stretch bound must hold at *every* checkpoint (the bound never
-  degrades with horizon -- certification re-establishes it each
+  against a canonical rebuild, the lightness of both spanners
+  (``lightness`` and ``lightness_rebuild``) and the certified stretch;
+  the tested stretch bound must hold at *every* checkpoint (the bound
+  never degrades with horizon -- certification re-establishes it each
   epoch), while drift is measured, not assumed.
 
 ``repro sweep --experiments E12`` re-verifies the claim across the
@@ -38,14 +39,16 @@ from __future__ import annotations
 import time
 
 from ..core.maintenance import MaintenanceSession
+from ..graphs.analysis import lightness
 from .runner import ExperimentResult, register, stopwatch
 from .workloads import make_mobility, make_workload, mobility_names
 
 __all__ = ["run"]
 
 
-def _quality_columns(session, ref) -> dict[str, object]:
-    """Spanner-size and edge-set drift columns vs a rebuilt reference."""
+def _quality_columns(session, base, ref) -> dict[str, object]:
+    """Spanner-size, weight and edge-set drift columns vs a reference
+    rebuilt on ``base``."""
     maintained = {(u, v) for u, v, _ in session.spanner.edges()}
     canonical = {(u, v) for u, v, _ in ref.spanner.edges()}
     sym = len(maintained ^ canonical)
@@ -56,13 +59,14 @@ def _quality_columns(session, ref) -> dict[str, object]:
         ),
         "drift": round(sym / max(len(canonical), 1), 4),
         "max_degree": session.spanner.max_degree(),
+        "lightness": round(lightness(session.graph, session.spanner), 4),
+        "lightness_rebuild": round(lightness(base, ref.spanner), 4),
     }
 
 
 def _phase_columns(stats: dict[str, float]) -> dict[str, float]:
     """Per-phase wall splits in milliseconds, straight from stats()."""
     return {
-        "cover_ms": round(1e3 * stats["cover_s"], 3),
         "promotion_ms": round(1e3 * stats["promotion_s"], 3),
         "redundancy_ms": round(1e3 * stats["redundancy_s"], 3),
         "certification_ms": round(1e3 * stats["certification_s"], 3),
@@ -155,12 +159,11 @@ def run(
                         session.apply_stream(events, batch=batch)
                     check = session.verify()
                     stats = session.stats()
-                    _, ref = session.rebuild_reference()
+                    base, ref = session.rebuild_reference()
                 ok &= check["ok"]
                 row.update(
                     events=stats["events"],
                     epochs=stats["epochs"],
-                    dirty_balls=stats["dirty_balls"],
                     repaired_edges=stats["repaired_edges"],
                     resyncs=stats["resyncs"],
                     event_ms=round(1e3 * stats["mean_wall_s"], 3),
@@ -172,7 +175,7 @@ def run(
                     else None,
                     stretch_ok=check["ok"],
                     **_phase_columns(stats),
-                    **_quality_columns(session, ref),
+                    **_quality_columns(session, base, ref),
                 )
                 if rate == 0.0:
                     # The anchor row: an event-free session must be the
@@ -213,7 +216,7 @@ def run(
         if epoch % every == 0 or applied >= min_horizon:
             check = session.verify()
             stats = session.stats()
-            _, ref = session.rebuild_reference()
+            base, ref = session.rebuild_reference()
             row = {
                 "scenario": scenario,
                 "n": n,
@@ -227,7 +230,7 @@ def run(
                 "event_ms": round(1e3 * stats["mean_wall_s"], 3),
                 "stretch": round(float(check["stretch"]), 6),
                 "stretch_ok": check["ok"],
-                **_quality_columns(session, ref),
+                **_quality_columns(session, base, ref),
             }
             result.rows.append(row)
             result.passed &= check["ok"]

@@ -23,9 +23,9 @@ from repro.graphs.paths import dijkstra_distance, pair_distances
 
 
 def answer_every_query(session, queries, settled, report) -> None:
-    """Step-iv re-answering that ignores ``settled``: one scalar
-    cutoff-Dijkstra per query, in batch order, each answer visible to
-    the next."""
+    """Step-iv re-answering that ignores the ``settled`` mask: one
+    scalar cutoff-Dijkstra per query, in batch order, each answer
+    visible to the next."""
     t = session.params.t
     for x, y, length in zip(*(a.tolist() for a in queries)):
         d = dijkstra_distance(session.spanner, x, y, cutoff=t * length)

@@ -1,6 +1,6 @@
 """Equivalence suite for epoch-batched maintenance (ISSUE 10).
 
-Four pins, mirroring the acceptance criteria:
+Three pins:
 
 * ``apply_epoch`` over events with **disjoint** dirty balls is
   bit-equal (same edge sets, identical float weights, base graph and
@@ -8,10 +8,7 @@ Four pins, mirroring the acceptance criteria:
   ``apply`` -- coalescing buys amortization, never a different graph;
 * a **single-event epoch** is bit-equal to the per-event path;
 * a ``repair="rebuild"`` epoch is bit-equal to a from-scratch build on
-  the post-epoch point set;
-* the persistent cover cache's rows survive invalidation **bit-for-bit**
-  against cold re-derivation (``cover_cache_audit``), and a cache-off
-  session produces identical graphs.
+  the post-epoch point set.
 
 Plus the stream/adapter plumbing that rides along: ``apply_stream``
 batch-mode validation and grouping, fault-plan event streams applied
@@ -135,32 +132,6 @@ class TestEpochEquivalence:
             session.apply_epoch([MaintenanceEvent("teleport", node=0)])
 
 
-class TestCoverCache:
-    @pytest.mark.parametrize("seed", range(2))
-    def test_cached_rows_bit_equal_to_cold_rederivation(self, seed):
-        # Large enough that dirty bins exceed the direct-query floor
-        # (the cover cache only engages past _COVER_MIN_EDGES) and
-        # dirty balls stay under the resync fraction.
-        session, pts = make_session(seed, n=600)
-        session.apply_stream(churn_events(pts, 40 + seed), batch="epoch")
-        stats = session.stats()
-        assert stats["cover_cache_hits"] > 0  # the cache actually worked
-        # Every surviving row, re-derived cold, must match bit-for-bit.
-        assert session.cover_cache_audit() == []
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_cache_off_session_bit_equal(self, seed):
-        cached, pts = make_session(seed, n=600)
-        cold, _ = make_session(seed, n=600, cover_cache=False)
-        events = churn_events(pts, 60 + seed, epochs=2)
-        cached.apply_stream(events, batch="epoch")
-        cold.apply_stream(events, batch="epoch")
-        assert cached.stats()["cover_cache_hits"] > 0
-        assert cold.stats()["cover_cache_hits"] == 0
-        assert session_state(cached) == session_state(cold)
-        assert cached.verify()["ok"]
-
-
 class TestStreamBatching:
     def test_batch_mode_validated(self):
         session, pts = make_session(0)
@@ -194,7 +165,6 @@ class TestStreamBatching:
         session.apply_stream(churn_events(pts, 90), batch="epoch")
         stats = session.stats()
         phases = [
-            stats["cover_s"],
             stats["promotion_s"],
             stats["redundancy_s"],
             stats["certification_s"],
@@ -255,9 +225,6 @@ class TestChurnPins:
             "3facc9238e97fe4b57ad738380d7a620128552830cfa2a96003ae42f9d57b7cf",
             {
                 "repaired_edges": 567,
-                "dirty_balls": 7764,
-                "cover_cache_hits": 4580,
-                "cover_cache_misses": 3211,
                 "resyncs": 0,
             },
         )
@@ -276,9 +243,6 @@ class TestChurnPins:
             "de8f5afe6b541f530ba7d31ae3b818fc8db167c460ea5023491b9f21470bcb20",
             {
                 "repaired_edges": 67,
-                "dirty_balls": 0,
-                "cover_cache_hits": 0,
-                "cover_cache_misses": 0,
                 "resyncs": 0,
             },
         )

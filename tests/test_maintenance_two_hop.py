@@ -23,6 +23,7 @@ from repro.core import (
     MaintenanceSession,
     events_from_fault_plan,
 )
+from repro.core.bins import EdgeBinning
 from repro.distributed.faults import FaultPlan
 from repro.experiments.workloads import make_mobility
 from repro.geometry.sampling import uniform_points
@@ -30,8 +31,7 @@ from repro.graphs.build import BernoulliPolicy
 from repro.graphs.graph import Graph
 
 #: RepairReport fields that hold wall-clock time, not decisions.
-TIMINGS = {"wall_s", "cover_s", "promotion_s", "redundancy_s",
-           "certification_s"}
+TIMINGS = {"wall_s", "promotion_s", "redundancy_s", "certification_s"}
 COUNTERS = [
     f.name for f in dataclasses.fields(maintenance_mod.RepairReport)
     if f.name not in TIMINGS
@@ -64,8 +64,7 @@ def replay(fast, slow, epochs):
         want = slow.apply_epoch(events)
         assert counters(got) == counters(want)
         assert spanner_rows(fast) == spanner_rows(slow)
-    keys = ("dirty_balls", "repaired_edges", "resyncs",
-            "cover_cache_hits", "cover_cache_misses")
+    keys = ("repaired_edges", "resyncs")
     assert {k: fast.stats()[k] for k in keys} == {
         k: slow.stats()[k] for k in keys
     }
@@ -81,9 +80,6 @@ def mobility_epochs(name, coords, seed, epochs=2, rate=0.05):
 def test_mobility_epochs(model):
     fast, slow, pts = twins(seed=1)
     replay(fast, slow, mobility_epochs(model, pts.coords, seed=11))
-    # Bins large enough for the cover and equation-(1) selection, whose
-    # queries come oriented by cluster, not by vertex id.
-    assert fast.stats()["cover_cache_misses"] > 0
     assert fast.stats()["repaired_edges"] > 0
 
 
@@ -125,8 +121,8 @@ def test_gray_zone_session():
 
 def test_settled_pairs_are_never_searched(monkeypatch):
     """Not vacuous: on a flocking epoch, no promotion query settled at
-    region entry is searched -- whichever way selection orients it --
-    and certification sends fewer pairs than the twin does."""
+    region entry is searched, and certification sends fewer pairs than
+    the twin does."""
     settled, searched, sent = [], set(), {}
     two_hop = maintenance_mod.two_hop_within
     dijkstra = maintenance_mod.dijkstra_distance
@@ -158,6 +154,59 @@ def test_settled_pairs_are_never_searched(monkeypatch):
     at_entry = settled[0]  # promotion's pass; certification's follows
     assert at_entry and searched and not searched & at_entry
     assert 0 < sent[maintenance_mod] < sent[oracle_mod]
+
+
+def test_promotion_is_one_ascending_greedy_pass(monkeypatch):
+    """Promotion searches every region candidate that no two-edge
+    spanner path settles, each once, in ascending ``(w, u, v)`` order.
+
+    The expectation is rebuilt from scratch when promotion's two-hop
+    pass starts: the dirty region from the event sites, its spanner-gap
+    candidates by per-pair ``has_edge`` and the open ones by a
+    brute-force common-neighbour check.  Some distance bin holds more
+    than 64 of the candidates, so a per-bin selection could not pass.
+    """
+    live, pts = session(600, seed=5)
+    (events,) = mobility_epochs("flocking", pts.coords, seed=13, epochs=1)
+    sites = np.array(
+        [live.position(e.node) for e in events] + [e.pos for e in events]
+    )
+    t = live.params.t
+    searched, expected, largest_bin = [], [], []
+    two_hop = maintenance_mod.two_hop_within
+    dijkstra = maintenance_mod.dijkstra_distance
+
+    def spy_two_hop(graph, us, vs, limits):
+        if not largest_bin:  # promotion's pass; certification's follows
+            alive = np.flatnonzero(live._alive)
+            diff = live._coords[alive][:, None, :] - sites[None, :, :]
+            near = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+            dirty = alive[near <= live.dirty_radius]
+            cand = touching_edges_reference(live, live.graph, dirty)
+            binning = EdgeBinning.for_params(live.params, live.capacity)
+            largest_bin.append(
+                max(b.w.size for b in binning.assign(cand).values())
+            )
+            rows = zip(cand.w.tolist(), cand.u.tolist(), cand.v.tolist())
+            for w, u, v in sorted(rows):
+                if not any(
+                    z != v and graph.has_edge(z, v)
+                    and wz + graph.weight(z, v) <= t * w
+                    for z, wz in graph.neighbor_items(u)
+                ):
+                    expected.append((u, v))
+        return two_hop(graph, us, vs, limits)
+
+    def spy_dijkstra(graph, x, y, **kwargs):
+        searched.append((x, y))
+        return dijkstra(graph, x, y, **kwargs)
+
+    monkeypatch.setattr(maintenance_mod, "two_hop_within", spy_two_hop)
+    monkeypatch.setattr(maintenance_mod, "dijkstra_distance", spy_dijkstra)
+    reports = live.apply_epoch(events)
+    assert not any(r.resync for r in reports)
+    assert largest_bin[0] > 64
+    assert expected and searched == expected
 
 
 class TestSpannerGapFilter:

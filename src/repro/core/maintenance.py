@@ -22,24 +22,37 @@ invalidation*:
    no spanner path within ``t * |xy|``.  The paper's cluster cover,
    query selection and cluster graph exist to bound distributed rounds;
    repair runs centrally, and the certification sweep below, not a
-   cover, keeps its output a t-spanner.  A candidate that a two-edge
-   spanner path already joins within ``t * |xy|`` at region entry is
-   settled without a search
-   (:func:`~repro.graphs.paths.two_hop_within`): promotion only adds
-   spanner edges, so that path still stands when its turn comes up;
+   cover, keeps its output a t-spanner.  A candidate that a spanner
+   path of two or three edges already joins within ``t * |xy|`` at
+   region entry is settled without a search
+   (:func:`~repro.graphs.paths.three_hop_within`): promotion only adds
+   spanner edges, so that path still stands when its turn comes up --
+   the paper's lazy-update rule, that added edges only shorten
+   distances;
 4. redundancy verdicts for spanner edges touching the dirty ball are
-   re-taken (remove iff a ``t1``-alternative survives), and
+   re-taken in descending ``(w, u, v)`` order (remove iff a
+   ``t1``-alternative survives).  Spanner weights are the Euclidean
+   lengths between stored positions, so an edge whose detour bound
+   (:func:`~repro.graphs.paths.detour_lower_bounds`: one spanner hop
+   from either end plus the straight line to the far end) already
+   exceeds ``t1 * w`` is kept without a search; the bound is taken once
+   at prune entry, and removals only lengthen detours, so it holds for
+   the whole prune; and
 5. a certification sweep over base edges with an endpoint within
    ``dirty_radius + t`` of the sites re-adds any edge whose
    ``t``-certificate the repair broke, searching only the suspects no
-   two-edge spanner path certifies.  A certificate path for base edge
-   ``(x, y)`` stays within Euclidean ``t`` of ``x``; every spanner
-   edge the repair removed has an endpoint within ``dirty_radius`` of
-   a site, so any base edge whose certificate could have broken has
-   an endpoint within ``dirty_radius + t`` -- the sweep radius.  The
-   invariant after every event: **the maintained spanner is a
-   t-spanner of the current base graph**
+   spanner path of two or three edges certifies.  A certificate path
+   for base edge ``(x, y)`` stays within Euclidean ``t`` of ``x``;
+   every spanner edge the repair removed has an endpoint within
+   ``dirty_radius`` of a site, so any base edge whose certificate could
+   have broken has an endpoint within ``dirty_radius + t`` -- the sweep
+   radius.  The invariant after every event: **the maintained spanner
+   is a t-spanner of the current base graph**
    (:meth:`MaintenanceSession.verify`).
+
+Each settlement makes exactly the verdict the skipped search would
+have made, so the spanner is the one a search of every pair builds
+(the replay twins in the tests pin this).
 
 Repair modes: ``repair="local"`` (the default) runs the dirty-ball
 pipeline and is pinned by a tested stretch bound; ``repair="rebuild"``
@@ -89,11 +102,13 @@ from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
 from ..graphs.graph import EdgeArrays, Graph, csr_find
 from ..graphs.paths import (
     detour_distance,
+    detour_lower_bounds,
     dijkstra_distance,
     pair_distances,
-    two_hop_within,
+    three_hop_within,
 )
 from ..params import SpannerParams
+from .cluster_graph import _REGION_SLACK
 from .relaxed_greedy import RelaxedGreedySpanner, SpannerResult
 
 if TYPE_CHECKING:
@@ -378,9 +393,11 @@ class MaintenanceSession:
         Kinds, positions and node ids are checked for the whole epoch
         before any event is applied (:meth:`_check_epoch`).  A target
         that another alive node occupies is found only as its event
-        comes up, because earlier events move nodes: that event writes
-        nothing, the events before it are repaired and their reports
-        recorded, and its :class:`GraphError` propagates.
+        comes up, because earlier events move nodes, and so is a
+        gray-zone policy that raises a :class:`GraphError` (a mask of
+        the wrong shape, say): that event writes nothing, the events
+        before it are repaired and their reports recorded, and the
+        error propagates.
         """
         events = list(events)
         if not events:
@@ -397,14 +414,14 @@ class MaintenanceSession:
                 # A revival without a position returns to its old site.
                 target = self._coords[node] if event.pos is None else event.pos
                 try:
-                    cand, dist = self._near_target(node, target)
-                except GraphError:  # an alive node sits on the target
+                    nbrs, ws = self._target_edges(node, target)
+                except GraphError:  # occupied target, or a policy refused
                     self._close_epoch(reports, sites_list, t0)
                     raise
                 if event.kind == "insert":
-                    sites = self._do_insert(node, event.pos, cand, dist)
+                    sites = self._do_insert(node, event.pos, nbrs, ws)
                 else:
-                    sites = self._do_move(node, event.pos, cand, dist)
+                    sites = self._do_move(node, event.pos, nbrs, ws)
             reports.append(
                 RepairReport(kind=event.kind, node=node, time=event.time)
             )
@@ -597,13 +614,22 @@ class MaintenanceSession:
         keep = dist_sq <= radius * radius
         return cand[keep], np.sqrt(dist_sq[keep])
 
-    def _near_target(
+    def _target_edges(
         self, node: int, pos: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_near` of an event's target position, rejecting one
-        that another alive node already occupies (it would need a
-        zero-length edge).  :meth:`apply_epoch` calls this before the
-        event writes anything, so a rejected event writes nothing."""
+        """The base edges ``node`` gets at ``pos``, as neighbour ids and
+        weights, from the :meth:`_near` neighbours of the target.
+
+        Rejects a target that another alive node already occupies (it
+        would need a zero-length edge).  Pairs at distance <= alpha
+        always join; gray pairs consult the policy with *global*
+        normalized ids, matching :func:`repro.graphs.build.build_qubg`
+        draw for draw.  The policy sees the stored positions with
+        ``node`` at ``pos`` (a fresh id appended), as a rebuild after
+        the event would.  :meth:`apply_epoch` calls this before the
+        event writes anything, so a rejected event, or a policy that
+        raises, writes nothing.
+        """
         cand, dist = self._near(pos, exclude=node)
         same = cand[dist == 0.0]
         if same.size:
@@ -611,37 +637,29 @@ class MaintenanceSession:
                 f"node {node} at {tuple(float(c) for c in pos)} would "
                 f"coincide with alive node(s) {same.tolist()}"
             )
-        return cand, dist
-
-    def _decide_edges(
-        self, node: int, cand: np.ndarray, dist: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gray-zone filter for candidate neighbors of ``node``.
-
-        Pairs at distance <= alpha always join; gray pairs consult the
-        policy with *global* normalized ids, matching
-        :func:`repro.graphs.build.build_qubg` draw for draw.
-        """
-        if cand.size == 0:
-            return cand, dist
         keep = dist <= self._alpha
         gray = ~keep
         if gray.any():
+            if node == self.capacity:
+                coords = np.vstack([self._coords, [pos]])
+            else:
+                coords = self._coords.copy()
+                coords[node] = pos
             gu = np.minimum(node, cand[gray])
             gv = np.maximum(node, cand[gray])
             keep[gray] = _policy_mask(
-                self._policy, self._points(), gu, gv, dist[gray]
+                self._policy, PointSet(coords), gu, gv, dist[gray]
             )
         return cand[keep], dist[keep]
 
     # The writers below take an event :meth:`_check_epoch` accepted and
-    # the target's :meth:`_near_target` neighbours, and return its sites.
+    # the base edges :meth:`_target_edges` decided, and return its sites.
     def _do_insert(
         self,
         node: int,
         pos: tuple[float, ...] | None,
-        cand: np.ndarray,
-        dist: np.ndarray,
+        nbrs: np.ndarray,
+        ws: np.ndarray,
     ) -> list[np.ndarray]:
         if node == self.capacity:
             self._coords = np.vstack([self._coords, [pos]])
@@ -653,12 +671,10 @@ class MaintenanceSession:
             self._coords[node] = pos
         self._pts_cache = None
         self._alive[node] = True
-        position = self._coords[node]
-        nbrs, ws = self._decide_edges(node, cand, dist)
         for v, w in zip(nbrs.tolist(), ws.tolist()):
             self.graph.add_edge(node, v, w)
         self._cell_add(node)
-        return [position.copy()]
+        return [self._coords[node].copy()]
 
     def _do_delete(self, node: int) -> list[np.ndarray]:
         site = self._coords[node].copy()
@@ -674,15 +690,14 @@ class MaintenanceSession:
         self,
         node: int,
         pos: tuple[float, ...],
-        cand: np.ndarray,
-        dist: np.ndarray,
+        nbrs: np.ndarray,
+        ws: np.ndarray,
     ) -> list[np.ndarray]:
         old = self._coords[node].copy()
         self._cell_remove(node)
         self._coords = self._coords.copy()
         self._coords[node] = pos
         self._pts_cache = None
-        nbrs, ws = self._decide_edges(node, cand, dist)
         new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
         for v in list(self.graph.neighbors(node)):
             if v not in new_edges:
@@ -839,8 +854,8 @@ class MaintenanceSession:
         # repairing them one at a time (candidates and detour balls
         # are cutoff-local, so components cannot interact), but every
         # per-region fixed cost -- the edge-store scans, the sort, the
-        # two-hop pass -- is paid once per epoch instead of once per
-        # component.
+        # settlement passes -- is paid once per epoch instead of once
+        # per component.
         self._repair_region(np.flatnonzero(dirty_mask), epoch_lead)
         self._certify(np.flatnonzero(halo_mask), epoch_lead)
 
@@ -866,12 +881,19 @@ class MaintenanceSession:
         outside the spanner, as one :class:`~repro.graphs.graph.
         EdgeArrays` batch, put in ascending ``(w, u, v)`` order by
         ``np.lexsort`` and handed to :meth:`_answer` whole.  One
-        :func:`~repro.graphs.paths.two_hop_within` pass over that batch
-        at region entry settles every candidate a two-edge spanner path
-        already joins within ``t * |xy|``: promotion only adds spanner
-        edges, so that path still stands when the pass reaches the
-        pair.  The prune list is a batch of the touching spanner edges
-        in descending ``(w, u, v)`` order.
+        :func:`~repro.graphs.paths.three_hop_within` pass over that
+        batch at region entry settles every candidate a spanner path of
+        two or three edges already joins within ``t * |xy|``: promotion
+        only adds spanner edges, so that path still stands when the
+        pass reaches the pair.
+
+        The prune is a batch of the touching spanner edges in
+        descending ``(w, u, v)`` order, handed to :meth:`_prune` with a
+        keep mask taken once at prune entry: an edge whose
+        :func:`~repro.graphs.paths.detour_lower_bounds` bound exceeds
+        ``t1 * w`` (with ``_REGION_SLACK``'s relative slack for
+        rounding) has no ``t1``-detour, and the prune's removals only
+        lengthen detours, so it stays without a search.
         """
         t = self.params.t
         t1 = self.params.t1
@@ -879,30 +901,21 @@ class MaintenanceSession:
         candidates = self._touching_edges(self.graph, dirty, spanner_gap=True)
         order = np.lexsort((candidates.v, candidates.u, candidates.w))
         candidates = candidates.take(order)
-        settled = two_hop_within(
+        settled = three_hop_within(
             self.spanner, candidates.u, candidates.v, t * candidates.w
         )
         self._answer(candidates, settled, report)
         report.promotion_s += perf_counter() - tp0
 
-        # Phase (v): redundancy re-verdicts for spanner edges touching
-        # the dirty ball -- remove iff a t1-alternative survives.
         tr0 = perf_counter()
         touching = self._touching_edges(self.spanner, dirty)
         order = np.lexsort((touching.v, touching.u, touching.w))[::-1]
         prune = touching.take(order)
-        for a, b, w in zip(*(arr.tolist() for arr in prune)):
-            if not self.spanner.has_edge(a, b):
-                continue
-            # detour_distance answers "would a t1-alternative survive
-            # the removal?" without mutating the spanner: survivors --
-            # the overwhelming majority -- cost zero log churn instead
-            # of a remove/re-add pair (and the CSR rebuild the next
-            # batched kernel would pay for it).
-            d = detour_distance(self.spanner, a, b, cutoff=t1 * w)
-            if d <= t1 * w:
-                self.spanner.remove_edge(a, b)
-                report.removed_edges += 1
+        bound = detour_lower_bounds(
+            self.spanner, self._coords, prune.u, prune.v
+        )
+        kept = bound > t1 * prune.w * (1.0 + _REGION_SLACK)
+        self._prune(prune, kept, report)
         report.redundancy_s += perf_counter() - tr0
 
     def _certify(self, halo: np.ndarray, report: RepairReport) -> None:
@@ -910,15 +923,17 @@ class MaintenanceSession:
         t-certificate could have crossed a dirty ball this epoch;
         re-add the violated ones directly.  This is the correctness
         backstop that keeps the t-spanner invariant unconditional.
-        Suspects a two-edge path of the spanner under check joins
-        within ``t * |xy|`` hold their certificate
-        (:func:`~repro.graphs.paths.two_hop_within`); only the rest
+        Suspects a spanner path of two or three edges joins within
+        ``t * |xy|`` hold their certificate
+        (:func:`~repro.graphs.paths.three_hop_within`); only the rest
         are searched."""
         tc0 = perf_counter()
         t = self.params.t
         suspects = self._touching_edges(self.graph, halo, spanner_gap=True)
         limits = t * suspects.w
-        open_ = ~two_hop_within(self.spanner, suspects.u, suspects.v, limits)
+        open_ = ~three_hop_within(
+            self.spanner, suspects.u, suspects.v, limits
+        )
         suspects, limits = suspects.take(open_), limits[open_]
         if suspects.w.size:
             sp = pair_distances(self.spanner, suspects.u, suspects.v, cutoff=t)
@@ -934,7 +949,7 @@ class MaintenanceSession:
         """Step-iv re-answering: one scalar cutoff-Dijkstra per query
         left open, in batch order, each answer visible to the next.
 
-        ``settled`` is the :func:`~repro.graphs.paths.two_hop_within`
+        ``settled`` is the :func:`~repro.graphs.paths.three_hop_within`
         mask aligned with ``queries``; a settled query is answered
         "covered" without a search.  The scalar search is
         target-directed: it stops the moment the partner vertex
@@ -951,6 +966,26 @@ class MaintenanceSession:
             if d > t * length:
                 self._span_add(x, y, length, report)
 
+    def _prune(
+        self, prune: EdgeArrays, kept: np.ndarray, report: RepairReport
+    ) -> None:
+        """Step-v re-verdicts: one scalar detour search per edge not
+        ``kept``, in batch order, removing the edge iff a
+        ``t1``-alternative survives; each removal is visible to the
+        next search.
+
+        ``kept`` is the keep-bound mask aligned with ``prune``; a kept
+        edge stays without a search.  :func:`detour_distance` answers
+        without mutating the spanner, so the survivors -- most of the
+        searched edges too -- cost no remove/re-add pair (and no CSR
+        rebuild for the next batched kernel)."""
+        t1 = self.params.t1
+        prune = prune.take(~kept)
+        for a, b, w in zip(*(arr.tolist() for arr in prune)):
+            if detour_distance(self.spanner, a, b, cutoff=t1 * w) <= t1 * w:
+                self.spanner.remove_edge(a, b)
+                report.removed_edges += 1
+
     def _touching_edges(
         self, graph: Graph, region: np.ndarray, *, spanner_gap: bool = False
     ) -> EdgeArrays:
@@ -960,7 +995,7 @@ class MaintenanceSession:
         survive (the promotion / certification candidate filter): one
         key lookup per selected edge among the spanner CSR's sorted
         entries (:func:`~repro.graphs.graph.csr_find`), a matrix the
-        two-hop pass that follows reads anyway."""
+        three-edge pass that follows reads anyway."""
         edges = graph.edges_arrays()
         mask = np.zeros(graph.num_vertices, dtype=bool)
         mask[region] = True

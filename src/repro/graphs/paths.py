@@ -30,9 +30,12 @@ over :meth:`repro.graphs.graph.Graph.csr`:
   sources x targets cross product) built on the first two.  Exact pair
   distances (stretch) escalate too: a doubling cutoff from the graph's
   longest edge searches only the pairs left unresolved;
-* :func:`two_hop_within` -- no search at all: which pairs a two-edge
-  path already joins within their limits, the certificate that lets
-  churn repair skip a search whose verdict it knows.
+* :func:`three_hop_within` and :func:`detour_lower_bounds` -- no
+  search at all.  The first tells which pairs a path of two or three
+  edges already joins within their limits; the second bounds each
+  edge's detour from below by one hop plus the straight line to the far
+  end.  Churn repair settles with them the searches whose verdict they
+  already decide.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
@@ -52,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arrayops import run_expand, sorted_find
+from ..arrayops import run_expand, segment_min, sorted_find
 from ..exceptions import GraphError
 from .components import component_labels
 from .graph import Graph, csr_find
@@ -66,7 +69,8 @@ __all__ = [
     "nearest_source_distances",
     "pair_distances",
     "pair_distance_entries",
-    "two_hop_within",
+    "three_hop_within",
+    "detour_lower_bounds",
 ]
 
 #: Soft bound on floats held by one batched distance block (rows x n).
@@ -236,28 +240,33 @@ def _pairs_within(
     return np.where(pos >= 0, ball_d[pos], np.inf)
 
 
-def two_hop_within(
+def three_hop_within(
     graph: Graph, us: np.ndarray, vs: np.ndarray, limits: np.ndarray
 ) -> np.ndarray:
-    """Whether a two-edge path joins each pair within its limit.
+    """Whether a path of two or three edges joins each pair within its
+    limit.
 
-    ``out[i]`` is true iff some common neighbour ``z`` of ``us[i]`` and
-    ``vs[i]`` has ``w(us[i], z) + w(z, vs[i]) <= limits[i]``, the sum
-    taken in floats.  One pass over the cached CSR: the row of every
-    ``us[i]`` expands into its neighbours ``z``, and each ``(z, vs[i])``
-    is looked up among the matrix's sorted row-major keys
-    (:func:`~repro.graphs.graph.csr_find`).
+    ``out[i]`` is true iff a path ``u-z-v`` or ``u-z-z'-v`` (``u, v =
+    us[i], vs[i]``, with ``z != v`` and ``z' != u``) has a float weight
+    sum of at most ``limits[i]``, the sum taken left to right from each
+    end.  Two passes over the cached CSR, each looking edges up among
+    the matrix's sorted row-major keys
+    (:func:`~repro.graphs.graph.csr_find`): the row of every ``us[i]``
+    expands into its neighbours ``z`` and each ``(z, vs[i])`` is looked
+    up; then, for the pairs still open, ``N(u) x N(v)`` expands and each
+    middle edge ``(z, z')`` is looked up, once the two outer edges alone
+    fit the limit (a positive middle weight only adds to their sum).
 
     A true entry settles the pair for every search in this module.
     Weights are positive and float rounding is monotone, so a search
-    from ``us[i]`` labels ``z`` at most ``w(us[i], z)`` and then
-    ``vs[i]`` at most the two-edge sum; neither relaxation exceeds
-    ``limits[i]``, so a cutoff of at least the limit never prunes it,
-    and a ``vs[i]`` settled before ``z`` has a label of at most
-    ``z``'s.  :func:`dijkstra_distance`, the sparse ball kernel's
-    fixpoint and the dense rows therefore all report at most
-    ``limits[i]`` -- on this graph and on any graph that keeps its
-    edges and adds more.
+    from ``us[i]`` labels each vertex of the path at most its prefix
+    sum; no relaxation exceeds ``limits[i]``, so a cutoff of at least
+    the limit never prunes one, and a ``vs[i]`` settled earlier has a
+    label no larger.  A search from ``vs[i]`` reads the path the other
+    way, and that sum is checked too.  :func:`dijkstra_distance`, the
+    sparse ball kernel's fixpoint and the dense rows therefore all
+    report at most ``limits[i]`` -- on this graph and on any graph that
+    keeps its edges and adds more.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -270,16 +279,97 @@ def two_hop_within(
     _check_sources(graph, vs)
     mat = graph.csr()
     indptr = mat.indptr.astype(np.int64)
+    data = mat.data
+    out = np.zeros(us.size, dtype=bool)
+    # u-z-v: each neighbour z of u, and the edge (z, v).
     deg = indptr[us + 1] - indptr[us]
     first = run_expand(indptr[us], deg)
     pair = np.repeat(np.arange(us.size, dtype=np.int64), deg)
     second = csr_find(mat, mat.indices[first], vs[pair])
     hit = second >= 0
     pair, first, second = pair[hit], first[hit], second[hit]
-    within = mat.data[first] + mat.data[second] <= limits[pair]
-    out = np.zeros(us.size, dtype=bool)
-    out[pair[within]] = True
+    out[pair[data[first] + data[second] <= limits[pair]]] = True
+    # u-z-z'-v on the open pairs: every (z, z') of N(u) x N(v).
+    open_ = np.flatnonzero(~out)
+    ou, ov, lim = us[open_], vs[open_], limits[open_]
+    du = indptr[ou + 1] - indptr[ou]
+    dv = indptr[ov + 1] - indptr[ov]
+    run = np.repeat(dv, du)
+    first = np.repeat(run_expand(indptr[ou], du), run)
+    third = run_expand(np.repeat(indptr[ov], du), run)
+    pair = np.repeat(np.arange(open_.size, dtype=np.int64), du * dv)
+    z, z2 = mat.indices[first], mat.indices[third]
+    keep = (
+        (z != ov[pair])
+        & (z2 != ou[pair])
+        & (data[first] + data[third] <= lim[pair])
+    )
+    pair, first, third = pair[keep], first[keep], third[keep]
+    middle = csr_find(mat, z[keep], z2[keep])
+    hit = middle >= 0
+    pair, first, middle, third = (
+        pair[hit], first[hit], middle[hit], third[hit]
+    )
+    a, b, c = data[first], data[middle], data[third]
+    within = (a + b + c <= lim[pair]) & (c + b + a <= lim[pair])
+    out[open_[pair[within]]] = True
     return out
+
+
+def detour_lower_bounds(
+    graph: Graph, coords: np.ndarray, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """A lower bound on each edge's detour, from one hop and coordinates.
+
+    For a graph whose every weight is the Euclidean distance between
+    its endpoints' ``coords`` rows (or more), ``out[i]`` bounds the
+    ``us[i]``-``vs[i]`` distance avoiding their direct edge
+    (:func:`detour_distance`).  With ``a, b = us[i], vs[i]``::
+
+        max(min over z in N(a) - {b} of w(a, z) + |zb|,
+            min over z' in N(b) - {a} of w(z', b) + |az'|)
+
+    A detour leaves ``a`` through some neighbour ``z != b`` and still
+    has at least ``|zb|`` to go; it enters ``b`` the same way from the
+    other end.  An endpoint with no other neighbour gives ``inf``.
+    Removing edges only lengthens detours and shrinks neighbourhoods,
+    so a bound taken before a run of removals holds after them.  The
+    bound and the search both round their sums, so it holds within a
+    relative ``1e-9``: callers compare it with that slack.
+
+    One pass per endpoint over the cached CSR: each row expands into
+    its neighbours, each adds the einsum/sqrt distance to the far
+    endpoint, and :func:`~repro.arrayops.segment_min` takes the row
+    minima.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.float64)
+    if us.ndim != 1 or vs.shape != us.shape:
+        raise GraphError("endpoint arrays must be aligned one-dimensional")
+    if coords.ndim != 2 or coords.shape[0] != graph.num_vertices:
+        raise GraphError(
+            f"coords must hold one row per vertex ({graph.num_vertices}), "
+            f"got shape {coords.shape}"
+        )
+    _check_sources(graph, us)
+    _check_sources(graph, vs)
+    mat = graph.csr()
+    indptr = mat.indptr.astype(np.int64)
+
+    def leave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        deg = indptr[a + 1] - indptr[a]
+        entry = run_expand(indptr[a], deg)
+        far = np.repeat(b, deg)
+        z = mat.indices[entry]
+        diff = coords[z] - coords[far]
+        reach = mat.data[entry] + np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        reach[z == far] = np.inf
+        bounds = np.zeros(a.size + 1, dtype=np.int64)
+        np.cumsum(deg, out=bounds[1:])
+        return segment_min(reach, bounds)
+
+    return np.maximum(leave(us, vs), leave(vs, us))
 
 
 def pair_distance_entries(
@@ -563,8 +653,9 @@ def dijkstra_distance(
     the comparison, which is exactly the paper's query semantics.)
 
     This is the innermost kernel of the maintenance engine's promotion
-    verdicts (tens of thousands of calls per churn epoch), so the
-    target-directed loop is inlined rather than delegating to
+    verdicts (a few hundred calls per churn epoch, after the
+    :func:`three_hop_within` settlement), so the target-directed loop
+    is inlined rather than delegating to
     :func:`dijkstra`: it returns the moment ``target`` reaches the top
     of the heap and skips the settled-dict filtering a full
     single-source call pays on exit.  Identical floats either way.

@@ -1,10 +1,14 @@
-"""All-scalar references for churn repair's step iv and certification.
+"""All-scalar references for churn repair's step iv, step v and
+certification.
 
 :class:`repro.core.maintenance.MaintenanceSession` settles the pairs a
-two-edge spanner path already joins within ``t * |xy|`` without a
-search (:func:`repro.graphs.paths.two_hop_within`).  These are the
-forms that search every pair: each promotion query runs one scalar
-cutoff-Dijkstra and every certification suspect goes to
+spanner path of two or three edges already joins within ``t * |xy|``
+without a search (:func:`repro.graphs.paths.three_hop_within`), and
+keeps without a search the prune edges whose Euclidean detour bound
+exceeds ``t1 * w`` (:func:`repro.graphs.paths.detour_lower_bounds`).
+These are the forms that search every pair: each promotion query runs
+one scalar cutoff-Dijkstra, each prune edge one detour search, and
+every certification suspect goes to
 :func:`repro.graphs.paths.pair_distances`.  :func:`search_every_pair`
 installs them on one session, so a replay can compare it with an
 unpatched twin event by event; :func:`touching_edges_reference` is the
@@ -19,7 +23,11 @@ from time import perf_counter
 import numpy as np
 
 from repro.graphs.graph import EdgeArrays
-from repro.graphs.paths import dijkstra_distance, pair_distances
+from repro.graphs.paths import (
+    detour_distance,
+    dijkstra_distance,
+    pair_distances,
+)
 
 
 def answer_every_query(session, queries, settled, report) -> None:
@@ -49,9 +57,22 @@ def certify_every_suspect(session, halo, report) -> None:
     report.certification_s += perf_counter() - tc0
 
 
+def prune_every_edge(session, prune, kept, report) -> None:
+    """Step-v re-verdicts that ignore the ``kept`` mask: one detour
+    search per prune edge, in batch order, each removal visible to the
+    next search."""
+    t1 = session.params.t1
+    for a, b, w in zip(*(arr.tolist() for arr in prune)):
+        if detour_distance(session.spanner, a, b, cutoff=t1 * w) <= t1 * w:
+            session.spanner.remove_edge(a, b)
+            report.removed_edges += 1
+
+
 def search_every_pair(session):
-    """Install both references on ``session`` (this instance only)."""
+    """Install the three references on ``session`` (this instance
+    only)."""
     session._answer = types.MethodType(answer_every_query, session)
+    session._prune = types.MethodType(prune_every_edge, session)
     session._certify = types.MethodType(certify_every_suspect, session)
     return session
 

@@ -1,7 +1,8 @@
 """Path references: the label-correcting bounded multi-source ball
 search, the dense-row exact pair distances stretch was measured with
-before the escalating pair kernel, and hop-count BFS for the
-hop-bounded protocol and analysis checks."""
+before the escalating pair kernel, hop-count BFS for the hop-bounded
+protocol and analysis checks, and the per-pair definitions of the two
+settlement kernels churn repair uses."""
 
 from __future__ import annotations
 
@@ -164,3 +165,55 @@ def k_hop_neighborhood(graph: Graph, source: int, k: int) -> set[int]:
     if k < 0:
         raise GraphError(f"k must be >= 0, got {k}")
     return set(bfs_hops(graph, source, max_hops=k))
+
+
+def short_path_sums(graph: Graph, u: int, v: int) -> list[tuple]:
+    """The float sums :func:`repro.graphs.paths.three_hop_within` reads
+    for one pair, one tuple per path: ``(w(u, z) + w(z, v),)`` for each
+    path ``u-z-v``, and for each path ``u-z-z'-v`` (``z != v``,
+    ``z' != u``) its sums taken left to right from ``u`` and from
+    ``v``."""
+    paths = []
+    for z, a in graph.neighbor_items(u):
+        if z == v:
+            continue
+        if graph.has_edge(z, v):
+            paths.append((a + graph.weight(z, v),))
+        for z2, b in graph.neighbor_items(z):
+            if z2 != u and graph.has_edge(z2, v):
+                c = graph.weight(z2, v)
+                paths.append((a + b + c, c + b + a))
+    return paths
+
+
+def three_hop_reference(graph: Graph, us, vs, limits) -> np.ndarray:
+    """:func:`repro.graphs.paths.three_hop_within` by definition: some
+    path of :func:`short_path_sums` has every one of its sums within
+    the limit."""
+    return np.array(
+        [
+            any(
+                max(sums) <= limit
+                for sums in short_path_sums(graph, int(u), int(v))
+            )
+            for u, v, limit in zip(us, vs, limits)
+        ],
+        dtype=bool,
+    )
+
+
+def detour_bound_reference(graph: Graph, coords, a: int, b: int) -> float:
+    """:func:`repro.graphs.paths.detour_lower_bounds` of one pair, by its
+    formula: the larger of ``min w(a, z) + |zb|`` over ``z in N(a) - {b}``
+    and ``min w(z', b) + |az'|`` over ``z' in N(b) - {a}``."""
+    def leave(x: int, y: int) -> float:
+        return min(
+            (
+                w + math.dist(coords[z], coords[y])
+                for z, w in graph.neighbor_items(x)
+                if z != y
+            ),
+            default=math.inf,
+        )
+
+    return max(leave(a, b), leave(b, a))

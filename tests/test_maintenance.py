@@ -284,9 +284,54 @@ class TestGrayZonePolicies:
         session = MaintenanceSession(
             self._points(), 0.5, alpha=0.6, policy=policy
         )
+        before = TestRejectedEvents._state(session)
         policy.armed = True
         with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
             session.move(5, session.position(5) + np.array([0.3, 0.1]))
+        assert TestRejectedEvents._state(session) == before
+        assert session.reports == []
+
+    @pytest.mark.parametrize("revive", [False, True], ids=["fresh", "revive"])
+    def test_wrong_mask_shape_rejected_on_insert(self, revive):
+        policy = _OneVerdict()
+        session = MaintenanceSession(
+            self._points(), 0.5, alpha=0.6, policy=policy
+        )
+        target = tuple(session.position(5) + np.array([0.05, 0.02]))
+        if revive:
+            session.delete(5)
+        before = TestRejectedEvents._state(session)
+        capacity, reports = session.capacity, len(session.reports)
+        policy.armed = True
+        with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
+            if revive:
+                session.insert(target, node=5)
+            else:
+                session.insert(target)
+        assert TestRejectedEvents._state(session) == before
+        assert (session.capacity, len(session.reports)) == (capacity, reports)
+
+    def test_wrong_mask_shape_mid_epoch_repairs_earlier_events(self):
+        policy = _OneVerdict()
+        session = MaintenanceSession(
+            self._points(), 0.5, alpha=0.6, policy=policy
+        )
+        start = session.position(5).tolist()
+        policy.armed = True
+        with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
+            session.apply_epoch(
+                [
+                    MaintenanceEvent("delete", 0),
+                    MaintenanceEvent(
+                        "move", 5, tuple(session.position(5) + [0.3, 0.1])
+                    ),
+                ]
+            )
+        # The delete was written, repaired and recorded; the move was not.
+        assert [(r.kind, r.node) for r in session.reports] == [("delete", 0)]
+        assert 0 not in alive_nodes(session).tolist()
+        assert session.position(5).tolist() == start
+        assert session.verify()["ok"]
 
 
 class TestRejectedEvents:

@@ -1,13 +1,14 @@
-"""Two-hop settlement leaves churn repair's outputs unchanged.
+"""Settlement leaves churn repair's outputs unchanged.
 
 A maintenance session skips the promotion searches and certification
-pairs a two-edge spanner path already settles.  Each replay below runs
-one session as it is and a twin whose step iv and certification search
-every pair (``tests/oracles/maintenance.py``), epoch by epoch, and
-requires the same spanner -- edges and ``repr`` weights -- and the same
-repair accounting after every epoch.  The streams cover three mobility
-models, a crash/recover fault plan, fresh inserts that grow the id
-space and a gray-zone session.
+pairs a spanner path of two or three edges already settles, and the
+detour searches of prune edges its Euclidean keep-bound keeps.  Each
+replay below runs one session as it is and a twin whose step iv, step v
+and certification search every pair (``tests/oracles/maintenance.py``),
+epoch by epoch, and requires the same spanner -- edges and ``repr``
+weights -- and the same repair accounting after every epoch.  The
+streams cover three mobility models, a crash/recover fault plan, fresh
+inserts that grow the id space and a gray-zone session.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 import oracles.maintenance as oracle_mod
 import repro.core.maintenance as maintenance_mod
 from oracles.maintenance import search_every_pair, touching_edges_reference
+from oracles.paths import three_hop_reference
 from repro.core import (
     MaintenanceEvent,
     MaintenanceSession,
@@ -121,14 +123,16 @@ def test_gray_zone_session():
 
 def test_settled_pairs_are_never_searched(monkeypatch):
     """Not vacuous: on a flocking epoch, no promotion query settled at
-    region entry is searched, and certification sends fewer pairs than
-    the twin does."""
-    settled, searched, sent = [], set(), {}
-    two_hop = maintenance_mod.two_hop_within
+    region entry is searched, no prune edge the keep-bound kept reaches
+    a detour search, and certification sends fewer pairs, and the prune
+    makes fewer detour searches, than the twin does."""
+    settled, searched, kept, sent, detoured = [], set(), set(), {}, {}
+    three_hop = maintenance_mod.three_hop_within
     dijkstra = maintenance_mod.dijkstra_distance
+    prune = MaintenanceSession._prune
 
-    def spy_two_hop(graph, us, vs, limits):
-        mask = two_hop(graph, us, vs, limits)
+    def spy_three_hop(graph, us, vs, limits):
+        mask = three_hop(graph, us, vs, limits)
         pairs = zip(us[mask].tolist(), vs[mask].tolist())
         settled.append({(min(u, v), max(u, v)) for u, v in pairs})
         return mask
@@ -137,15 +141,27 @@ def test_settled_pairs_are_never_searched(monkeypatch):
         searched.add((min(x, y), max(x, y)))
         return dijkstra(graph, x, y, **kwargs)
 
-    monkeypatch.setattr(maintenance_mod, "two_hop_within", spy_two_hop)
+    def spy_prune(self, edges, mask, report):
+        pairs = zip(edges.u[mask].tolist(), edges.v[mask].tolist())
+        kept.update((min(a, b), max(a, b)) for a, b in pairs)
+        return prune(self, edges, mask, report)
+
+    monkeypatch.setattr(maintenance_mod, "three_hop_within", spy_three_hop)
     monkeypatch.setattr(maintenance_mod, "dijkstra_distance", spy_dijkstra)
+    monkeypatch.setattr(MaintenanceSession, "_prune", spy_prune)
     for mod in (maintenance_mod, oracle_mod):
         def counted(graph, us, vs, *, _fn=mod.pair_distances, _mod=mod,
                     **kwargs):
             sent[_mod] = sent.get(_mod, 0) + len(us)
             return _fn(graph, us, vs, **kwargs)
 
+        def detour(graph, a, b, *, _fn=mod.detour_distance, _mod=mod,
+                   **kwargs):
+            detoured.setdefault(_mod, []).append((min(a, b), max(a, b)))
+            return _fn(graph, a, b, **kwargs)
+
         monkeypatch.setattr(mod, "pair_distances", counted)
+        monkeypatch.setattr(mod, "detour_distance", detour)
     fast, slow, pts = twins(seed=5)
     (events,) = mobility_epochs("flocking", pts.coords, seed=13, epochs=1)
     fast.apply_epoch(events)
@@ -154,17 +170,21 @@ def test_settled_pairs_are_never_searched(monkeypatch):
     at_entry = settled[0]  # promotion's pass; certification's follows
     assert at_entry and searched and not searched & at_entry
     assert 0 < sent[maintenance_mod] < sent[oracle_mod]
+    assert kept and not kept & set(detoured[maintenance_mod])
+    assert 0 < len(detoured[maintenance_mod]) < len(detoured[oracle_mod])
 
 
 def test_promotion_is_one_ascending_greedy_pass(monkeypatch):
-    """Promotion searches every region candidate that no two-edge
-    spanner path settles, each once, in ascending ``(w, u, v)`` order.
+    """Promotion searches every region candidate that no spanner path
+    of two or three edges settles, each once, in ascending ``(w, u,
+    v)`` order.
 
-    The expectation is rebuilt from scratch when promotion's two-hop
-    pass starts: the dirty region from the event sites, its spanner-gap
-    candidates by per-pair ``has_edge`` and the open ones by a
-    brute-force common-neighbour check.  Some distance bin holds more
-    than 64 of the candidates, so a per-bin selection could not pass.
+    The expectation is rebuilt from scratch when promotion's
+    three-edge pass starts: the dirty region from the event sites, its
+    spanner-gap candidates by per-pair ``has_edge`` and the open ones
+    by the brute-force definition (``tests/oracles/paths.py``).  Some
+    distance bin holds more than 64 of the candidates, so a per-bin
+    selection could not pass.
     """
     live, pts = session(600, seed=5)
     (events,) = mobility_epochs("flocking", pts.coords, seed=13, epochs=1)
@@ -173,10 +193,10 @@ def test_promotion_is_one_ascending_greedy_pass(monkeypatch):
     )
     t = live.params.t
     searched, expected, largest_bin = [], [], []
-    two_hop = maintenance_mod.two_hop_within
+    three_hop = maintenance_mod.three_hop_within
     dijkstra = maintenance_mod.dijkstra_distance
 
-    def spy_two_hop(graph, us, vs, limits):
+    def spy_three_hop(graph, us, vs, limits):
         if not largest_bin:  # promotion's pass; certification's follows
             alive = np.flatnonzero(live._alive)
             diff = live._coords[alive][:, None, :] - sites[None, :, :]
@@ -187,21 +207,19 @@ def test_promotion_is_one_ascending_greedy_pass(monkeypatch):
             largest_bin.append(
                 max(b.w.size for b in binning.assign(cand).values())
             )
-            rows = zip(cand.w.tolist(), cand.u.tolist(), cand.v.tolist())
-            for w, u, v in sorted(rows):
-                if not any(
-                    z != v and graph.has_edge(z, v)
-                    and wz + graph.weight(z, v) <= t * w
-                    for z, wz in graph.neighbor_items(u)
-                ):
-                    expected.append((u, v))
-        return two_hop(graph, us, vs, limits)
+            rows = sorted(
+                zip(cand.w.tolist(), cand.u.tolist(), cand.v.tolist())
+            )
+            w, u, v = (np.array(col) for col in zip(*rows))
+            open_ = ~three_hop_reference(graph, u, v, t * w)
+            expected.extend(zip(u[open_].tolist(), v[open_].tolist()))
+        return three_hop(graph, us, vs, limits)
 
     def spy_dijkstra(graph, x, y, **kwargs):
         searched.append((x, y))
         return dijkstra(graph, x, y, **kwargs)
 
-    monkeypatch.setattr(maintenance_mod, "two_hop_within", spy_two_hop)
+    monkeypatch.setattr(maintenance_mod, "three_hop_within", spy_three_hop)
     monkeypatch.setattr(maintenance_mod, "dijkstra_distance", spy_dijkstra)
     reports = live.apply_epoch(events)
     assert not any(r.resync for r in reports)

@@ -4,7 +4,8 @@ These are the vectorized building blocks that would otherwise be
 copy-pasted between the grid index, the builders, the baselines and the
 batch round engine:
 
-* run expansion and offset cubes (grid/builder pipelines);
+* run expansion, offset cubes and the neighbouring-cell join
+  (grid/builder pipelines, churn repair);
 * key lookup in an ascending array (CSR entries, settled pair sets);
 * the counter-based SplitMix64/Murmur3 hash family that gives the
   stochastic gray-zone policies and the batch protocols their
@@ -24,6 +25,7 @@ from .exceptions import ParameterError
 __all__ = [
     "run_expand",
     "offset_cube",
+    "cell_neighbour_pairs",
     "sorted_find",
     "checked_seed",
     "seed_state",
@@ -69,6 +71,56 @@ def offset_cube(dim: int, reach: int) -> np.ndarray:
     side = np.arange(-reach, reach + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def cell_neighbour_pairs(a: np.ndarray, b: np.ndarray, reach: float):
+    """Yield the index pairs ``(rows, cols)`` of points ``a[rows]`` and
+    ``b[cols]`` whose grid cells are the same or adjacent along every
+    axis, in three slabs: the cells of ``b`` one step below, level with
+    and one step above the cell of ``a`` along the first axis.
+
+    The cells are ``reach`` wide plus room for rounding: a relative
+    ``1e-9`` and eight ulps of the largest coordinate.  So every pair
+    within ``reach`` of each other along every axis comes out, and a
+    caller whose own test rounds by less than that margin drops none.
+    Cells are keyed by their linear index modulo ``2**64``: one cell
+    always has one key, and two cells that share a key only add pairs.
+    A slab at a time bounds the memory of a dense join by a third of
+    its pairs.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    width = reach * (1.0 + 1e-9) + 8.0 * np.finfo(np.float64).eps * scale
+    if not width > 0.0:  # every point at the origin
+        width = 1.0
+    # One row per axis: the reductions below run along contiguous rows.
+    ca = np.floor(np.ascontiguousarray(a.T) / width).astype(np.int64)
+    cb = np.floor(np.ascontiguousarray(b.T) / width).astype(np.int64)
+    lo = np.minimum(ca.min(axis=1), cb.min(axis=1)) - 1
+    extent = np.maximum(ca.max(axis=1), cb.max(axis=1)) - lo + 2
+    stride = np.cumprod(np.concatenate([[1], extent[:-1]])).astype(np.uint64)
+
+    def key(cells: np.ndarray) -> np.ndarray:
+        return ((cells - lo[:, None]).astype(np.uint64) * stride[:, None]).sum(
+            axis=0, dtype=np.uint64
+        )
+
+    ka = key(ca)
+    order = np.argsort(ka)
+    ka = ka[order]
+    kb = key(cb)
+    # Keys are linear modulo 2**64: a cell offset adds a fixed key step.
+    # offset_cube is row-major, so its thirds are the first-axis slabs.
+    steps = key(offset_cube(a.shape[1], 1).T + lo[:, None])
+    for slab in np.split(steps, 3):
+        want = (slab[:, None] + kb[None, :]).ravel()
+        first = np.searchsorted(ka, want, side="left")
+        count = np.searchsorted(ka, want, side="right") - first
+        cols = np.arange(want.size, dtype=np.int64) % b.shape[0]
+        yield order[run_expand(first, count)], np.repeat(cols, count)
 
 
 # ----------------------------------------------------------------------

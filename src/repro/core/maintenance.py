@@ -22,13 +22,20 @@ invalidation*:
    no spanner path within ``t * |xy|``.  The paper's cluster cover,
    query selection and cluster graph exist to bound distributed rounds;
    repair runs centrally, and the certification sweep below, not a
-   cover, keeps its output a t-spanner.  A candidate that a spanner
-   path of two or three edges already joins within ``t * |xy|`` at
-   region entry is settled without a search
-   (:func:`~repro.graphs.paths.three_hop_within`): promotion only adds
-   spanner edges, so that path still stands when its turn comes up --
-   the paper's lazy-update rule, that added edges only shorten
-   distances;
+   cover, keeps its output a t-spanner.  Two tests settle a candidate
+   at region entry without a search, in this order.  The first reads
+   the epoch's *change log* (:meth:`MaintenanceSession._untouched`):
+   the spanner is a t-spanner at every epoch start, so a base edge whose
+   endpoints the epoch did not write had a spanner path within
+   ``t * |xy|`` then, lying in the ellipse ``|xp| + |py| <= t * |xy|``
+   at epoch-start positions, and it still has it unless the epoch
+   removed or re-weighted an edge there
+   (:func:`~repro.graphs.paths.untouched_ellipses`).  The second finds
+   a spanner path of two or three edges within ``t * |xy|``
+   (:func:`~repro.graphs.paths.three_hop_within`).  Promotion only adds
+   spanner edges, so either path still stands when the pair's turn
+   comes up -- the paper's lazy-update rule, that added edges only
+   shorten distances;
 4. redundancy verdicts for spanner edges touching the dirty ball are
    re-taken in descending ``(w, u, v)`` order (remove iff a
    ``t1``-alternative survives).  Spanner weights are the Euclidean
@@ -37,18 +44,19 @@ invalidation*:
    from either end plus the straight line to the far end) already
    exceeds ``t1 * w`` is kept without a search; the bound is taken once
    at prune entry, and removals only lengthen detours, so it holds for
-   the whole prune; and
+   the whole prune.  Every removal goes into the change log; and
 5. a certification sweep over base edges with an endpoint within
    ``dirty_radius + t`` of the sites re-adds any edge whose
-   ``t``-certificate the repair broke, searching only the suspects no
-   spanner path of two or three edges certifies.  A certificate path
-   for base edge ``(x, y)`` stays within Euclidean ``t`` of ``x``;
-   every spanner edge the repair removed has an endpoint within
-   ``dirty_radius`` of a site, so any base edge whose certificate could
-   have broken has an endpoint within ``dirty_radius + t`` -- the sweep
-   radius.  The invariant after every event: **the maintained spanner
-   is a t-spanner of the current base graph**
-   (:meth:`MaintenanceSession.verify`).
+   ``t``-certificate the repair broke.  The same two tests, the change
+   log now holding the prune's removals, settle most suspects; each of
+   the rest gets one target-directed search, every verdict taken before
+   any re-addition.  A certificate path for base edge ``(x, y)`` stays
+   within Euclidean ``t`` of ``x``; every spanner edge the repair
+   removed has an endpoint within ``dirty_radius`` of a site, so any
+   base edge whose certificate could have broken has an endpoint within
+   ``dirty_radius + t`` -- the sweep radius.  The invariant after every
+   event: **the maintained spanner is a t-spanner of the current base
+   graph** (:meth:`MaintenanceSession.verify`).
 
 Each settlement makes exactly the verdict the skipped search would
 have made, so the spanner is the one a search of every pair builds
@@ -95,7 +103,10 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from ..arrayops import cell_neighbour_pairs
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
 from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
@@ -106,6 +117,7 @@ from ..graphs.paths import (
     dijkstra_distance,
     pair_distances,
     three_hop_within,
+    untouched_ellipses,
 )
 from ..params import SpannerParams
 from .cluster_graph import _REGION_SLACK
@@ -286,6 +298,7 @@ class MaintenanceSession:
             self._cell_add(idx)
         self.reports: list[RepairReport] = []
         self._epochs = 0
+        self._log_reset()
         self.graph = self._build_base()
         self.build_result: SpannerResult = self._build_result()
         self.spanner = self.build_result.spanner
@@ -404,6 +417,7 @@ class MaintenanceSession:
             return []
         self._check_epoch(events)
         t0 = perf_counter()
+        self._log_reset()
         reports: list[RepairReport] = []
         sites_list: list[list[np.ndarray]] = []
         for event in events:
@@ -652,8 +666,40 @@ class MaintenanceSession:
             )
         return cand[keep], dist[keep]
 
+    # -- the epoch's change log ----------------------------------------
+    def _log_reset(self) -> None:
+        """Start the change log of the epoch about to be applied.
+
+        The log holds the coordinate array held at the epoch start, the
+        nodes an event writes (moved, inserted, revived or deleted) and,
+        as endpoint pairs, the spanner edges the epoch removes or
+        re-weights: every spanner edge of a deleted or moved node, and
+        every removal of the prune.  Promotion and certification only
+        add edges.  :meth:`_untouched` reads it.
+
+        Every logged edge existed at the epoch start, so the
+        coordinate array covers its endpoints: an event finds only
+        those, and the prune never removes an edge ``e`` promoted in the
+        same epoch.  A ``t1``-detour of ``e`` would need a later, no
+        shorter promotion ``f``, and the path through ``e`` that stood
+        when ``f`` came up is within ``t * |f|``, so ``f`` was never
+        promoted.
+        """
+        # No writer writes into this array: _do_move and a revival copy
+        # it first, and a fresh insert stacks a new one.  It keeps the
+        # epoch-start positions only while that stays so.
+        self._log_coords = self._coords
+        self._log_nodes: set[int] = set()
+        self._log_edges: list[tuple[int, int]] = []
+
+    def _log_node(self, node: int) -> None:
+        """Log ``node`` as written, with every spanner edge it has."""
+        self._log_nodes.add(node)
+        self._log_edges.extend((node, v) for v in self.spanner.neighbors(node))
+
     # The writers below take an event :meth:`_check_epoch` accepted and
-    # the base edges :meth:`_target_edges` decided, and return its sites.
+    # the base edges :meth:`_target_edges` decided, log what they write
+    # and return its sites.
     def _do_insert(
         self,
         node: int,
@@ -671,6 +717,7 @@ class MaintenanceSession:
             self._coords[node] = pos
         self._pts_cache = None
         self._alive[node] = True
+        self._log_nodes.add(node)
         for v, w in zip(nbrs.tolist(), ws.tolist()):
             self.graph.add_edge(node, v, w)
         self._cell_add(node)
@@ -678,6 +725,7 @@ class MaintenanceSession:
 
     def _do_delete(self, node: int) -> list[np.ndarray]:
         site = self._coords[node].copy()
+        self._log_node(node)
         for v in list(self.spanner.neighbors(node)):
             self.spanner.remove_edge(node, v)
         for v in list(self.graph.neighbors(node)):
@@ -694,6 +742,7 @@ class MaintenanceSession:
         ws: np.ndarray,
     ) -> list[np.ndarray]:
         old = self._coords[node].copy()
+        self._log_node(node)
         self._cell_remove(node)
         self._coords = self._coords.copy()
         self._coords[node] = pos
@@ -772,7 +821,10 @@ class MaintenanceSession:
         Two radius-``dirty_radius`` balls intersect iff their sites are
         within ``2 * dirty_radius``; the regions are the connected
         components of that overlap graph, each a list of event indices
-        ordered as applied.
+        ordered as applied, and the regions ordered by their first
+        event.  Only sites in neighbouring grid cells
+        (:func:`~repro.arrayops.cell_neighbour_pairs`) are compared, so
+        the memory grows with the sites, not with their square.
         """
         k = len(sites_list)
         if k == 1:
@@ -782,26 +834,24 @@ class MaintenanceSession:
             np.arange(k, dtype=np.int64),
             [len(sites) for sites in sites_list],
         )
-        parent = list(range(k))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        thresh_sq = (2.0 * self.dirty_radius) ** 2
-        diff = pts[:, None, :] - pts[None, :, :]
-        close = np.einsum("ijk,ijk->ij", diff, diff) <= thresh_sq
-        iu, iv = np.nonzero(close)
-        for a, b in zip(owner[iu].tolist(), owner[iv].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        reach = 2.0 * self.dirty_radius
+        thresh_sq = reach**2
+        src, dst = [], []
+        for a, b in cell_neighbour_pairs(pts, pts, reach):
+            # Each pair of sites comes out both ways round; keep one.
+            one_way = owner[a] < owner[b]
+            a, b = a[one_way], b[one_way]
+            diff = pts[a] - pts[b]
+            close = np.einsum("ij,ij->i", diff, diff) <= thresh_sq
+            src.append(owner[a[close]])
+            dst.append(owner[b[close]])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        overlap = coo_matrix((np.ones(src.size), (src, dst)), shape=(k, k))
+        _, labels = connected_components(overlap, directed=False)
         groups: dict[int, list[int]] = {}
-        for idx in range(k):
-            groups.setdefault(find(idx), []).append(idx)
-        return [groups[root] for root in sorted(groups)]
+        for idx, label in enumerate(labels.tolist()):
+            groups.setdefault(label, []).append(idx)
+        return list(groups.values())
 
     def _repair_epoch(
         self,
@@ -865,6 +915,11 @@ class MaintenanceSession:
         self.spanner.add_edge(x, y, length)
         report.added_edges += 1
 
+    def _span_remove(self, a: int, b: int, report: RepairReport) -> None:
+        self.spanner.remove_edge(a, b)
+        self._log_edges.append((a, b))
+        report.removed_edges += 1
+
     def _repair_region(
         self, dirty: np.ndarray, report: RepairReport
     ) -> None:
@@ -880,12 +935,12 @@ class MaintenanceSession:
         Promotion is one exact greedy pass: the touching base edges
         outside the spanner, as one :class:`~repro.graphs.graph.
         EdgeArrays` batch, put in ascending ``(w, u, v)`` order by
-        ``np.lexsort`` and handed to :meth:`_answer` whole.  One
-        :func:`~repro.graphs.paths.three_hop_within` pass over that
-        batch at region entry settles every candidate a spanner path of
-        two or three edges already joins within ``t * |xy|``: promotion
-        only adds spanner edges, so that path still stands when the
-        pass reaches the pair.
+        ``np.lexsort`` and handed to :meth:`_answer` whole, with the
+        :meth:`_settled` mask taken at region entry: the candidates
+        whose epoch-start spanner path the change log leaves standing,
+        and then those a spanner path of two or three edges joins within
+        ``t * |xy|``.  Promotion only adds spanner edges, so either path
+        still stands when the pass reaches the pair.
 
         The prune is a batch of the touching spanner edges in
         descending ``(w, u, v)`` order, handed to :meth:`_prune` with a
@@ -901,9 +956,7 @@ class MaintenanceSession:
         candidates = self._touching_edges(self.graph, dirty, spanner_gap=True)
         order = np.lexsort((candidates.v, candidates.u, candidates.w))
         candidates = candidates.take(order)
-        settled = three_hop_within(
-            self.spanner, candidates.u, candidates.v, t * candidates.w
-        )
+        settled = self._settled(candidates, t * candidates.w)
         self._answer(candidates, settled, report)
         report.promotion_s += perf_counter() - tp0
 
@@ -923,25 +976,70 @@ class MaintenanceSession:
         t-certificate could have crossed a dirty ball this epoch;
         re-add the violated ones directly.  This is the correctness
         backstop that keeps the t-spanner invariant unconditional.
-        Suspects a spanner path of two or three edges joins within
-        ``t * |xy|`` hold their certificate
-        (:func:`~repro.graphs.paths.three_hop_within`); only the rest
-        are searched."""
+
+        The suspects :meth:`_settled` settles hold their certificate;
+        each of the rest gets one target-directed
+        :func:`dijkstra_distance` search within ``t * |xy|``, every
+        verdict taken on the spanner as the prune left it, before any
+        re-addition.  The batched :func:`pair_distances` pays a fixed
+        cost (a probe ball and sixteen distance bands) larger than the
+        few dozen searches an epoch leaves."""
         tc0 = perf_counter()
         t = self.params.t
         suspects = self._touching_edges(self.graph, halo, spanner_gap=True)
-        limits = t * suspects.w
-        open_ = ~three_hop_within(
-            self.spanner, suspects.u, suspects.v, limits
-        )
-        suspects, limits = suspects.take(open_), limits[open_]
-        if suspects.w.size:
-            sp = pair_distances(self.spanner, suspects.u, suspects.v, cutoff=t)
-            for x, y, length in zip(
-                *(a.tolist() for a in suspects.take(sp > limits))
-            ):
-                self._span_add(x, y, length, report)
+        suspects = suspects.take(~self._settled(suspects, t * suspects.w))
+        broken = [
+            (x, y, length)
+            for x, y, length in zip(*(a.tolist() for a in suspects))
+            if dijkstra_distance(self.spanner, x, y, cutoff=t * length)
+            > t * length
+        ]
+        for x, y, length in broken:
+            self._span_add(x, y, length, report)
         report.certification_s += perf_counter() - tc0
+
+    def _settled(self, pairs: EdgeArrays, limits: np.ndarray) -> np.ndarray:
+        """Which base edges of ``pairs`` a search would find joined by
+        the spanner within ``limits``, decided without one: the
+        :meth:`_untouched` log test first, then
+        :func:`~repro.graphs.paths.three_hop_within` on the rest."""
+        settled = self._untouched(pairs, limits)
+        rest = np.flatnonzero(~settled)
+        settled[rest] = three_hop_within(
+            self.spanner, pairs.u[rest], pairs.v[rest], limits[rest]
+        )
+        return settled
+
+    def _untouched(self, pairs: EdgeArrays, limits: np.ndarray) -> np.ndarray:
+        """Which base edges of ``pairs`` keep a spanner path within
+        ``limits`` that the epoch's change log leaves standing.
+
+        Only a pair neither of whose endpoints the epoch wrote
+        qualifies: its edge and weight are then those of the epoch
+        start, where the spanner joined it within ``limits`` (the
+        invariant :meth:`verify` checks, met with no slack).  Spanner
+        weights are Euclidean lengths, so every edge of that path lies
+        in the ellipse ``|xp| + |pq| + |qy| <= t * |xy|`` at epoch-start
+        positions, and only a logged edge can break the path: the pair
+        is untouched when none enters the ellipse
+        (:func:`~repro.graphs.paths.untouched_ellipses`, with
+        ``_REGION_SLACK``'s relative slack for rounding).
+        """
+        start = self._log_coords
+        written = np.zeros(self.capacity, dtype=bool)
+        written[np.fromiter(self._log_nodes, dtype=np.int64)] = True
+        keep = np.flatnonzero(~(written[pairs.u] | written[pairs.v]))
+        log = np.array(self._log_edges, dtype=np.int64).reshape(-1, 2)
+        out = np.zeros(pairs.w.size, dtype=bool)
+        out[keep] = untouched_ellipses(
+            start,
+            log[:, 0],
+            log[:, 1],
+            pairs.u[keep],
+            pairs.v[keep],
+            limits[keep] * (1.0 + _REGION_SLACK),
+        )
+        return out
 
     def _answer(
         self, queries: EdgeArrays, settled: np.ndarray, report: RepairReport
@@ -949,16 +1047,15 @@ class MaintenanceSession:
         """Step-iv re-answering: one scalar cutoff-Dijkstra per query
         left open, in batch order, each answer visible to the next.
 
-        ``settled`` is the :func:`~repro.graphs.paths.three_hop_within`
-        mask aligned with ``queries``; a settled query is answered
-        "covered" without a search.  The scalar search is
-        target-directed: it stops the moment the partner vertex
-        settles, typically after exploring a ball of radius ~sp(x, y)
-        rather than the full cutoff.  One batched
-        :func:`pair_distances` sweep over every query would pay a fixed
-        cost (sixteen distance bands plus the dense-or-sparse probe)
-        larger than the few hundred scalar searches a single event
-        makes, and it was measured slower per epoch as well."""
+        ``settled`` is the :meth:`_settled` mask aligned with
+        ``queries``; a settled query is answered "covered" without a
+        search.  The scalar search is target-directed: it stops the
+        moment the partner vertex settles, typically after exploring a
+        ball of radius ~sp(x, y) rather than the full cutoff.  One
+        batched :func:`pair_distances` sweep over every query would pay
+        a fixed cost (sixteen distance bands plus the dense-or-sparse
+        probe) larger than the few dozen scalar searches an epoch
+        leaves."""
         t = self.params.t
         queries = queries.take(~settled)
         for x, y, length in zip(*(a.tolist() for a in queries)):
@@ -972,7 +1069,7 @@ class MaintenanceSession:
         """Step-v re-verdicts: one scalar detour search per edge not
         ``kept``, in batch order, removing the edge iff a
         ``t1``-alternative survives; each removal is visible to the
-        next search.
+        next search and goes into the change log.
 
         ``kept`` is the keep-bound mask aligned with ``prune``; a kept
         edge stays without a search.  :func:`detour_distance` answers
@@ -983,8 +1080,7 @@ class MaintenanceSession:
         prune = prune.take(~kept)
         for a, b, w in zip(*(arr.tolist() for arr in prune)):
             if detour_distance(self.spanner, a, b, cutoff=t1 * w) <= t1 * w:
-                self.spanner.remove_edge(a, b)
-                report.removed_edges += 1
+                self._span_remove(a, b, report)
 
     def _touching_edges(
         self, graph: Graph, region: np.ndarray, *, spanner_gap: bool = False

@@ -30,12 +30,14 @@ over :meth:`repro.graphs.graph.Graph.csr`:
   sources x targets cross product) built on the first two.  Exact pair
   distances (stretch) escalate too: a doubling cutoff from the graph's
   longest edge searches only the pairs left unresolved;
-* :func:`three_hop_within` and :func:`detour_lower_bounds` -- no
-  search at all.  The first tells which pairs a path of two or three
-  edges already joins within their limits; the second bounds each
-  edge's detour from below by one hop plus the straight line to the far
-  end.  Churn repair settles with them the searches whose verdict they
-  already decide.
+* :func:`untouched_ellipses`, :func:`three_hop_within` and
+  :func:`detour_lower_bounds` -- no search at all.  The first tells
+  which pairs no edge of a change log comes near (so the paths that
+  joined them before the change still stand), the second which pairs a
+  path of two or three edges already joins within their limits; the
+  third bounds each edge's detour from below by one hop plus the
+  straight line to the far end.  Churn repair settles with them the
+  searches whose verdict they already decide.
 
 All of them read the same cached matrix, which the first kernel call
 after a mutation rebuilds, so dense and sparse searches relax identical
@@ -55,7 +57,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arrayops import run_expand, segment_min, sorted_find
+from ..arrayops import (
+    cell_neighbour_pairs,
+    run_expand,
+    segment_min,
+    sorted_find,
+)
 from ..exceptions import GraphError
 from .components import component_labels
 from .graph import Graph, csr_find
@@ -70,6 +77,7 @@ __all__ = [
     "pair_distances",
     "pair_distance_entries",
     "three_hop_within",
+    "untouched_ellipses",
     "detour_lower_bounds",
 ]
 
@@ -313,6 +321,76 @@ def three_hop_within(
     a, b, c = data[first], data[middle], data[third]
     within = (a + b + c <= lim[pair]) & (c + b + a <= lim[pair])
     out[open_[pair[within]]] = True
+    return out
+
+
+def untouched_ellipses(
+    coords: np.ndarray,
+    log_u: np.ndarray,
+    log_v: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    limits: np.ndarray,
+) -> np.ndarray:
+    """Whether no logged edge enters each pair's ellipse.
+
+    ``out[i]`` is false iff some edge ``(p, q) = (log_u[j], log_v[j])``
+    has ``min(|xp| + |pq| + |qy|, |xq| + |pq| + |py|) <= limits[i]``,
+    with ``x, y = us[i], vs[i]``: every length is the square root of
+    the squared coordinate differences of two ``coords`` rows, summed
+    axis by axis, and each sum is taken left to right.  No graph is
+    read.
+
+    On a graph whose weights are the Euclidean lengths between those
+    rows, every edge of a path from ``x`` to ``y`` no longer than
+    ``limits[i]`` passes that test.  So where ``out[i]`` is true,
+    removing or re-weighting the logged edges leaves every such path
+    standing; callers widen their limits by a relative slack for the
+    rounding of the path sums.
+
+    A cell join, not a pairs x log product
+    (:func:`~repro.arrayops.cell_neighbour_pairs`): each pair looks up
+    the cells around its midpoint ``m`` for the logged edges whose first
+    endpoint lies there, and the exact test runs on those matches only.
+    A touching edge has both endpoints within ``limits[i] / 2`` of
+    ``m``, since ``|pm| <= (|xp| + |py|) / 2``, so cells half the
+    largest limit wide miss none.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    log_u = np.asarray(log_u, dtype=np.int64)
+    log_v = np.asarray(log_v, dtype=np.int64)
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    limits = np.asarray(limits, dtype=np.float64)
+    if us.ndim != 1 or vs.shape != us.shape or limits.shape != us.shape:
+        raise GraphError(
+            "pair and limit arrays must be aligned one-dimensional"
+        )
+    if log_u.ndim != 1 or log_v.shape != log_u.shape:
+        raise GraphError("logged edge arrays must be aligned one-dimensional")
+    out = np.ones(us.size, dtype=bool)
+    if us.size == 0 or log_u.size == 0:
+        return out
+    axes = np.ascontiguousarray(coords.T)
+
+    def dist(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        sq = np.zeros(i.size)
+        for row in axes:
+            diff = row[i] - row[j]
+            sq += diff * diff
+        return np.sqrt(sq)
+
+    mid = 0.5 * (coords[us] + coords[vs])
+    pair, edge = map(
+        np.concatenate,
+        zip(*cell_neighbour_pairs(mid, coords[log_u], 0.5 * limits.max())),
+    )
+    x, y, p, q = us[pair], vs[pair], log_u[edge], log_v[edge]
+    pq = dist(p, q)
+    through = np.minimum(
+        dist(x, p) + pq + dist(q, y), dist(x, q) + pq + dist(p, y)
+    )
+    out[pair[through <= limits[pair]]] = False
     return out
 
 

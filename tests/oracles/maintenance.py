@@ -1,18 +1,23 @@
-"""All-scalar references for churn repair's step iv, step v and
-certification.
+"""All-scalar references for churn repair's step iv, step v,
+certification and event coalescing.
 
-:class:`repro.core.maintenance.MaintenanceSession` settles the pairs a
-spanner path of two or three edges already joins within ``t * |xy|``
-without a search (:func:`repro.graphs.paths.three_hop_within`), and
-keeps without a search the prune edges whose Euclidean detour bound
-exceeds ``t1 * w`` (:func:`repro.graphs.paths.detour_lower_bounds`).
-These are the forms that search every pair: each promotion query runs
-one scalar cutoff-Dijkstra, each prune edge one detour search, and
-every certification suspect goes to
-:func:`repro.graphs.paths.pair_distances`.  :func:`search_every_pair`
+:class:`repro.core.maintenance.MaintenanceSession` settles without a
+search the pairs whose epoch-start spanner path the epoch's change log
+leaves untouched (:func:`repro.graphs.paths.untouched_ellipses`) and
+those a spanner path of two or three edges already joins within ``t *
+|xy|`` (:func:`repro.graphs.paths.three_hop_within`); it keeps without a
+search the prune edges whose Euclidean detour bound exceeds ``t1 * w``
+(:func:`repro.graphs.paths.detour_lower_bounds`), and it searches each
+certification suspect left open with one target-directed
+:func:`repro.graphs.paths.dijkstra_distance`.  These are the forms that
+search every pair: each promotion query runs one scalar cutoff-Dijkstra,
+each prune edge one detour search, and every certification suspect goes
+to :func:`repro.graphs.paths.pair_distances`.  :func:`search_every_pair`
 installs them on one session, so a replay can compare it with an
 unpatched twin event by event; :func:`touching_edges_reference` is the
-per-pair ``has_edge`` form of the spanner-gap filter.
+per-pair ``has_edge`` form of the spanner-gap filter, and
+:func:`coalesce_reference` the dense all-pairs form of the event
+coalescing.
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ def prune_every_edge(session, prune, kept, report) -> None:
     t1 = session.params.t1
     for a, b, w in zip(*(arr.tolist() for arr in prune)):
         if detour_distance(session.spanner, a, b, cutoff=t1 * w) <= t1 * w:
-            session.spanner.remove_edge(a, b)
-            report.removed_edges += 1
+            session._span_remove(a, b, report)
 
 
 def search_every_pair(session):
@@ -89,3 +93,38 @@ def touching_edges_reference(session, graph, region) -> EdgeArrays:
         not has(a, b) for a, b in zip(edges.u.tolist(), edges.v.tolist())
     ]
     return edges.take(np.array(gap, dtype=bool))
+
+
+def coalesce_reference(session, sites_list) -> list[list[int]]:
+    """:meth:`MaintenanceSession._coalesce` over every pair of sites: an
+    ``S x S x d`` difference tensor, the same squared-distance compare
+    against ``(2 * dirty_radius) ** 2``, and a union-find whose roots are
+    the smallest event index of each region."""
+    k = len(sites_list)
+    if k == 1:
+        return [[0]]
+    pts = np.vstack([s for sites in sites_list for s in sites])
+    owner = np.repeat(
+        np.arange(k, dtype=np.int64),
+        [len(sites) for sites in sites_list],
+    )
+    parent = list(range(k))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    thresh_sq = (2.0 * session.dirty_radius) ** 2
+    diff = pts[:, None, :] - pts[None, :, :]
+    close = np.einsum("ijk,ijk->ij", diff, diff) <= thresh_sq
+    iu, iv = np.nonzero(close)
+    for a, b in zip(owner[iu].tolist(), owner[iv].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for idx in range(k):
+        groups.setdefault(find(idx), []).append(idx)
+    return [groups[root] for root in sorted(groups)]

@@ -1,7 +1,7 @@
 """Path references: the label-correcting bounded multi-source ball
 search, the dense-row exact pair distances stretch was measured with
 before the escalating pair kernel, hop-count BFS for the hop-bounded
-protocol and analysis checks, and the per-pair definitions of the two
+protocol and analysis checks, and the per-pair definitions of the three
 settlement kernels churn repair uses."""
 
 from __future__ import annotations
@@ -217,3 +217,38 @@ def detour_bound_reference(graph: Graph, coords, a: int, b: int) -> float:
         )
 
     return max(leave(a, b), leave(b, a))
+
+
+def ellipse_sums(coords, log_u, log_v, us, vs) -> np.ndarray:
+    """The ``(pairs, log)`` matrix of ``min(|xp| + |pq| + |qy|, |xq| +
+    |pq| + |py|)`` that :func:`repro.graphs.paths.untouched_ellipses`
+    compares with each pair's limit, by brute force over every pair and
+    every logged edge, in the kernel's arithmetic: squared coordinate
+    differences summed axis by axis, then the square root, and each
+    ellipse sum taken left to right."""
+    coords = np.asarray(coords, dtype=np.float64)
+    x = np.asarray(us, dtype=np.int64)[:, None]
+    y = np.asarray(vs, dtype=np.int64)[:, None]
+    p = np.asarray(log_u, dtype=np.int64)[None, :]
+    q = np.asarray(log_v, dtype=np.int64)[None, :]
+
+    def dist(a, b):
+        sq = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        for axis in range(coords.shape[1]):
+            diff = coords[a, axis] - coords[b, axis]
+            sq += diff * diff
+        return np.sqrt(sq)
+
+    pq = dist(p, q)
+    return np.minimum(
+        dist(x, p) + pq + dist(q, y), dist(x, q) + pq + dist(p, y)
+    )
+
+
+def untouched_reference(coords, log_u, log_v, us, vs, limits) -> np.ndarray:
+    """:func:`repro.graphs.paths.untouched_ellipses` by definition: no
+    logged edge has an :func:`ellipse_sums` entry within the pair's
+    limit."""
+    sums = ellipse_sums(coords, log_u, log_v, us, vs)
+    limits = np.asarray(limits, dtype=np.float64)
+    return ~(sums <= limits[:, None]).any(axis=1)

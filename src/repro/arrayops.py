@@ -6,7 +6,8 @@ batch round engine:
 
 * run expansion, offset cubes and the neighbouring-cell join
   (grid/builder pipelines, churn repair);
-* key lookup in an ascending array (CSR entries, settled pair sets);
+* key lookup in an ascending array (CSR entries, settled pair sets)
+  and distinct keys by sorting;
 * the counter-based SplitMix64/Murmur3 hash family that gives the
   stochastic gray-zone policies and the batch protocols their
   order-independent, scalar==batch randomness;
@@ -27,6 +28,7 @@ __all__ = [
     "offset_cube",
     "cell_neighbour_pairs",
     "sorted_find",
+    "sorted_unique",
     "checked_seed",
     "seed_state",
     "mix64",
@@ -63,6 +65,15 @@ def sorted_find(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
         return np.full(pos.shape, -1, dtype=np.int64)
     pos = np.minimum(pos, keys.size - 1)
     return np.where(keys[pos] == want, pos, -1)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending, found by sorting (``np.unique``
+    hashes, which costs ~15x more on a few thousand integer keys)."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def offset_cube(dim: int, reach: int) -> np.ndarray:

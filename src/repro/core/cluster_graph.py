@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..arrayops import sorted_find
+from ..arrayops import sorted_find, sorted_unique
 from ..exceptions import GraphError
 from ..graphs.graph import EdgeArrays, Graph, check_edge_arrays, symmetric_csr
 from ..graphs.paths import (
@@ -139,15 +139,6 @@ def _center_mask(cover: ClusterCover, n: int) -> np.ndarray:
     return cover.center == np.arange(n, dtype=np.int64)
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct ``keys``, ascending, found by sorting (``np.unique``
-    hashes, which is slower on these key counts)."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def _is_in(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """``mask[i]`` iff ``keys[i]`` occurs in the ascending ``sorted_keys``."""
     return sorted_find(sorted_keys, keys) >= 0
@@ -240,7 +231,7 @@ def build_cluster_graph(
     is_crossing = (ea >= 0) & (eb >= 0) & (ea != eb)
     longest_crossing = float(ew[is_crossing].max()) if is_crossing.any() else 0.0
     edge_keys = np.minimum(ea, eb) * np.int64(n) + np.maximum(ea, eb)
-    cross_keys = _sorted_unique(edge_keys[is_crossing])
+    cross_keys = sorted_unique(edge_keys[is_crossing])
     # Crossing pairs whose Lemma 5 bound only a center's row can certify.
     direct = np.sort(edge_keys[is_crossing & (ea == eu) & (eb == ev)])
     pending = cross_keys[~_is_in(cross_keys, direct)]

@@ -229,6 +229,35 @@ class TestChurnPins:
             },
         )
 
+    def test_escalating_flocking_epochs(self):
+        # The default resync_fraction=0.25.  Every epoch is one region
+        # over all 300 nodes, led by its first event; from epoch 6 on,
+        # one event's own ball holds over a quarter of them, so the
+        # epoch escalates to a spanner rebuild.
+        points = make_workload("uniform", 300, seed=0).points
+        session = MaintenanceSession(points, 0.5)
+        model = make_mobility("flocking", points.coords, seed=0, speed=0.2)
+        leads = []
+        for epoch in range(10):
+            reports = session.apply_epoch(
+                model.step_events(0.2, time=float(epoch))
+            )
+            assert len(reports) == 60
+            assert {
+                (r.dirty_nodes, r.resync, r.coalesced) for r in reports[1:]
+            } == {(0, False, True)}
+            lead = reports[0]
+            leads.append((lead.dirty_nodes, lead.resync, lead.coalesced))
+        assert leads == [(300, False, False)] * 6 + [(300, True, False)] * 4
+        self._assert_pinned(
+            session,
+            "593d4136c764a64bb96506c08dec35b37da78edc6d40105b480219ed96d7dd32",
+            {
+                "repaired_edges": 468,
+                "resyncs": 4,
+            },
+        )
+
     def test_fault_plan_epochs(self):
         session = self._session()
         events = events_from_fault_plan(

@@ -23,8 +23,8 @@ Execution model of this implementation:
   engine's *batch tier* steps every node of a round at once over CSR
   mailbox arrays, so these runs -- and the phase-0 flooding below -- scale
   to ``n >= 10^4`` while billing the exact same rounds and messages as
-  the per-node reference tier (``engine="auto"`` selects it whenever the
-  protocol supports it, which all hot protocols here do).  A node with
+  the per-node tier (the engine runs every protocol that supports the
+  batch tier there, and all hot protocols here do).  A node with
   no derived-graph neighbour joins the MIS in round 0 without a message,
   so on the reliable path the engine runs only on the nodes that have
   one, under their own ids (:func:`repro.distributed.mis.

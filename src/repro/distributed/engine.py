@@ -19,27 +19,28 @@ computation, and emits at most one message per neighbor.  The engine:
 Two execution tiers
 -------------------
 The engine executes protocols on one of two tiers with identical
-semantics and identical :class:`RunResult` accounting:
+semantics and identical :class:`RunResult` accounting, and the protocol
+decides which:
 
-* the **scalar tier** (:meth:`SynchronousNetwork.run` with
-  ``engine="scalar"``) steps one :class:`NodeContext` at a time through
-  ``on_start`` / ``on_round`` -- the readable per-node reference
-  implementation of the model;
-* the **batch tier** (``engine="batch"``) steps *all active nodes at
-  once*: protocols subclassing :class:`BatchProtocol` receive a
-  :class:`BatchContext` holding the topology as CSR arrays (one *slot*
-  per directed edge, addressed exactly like the rows of
-  :meth:`repro.graphs.graph.Graph.csr`), exchange whole mailbox arrays
-  per round via the reverse-slot permutation
-  (:meth:`BatchContext.exchange`), replace the per-node halted checks
-  with a boolean active mask, and report message/word counts through
-  ufunc reductions (:meth:`BatchContext.post`).
+* the **batch tier** runs every protocol that sets ``supports_batch``
+  (the :class:`BatchProtocol` subclasses) and steps *all active nodes
+  at once*: the protocol receives a :class:`BatchContext` holding the
+  topology as CSR arrays (one *slot* per directed edge, addressed
+  exactly like the rows of :meth:`repro.graphs.graph.Graph.csr`),
+  exchanges whole mailbox arrays per round via the reverse-slot
+  permutation (:meth:`BatchContext.exchange`), replaces the per-node
+  halted checks with a boolean active mask, and reports message/word
+  counts through ufunc reductions (:meth:`BatchContext.post`);
+* the **scalar tier** runs every other protocol and steps one
+  :class:`NodeContext` at a time through ``on_start`` / ``on_round``:
+  plain :class:`Protocol` subclasses, and batch-capable ones that
+  decline the batch tier for a run (a custom combiner, integer sums
+  too large for float64).
 
-``engine="auto"`` (the default) picks the batch tier whenever the
-protocol supports it.  The scalar tier remains the semantic reference:
-the test-suite pins ``RunResult`` equality -- rounds, messages, words and
-outputs, in identical insertion order -- between the two tiers on seeded
-protocol runs.
+The test-suite pins ``RunResult`` equality -- rounds, messages, words
+and outputs, in identical insertion order -- between the two tiers on
+seeded runs of every batch-capable protocol, stepping its scalar hooks
+through a proxy that hides the batch ones.
 
 Protocols keep their per-node state in the :class:`NodeContext` (scalar)
 or the shared ``state`` dict of the :class:`BatchContext` (batch) handed
@@ -242,9 +243,9 @@ class BatchProtocol(Protocol):
     """A protocol that can also run on the batch tier.
 
     Subclasses implement the scalar hooks (the semantic reference) *and*
-    the batch hooks below; the engine picks the batch tier automatically
-    under ``engine="auto"``.  The contract, pinned by the test-suite, is
-    that for any topology and seed the two tiers produce identical
+    the batch hooks below; the engine runs them on the batch tier while
+    ``supports_batch`` is true.  The contract, pinned by the test-suite,
+    is that for any topology and seed the two tiers produce identical
     :class:`RunResult`\\ s -- same rounds, same message and word totals,
     same outputs in the same insertion order.
     """
@@ -417,8 +418,7 @@ class SynchronousNetwork:
           graph arrives in.  The arrays must describe a symmetric
           adjacency with ascending, loop-free rows; the batch tier runs
           on them directly (no per-node dicts are ever built), and the
-          scalar reference tier materializes neighbor tuples lazily on
-          first use;
+          scalar tier materializes neighbor tuples lazily on first use;
         * a labeled CSR triple ``(indptr, indices, labels)``: the same
           arrays over compact ids ``0..k-1``, with ``labels[i]`` the id
           node ``i`` takes part under on both tiers (what
@@ -536,39 +536,23 @@ class SynchronousNetwork:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, protocol: Protocol, *, engine: str = "auto") -> RunResult:
+    def run(self, protocol: Protocol) -> RunResult:
         """Run ``protocol`` to completion (all nodes halted).
 
         Rounds in which no node is active are not possible: the engine
         stops exactly when every node has halted.  A round is counted
         whenever at least one node computes (even silently), matching the
         synchronous model where the global clock ticks for everyone.
-
-        Parameters
-        ----------
-        protocol:
-            The protocol to execute.
-        engine:
-            ``"auto"`` (batch tier when the protocol supports it),
-            ``"scalar"`` (force the per-node reference tier) or
-            ``"batch"`` (require the batch tier).
+        A protocol whose ``supports_batch`` is true runs on the batch
+        tier, any other on the scalar tier.
         """
-        if engine not in ("auto", "scalar", "batch"):
-            raise ProtocolError(
-                f"engine must be auto|scalar|batch, got {engine!r}"
-            )
-        batch_capable = getattr(protocol, "supports_batch", False)
-        if engine == "batch" and not batch_capable:
-            raise ProtocolError(
-                f"{protocol.name}: protocol has no batch implementation"
-            )
-        if batch_capable and engine != "scalar":
+        if getattr(protocol, "supports_batch", False):
             return self._run_batch(protocol)
         return self._run_scalar(protocol)
 
     # ------------------------------------------------------------------
     def _run_scalar(self, protocol: Protocol) -> RunResult:
-        """The per-node reference tier."""
+        """The per-node tier, for protocols without ``supports_batch``."""
         adj = self._scalar_adj()
         contexts = {
             u: NodeContext(node=u, neighbors=adj[u]) for u in adj

@@ -9,10 +9,19 @@ clock.  All randomness -- latencies, drops, crash times, clock drift --
 comes from the plan's counter-based hash, so a run is bit-reproducible
 from ``(topology, protocol, plan)`` alone.
 
+The engine drains whole same-timestamp *epochs* at once from a hybrid
+calendar queue (a heap for single events, sorted array runs for
+transmission batches) and draws an epoch's drop and latency fates in one
+vectorized pass when the epoch ends.  Every draw is a pure function of
+``(seed, edge, counter)``, so the result is bit-identical to popping one
+event at a time and drawing each fate at send time -- the heap loop the
+test-suite keeps as the reference and pins this engine against across
+the named failure scenarios.
+
 Anchoring contract (pinned by the test-suite): under a zero-fault plan
 with uniform unit latency, :meth:`EventNetwork.run_sync` executes any
 synchronous :class:`~repro.distributed.engine.Protocol` with a
-:class:`RunResult` *equal* to the synchronous scalar tier's -- same
+:class:`RunResult` *equal* to the synchronous engine's -- same
 rounds, messages, words, and outputs.  The adapter drives each node with
 a unit-period tick timer and hands every tick the messages that arrived
 since the previous one; with unit latency and no loss that is exactly
@@ -36,6 +45,7 @@ which at least one live, unhalted node computed.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -60,7 +70,7 @@ __all__ = [
 # timers (a tick at t reads messages that arrived at exactly t).
 _P_CRASH, _P_RECOVER, _P_DELIVER, _P_TIMER = range(4)
 
-# Batch-tier thresholds: below _SMALL_DRAW buffered transmissions the
+# Epoch-queue thresholds: below _SMALL_DRAW buffered transmissions the
 # scalar draw path beats the array overhead; survivor batches under
 # _RUN_MIN go to the heap instead of opening an array run; _MAX_RUNS
 # bounds the wheel's sorted-run count before compaction.
@@ -238,7 +248,7 @@ class _SyncDriver(EventProtocol):
     wrapped protocol's ``on_round`` everything that arrived since the
     previous tick (latest message per sender, as in the synchronous
     one-slot mailbox).  Under a zero-fault unit-latency plan this
-    reproduces the synchronous scalar tier's ``RunResult`` exactly; under
+    reproduces the synchronous engine's ``RunResult`` exactly; under
     faults the wrapped protocol sees loss and silence exactly as an
     unhardened protocol would.
     """
@@ -309,10 +319,17 @@ class EventNetwork:
         max_time: float = 1_000_000.0,
         max_events: int = 5_000_000,
     ) -> None:
-        if max_time <= 0 or max_events < 1:
+        # A NaN time never equals itself, so the epoch loop would pop
+        # nothing and spin past both budgets.
+        if not math.isfinite(t0):
+            raise ProtocolError(f"EventNetwork.t0 must be finite, got {t0}")
+        if not (math.isfinite(max_time) and max_time > 0):
             raise ProtocolError(
-                f"max_time/max_events must be positive, got "
-                f"{max_time}/{max_events}"
+                f"EventNetwork.max_time must be finite and > 0, got {max_time}"
+            )
+        if max_events < 1:
+            raise ProtocolError(
+                f"EventNetwork.max_events must be >= 1, got {max_events}"
             )
         self._sync = SynchronousNetwork(topology)
         self._plan = plan if plan is not None else FaultPlan()
@@ -386,41 +403,23 @@ class EventNetwork:
         return self._seq
 
     def _set_timer(self, node: int, delay: float, key: Any) -> None:
-        if delay <= 0.0:
+        if not (math.isfinite(delay) and delay > 0.0):
             raise ProtocolError(
-                f"timer delay must be > 0, got {delay} at node {node}"
+                f"timer delay must be finite and > 0, got {delay} at "
+                f"node {node}"
             )
         fire = self._now + delay / self._rates[node]
         self._push((fire, _P_TIMER, self._next_seq(), node, key))
 
-    def _transmit_now(
+    def _transmit(
         self, sender: int, receiver: int, payload: Any, kind: str
     ) -> None:
-        """Scalar-tier transmission: bill, draw, schedule immediately."""
-        if kind == "data":
-            self._messages += 1
-            self._words += payload_words(payload)
-        elif kind == "ctl":
-            self._ctl += 1
-        else:
-            self._retrans += 1
-        counter = self._next_seq()
-        lu, lv = self._ident(sender), self._ident(receiver)
-        if self._plan.dropped(lu, lv, counter, self._now):
-            self._dropped += 1
-            return
-        at = self._now + self._plan.latency_of(lu, lv, counter)
-        self._push((at, _P_DELIVER, counter, sender, receiver, payload))
-
-    def _transmit_defer(
-        self, sender: int, receiver: int, payload: Any, kind: str
-    ) -> None:
-        """Batch-tier transmission: bill and allocate the sequence
-        counter eagerly (counters must interleave with timer/crash seqs
-        exactly as on the scalar tier -- they feed the fault draws), but
-        defer the drop/latency draws to :meth:`_flush_tx` at epoch end.
-        Safe because every transmission of an epoch shares ``self._now``
-        and draws are pure functions of (seed, edge, counter)."""
+        """Bill and allocate the sequence counter now (counters must
+        interleave with timer/crash seqs in event order -- they feed the
+        fault draws), but defer the drop/latency draws to
+        :meth:`_flush_tx` at epoch end.  Safe because every transmission
+        of an epoch shares ``self._now`` and draws are pure functions of
+        (seed, edge, counter)."""
         if kind == "data":
             self._messages += 1
             self._words += payload_words(payload)
@@ -576,53 +575,30 @@ class EventNetwork:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_sync(
-        self, protocol: Protocol, *, engine: str = "auto"
-    ) -> RunResult:
+    def run_sync(self, protocol: Protocol) -> RunResult:
         """Run a synchronous :class:`Protocol` through the tick adapter
         (see :class:`_SyncDriver`).
 
         Under a zero-fault unit-latency plan the schedule is exactly the
-        synchronous one, so ``engine="auto"``/``"batch"`` routes
-        batch-capable protocols straight onto the synchronous batch tier
-        (same RunResult -- that equality is already pinned -- plus the
-        event clock bookkeeping); everything else runs the tick adapter
-        on the selected event engine.
+        synchronous one, so a batch-capable protocol runs straight on
+        its batch hooks (same RunResult -- that equality is pinned --
+        plus the event clock bookkeeping); everything else runs the
+        tick adapter through :meth:`run`.
         """
-        _check_engine(engine)
         if (
-            engine != "scalar"
-            and self._plan.zero_fault
+            self._plan.zero_fault
             and self._plan.latency == 1.0
             and getattr(protocol, "supports_batch", False)
         ):
             return self._run_sync_ticks(protocol)
-        return self.run(_SyncDriver(protocol), engine=engine)
-
-    def run(
-        self, protocol: EventProtocol, *, engine: str = "auto"
-    ) -> RunResult:
-        """Run ``protocol`` until the event queue drains.
-
-        ``engine`` selects the execution path: ``"scalar"`` is the
-        one-heap-pop-at-a-time reference tier, ``"batch"`` drains whole
-        same-timestamp epochs against array-backed event runs with
-        vectorized fault draws, and ``"auto"`` (default) picks batch --
-        any :class:`EventProtocol` runs there via the canonical per-node
-        replay, and the two tiers' RunResults are pinned bit-identical
-        across the named failure scenarios.
-        """
-        _check_engine(engine)
-        if engine == "scalar":
-            return self._run_scalar(protocol)
-        return self._run_batch(protocol)
+        return self.run(_SyncDriver(protocol))
 
     # ------------------------------------------------------------------
     def _init_run(
-        self, protocol: EventProtocol, *, defer: bool
+        self, protocol: EventProtocol
     ) -> tuple[dict[int, tuple[int, ...]], list[int], dict]:
-        """Reset run state shared by both tiers and prime the crash
-        timeline (absolute times; the past already happened)."""
+        """Reset run state and prime the crash timeline (absolute times;
+        the past already happened)."""
         adj = self._sync._scalar_adj()
         nodes = self.nodes
         self._proto_name = getattr(protocol, "name", "event-protocol")
@@ -634,29 +610,31 @@ class EventNetwork:
         self._messages = self._words = 0
         self._retrans = self._ctl = self._dropped = 0
         self._stepped = False
-        self._transmit = self._transmit_defer if defer else self._transmit_now
         self._txq: list[tuple] = []
-        self._rates = {
-            u: self._plan.clock_rate(self._ident(u)) for u in nodes
-        }
+        idents = np.fromiter(map(self._ident, nodes), np.int64, len(nodes))
+        self._rates = dict(
+            zip(nodes, self._plan.clock_rates(idents).tolist())
+        )
         contexts = {u: EventNodeContext(u, adj[u], self) for u in nodes}
         self._contexts = contexts
 
-        for u in nodes:
-            sched = self._plan.crash_schedule(self._ident(u))
-            if sched is None:
-                continue
-            at, back = sched
+        # Walk the crashing nodes in node order: each sequence number
+        # taken here shifts the counters of the run's transmissions,
+        # which feed their fault draws.
+        crash_at, recover_at = self._plan.crash_schedules(idents)
+        hit = np.flatnonzero(crash_at < np.inf)
+        for i, at, back in zip(
+            hit.tolist(), crash_at[hit].tolist(), recover_at[hit].tolist()
+        ):
+            u = nodes[i]
             if at <= self._t0:
-                if back is not None and back <= self._t0:
+                if back <= self._t0:
                     continue  # crashed and recovered before this run
                 contexts[u].alive = False
-                if back is not None:
-                    self._push((back, _P_RECOVER, self._next_seq(), u))
             else:
                 self._push((at, _P_CRASH, self._next_seq(), u))
-                if back is not None:
-                    self._push((back, _P_RECOVER, self._next_seq(), u))
+            if back < np.inf:
+                self._push((back, _P_RECOVER, self._next_seq(), u))
         return adj, nodes, contexts
 
     def _start(self, protocol: EventProtocol, nodes, contexts) -> int:
@@ -687,98 +665,17 @@ class EventNetwork:
         )
 
     # ------------------------------------------------------------------
-    def _run_scalar(self, protocol: EventProtocol) -> RunResult:
-        """The pinned semantic reference: one heap pop at a time, one
-        fault draw per transmission at transmit time."""
-        _, nodes, contexts = self._init_run(protocol, defer=False)
-        rounds = self._start(protocol, nodes, contexts)
+    def run(self, protocol: EventProtocol) -> RunResult:
+        """Run ``protocol`` until the event queue drains.
 
-        heap = self._heap
-        horizon = self._t0 + self._max_time
-        processed = 0
-        while heap:
-            t = heap[0][0]
-            if t > horizon:
-                raise SimulationLimitError(
-                    f"{self._proto_name}: exceeded max_time={self._max_time} "
-                    f"({len(heap)} events still queued)"
-                )
-            self._now = t
-            crashes: list[tuple] = []
-            recovers: list[tuple] = []
-            delivers: list[tuple] = []
-            timers: list[tuple] = []
-            while heap and heap[0][0] == t:
-                entry = heapq.heappop(heap)
-                processed += 1
-                if processed > self._max_events:
-                    raise SimulationLimitError(
-                        f"{self._proto_name}: exceeded "
-                        f"max_events={self._max_events} at t={t:.3f}"
-                    )
-                prio = entry[1]
-                if prio == _P_CRASH:
-                    crashes.append(entry)
-                elif prio == _P_RECOVER:
-                    recovers.append(entry)
-                elif prio == _P_DELIVER:
-                    delivers.append(entry)
-                else:
-                    timers.append(entry)
-
-            stepped = False
-            for entry in crashes:
-                ctx = contexts[entry[3]]
-                if ctx.alive:
-                    ctx.alive = False
-                    protocol.on_crash(ctx, t)
-            for entry in recovers:
-                ctx = contexts[entry[3]]
-                if not ctx.alive:
-                    ctx.alive = True
-                    if not ctx.halted:
-                        stepped = True
-                    self._dispatch(ctx.node, protocol.on_recover(ctx, t))
-
-            # Deliveries, grouped per receiver (arrival order within).
-            inboxes: dict[int, dict[int, list]] = {}
-            for entry in sorted(delivers, key=lambda e: (e[4], e[2])):
-                _, _, _, sender, receiver, payload = entry
-                if not contexts[receiver].alive:
-                    self._dropped += 1
-                    continue
-                inboxes.setdefault(receiver, {}).setdefault(
-                    sender, []
-                ).append(payload)
-            for receiver in sorted(inboxes):
-                ctx = contexts[receiver]
-                if not ctx.halted:
-                    stepped = True
-                self._dispatch(
-                    receiver, protocol.on_deliver(ctx, inboxes[receiver], t)
-                )
-
-            for entry in sorted(timers, key=lambda e: (e[3], e[2])):
-                ctx = contexts[entry[3]]
-                if not ctx.alive or ctx.halted:
-                    continue
-                stepped = True
-                self._dispatch(ctx.node, protocol.on_timer(ctx, t, entry[4]))
-
-            if stepped:
-                rounds += 1
-
-        return self._finish(protocol, nodes, contexts, rounds)
-
-    # ------------------------------------------------------------------
-    def _run_batch(self, protocol: EventProtocol) -> RunResult:
-        """The batched tier: drains whole same-timestamp epochs from the
-        hybrid wheel (heap for singleton pushes, sorted array runs for
-        transmission batches), defers the epoch's fault draws into one
-        vectorized pass, and steps :class:`BatchEventProtocol` groups
-        through single epoch-hook calls.  Event ordering, sequence
-        allocation and accounting match :meth:`_run_scalar` exactly."""
-        _, nodes, contexts = self._init_run(protocol, defer=True)
+        Drains whole same-timestamp epochs from the hybrid wheel (heap
+        for singleton pushes, sorted array runs for transmission
+        batches), defers the epoch's fault draws into one vectorized
+        pass, and steps :class:`BatchEventProtocol` groups through
+        single epoch-hook calls; any other :class:`EventProtocol` is
+        stepped node by node in the same canonical order.
+        """
+        _, nodes, contexts = self._init_run(protocol)
         batch_epoch = getattr(protocol, "supports_batch_epoch", False)
         rounds = self._start(protocol, nodes, contexts)
         self._flush_tx()
@@ -869,7 +766,7 @@ class EventNetwork:
                     )
                 else:
                     # Heap-only epoch (typical under jitter: near-singleton
-                    # epochs); build inboxes inline, scalar-identical.
+                    # epochs); build inboxes inline, in the same order.
                     batch = []
                     last_ctx = None
                     inbox: dict[int, list] | None = None
@@ -930,10 +827,10 @@ class EventNetwork:
         contexts: dict,
     ) -> list[tuple[EventNodeContext, dict[int, list]]]:
         """Assemble the epoch's deliveries into per-receiver inboxes, in
-        the scalar tier's canonical order: entries (receiver, seq)-sorted,
-        dead receivers billed as drops, senders grouped by first arrival.
-        Array runs are merged with heap entries through one lexsort
-        instead of per-message dict appends."""
+        canonical order: entries (receiver, seq)-sorted, dead receivers
+        billed as drops, senders grouped by first arrival.  Array runs
+        are merged with heap entries through one lexsort instead of
+        per-message dict appends."""
         rcv_parts: list[np.ndarray] = []
         seq_parts: list[np.ndarray] = []
         snd_parts: list[np.ndarray] = []
@@ -1021,9 +918,3 @@ class EventNetwork:
             outputs=protocol.outputs_batch(net),
         )
 
-
-def _check_engine(engine: str) -> None:
-    if engine not in ("auto", "scalar", "batch"):
-        raise ProtocolError(
-            f"engine must be auto|scalar|batch, got {engine!r}"
-        )

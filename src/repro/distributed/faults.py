@@ -18,6 +18,7 @@ key on ``u * 2**21 + v`` (directed); node ids must stay below ``2**21``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,26 +128,35 @@ class FaultPlan:
                 raise ProtocolError(
                     f"FaultPlan.{name} must be a probability, got {value}"
                 )
-        if self.latency <= 0.0:
+        # Times must be finite: a NaN event time never equals itself, so
+        # the event loop would pop nothing and spin past both budgets.
+        for name in ("latency", "burst_window", "flap_period",
+                     "recover_after"):
+            value = getattr(self, name)
+            if name == "recover_after" and value is None:
+                continue  # fail-stop
+            if not (math.isfinite(value) and value > 0.0):
+                raise ProtocolError(
+                    f"FaultPlan.{name} must be finite and > 0, got {value}"
+                )
+        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
             raise ProtocolError(
-                f"FaultPlan.latency must be > 0, got {self.latency}"
+                f"FaultPlan.jitter must be finite and >= 0, got {self.jitter}"
             )
-        if self.jitter < 0.0 or self.drift < 0.0 or self.drift >= 1.0:
+        if not 0.0 <= self.drift < 1.0:
             raise ProtocolError(
-                "FaultPlan.jitter must be >= 0 and drift in [0, 1), got "
-                f"jitter={self.jitter} drift={self.drift}"
+                f"FaultPlan.drift must be in [0, 1), got {self.drift}"
             )
-        if self.burst_window <= 0.0 or self.flap_period <= 0.0:
-            raise ProtocolError("FaultPlan windows/periods must be > 0")
-        if self.crash_window[1] < self.crash_window[0]:
+        window = self.crash_window
+        if not (
+            len(window) == 2
+            and math.isfinite(window[0])
+            and math.isfinite(window[1])
+            and window[0] <= window[1]
+        ):
             raise ProtocolError(
-                f"FaultPlan.crash_window must be ordered, got "
+                "FaultPlan.crash_window must be a finite ordered pair, got "
                 f"{self.crash_window}"
-            )
-        if self.recover_after is not None and self.recover_after <= 0.0:
-            raise ProtocolError(
-                f"FaultPlan.recover_after must be > 0, got "
-                f"{self.recover_after}"
             )
         # Premixed per-stream hash states, kept as plain Python ints: the
         # scalar draw path is pure int arithmetic and one transmission
@@ -183,40 +193,6 @@ class FaultPlan:
 
     def _state(self, tag: int) -> int:
         return self._states[tag]
-
-    # ------------------------------------------------------------------
-    # Node-level decisions
-    # ------------------------------------------------------------------
-    def crash_schedule(self, node: int) -> tuple[float, float | None] | None:
-        """``(crash_time, recover_time | None)`` for ``node``, or ``None``
-        if the node never crashes under this plan."""
-        if self.crash_rate == 0.0:
-            return None
-        if counter_uniform(self._state(_T_CRASH), node, 0) >= self.crash_rate:
-            return None
-        lo, hi = self.crash_window
-        at = lo + counter_uniform(self._state(_T_CRASH_AT), node, 0) * (hi - lo)
-        back = None if self.recover_after is None else at + self.recover_after
-        return at, back
-
-    def dead_at(self, node: int, at: float) -> bool:
-        """Whether ``node`` is crashed (and not yet recovered) at global
-        time ``at`` -- how multi-run pipelines sharing one timeline ask
-        who is down between protocol executions."""
-        sched = self.crash_schedule(node)
-        if sched is None:
-            return False
-        crash, back = sched
-        if at < crash:
-            return False
-        return back is None or at < back
-
-    def clock_rate(self, node: int) -> float:
-        """Node-local clock speed relative to global time (1.0 = exact)."""
-        if self.drift == 0.0:
-            return 1.0
-        u = counter_uniform(self._state(_T_DRIFT), node, 0)
-        return 1.0 + self.drift * (2.0 * u - 1.0)
 
     # ------------------------------------------------------------------
     # Edge-level decisions
@@ -268,12 +244,13 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Vectorized draw kernels (batch event engine)
     # ------------------------------------------------------------------
-    # Each kernel is the array-native form of the scalar method above and
-    # is bit-for-bit equal to calling it elementwise: every draw is a pure
+    # Each kernel is bit-for-bit equal to the elementwise scalar draw --
+    # the edge-level methods above, and for the node-level kernels the
+    # per-node references the test-suite keeps: every draw is a pure
     # function of (seed, identifiers, counter), so composing full masks
-    # instead of short-circuiting changes nothing.  The batch event engine
-    # defers an epoch's drop/latency draws and evaluates them here in one
-    # hash pass per stream.
+    # instead of short-circuiting changes nothing.  The event engine
+    # primes each run from the node-level kernels and defers an epoch's
+    # drop/latency draws into one hash pass per stream.
 
     def crash_schedules(
         self, nodes: np.ndarray
@@ -298,9 +275,18 @@ class FaultPlan:
             recover_at[hit] = at[hit] + self.recover_after
         return crash_at, recover_at
 
+    def clock_rates(self, nodes: np.ndarray) -> np.ndarray:
+        """Node-local clock speeds relative to global time over
+        ``nodes`` (1.0 = exact)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if self.drift == 0.0:
+            return np.ones(nodes.shape)
+        u = counter_uniforms(self._state(_T_DRIFT), nodes, 0)
+        return 1.0 + self.drift * (2.0 * u - 1.0)
+
     def alive_at(self, nodes: np.ndarray, at: float) -> np.ndarray:
         """Boolean mask over ``nodes``: not crashed (or already recovered)
-        at global time ``at``.  Elementwise ``not dead_at(node, at)``."""
+        at global time ``at``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if self.crash_rate == 0.0:
             return np.ones(nodes.shape, dtype=bool)

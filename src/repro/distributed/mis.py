@@ -171,7 +171,6 @@ def run_luby_mis_arrays(
     *,
     seed: int = 0,
     max_rounds: int = 10_000,
-    engine: str = "auto",
 ) -> MISMask:
     """Compute an MIS of a CSR-array adjacency with the Luby protocol.
 
@@ -200,7 +199,7 @@ def run_luby_mis_arrays(
         net = SynchronousNetwork(
             (sub_indptr, sub_indices, labels), max_rounds=max_rounds
         )
-        result = net.run(LubyMIS(seed=seed), engine=engine)
+        result = net.run(LubyMIS(seed=seed))
         # Outputs come in ascending label order, aligned with labels.
         flags = np.fromiter(result.outputs.values(), bool, labels.size)
         chosen[labels[flags]] = True

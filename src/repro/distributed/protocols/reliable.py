@@ -33,7 +33,7 @@ alpha-synchronizer with reliable links built from acks and timeouts:
 
 Under a zero-fault plan the wrapper is a no-op semantically: the inner
 protocol consumes exactly the synchronous tier's inboxes, so its outputs
-are pinned equal to ``engine="scalar"`` (the test-suite asserts this);
+are pinned equal to a synchronous run's (the test-suite asserts this);
 the extra traffic is all billed to ``control_messages``, and
 ``retransmissions`` stays 0.
 

@@ -274,8 +274,8 @@ def run_luby_mis_event(
 
     ``topology`` takes any engine form (Graph, mapping, CSR pair).
     Under a zero-fault unit-latency plan this runs the synchronous
-    adapter, so outputs equal ``SynchronousNetwork.run(...,
-    engine="scalar")`` exactly.
+    adapter, so outputs equal ``SynchronousNetwork.run(LubyMIS(seed))``
+    exactly.
     """
     net, result = _execute(
         topology, LubyMIS(seed=seed), plan, fault_labels, t0,

@@ -9,16 +9,17 @@ rate, crash rate and latency variance rise.  Shape:
   subgraph -- a verified MIS of the alive-induced topology, a spanning
   BFS tree over survivors reachable from the root, and stretch within
   the bound on the alive-alive base edges;
-* the ``reliable`` scenario is bit-equal to the synchronous scalar
-  tier (same MIS, same BFS tree, same spanner edge set) -- the
-  zero-fault anchor every other row's degradation is measured from.
+* the ``reliable`` scenario is bit-equal to the synchronous engine
+  (same MIS, same BFS tree, same spanner edge set) -- the zero-fault
+  anchor every other row's degradation is measured from.
 
-Rows run on the batched event engine, which is pinned bit-equal to the
-scalar heap, so ``n = 10^4`` fault rows are practical (``repro sweep
---experiments E11 --faults chaos --sizes 10000``).  The spanner-build
-arm and its all-pairs stretch audit stop above ``max_build_n`` nodes
-(the hardened runners' internal verification still certifies every
-row); each row carries its wall clock.
+Rows run on the epoch-batched event engine (the test-suite pins it
+bit-equal to a one-event-at-a-time heap loop), so ``n = 10^4`` fault
+rows are practical (``repro sweep --experiments E11 --faults chaos
+--sizes 10000``).  The spanner-build arm and its all-pairs stretch audit
+stop above ``max_build_n`` nodes (the hardened runners' internal
+verification still certifies every row); each row carries its wall
+clock.
 """
 
 from __future__ import annotations
@@ -74,22 +75,19 @@ def run(
     cells = [(name, fault_scenario(name)) for name in names]
     plans = {name: spec.plan(seed) for name, spec in cells}
 
-    # Zero-fault anchors from the synchronous scalar tier, computed only
-    # when a reliable row will actually consume them.
+    # Zero-fault anchors from the synchronous engine (its batch tier,
+    # pinned equal to the per-node tier), computed only when a reliable
+    # row will actually consume them.
     needs_anchor = any(
         p.zero_fault and p.latency == 1.0 for p in plans.values()
     )
     anchor_mis = anchor_tree = sync_mis = sync_bfs = anchor_build = None
     if needs_anchor:
-        sync_mis = SynchronousNetwork(graph).run(
-            LubyMIS(seed=seed), engine="scalar"
-        )
+        sync_mis = SynchronousNetwork(graph).run(LubyMIS(seed=seed))
         anchor_mis = frozenset(
             u for u, flag in sync_mis.outputs.items() if flag
         )
-        sync_bfs = SynchronousNetwork(graph).run(
-            BFSTree(root, patience=64), engine="scalar"
-        )
+        sync_bfs = SynchronousNetwork(graph).run(BFSTree(root, patience=64))
         anchor_tree = {
             u: tuple(v) if isinstance(v, (tuple, list)) else (None, None)
             for u, v in sync_bfs.outputs.items()
@@ -174,7 +172,7 @@ def run(
             )
         if plan.zero_fault and plan.latency == 1.0:
             # The anchor row: everything must be bit-equal to the
-            # synchronous scalar tier.
+            # synchronous engine.
             sync_equal = (
                 mis.independent_set == anchor_mis
                 and mis.result == sync_mis

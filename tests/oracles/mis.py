@@ -31,13 +31,8 @@ def run_luby_mis(
     *,
     seed: int = 0,
     max_rounds: int = 10_000,
-    engine: str = "auto",
 ) -> MISRun:
-    """An MIS of ``adjacency`` by the Luby protocol, verified.
-
-    ``engine`` picks the tier as :meth:`SynchronousNetwork.run` does;
-    both tiers give the same set, rounds and messages for a seed.
-    """
+    """An MIS of ``adjacency`` by the Luby protocol, verified."""
     if not adjacency:
         return MISRun(frozenset(), engine_rounds=0, messages=0)
     nodes = sorted(adjacency)
@@ -46,7 +41,7 @@ def run_luby_mis(
         to_int[u]: {to_int[v] for v in nbrs} for u, nbrs in adjacency.items()
     }
     net = SynchronousNetwork(relabeled, max_rounds=max_rounds)
-    result = net.run(LubyMIS(seed=seed), engine=engine)
+    result = net.run(LubyMIS(seed=seed))
     chosen = frozenset(nodes[i] for i, flag in result.outputs.items() if flag)
     verify_mis(adjacency, set(chosen))
     return MISRun(

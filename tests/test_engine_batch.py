@@ -1,16 +1,19 @@
 """Batch-tier engine tests: edge cases + scalar-vs-batch equivalence.
 
-The batch tier's contract is *exact* equivalence with the scalar
-reference tier -- same rounds, same message and word totals, same
-outputs in the same insertion order -- on every topology, including the
-awkward ones (disconnected, isolated nodes, gapped labels, zero-message
-protocols, budget exhaustion mid-run).
+The batch tier's contract is *exact* equivalence with the per-node
+scalar tier -- same rounds, same message and word totals, same outputs
+in the same insertion order -- on every topology, including the awkward
+ones (disconnected, isolated nodes, gapped labels, zero-message
+protocols, budget exhaustion mid-run).  The scalar side runs the same
+protocol behind :class:`oracles.engine.PerNode`, which hides its batch
+hooks.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.engine import PerNode
 from oracles.mis import run_luby_mis
 
 from repro.distributed.engine import (
@@ -51,8 +54,9 @@ def two_components() -> Graph:
 
 
 def assert_equal_runs(net: SynchronousNetwork, protocol) -> None:
-    scalar = net.run(protocol, engine="scalar")
-    batch = net.run(protocol, engine="batch")
+    assert protocol.supports_batch
+    scalar = net.run(PerNode(protocol))
+    batch = net.run(protocol)
     assert scalar.rounds == batch.rounds
     assert scalar.messages == batch.messages
     assert scalar.words == batch.words
@@ -96,15 +100,16 @@ class ChattyBatch(BatchProtocol):
 
 
 class TestEngineSelection:
-    def test_auto_picks_batch_for_capable_protocols(self):
+    def test_auto_picks_batch_for_capable_protocols(self, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError(f"{protocol.name} ran per node")
+
         assert getattr(LubyMIS(), "supports_batch", False)
-
-    def test_bad_engine_name_rejected(self):
+        monkeypatch.setattr(SynchronousNetwork, "_run_scalar", refuse)
         net = SynchronousNetwork(two_components())
-        with pytest.raises(ProtocolError, match="engine"):
-            net.run(LubyMIS(), engine="turbo")
+        assert net.run(LubyMIS(seed=3)).rounds > 0
 
-    def test_batch_requires_batch_protocol(self):
+    def test_protocol_without_batch_runs_per_node(self):
         class ScalarOnly(Protocol):
             name = "scalar-only"
 
@@ -113,10 +118,7 @@ class TestEngineSelection:
                 return None
 
         net = SynchronousNetwork(two_components())
-        with pytest.raises(ProtocolError, match="batch"):
-            net.run(ScalarOnly(), engine="batch")
-        # auto falls back to the scalar tier without complaint.
-        assert net.run(ScalarOnly(), engine="auto").rounds == 1
+        assert net.run(ScalarOnly()).rounds == 1
 
     def test_graph_self_loop_rejected(self):
         g = Graph(3)
@@ -134,7 +136,7 @@ class TestBatchEdgeCases:
     def test_zero_message_protocol(self):
         net = SynchronousNetwork(two_components())
         assert_equal_runs(net, SilentBatchHalt())
-        result = net.run(SilentBatchHalt(), engine="batch")
+        result = net.run(SilentBatchHalt())
         assert result.rounds == 1  # one silent compute round
         assert result.messages == 0
         assert result.words == 0
@@ -142,27 +144,28 @@ class TestBatchEdgeCases:
     def test_zero_hop_gather_is_zero_rounds(self):
         net = SynchronousNetwork(two_components())
         assert_equal_runs(net, KHopGather({0: {"x"}}, 0))
-        result = net.run(KHopGather({0: {"x"}}, 0), engine="batch")
+        result = net.run(KHopGather({0: {"x"}}, 0))
         assert result.rounds == 0
 
     def test_max_rounds_exhaustion_mid_batch(self):
         net = SynchronousNetwork(two_components(), max_rounds=5)
         with pytest.raises(SimulationLimitError, match="exceeded 5"):
-            net.run(ChattyBatch(), engine="batch")
+            net.run(ChattyBatch())
 
     def test_max_rounds_same_boundary_both_tiers(self):
         """BFS patience exceeding the budget trips the limit identically."""
         g = two_components()
-        for engine in ("scalar", "batch"):
+        bfs = BFSTree(0, patience=50)
+        for protocol in (PerNode(bfs), bfs):
             net = SynchronousNetwork(g, max_rounds=6)
             with pytest.raises(SimulationLimitError):
-                net.run(BFSTree(0, patience=50), engine=engine)
+                net.run(protocol)
 
     def test_disconnected_bfs(self):
         net = SynchronousNetwork(two_components())
         protocol = BFSTree(0, patience=10)
         assert_equal_runs(net, protocol)
-        outputs = net.run(protocol, engine="batch").outputs
+        outputs = net.run(protocol).outputs
         assert outputs[0] == (0, 0)
         assert outputs[2] == (2, 1)
         assert outputs[4] == (None, None)  # other component
@@ -171,7 +174,7 @@ class TestBatchEdgeCases:
     def test_disconnected_luby(self):
         net = SynchronousNetwork(two_components())
         assert_equal_runs(net, LubyMIS(seed=3))
-        outputs = net.run(LubyMIS(seed=3), engine="batch").outputs
+        outputs = net.run(LubyMIS(seed=3)).outputs
         assert outputs[6] is True  # isolated nodes always join
         adj = {u: set(two_components().neighbors(u)) for u in range(7)}
         verify_mis(adj, {u for u, f in outputs.items() if f})
@@ -181,7 +184,7 @@ class TestBatchEdgeCases:
         facts = {u: {("f", u)} for u in range(7)}
         protocol = KHopGather(facts, 3)
         assert_equal_runs(net, protocol)
-        outputs = net.run(protocol, engine="batch").outputs
+        outputs = net.run(protocol).outputs
         assert outputs[0] == {("f", 0), ("f", 1), ("f", 2)}
         assert outputs[3] == {("f", 3), ("f", 4), ("f", 5)}
         assert outputs[6] == {("f", 6)}
@@ -199,7 +202,7 @@ class TestBatchEdgeCases:
 
     def test_empty_topology(self):
         net = SynchronousNetwork({})
-        result = net.run(LubyMIS(), engine="batch")
+        result = net.run(LubyMIS())
         assert result.rounds == 0
         assert result.outputs == {}
 
@@ -214,7 +217,7 @@ class TestBatchEdgeCases:
             g.add_edge(i, i + 1, 1.0)
         net = SynchronousNetwork(g)
         assert_equal_runs(net, BFSTree(0, patience=3))
-        outputs = net.run(BFSTree(0, patience=3), engine="batch").outputs
+        outputs = net.run(BFSTree(0, patience=3)).outputs
         assert outputs[3] == (3, 2)
         assert outputs[4] == (None, None)  # gave up one round too early
 
@@ -257,19 +260,21 @@ class TestScalarBatchEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mis_runner_engine_tiers_agree(self, seed):
+        # Nodes 0..39 already: the runner's relabeling is the identity.
         adj = random_adjacency(40, 120, seed)
-        scalar = run_luby_mis(adj, seed=seed, engine="scalar")
-        batch = run_luby_mis(adj, seed=seed, engine="batch")
-        auto = run_luby_mis(adj, seed=seed)
-        assert scalar.independent_set == batch.independent_set
-        assert scalar.engine_rounds == batch.engine_rounds == auto.engine_rounds
-        assert scalar.messages == batch.messages == auto.messages
+        scalar = SynchronousNetwork(adj).run(PerNode(LubyMIS(seed=seed)))
+        batch = run_luby_mis(adj, seed=seed)
+        assert batch.independent_set == frozenset(
+            u for u, flag in scalar.outputs.items() if flag
+        )
+        assert batch.engine_rounds == scalar.rounds
+        assert batch.messages == scalar.messages
 
     def test_luby_protocol_object_reusable_across_runs(self):
         protocol = LubyMIS(seed=5)
         net = SynchronousNetwork(random_adjacency(15, 30, 5))
-        first = net.run(protocol, engine="batch")
-        second = net.run(protocol, engine="batch")
+        first = net.run(protocol)
+        second = net.run(protocol)
         assert first.outputs == second.outputs
         assert first.rounds == second.rounds
         assert_equal_runs(net, protocol)

@@ -1,15 +1,17 @@
-"""The batch event engine's bit-equality contract with the scalar heap.
+"""The batch event engine's bit-equality contract with the heap loop.
 
-The scalar heap engine is the pinned semantic reference; the batch tier
+The one-pop-at-a-time heap loop (:class:`oracles.event_engine.
+HeapEventNetwork`) is the pinned semantic reference; the engine
 (timer-wheel runs, epoch gathers, deferred vectorized fault draws) must
 reproduce its ``RunResult`` *exactly* -- rounds, messages, words,
 retransmissions, control messages, drops, recovery rounds, crash set,
 outputs and output insertion order -- across the whole named
-failure-scenario family.  These tests are the license for ``engine="auto"``
-choosing the batch path everywhere.
+failure-scenario family.  These tests are the license for the engine
+running the batch path for every protocol.
 """
 
 import pytest
+from oracles.event_engine import HeapEventNetwork
 
 from repro.distributed import (
     BFSTree,
@@ -19,7 +21,6 @@ from repro.distributed import (
     SynchronousNetwork,
 )
 from repro.distributed.protocols.reliable import harden
-from repro.exceptions import ProtocolError
 from repro.experiments.failures import FAULT_REGISTRY
 from repro.experiments.workloads import make_workload
 
@@ -30,9 +31,9 @@ def workload_graph(n=90, seed=2):
     return make_workload("uniform", n, seed=seed).graph
 
 
-def _run(graph, protocol_factory, plan, engine):
-    net = EventNetwork(graph, plan=plan, max_time=20_000.0)
-    return net.run(harden(protocol_factory()), engine=engine), net.final_time
+def _run(graph, protocol_factory, plan, network=EventNetwork):
+    net = network(graph, plan=plan, max_time=20_000.0)
+    return net.run(harden(protocol_factory())), net.final_time
 
 
 def _assert_identical(a, b):
@@ -48,8 +49,10 @@ class TestScenarioFamilyEquality:
     def test_hardened_luby(self, name):
         graph = workload_graph()
         plan = FAULT_REGISTRY[name].plan(seed=901)
-        scalar, ft_s = _run(graph, lambda: LubyMIS(seed=5), plan, "scalar")
-        batch, ft_b = _run(graph, lambda: LubyMIS(seed=5), plan, "batch")
+        scalar, ft_s = _run(
+            graph, lambda: LubyMIS(seed=5), plan, HeapEventNetwork
+        )
+        batch, ft_b = _run(graph, lambda: LubyMIS(seed=5), plan)
         _assert_identical(scalar, batch)
         assert ft_s == ft_b
 
@@ -58,11 +61,9 @@ class TestScenarioFamilyEquality:
         graph = workload_graph(n=70, seed=4)
         plan = FAULT_REGISTRY[name].plan(seed=902)
         scalar, ft_s = _run(
-            graph, lambda: BFSTree(0, patience=48), plan, "scalar"
+            graph, lambda: BFSTree(0, patience=48), plan, HeapEventNetwork
         )
-        batch, ft_b = _run(
-            graph, lambda: BFSTree(0, patience=48), plan, "batch"
-        )
+        batch, ft_b = _run(graph, lambda: BFSTree(0, patience=48), plan)
         _assert_identical(scalar, batch)
         assert ft_s == ft_b
 
@@ -74,8 +75,8 @@ class TestBatchDeterminism:
     def test_same_seed_batch_runs_identical(self, name):
         graph = workload_graph(n=60, seed=8)
         plan = FAULT_REGISTRY[name].plan(seed=77)
-        first, ft1 = _run(graph, lambda: LubyMIS(seed=3), plan, "batch")
-        second, ft2 = _run(graph, lambda: LubyMIS(seed=3), plan, "batch")
+        first, ft1 = _run(graph, lambda: LubyMIS(seed=3), plan)
+        second, ft2 = _run(graph, lambda: LubyMIS(seed=3), plan)
         _assert_identical(first, second)
         assert ft1 == ft2
 
@@ -83,7 +84,7 @@ class TestBatchDeterminism:
 class TestSyncFastPath:
     """Zero-fault + unit latency + batch protocol: run_sync routes to the
     synchronous batch tier directly.  Result AND final_time must match
-    the scalar tick-adapter path."""
+    the tick adapter on the heap loop."""
 
     @pytest.mark.parametrize("proto", ["luby", "bfs"])
     @pytest.mark.parametrize("t0", [0.0, 50.0])
@@ -95,11 +96,11 @@ class TestSyncFastPath:
             else (lambda: BFSTree(0))
         )
         nets = [
-            EventNetwork(graph, plan=FaultPlan.reliable(), t0=t0)
-            for _ in range(2)
+            network(graph, plan=FaultPlan.reliable(), t0=t0)
+            for network in (HeapEventNetwork, EventNetwork)
         ]
-        scalar = nets[0].run_sync(make(), engine="scalar")
-        fast = nets[1].run_sync(make(), engine="auto")
+        scalar = nets[0].run_sync(make())
+        fast = nets[1].run_sync(make())
         _assert_identical(scalar, fast)
         assert nets[0].final_time == nets[1].final_time
 
@@ -113,22 +114,14 @@ class TestSyncFastPath:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        graph = workload_graph(n=20, seed=0)
-        net = EventNetwork(graph, plan=FaultPlan.reliable())
-        with pytest.raises(ProtocolError, match="auto|scalar|batch"):
-            net.run(harden(LubyMIS(seed=1)), engine="vectorized")
-        with pytest.raises(ProtocolError, match="auto|scalar|batch"):
-            net.run_sync(LubyMIS(seed=1), engine="wheel")
-
     def test_scalar_engine_forces_heap_path(self):
-        # engine="scalar" on run_sync must bypass the fast path and the
+        # The heap reference's run_sync bypasses the fast path and the
         # batch wheel -- still equal, by the anchor contract.
         graph = workload_graph(n=40, seed=1)
-        a = EventNetwork(graph, plan=FaultPlan.reliable()).run_sync(
-            LubyMIS(seed=2), engine="scalar"
+        a = HeapEventNetwork(graph, plan=FaultPlan.reliable()).run_sync(
+            LubyMIS(seed=2)
         )
         b = EventNetwork(graph, plan=FaultPlan.reliable()).run_sync(
-            LubyMIS(seed=2), engine="batch"
+            LubyMIS(seed=2)
         )
         _assert_identical(a, b)

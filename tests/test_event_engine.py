@@ -10,7 +10,11 @@ accounting (Ctl/Resend/Multi), simulation limits, and bitwise
 determinism of whole runs.
 """
 
+import math
+
 import pytest
+from oracles.engine import PerNode
+from oracles.faults import clock_rate, crash_schedule, dead_at
 
 from repro.distributed import (
     BFSTree,
@@ -25,6 +29,7 @@ from repro.distributed import (
     run_bfs_event,
     run_luby_mis_event,
 )
+from repro.distributed.event_engine import _P_CRASH, _P_RECOVER
 from repro.exceptions import ProtocolError, SimulationLimitError
 from repro.experiments.workloads import make_workload
 from repro.graphs.graph import Graph
@@ -47,9 +52,7 @@ class TestZeroFaultAnchor:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_luby_runresult_equality(self, seed):
         graph = workload_graph(n=40, seed=seed)
-        sync = SynchronousNetwork(graph).run(
-            LubyMIS(seed=seed), engine="scalar"
-        )
+        sync = SynchronousNetwork(graph).run(PerNode(LubyMIS(seed=seed)))
         event = EventNetwork(graph, plan=FaultPlan.reliable()).run_sync(
             LubyMIS(seed=seed)
         )
@@ -58,15 +61,13 @@ class TestZeroFaultAnchor:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bfs_runresult_equality(self, seed):
         graph = workload_graph(n=36, seed=seed + 11)
-        sync = SynchronousNetwork(graph).run(
-            BFSTree(0, patience=64), engine="scalar"
-        )
+        sync = SynchronousNetwork(graph).run(PerNode(BFSTree(0, patience=64)))
         event = EventNetwork(graph).run_sync(BFSTree(0, patience=64))
         assert event == sync
 
     def test_luby_runner_matches_scalar_tier(self):
         graph = workload_graph(n=44, seed=5)
-        sync = SynchronousNetwork(graph).run(LubyMIS(seed=5), engine="scalar")
+        sync = SynchronousNetwork(graph).run(PerNode(LubyMIS(seed=5)))
         run = run_luby_mis_event(graph, seed=5)
         assert run.result == sync
         assert run.independent_set == frozenset(
@@ -76,9 +77,7 @@ class TestZeroFaultAnchor:
 
     def test_bfs_runner_matches_scalar_tier(self):
         graph = workload_graph(n=36, seed=9)
-        sync = SynchronousNetwork(graph).run(
-            BFSTree(0, patience=64), engine="scalar"
-        )
+        sync = SynchronousNetwork(graph).run(PerNode(BFSTree(0, patience=64)))
         run = run_bfs_event(graph, 0, patience=64)
         assert run.result == sync
         assert run.tree == {
@@ -207,9 +206,55 @@ class TestEventMechanics:
         plan = FaultPlan(seed=4, drift=0.2)
         net = EventNetwork(path_graph(2), plan=plan)
         net.run(_TimerChain())
-        rate = plan.clock_rate(0)
+        rate = clock_rate(plan, 0)
         assert rate != 1.0
         assert net.final_time == pytest.approx(3.0 / rate)
+
+
+class TestNonFiniteInputs:
+    """A NaN event time never equals itself, so the epoch loop would pop
+    nothing and spin past both budgets: every non-finite time is refused
+    up front, by an error that names the field."""
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("drift", {"drift": math.nan}),
+            ("jitter", {"jitter": math.nan}),
+            ("latency", {"latency": math.nan}),
+            ("burst_window", {"burst_rate": 0.5, "burst_window": math.nan}),
+            ("flap_period", {"flap_rate": 0.5, "flap_period": math.nan}),
+            (
+                "crash_window",
+                {"crash_rate": 0.5, "crash_window": (0.0, math.nan)},
+            ),
+            (
+                "crash_window",
+                {"crash_rate": 0.5, "crash_window": (-math.inf, 5.0)},
+            ),
+            ("recover_after", {"crash_rate": 0.5, "recover_after": math.nan}),
+        ],
+        ids=[
+            "drift", "jitter", "latency", "burst_window", "flap_period",
+            "crash_window_nan", "crash_window_neg_inf", "recover_after",
+        ],
+    )
+    def test_fault_plan_field(self, field, kwargs):
+        with pytest.raises(ProtocolError, match=rf"FaultPlan\.{field} "):
+            FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize("field", ["t0", "max_time"])
+    def test_event_network_field(self, field):
+        with pytest.raises(ProtocolError, match=rf"EventNetwork\.{field} "):
+            EventNetwork(path_graph(2), **{field: math.nan})
+
+    def test_timer_delay(self):
+        class NanTimer(EventProtocol):
+            def on_start(self, ctx):
+                ctx.set_timer(math.nan)
+
+        with pytest.raises(ProtocolError, match="timer delay"):
+            EventNetwork(path_graph(2), max_events=1000).run(NanTimer())
 
 
 class TestCrashSemantics:
@@ -217,9 +262,7 @@ class TestCrashSemantics:
         plan = FaultPlan(seed=1, crash_rate=0.3, crash_window=(0.0, 8.0))
         graph = workload_graph(n=30, seed=4)
         run = run_luby_mis_event(graph, seed=4, plan=plan)
-        expected_dead = {
-            u for u in range(30) if plan.dead_at(u, run.t_end)
-        }
+        expected_dead = {u for u in range(30) if dead_at(plan, u, run.t_end)}
         assert set(run.result.crashed) == expected_dead
         assert set(run.alive) == set(range(30)) - expected_dead
         assert run.independent_set <= set(run.alive)
@@ -237,16 +280,51 @@ class TestCrashSemantics:
     def test_dead_at_matches_crash_schedule(self):
         plan = FaultPlan(seed=2, crash_rate=0.5, recover_after=10.0)
         for node in range(50):
-            sched = plan.crash_schedule(node)
+            sched = crash_schedule(plan, node)
             if sched is None:
-                assert not plan.dead_at(node, 100.0)
+                assert not dead_at(plan, node, 100.0)
                 continue
             crash, back = sched
-            assert not plan.dead_at(node, crash - 1e-9)
-            assert plan.dead_at(node, crash)
+            assert not dead_at(plan, node, crash - 1e-9)
+            assert dead_at(plan, node, crash)
             assert back == crash + 10.0
-            assert plan.dead_at(node, back - 1e-9)
-            assert not plan.dead_at(node, back)
+            assert dead_at(plan, node, back - 1e-9)
+            assert not dead_at(plan, node, back)
+
+    @pytest.mark.parametrize("recover_after", [25.0, None])
+    @pytest.mark.parametrize("t0", [0.0, 20.0, 70.0])
+    def test_primed_timeline_matches_per_node_draws(self, recover_after, t0):
+        """A run primes its crash timeline from one array draw: the heap
+        entries, their sequence numbers, the nodes dead at the start and
+        the clock rates equal a node-by-node priming in node order."""
+        plan = FaultPlan(
+            seed=5, crash_rate=0.4, crash_window=(0.0, 40.0),
+            recover_after=recover_after, drift=0.1,
+        )
+        labels = {u: 3 * u + 1 for u in range(60)}
+        net = EventNetwork(
+            workload_graph(n=60, seed=2), plan=plan, fault_labels=labels,
+            t0=t0,
+        )
+        _, nodes, contexts = net._init_run(EventProtocol())
+        heap, dead = [], set()
+        for u in nodes:
+            sched = crash_schedule(plan, labels[u])
+            if sched is None:
+                continue
+            at, back = sched
+            if at > t0:
+                heap.append((at, _P_CRASH, len(heap) + 1, u))
+            elif back is not None and back <= t0:
+                continue
+            else:
+                dead.add(u)
+            if back is not None:
+                heap.append((back, _P_RECOVER, len(heap) + 1, u))
+        assert sorted(net._heap) == sorted(heap)
+        assert net._seq == len(heap)
+        assert {u for u in nodes if not contexts[u].alive} == dead
+        assert net._rates == {u: clock_rate(plan, labels[u]) for u in nodes}
 
 
 class TestDeterminism:

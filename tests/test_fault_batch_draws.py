@@ -1,11 +1,13 @@
 """Satellite pin: vectorized FaultPlan draw kernels == scalar draws.
 
 Sweeps every named failure scenario and asserts the batch kernels
-(`drop_mask`, `latencies`, `alive_at`, `crash_schedules`,
+(`drop_mask`, `latencies`, `alive_at`, `crash_schedules`, `clock_rates`,
 `link_down_mask`) equal the per-call scalar draws elementwise, bit for
-bit.  This is the contract the batch event engine rests on: an epoch's
-draws can be deferred and evaluated in one hash pass without changing
-any decision.  Also pins the pure-Python scalar `counter_uniform`
+bit -- the edge-level methods of `FaultPlan`, and the node-level
+references in `oracles.faults`.  This is the contract the batch event
+engine rests on: an epoch's draws can be deferred and evaluated in one
+hash pass, and a run primed from one array call, without changing any
+decision.  Also pins the pure-Python scalar `counter_uniform`
 against the numpy `counter_uniforms` path it mirrors.
 """
 
@@ -15,6 +17,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles.faults import clock_rate, crash_schedule, dead_at
 
 from repro.arrayops import counter_uniform, counter_uniforms, seed_state
 from repro.distributed.faults import FaultPlan, _NODE_SPAN
@@ -74,20 +77,25 @@ class TestScenarioDrawEquivalence:
         nodes = np.arange(3000, dtype=np.int64)
         for at in TIMES:
             batch = plan.alive_at(nodes, at)
-            scalar = [not plan.dead_at(int(nd), at) for nd in nodes]
+            scalar = [not dead_at(plan, int(nd), at) for nd in nodes]
             assert batch.tolist() == scalar
 
     def test_crash_schedules_match_scalar(self, plan):
         nodes = np.arange(3000, dtype=np.int64)
         crash_at, recover_at = plan.crash_schedules(nodes)
         for i, node in enumerate(nodes):
-            sched = plan.crash_schedule(int(node))
+            sched = crash_schedule(plan, int(node))
             if sched is None:
                 assert crash_at[i] == np.inf and recover_at[i] == np.inf
             else:
                 at, back = sched
                 assert crash_at[i] == at
                 assert recover_at[i] == (np.inf if back is None else back)
+
+    def test_clock_rates_match_scalar(self, plan):
+        nodes = np.arange(3000, dtype=np.int64)
+        scalar = [clock_rate(plan, int(node)) for node in nodes]
+        assert plan.clock_rates(nodes).tolist() == scalar
 
 
 class TestKernelEdgeCases:
@@ -105,7 +113,7 @@ class TestKernelEdgeCases:
         assert not plan.drop_mask(us, vs, counters, 5.0).any()
         assert (plan.latencies(us, vs, counters) == 1.0).all()
         assert plan.alive_at(np.arange(50), 99.0).all()
-        assert all(plan.clock_rate(node) == 1.0 for node in range(50))
+        assert (plan.clock_rates(np.arange(50)) == 1.0).all()
 
 
 class TestCounterUniformScalarPath:

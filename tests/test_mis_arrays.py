@@ -10,6 +10,7 @@ engine's CSR-topology validation, labeled triples included.
 
 import numpy as np
 import pytest
+from oracles.engine import PerNode
 from oracles.mis import run_luby_mis
 
 import repro.distributed.mis as mis_mod
@@ -80,10 +81,13 @@ class TestLubyCsrEquivalence:
         """The CSR-native batch run bills exactly what the per-node
         scalar reference bills on the same array topology."""
         indptr, indices = to_csr(random_adjacency(40, 0.2, seed))
-        runs = {}
-        for engine in ("scalar", "batch"):
-            net = SynchronousNetwork((indptr, indices))
-            runs[engine] = net.run(LubyMIS(seed=seed), engine=engine)
+        runs = {
+            tier: SynchronousNetwork((indptr, indices)).run(protocol)
+            for tier, protocol in (
+                ("scalar", PerNode(LubyMIS(seed=seed))),
+                ("batch", LubyMIS(seed=seed)),
+            )
+        }
         assert runs["scalar"].rounds == runs["batch"].rounds
         assert runs["scalar"].messages == runs["batch"].messages
         assert runs["scalar"].words == runs["batch"].words
@@ -123,9 +127,9 @@ class TestNeighbourOnlyRuns:
         seen = []
 
         class Recording(SynchronousNetwork):
-            def run(self, protocol, *, engine="auto"):
+            def run(self, protocol):
                 seen.append(self.nodes)
-                return super().run(protocol, engine=engine)
+                return super().run(protocol)
 
         monkeypatch.setattr(mis_mod, "SynchronousNetwork", Recording)
         indptr, indices = partly_isolated(50, 4, seed=2)
@@ -170,10 +174,11 @@ class TestLabeledTopology:
         labels = topology[2]
         assert (np.diff(labels) > 1).any()  # non-contiguous ids
         runs = {
-            engine: SynchronousNetwork(topology).run(
-                LubyMIS(seed=seed), engine=engine
+            tier: SynchronousNetwork(topology).run(protocol)
+            for tier, protocol in (
+                ("scalar", PerNode(LubyMIS(seed=seed))),
+                ("batch", LubyMIS(seed=seed)),
             )
-            for engine in ("scalar", "batch")
         }
         scalar, batch = runs["scalar"], runs["batch"]
         assert scalar.rounds == batch.rounds

@@ -3,13 +3,17 @@
 ConvergecastSum completes the batch tier's protocol coverage; like the
 other protocol suites, equality is exact -- rounds, messages,
 words, outputs and output insertion order -- across random topologies,
-random BFS forests, integer and float payloads.
+random BFS forests, integer and float payloads.  The scalar side runs
+the same protocol behind :class:`oracles.engine.PerNode`, which hides
+its batch hooks.
 """
 
+import operator
 from collections import deque
 
 import numpy as np
 import pytest
+from oracles.engine import PerNode
 
 from repro.distributed.engine import SynchronousNetwork
 from repro.distributed.protocols.aggregate import ConvergecastSum
@@ -53,8 +57,9 @@ def bfs_forest(g: Graph) -> dict[int, int]:
 
 
 def assert_equal_runs(net: SynchronousNetwork, protocol) -> None:
-    scalar = net.run(protocol, engine="scalar")
-    batch = net.run(protocol, engine="batch")
+    assert protocol.supports_batch
+    scalar = net.run(PerNode(protocol))
+    batch = net.run(protocol)
     assert scalar.rounds == batch.rounds
     assert scalar.messages == batch.messages
     assert scalar.words == batch.words
@@ -84,8 +89,9 @@ class TestConvergecastBatch:
         parents = bfs_forest(g)
         values = {u: float(rng.uniform(-1, 1)) for u in range(n)}
         proto = ConvergecastSum(parents, values)
-        scalar = net.run(proto, engine="scalar")
-        batch = net.run(proto, engine="batch")
+        assert proto.supports_batch
+        scalar = net.run(PerNode(proto))
+        batch = net.run(proto)
         assert scalar.outputs.keys() == batch.outputs.keys()
         for u, value in scalar.outputs.items():
             if isinstance(value, float):
@@ -117,9 +123,9 @@ class TestConvergecastBatch:
         proto = ConvergecastSum({0: 0, 1: 0, 2: 0}, {u: True for u in range(3)})
         assert proto.supports_batch
         net = SynchronousNetwork(g)
-        batch = net.run(proto, engine="batch")
+        batch = net.run(proto)
         assert batch.outputs[0] == 3 and isinstance(batch.outputs[0], int)
-        assert batch.outputs == net.run(proto, engine="scalar").outputs
+        assert batch.outputs == net.run(PerNode(proto)).outputs
 
     def test_custom_combiner_stays_scalar(self):
         g = random_graph(8, 16, 0)
@@ -127,9 +133,24 @@ class TestConvergecastBatch:
             bfs_forest(g), {u: u for u in range(8)}, combine=max
         )
         assert not proto.supports_batch
-        with pytest.raises(ProtocolError):
-            SynchronousNetwork(g).run(proto, engine="batch")
-        SynchronousNetwork(g).run(proto)  # auto falls back to scalar
+        SynchronousNetwork(g).run(proto)  # steps per node
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_explicit_add_combiner_matches_batch_tier(self, seed):
+        """``combine=operator.add`` runs per node, the default ``+`` on
+        the batch tier; the two runs are the same."""
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(5, 40))
+        g = random_graph(n, 2 * n, seed)
+        parents = bfs_forest(g)
+        values = {u: int(rng.integers(-50, 50)) for u in range(n)}
+        explicit = ConvergecastSum(parents, values, combine=operator.add)
+        default = ConvergecastSum(parents, values)
+        assert not explicit.supports_batch and default.supports_batch
+        net = SynchronousNetwork(g, max_rounds=400)
+        per_node, batch = net.run(explicit), net.run(default)
+        assert per_node == batch
+        assert list(per_node.outputs) == list(batch.outputs)
 
     @staticmethod
     def _assert_same_error_both_tiers(edges, parents):
@@ -137,10 +158,10 @@ class TestConvergecastBatch:
         for u, v in edges:
             g.add_edge(u, v, 1.0)
         messages = []
-        for engine in ("scalar", "batch"):
-            proto = ConvergecastSum(parents, {u: 1 for u in parents})
+        proto = ConvergecastSum(parents, {u: 1 for u in parents})
+        for tier in (PerNode(proto), proto):
             with pytest.raises(ProtocolError) as err:
-                SynchronousNetwork(g).run(proto, engine=engine)
+                SynchronousNetwork(g).run(tier)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 

@@ -16,9 +16,10 @@ invalidation*:
    epoch's sites (:meth:`MaintenanceSession._balls`) finds every ball
    and halo at once: only node-site pairs in neighbouring cells get a
    distance, so the work follows the sites, not the deployment;
-2. the base alpha-UBG is patched incrementally, O(degree) edge writes
-   per event (the cached CSR is rebuilt by the next array kernel that
-   reads it);
+2. the base alpha-UBG and the spanner are patched once per epoch, one
+   bulk write each, from one grid join of the epoch's targets
+   (:meth:`MaintenanceSession._patch`; the cached CSR is rebuilt by
+   the next array kernel that reads it);
 3. promotion takes the base edges *touching* the dirty ball that the
    spanner lacks in ascending ``(w, u, v)`` order, one exact greedy
    pass: a candidate joins the spanner iff an exact cutoff search finds
@@ -81,9 +82,10 @@ nodes, the local path escalates to a spanner rebuild on its own.
 whose dirty balls overlap almost completely; repairing each event in
 isolation re-examines the same region's candidates over and over.
 :meth:`MaintenanceSession.apply_epoch` applies one epoch of events
-together: every mutation lands on the base graph first, the per-event
-balls coalesce into merged dirty *regions* (connected components of
-the ball-overlap graph), promotion and redundancy run once per region
+together: every mutation lands on the base graph first, in one patch;
+the per-event balls coalesce into merged dirty *regions* (connected
+components of the ball-overlap graph), promotion and redundancy run
+once per region
 -- deduplicating every overlapping ball's candidates and verdicts --
 and one certification sweep closes the epoch over the union of the
 region halos.  A single-event epoch takes exactly the per-event path
@@ -101,6 +103,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -109,10 +112,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ..arrayops import cell_neighbour_pairs, sorted_unique
+from ..arrayops import cell_neighbour_pairs, sorted_find, sorted_unique
 from ..exceptions import GraphError, ParameterError
 from ..geometry import GridIndex, PointSet
-from ..graphs.build import KeepAllPolicy, _policy_mask, reject_coincident
+from ..graphs.build import KeepAllPolicy, qubg_edge_mask, reject_coincident
 from ..graphs.graph import EdgeArrays, Graph, csr_find
 from ..graphs.paths import (
     detour_distance,
@@ -123,6 +126,7 @@ from ..graphs.paths import (
     untouched_ellipses,
 )
 from ..params import SpannerParams
+from .churn_epoch import EpochWrites
 from .cluster_graph import _REGION_SLACK
 from .relaxed_greedy import RelaxedGreedySpanner, SpannerResult
 
@@ -296,9 +300,6 @@ class MaintenanceSession:
         self.dirty_radius = self.params.t + 1.0
         self.resync_fraction = float(resync_fraction)
         self._pts_cache: PointSet | None = None
-        self._cells: dict[tuple[int, ...], set[int]] = {}
-        for idx in range(self._coords.shape[0]):
-            self._cell_add(idx)
         self.reports: list[RepairReport] = []
         self._epochs = 0
         self._log_reset()
@@ -398,22 +399,22 @@ class MaintenanceSession:
     ) -> list[RepairReport]:
         """Apply one epoch of events with coalesced repair.
 
-        All mutations land on the base graph first; the per-event
-        dirty balls merge into regions (connected components of the
-        ball-overlap graph) and the repair pipeline runs once per
-        region, with one certification sweep over the union of halos
-        closing the epoch.  ``repair="rebuild"`` epochs re-derive the
-        spanner once (still bit-equal to a scratch rebuild).  Returns
-        one report per event; an empty epoch is a no-op.
+        The events are staged, then base graph and spanner are patched
+        once (:meth:`_patch`); the per-event dirty balls merge into
+        regions (connected components of the ball-overlap graph) and the
+        repair pipeline runs once per region, with one certification
+        sweep over the union of halos closing the epoch.
+        ``repair="rebuild"`` epochs re-derive the spanner once (still
+        bit-equal to a scratch rebuild).  Returns one report per event;
+        an empty epoch is a no-op.
 
-        Kinds, positions and node ids are checked for the whole epoch
-        before any event is applied (:meth:`_check_epoch`).  A target
-        that another alive node occupies is found only as its event
-        comes up, because earlier events move nodes, and so is a
-        gray-zone policy that raises a :class:`GraphError` (a mask of
-        the wrong shape, say): that event writes nothing, the events
-        before it are repaired and their reports recorded, and the
-        error propagates.
+        Kinds, positions, node ids and times are checked for the whole
+        epoch before any event is applied (:meth:`_check_epoch`).  A
+        target that another alive node occupies as its event comes up
+        ends the epoch there: the events before it are written, repaired
+        and recorded, and a :class:`GraphError` propagates.  A gray-zone
+        policy that raises (a mask of the wrong shape, say) leaves the
+        whole epoch unwritten, and its error propagates.
         """
         events = list(events)
         if not events:
@@ -421,29 +422,21 @@ class MaintenanceSession:
         positions = self._check_epoch(events)
         t0 = perf_counter()
         self._log_reset()
-        reports: list[RepairReport] = []
-        sites_list: list[list[np.ndarray]] = []
-        for event, pos in zip(events, positions):
-            node = self.capacity if event.node is None else int(event.node)
-            if event.kind == "delete":
-                sites = self._do_delete(node)
-            else:
-                # A revival without a position returns to its old site.
-                target = self._coords[node] if pos is None else pos
-                try:
-                    nbrs, ws = self._target_edges(node, target)
-                except GraphError:  # occupied target, or a policy refused
-                    self._close_epoch(reports, sites_list, t0)
-                    raise
-                if event.kind == "insert":
-                    sites = self._do_insert(node, pos, nbrs, ws)
-                else:
-                    sites = self._do_move(node, pos, nbrs, ws)
-            reports.append(
-                RepairReport(kind=event.kind, node=node, time=event.time)
+        epoch = EpochWrites(self._coords, self._alive, events, positions)
+        stop, occupants = epoch.first_occupied()
+        if stop:
+            self._patch(epoch, stop)
+        reports = [
+            RepairReport(kind=event.kind, node=node, time=event.time)
+            for event, node in zip(events[:stop], epoch.nodes)
+        ]
+        self._close_epoch(reports, epoch.sites[:stop], t0)
+        if occupants:
+            pos = tuple(float(c) for c in epoch.targets[stop])
+            raise GraphError(
+                f"node {epoch.nodes[stop]} at {pos} would coincide with "
+                f"alive node(s) {occupants}"
             )
-            sites_list.append(sites)
-        self._close_epoch(reports, sites_list, t0)
         return reports
 
     def _check_epoch(
@@ -453,14 +446,15 @@ class MaintenanceSession:
         event is written; return each event's position as a tuple of
         floats (``None`` where it has none).
 
-        Every kind must be known and every given position a flat
-        sequence of ``dim`` finite real numbers (no strings, ``None``,
-        complex numbers or nested rows); a move and a fresh insert need
-        one.  A node id is ``None`` only for a fresh insert.  Otherwise
-        it is an ``int`` or numpy integer, never a ``bool``, below the
-        capacity (counting the epoch's earlier fresh inserts), and alive
-        or dead as the epoch's earlier events leave it: a revival needs
-        a dead node, a delete or a move an alive one.
+        Every kind must be known, every time a finite real number (no
+        ``bool``, string, ``None``, NaN or infinity), and every given
+        position a flat sequence of ``dim`` finite real numbers (no
+        strings, ``None``, complex numbers or nested rows); a move and a
+        fresh insert need one.  A node id is ``None`` only for a fresh
+        insert.  Otherwise it is an ``int`` or numpy integer, never a
+        ``bool``, below the capacity (counting the epoch's earlier fresh
+        inserts), and alive or dead as the epoch's earlier events leave
+        it: a revival needs a dead node, a delete or a move an alive one.
         """
         capacity = self.capacity
         alive_now: dict[int, bool] = {}  # as the earlier events leave it
@@ -491,6 +485,12 @@ class MaintenanceSession:
                         f"{kind} of {who} needs a finite dim-{self._dim} "
                         f"position, got {' '.join(repr(event.pos).split())}"
                     )
+            time = event.time
+            real = isinstance(time, numbers.Real)
+            if isinstance(time, bool) or not (real and math.isfinite(time)):
+                raise GraphError(
+                    f"{kind} of {who} needs a finite real time, got {time!r}"
+                )
             positions.append(pos)
             if node is None:
                 alive_now[capacity] = True
@@ -573,19 +573,32 @@ class MaintenanceSession:
 
     def verify(self) -> dict[str, float | bool]:
         """Check the maintained invariant: spanner stretch <= t over
-        every alive base edge (and the spanner is a base subgraph)."""
+        every alive base edge, and the spanner is a base subgraph whose
+        every weight is its base edge's weight bit for bit.
+        ``stale_weights`` counts the spanner edges whose weight is not
+        (a length a move left behind, which the stretch ratio would
+        read)."""
         t = self.params.t
         us, vs, ws = self.graph.edges_arrays()
-        if us.size == 0:
-            return {"ok": True, "stretch": 1.0, "edges": 0}
-        sp = pair_distances(self.spanner, us, vs, cutoff=t)
-        ratio = sp / ws
-        stretch = float(ratio.max())
+        su, sv, sw = self.spanner.edges_arrays()
+        subgraph = self.spanner.num_vertices == self.graph.num_vertices
+        stale = 0
+        if subgraph and su.size:
+            base = self.graph.csr()
+            at = csr_find(base, su, sv)
+            found = at >= 0
+            subgraph = bool(found.all())
+            stale = int(np.count_nonzero(base.data[at[found]] != sw[found]))
+        stretch = 1.0
+        if us.size:
+            sp = pair_distances(self.spanner, us, vs, cutoff=t)
+            stretch = float((sp / ws).max())
         ok = bool(np.isfinite(stretch)) and stretch <= t * (1.0 + 1e-9)
         return {
-            "ok": ok and self.spanner.is_subgraph_of(self.graph),
+            "ok": ok and subgraph and stale == 0,
             "stretch": stretch,
             "edges": int(us.size),
+            "stale_weights": stale,
         }
 
     # ------------------------------------------------------------------
@@ -595,86 +608,6 @@ class MaintenanceSession:
         if self._pts_cache is None:
             self._pts_cache = PointSet(self._coords)
         return self._pts_cache
-
-    def _cell_key(self, pos: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(math.floor(c)) for c in pos)
-
-    def _cell_add(self, node: int) -> None:
-        key = self._cell_key(self._coords[node])
-        self._cells.setdefault(key, set()).add(node)
-
-    def _cell_remove(self, node: int) -> None:
-        key = self._cell_key(self._coords[node])
-        bucket = self._cells.get(key)
-        if bucket is not None:
-            bucket.discard(node)
-            if not bucket:
-                del self._cells[key]
-
-    def _near(
-        self, pos: np.ndarray, radius: float = 1.0, exclude: int = -1
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alive nodes other than ``exclude`` within Euclidean
-        ``radius`` <= 1 of ``pos``, ascending by id, with distances.
-
-        Gathered from the unit grid cells (no O(n) scan) and measured
-        with the same squared-compare + einsum distance kernel as
-        :meth:`GridIndex.pairs_within_arrays`, so incremental edge
-        weights are bitwise equal to a batch rebuild's.
-        """
-        base = self._cell_key(pos)
-        ids: list[int] = []
-        for off in itertools.product((-1, 0, 1), repeat=self._dim):
-            bucket = self._cells.get(tuple(c + o for c, o in zip(base, off)))
-            if bucket:
-                ids.extend(bucket)
-        ids = sorted(i for i in ids if i != exclude)
-        if not ids:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
-        cand = np.asarray(ids, dtype=np.int64)
-        diff = self._coords[cand] - np.asarray(pos, dtype=np.float64)
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        keep = dist_sq <= radius * radius
-        return cand[keep], np.sqrt(dist_sq[keep])
-
-    def _target_edges(
-        self, node: int, pos: Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The base edges ``node`` gets at ``pos``, as neighbour ids and
-        weights, from the :meth:`_near` neighbours of the target.
-
-        Rejects a target that another alive node already occupies (it
-        would need a zero-length edge).  Pairs at distance <= alpha
-        always join; gray pairs consult the policy with *global*
-        normalized ids, matching :func:`repro.graphs.build.build_qubg`
-        draw for draw.  The policy sees the stored positions with
-        ``node`` at ``pos`` (a fresh id appended), as a rebuild after
-        the event would.  :meth:`apply_epoch` calls this before the
-        event writes anything, so a rejected event, or a policy that
-        raises, writes nothing.
-        """
-        cand, dist = self._near(pos, exclude=node)
-        same = cand[dist == 0.0]
-        if same.size:
-            raise GraphError(
-                f"node {node} at {tuple(float(c) for c in pos)} would "
-                f"coincide with alive node(s) {same.tolist()}"
-            )
-        keep = dist <= self._alpha
-        gray = ~keep
-        if gray.any():
-            if node == self.capacity:
-                coords = np.vstack([self._coords, [pos]])
-            else:
-                coords = self._coords.copy()
-                coords[node] = pos
-            gu = np.minimum(node, cand[gray])
-            gv = np.maximum(node, cand[gray])
-            keep[gray] = _policy_mask(
-                self._policy, PointSet(coords), gu, gv, dist[gray]
-            )
-        return cand[keep], dist[keep]
 
     # -- the epoch's change log ----------------------------------------
     def _log_reset(self) -> None:
@@ -695,90 +628,87 @@ class MaintenanceSession:
         when ``f`` came up is within ``t * |f|``, so ``f`` was never
         promoted.
         """
-        # No writer writes into this array: the epoch's first move or
-        # revival copies it (_set_position), and a fresh insert stacks a
-        # new one.  It keeps the epoch-start positions only while that
-        # stays so.
+        # _patch writes an epoch's positions into a new array, never
+        # into this one.
         self._log_coords = self._coords
         self._log_nodes: set[int] = set()
         self._log_edges: list[tuple[int, int]] = []
 
-    def _log_node(self, node: int) -> None:
-        """Log ``node`` as written, with every spanner edge it has."""
-        self._log_nodes.add(node)
-        self._log_edges.extend((node, v) for v in self.spanner.neighbors(node))
+    def _patch(self, epoch: EpochWrites, stop: int) -> None:
+        """Write the first ``stop`` events of ``epoch``: positions,
+        alive flags, the change log, and one bulk write per graph.
 
-    def _set_position(self, node: int, pos: tuple[float, ...]) -> None:
-        """Store ``node`` at ``pos``, leaving the change log's
-        epoch-start array as the epoch found it: the epoch's first write
-        copies it, and later writes land in place in the copy.  No
-        other holder sees them, because :class:`PointSet` copies its
-        input."""
-        if self._coords is self._log_coords:
-            self._coords = self._coords.copy()
-        self._coords[node] = pos
-        self._pts_cache = None
-
-    # The writers below take an event :meth:`_check_epoch` accepted and
-    # the base edges :meth:`_target_edges` decided, log what they write
-    # and return its sites.
-    def _do_insert(
-        self,
-        node: int,
-        pos: tuple[float, ...] | None,
-        nbrs: np.ndarray,
-        ws: np.ndarray,
-    ) -> list[np.ndarray]:
-        if node == self.capacity:
-            self._coords = np.vstack([self._coords, [pos]])
-            self._alive = np.append(self._alive, False)
-            self.graph.add_vertices(1)
-            self.spanner.add_vertices(1)
-            self._pts_cache = None
-        elif pos is not None:
-            self._set_position(node, pos)
-        self._alive[node] = True
-        self._log_nodes.add(node)
-        for v, w in zip(nbrs.tolist(), ws.tolist()):
-            self.graph.add_edge(node, v, w)
-        self._cell_add(node)
-        return [self._coords[node].copy()]
-
-    def _do_delete(self, node: int) -> list[np.ndarray]:
-        site = self._coords[node].copy()
-        self._log_node(node)
-        for v in list(self.spanner.neighbors(node)):
-            self.spanner.remove_edge(node, v)
-        for v in list(self.graph.neighbors(node)):
-            self.graph.remove_edge(node, v)
-        self._cell_remove(node)
-        self._alive[node] = False
-        return [site]
-
-    def _do_move(
-        self,
-        node: int,
-        pos: tuple[float, ...],
-        nbrs: np.ndarray,
-        ws: np.ndarray,
-    ) -> list[np.ndarray]:
-        old = self._coords[node].copy()
-        self._log_node(node)
-        self._cell_remove(node)
-        self._set_position(node, pos)
-        new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
-        for v in list(self.graph.neighbors(node)):
-            if v not in new_edges:
-                self.graph.remove_edge(node, v)
-                if self.spanner.has_edge(node, v):
-                    self.spanner.remove_edge(node, v)
-        for v, w in new_edges.items():
-            self.graph.add_edge(node, v, w)
-            if self.spanner.has_edge(node, v):
-                # Persisting spanner edge: refresh its length.
-                self.spanner.add_edge(node, v, w)
-        self._cell_add(node)
-        return [old, self._coords[node].copy()]
+        A base edge depends only on its ends' positions, so the written
+        nodes' base edges are the join's pairs at their final
+        positions, decided once by
+        :func:`~repro.graphs.build.qubg_edge_mask` on a
+        :class:`PointSet` of the final coordinates.  The spanner is not
+        a function of the final positions: a move drops the node's
+        spanner edges that are no base edge at that event's positions,
+        and promotion decides those pairs again.  So an epoch-start
+        spanner edge of a written node stays iff no end is deleted, it
+        is a final base edge and each earlier write of an end kept it
+        (:meth:`EpochWrites.holds`); it takes the final base weight.
+        """
+        start, alive0 = self._coords, self._alive
+        nodes = epoch.nodes[:stop]
+        capacity = max(start.shape[0], max(nodes) + 1)
+        coords, alive = (arr[:capacity] for arr in epoch.replay(stop))
+        last = {node: k for k, node in enumerate(nodes)}
+        written = np.zeros(capacity, dtype=bool)
+        written[nodes] = True
+        self._coords, self._alive, self._pts_cache = coords, alive, None
+        try:
+            # Pairs of a final target with an unwritten node, or of two
+            # final targets (there both ways round: keep one).
+            final = np.array(
+                [k < stop and last[epoch.nodes[k]] == k for k in epoch.rows],
+                dtype=bool,
+            )
+            x, y, a = epoch.x, epoch.y, epoch.a
+            pick = final[epoch.b] & (
+                ~written[x] | ((a >= 0) & final[np.maximum(a, 0)] & (x < y))
+            )
+            u, v = np.minimum(x, y)[pick], np.maximum(x, y)[pick]
+            w = np.sqrt(epoch.d2[pick])
+            keep = qubg_edge_mask(
+                self._policy, self._points(), self._alpha, u, v, w
+            )
+            keys = u[keep] * capacity + v[keep]
+            order = np.argsort(keys)
+            keys = keys[order]
+            u, v, w = (arr[keep][order] for arr in (u, v, w))
+            span = self.spanner.edges_arrays()
+            ends = written[span.u], written[span.v]
+            touched = ends[0] | ends[1]
+            span, both = span.take(touched), (ends[0] & ends[1])[touched]
+            # A node the epoch leaves dead has no final base edge.
+            at = sorted_find(keys, span.u * capacity + span.v)
+            holds = at >= 0
+            # An edge with two writes among its ends was also checked at
+            # positions that are not final.
+            if len(last) < stop:
+                again = np.bincount(nodes, minlength=capacity) > 1
+                both |= again[span.u] | again[span.v]
+            for i in np.flatnonzero(holds & both).tolist():
+                p, q = int(span.u[i]), int(span.v[i])
+                holds[i] = epoch.holds(self._policy, self._alpha, p, q, stop)
+        except BaseException:
+            self._coords, self._alive, self._pts_cache = start, alive0, None
+            raise
+        self._log_nodes.update(last)
+        self._log_edges.extend(zip(span.u.tolist(), span.v.tolist()))
+        old = self.graph.edges_arrays()
+        old = old.take(written[old.u] | written[old.v])
+        vanished = sorted_find(keys, old.u * capacity + old.v) < 0
+        self.graph.add_vertices(capacity - start.shape[0])
+        self.spanner.add_vertices(capacity - start.shape[0])
+        self.graph.remove_edges_arrays(old.u[vanished], old.v[vanished])
+        self.graph.add_weighted_edges_arrays(u, v, w)
+        self.spanner.remove_edges_arrays(span.u[~holds], span.v[~holds])
+        self.spanner.add_weighted_edges_arrays(
+            span.u[holds], span.v[holds], w[at[holds]]
+        )
 
     # ------------------------------------------------------------------
     # Repair
@@ -800,12 +730,9 @@ class MaintenanceSession:
         gu = alive_idx[u]
         gv = alive_idx[v]
         reject_coincident(self._coords, gu, gv, dist)
-        keep = dist <= self._alpha
-        gray = ~keep
-        if gray.any():
-            keep[gray] = _policy_mask(
-                self._policy, self._points(), gu[gray], gv[gray], dist[gray]
-            )
+        keep = qubg_edge_mask(
+            self._policy, self._points(), self._alpha, gu, gv, dist
+        )
         g.add_weighted_edges_arrays(gu[keep], gv[keep], dist[keep])
         return g
 
@@ -834,7 +761,7 @@ class MaintenanceSession:
         k = len(sites_list)
         if k == 1:
             return [[0]]
-        pts = np.vstack([s for sites in sites_list for s in sites])
+        pts = np.array([s for sites in sites_list for s in sites])
         owner = np.repeat(
             np.arange(k, dtype=np.int64),
             [len(sites) for sites in sites_list],
@@ -1156,11 +1083,16 @@ class MaintenanceSession:
 def _position(pos: object, dim: int) -> tuple[float, ...] | None:
     """``pos`` as ``dim`` floats, or ``None`` unless it is a flat
     sequence of ``dim`` finite real numbers."""
-    try:
-        arr = np.asarray(pos)
-    except (TypeError, ValueError):  # a ragged sequence, say
-        return None
-    if arr.shape != (dim,) or arr.dtype.kind not in "biuf":
-        return None
-    out = tuple(float(c) for c in arr.tolist())
+    if type(pos) is tuple and len(pos) == dim and all(
+        type(c) is float for c in pos
+    ):
+        out = pos  # what the mobility models emit: no numpy round trip
+    else:
+        try:
+            arr = np.asarray(pos)
+        except (TypeError, ValueError):  # a ragged sequence, say
+            return None
+        if arr.shape != (dim,) or arr.dtype.kind not in "biuf":
+            return None
+        out = tuple(float(c) for c in arr.tolist())
     return out if all(math.isfinite(c) for c in out) else None

@@ -56,6 +56,7 @@ __all__ = [
     "ObstaclePolicy",
     "build_udg",
     "build_qubg",
+    "qubg_edge_mask",
     "reject_coincident",
 ]
 
@@ -375,6 +376,29 @@ def _policy_mask(
     )
 
 
+def qubg_edge_mask(
+    policy: GrayZonePolicy,
+    points: PointSet,
+    alpha: float,
+    u: np.ndarray,
+    v: np.ndarray,
+    dist: np.ndarray,
+) -> np.ndarray:
+    """Which pairs ``(u[i], v[i])`` at distance ``dist[i] <= 1`` are
+    edges of the alpha-UBG: every pair within ``alpha``, and the gray
+    pairs that ``policy`` keeps, asked once on the ids ``u``, ``v`` of
+    ``points``.
+
+    The one edge rule of :func:`build_qubg` and of the churn session's
+    base graph, so a maintained base graph draws what a rebuild draws.
+    """
+    keep = dist <= alpha
+    gray = ~keep
+    if gray.any():
+        keep[gray] = _policy_mask(policy, points, u[gray], v[gray], dist[gray])
+    return keep
+
+
 def reject_coincident(
     coords: np.ndarray, u: np.ndarray, v: np.ndarray, dist: np.ndarray
 ) -> None:
@@ -455,12 +479,8 @@ def build_qubg(
     index = GridIndex(points, cell_width=1.0)
     u, v, dist = index.pairs_within_arrays(1.0)
     reject_coincident(points.coords, u, v, dist)
-    gray = dist > alpha
-    if gray.any():
-        keep = np.ones(u.shape[0], dtype=bool)
-        keep[gray] = _policy_mask(
-            policy, points, u[gray], v[gray], dist[gray]
-        )
+    keep = qubg_edge_mask(policy, points, alpha, u, v, dist)
+    if not keep.all():
         u, v, dist = u[keep], v[keep], dist[keep]
     graph.add_weighted_edges_arrays(u, v, _metric_weights(metric, dist))
     return graph

@@ -17,6 +17,12 @@ before any in-place write (copy-on-write), and a new matrix replaces
 the cached one rather than mutating it, so callers may hold either
 across later mutations.
 
+Batches of edges are written in one call each:
+:meth:`Graph.add_weighted_edges_arrays` inserts or re-weights them and
+:meth:`Graph.remove_edges_arrays` removes them, both checking the whole
+batch before they write anything (churn repair patches its base graph
+and spanner this way once per epoch).
+
 The batch edge checks, the CSR build and the CSR entry lookup are
 module functions (:func:`check_edge_arrays`, :func:`symmetric_csr`,
 :func:`csr_find`): the cluster graph of step iii uses them to become a
@@ -42,6 +48,10 @@ __all__ = [
 
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
+
+#: The edge store keys a normalized pair ``a < b`` as ``a << _KEY_SHIFT
+#: | b``: one int hashes and compares faster than a tuple of two.
+_KEY_SHIFT = 32
 
 
 class EdgeArrays(NamedTuple):
@@ -84,6 +94,15 @@ def check_edge_arrays(
             "edge arrays must be aligned: "
             f"got shapes {u.shape}, {v.shape}, {w.shape}"
         )
+    # One reduction per check on a clean batch (w.min() is NaN if any
+    # weight is); the masks below name the first offending edge.
+    if not u.size or (
+        min(u.min(), v.min()) >= 0
+        and max(u.max(), v.max()) < n
+        and not (u == v).any()
+        and w.min() > 0.0
+    ):
+        return EdgeArrays(u, v, w)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -170,13 +189,14 @@ class Graph:
         self._adj: list[dict[int, float]] = [{} for _ in range(num_vertices)]
         self._num_edges = 0
         # Append-log edge store: row i holds edge (_log_u[i], _log_v[i])
-        # with _log_u < _log_v; _row_of maps the normalized pair to its
-        # row for O(1) weight overwrites and swap-deletes.
+        # with _log_u < _log_v; _row_of maps the normalized pair's key
+        # (_KEY_SHIFT) to its row for O(1) weight overwrites and
+        # swap-deletes.
         self._log_u = np.empty(0, dtype=np.int64)
         self._log_v = np.empty(0, dtype=np.int64)
         self._log_w = np.empty(0, dtype=np.float64)
         self._log_len = 0
-        self._row_of: dict[tuple[int, int], int] = {}
+        self._row_of: dict[int, int] = {}
         # True once edges_arrays() handed out views of the log buffers;
         # in-place perturbations must copy first (copy-on-write).
         self._log_shared = False
@@ -221,7 +241,7 @@ class Graph:
         self._log_u[i] = a
         self._log_v[i] = b
         self._log_w[i] = w
-        self._row_of[(a, b)] = i
+        self._row_of[a << _KEY_SHIFT | b] = i
         self._log_len = i + 1
         self._edges_cache = None
         self._csr = None
@@ -237,7 +257,7 @@ class Graph:
     def _log_delete(self, a: int, b: int) -> None:
         """Swap-delete one normalized edge row: the last row moves into
         the gap (copy-on-write)."""
-        row = self._row_of.pop((a, b))
+        row = self._row_of.pop(a << _KEY_SHIFT | b)
         if self._log_shared:
             self._log_materialize()
         last = self._log_len - 1
@@ -247,7 +267,7 @@ class Graph:
             self._log_u[row] = lu
             self._log_v[row] = lv
             self._log_w[row] = self._log_w[last]
-            self._row_of[(lu, lv)] = row
+            self._row_of[lu << _KEY_SHIFT | lv] = row
         self._log_len = last
         self._edges_cache = None
         self._csr = None
@@ -372,7 +392,7 @@ class Graph:
             )
         w = float(weight)
         a, b = (u, v) if u < v else (v, u)
-        row = self._row_of.get((a, b))
+        row = self._row_of.get(a << _KEY_SHIFT | b)
         if row is None:
             self._num_edges += 1
             self._log_append(a, b, w)
@@ -415,9 +435,10 @@ class Graph:
         Validates the whole batch up front with
         :func:`check_edge_arrays` (bounds, self-loops, positive weights
         -- the same invariants :meth:`add_edge` enforces per edge) and
-        then inserts with one tight loop, avoiding per-edge validation
-        dispatch.  Semantics match repeated :meth:`add_edge` calls: later
-        duplicates overwrite earlier weights.
+        then writes without per-edge validation dispatch.  Semantics
+        match repeated :meth:`add_edge` calls: an edge already present
+        takes the new weight in place, and later duplicates overwrite
+        earlier weights.
         """
         u, v, w = check_edge_arrays(len(self._adj), u, v, w)
         if u.shape[0] == 0:
@@ -427,21 +448,31 @@ class Graph:
         k = u.shape[0]
         a_norm = np.minimum(u, v)
         b_norm = np.maximum(u, v)
-        keys = list(zip(a_norm.tolist(), b_norm.tolist()))
-        if len(set(keys)) == k and row_of.keys().isdisjoint(keys):
-            # All-new batch (the builder hot path): append the log rows
-            # as one slice write instead of per-edge calls.
-            self._log_reserve(k)
-            lo = self._log_len
-            self._log_u[lo : lo + k] = a_norm
-            self._log_v[lo : lo + k] = b_norm
-            self._log_w[lo : lo + k] = w
-            row_of.update(zip(keys, range(lo, lo + k)))
-            self._log_len = lo + k
+        keys = (a_norm << _KEY_SHIFT | b_norm).tolist()
+        if len(set(keys)) == k:
+            # No repeated pair (the builders and churn patching): the
+            # present edges' weights and the new edges' rows are one
+            # slice write each.
+            rows = [row_of.get(key) for key in keys]
+            present = [i for i, row in enumerate(rows) if row is not None]
+            if present:
+                if self._log_shared:
+                    self._log_materialize()
+                self._log_w[[rows[i] for i in present]] = w[present]
+            fresh = [i for i, row in enumerate(rows) if row is None]
+            if fresh:
+                self._log_reserve(len(fresh))
+                lo = self._log_len
+                hi = lo + len(fresh)
+                self._log_u[lo:hi] = a_norm[fresh]
+                self._log_v[lo:hi] = b_norm[fresh]
+                self._log_w[lo:hi] = w[fresh]
+                row_of.update(zip([keys[i] for i in fresh], range(lo, hi)))
+                self._log_len = hi
             for x, y, wt in zip(u.tolist(), v.tolist(), w.tolist()):
                 adj[x][y] = wt
                 adj[y][x] = wt
-            self._num_edges += k
+            self._num_edges += len(fresh)
             self._edges_cache = None
             self._csr = None
             return
@@ -453,11 +484,49 @@ class Graph:
                 new_edges += 1
                 self._log_append(min(a, b), max(a, b), wt)
             else:
-                self._log_set_weight(row_of[(min(a, b), max(a, b))], wt)
+                self._log_set_weight(
+                    row_of[min(a, b) << _KEY_SHIFT | max(a, b)], wt
+                )
             row[b] = wt
             adj[b][a] = wt
         self._num_edges += new_edges
         self._edges_cache = None
+
+    def remove_edges_arrays(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Bulk edge removal from aligned numpy arrays.
+
+        The batch form of :meth:`remove_edge`, with the same result as
+        removing the edges one by one in batch order: every edge
+        ``(u[i], v[i])`` must be present, in range, not a self-loop and
+        not repeated in the batch, or a :class:`GraphError` names the
+        first edge that is not, and nothing is removed.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if not (u.ndim == v.ndim == 1) or u.shape != v.shape:
+            raise GraphError(
+                "edge arrays must be aligned one-dimensional: "
+                f"got shapes {u.shape}, {v.shape}"
+            )
+        n = len(self._adj)
+        adj = self._adj
+        seen: set[int] = set()
+        pairs = list(zip(u.tolist(), v.tolist()))
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                vertex = a if not 0 <= a < n else b
+                raise GraphError(f"vertex {vertex} out of range [0, {n})")
+            if a == b:
+                raise GraphError(f"self-loop at vertex {a} not allowed")
+            key = a << _KEY_SHIFT | b if a < b else b << _KEY_SHIFT | a
+            if b not in adj[a] or key in seen:
+                raise GraphError(f"edge ({a}, {b}) not in graph")
+            seen.add(key)
+        for a, b in pairs:
+            del adj[a][b]
+            del adj[b][a]
+            self._log_delete(min(a, b), max(a, b))
+        self._num_edges -= len(pairs)
 
     # ------------------------------------------------------------------
     # Derived graphs

@@ -13,6 +13,7 @@ node, ``event_engine`` runs the event tier one heap pop at a time,
 check against, the dense-row exact pair distances stretch was measured
 with and the per-pair definitions of churn repair's two settlement
 kernels, ``maintenance`` holds churn repair's step iv, step v and
-certification that search every pair, and ``nx`` hands a graph to
+certification that search every pair and the per-event writers that
+patch the base graph one edge at a time, and ``nx`` hands a graph to
 networkx for its reference algorithms.
 """

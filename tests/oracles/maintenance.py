@@ -1,5 +1,19 @@
-"""All-scalar references for churn repair's dirty balls, step iv,
-step v, certification and event coalescing.
+"""All-scalar references for churn repair's base patching, dirty
+balls, step iv, step v, certification and event coalescing.
+
+:class:`repro.core.maintenance.MaintenanceSession` stages an epoch's
+events and then patches its base graph and spanner once, from one grid
+join of the epoch's targets.  :func:`patch_each_event` installs the
+per-event writers that form replaced: a dict-of-sets unit grid of the
+alive nodes (``_cells``), each event's base edges from the grid cells
+around its target (``_near``, ``_target_edges``) and one
+``Graph.add_edge``/``remove_edge`` call per edge as the event is
+applied (``_do_insert``, ``_do_delete``, ``_do_move``), each move
+checking the node's spanner edges at that event's positions.  A twin
+with them must end every epoch with the session's base graph, spanner,
+reports and counters.  It keeps the older rule for a gray-zone policy
+that raises mid-epoch: the events before the raising one are repaired
+and recorded.
 
 :class:`repro.core.maintenance.MaintenanceSession` settles without a
 search the pairs whose epoch-start spanner path the epoch's change log
@@ -26,11 +40,17 @@ coalescing.
 
 from __future__ import annotations
 
+import itertools
+import math
 import types
 from time import perf_counter
 
 import numpy as np
 
+from repro.core.maintenance import RepairReport
+from repro.exceptions import GraphError
+from repro.geometry import PointSet
+from repro.graphs.build import _policy_mask
 from repro.graphs.graph import EdgeArrays
 from repro.graphs.paths import (
     detour_distance,
@@ -209,3 +229,177 @@ def coalesce_reference(session, sites_list) -> list[list[int]]:
     for idx in range(k):
         groups.setdefault(find(idx), []).append(idx)
     return [groups[root] for root in sorted(groups)]
+
+
+def _cell_key(pos) -> tuple[int, ...]:
+    return tuple(int(math.floor(c)) for c in pos)
+
+
+def _cell_add(session, node: int) -> None:
+    key = _cell_key(session._coords[node])
+    session._cells.setdefault(key, set()).add(node)
+
+
+def _cell_remove(session, node: int) -> None:
+    key = _cell_key(session._coords[node])
+    bucket = session._cells.get(key)
+    if bucket is not None:
+        bucket.discard(node)
+        if not bucket:
+            del session._cells[key]
+
+
+def _near(session, pos, exclude: int):
+    """Alive nodes other than ``exclude`` within 1 of ``pos``, ascending
+    by id, with distances: the unit cells around ``pos`` and the
+    squared-compare + einsum kernel of
+    :meth:`GridIndex.pairs_within_arrays`."""
+    base = _cell_key(pos)
+    ids: list[int] = []
+    for off in itertools.product((-1, 0, 1), repeat=session._dim):
+        bucket = session._cells.get(tuple(c + o for c, o in zip(base, off)))
+        if bucket:
+            ids.extend(bucket)
+    ids = sorted(i for i in ids if i != exclude)
+    if not ids:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    cand = np.asarray(ids, dtype=np.int64)
+    diff = session._coords[cand] - np.asarray(pos, dtype=np.float64)
+    dist_sq = np.einsum("ij,ij->i", diff, diff)
+    keep = dist_sq <= 1.0
+    return cand[keep], np.sqrt(dist_sq[keep])
+
+
+def _target_edges(session, node: int, pos):
+    """The base edges ``node`` gets at ``pos``: neighbour ids and
+    weights.  Rejects a target an alive node occupies; gray pairs ask
+    the policy on global ids, with the stored positions and ``node`` at
+    ``pos``.  Runs before the event writes anything."""
+    cand, dist = _near(session, pos, exclude=node)
+    same = cand[dist == 0.0]
+    if same.size:
+        raise GraphError(
+            f"node {node} at {tuple(float(c) for c in pos)} would "
+            f"coincide with alive node(s) {same.tolist()}"
+        )
+    keep = dist <= session._alpha
+    gray = ~keep
+    if gray.any():
+        if node == session.capacity:
+            coords = np.vstack([session._coords, [pos]])
+        else:
+            coords = session._coords.copy()
+            coords[node] = pos
+        gu = np.minimum(node, cand[gray])
+        gv = np.maximum(node, cand[gray])
+        keep[gray] = _policy_mask(
+            session._policy, PointSet(coords), gu, gv, dist[gray]
+        )
+    return cand[keep], dist[keep]
+
+
+def _log_node(session, node: int) -> None:
+    session._log_nodes.add(node)
+    session._log_edges.extend(
+        (node, v) for v in session.spanner.neighbors(node)
+    )
+
+
+def _set_position(session, node: int, pos) -> None:
+    """Store ``node`` at ``pos``; the epoch's first write copies the
+    change log's epoch-start array."""
+    if session._coords is session._log_coords:
+        session._coords = session._coords.copy()
+    session._coords[node] = pos
+    session._pts_cache = None
+
+
+def _do_insert(session, node: int, pos, nbrs, ws):
+    if node == session.capacity:
+        session._coords = np.vstack([session._coords, [pos]])
+        session._alive = np.append(session._alive, False)
+        session.graph.add_vertices(1)
+        session.spanner.add_vertices(1)
+        session._pts_cache = None
+    elif pos is not None:
+        _set_position(session, node, pos)
+    session._alive[node] = True
+    session._log_nodes.add(node)
+    for v, w in zip(nbrs.tolist(), ws.tolist()):
+        session.graph.add_edge(node, v, w)
+    _cell_add(session, node)
+    return [session._coords[node].copy()]
+
+
+def _do_delete(session, node: int):
+    site = session._coords[node].copy()
+    _log_node(session, node)
+    for v in list(session.spanner.neighbors(node)):
+        session.spanner.remove_edge(node, v)
+    for v in list(session.graph.neighbors(node)):
+        session.graph.remove_edge(node, v)
+    _cell_remove(session, node)
+    session._alive[node] = False
+    return [site]
+
+
+def _do_move(session, node: int, pos, nbrs, ws):
+    old = session._coords[node].copy()
+    _log_node(session, node)
+    _cell_remove(session, node)
+    _set_position(session, node, pos)
+    new_edges = dict(zip(nbrs.tolist(), ws.tolist()))
+    for v in list(session.graph.neighbors(node)):
+        if v not in new_edges:
+            session.graph.remove_edge(node, v)
+            if session.spanner.has_edge(node, v):
+                session.spanner.remove_edge(node, v)
+    for v, w in new_edges.items():
+        session.graph.add_edge(node, v, w)
+        if session.spanner.has_edge(node, v):
+            # Persisting spanner edge: refresh its length.
+            session.spanner.add_edge(node, v, w)
+    _cell_add(session, node)
+    return [old, session._coords[node].copy()]
+
+
+def apply_epoch_per_event(session, events):
+    """``MaintenanceSession.apply_epoch`` with every event written to
+    the base graph and spanner as it comes up, one edge at a time."""
+    events = list(events)
+    if not events:
+        return []
+    positions = session._check_epoch(events)
+    t0 = perf_counter()
+    session._log_reset()
+    reports: list[RepairReport] = []
+    sites_list: list = []
+    for event, pos in zip(events, positions):
+        node = session.capacity if event.node is None else int(event.node)
+        if event.kind == "delete":
+            sites = _do_delete(session, node)
+        else:
+            target = session._coords[node] if pos is None else pos
+            try:
+                nbrs, ws = _target_edges(session, node, target)
+            except GraphError:  # occupied target, or a policy refused
+                session._close_epoch(reports, sites_list, t0)
+                raise
+            if event.kind == "insert":
+                sites = _do_insert(session, node, pos, nbrs, ws)
+            else:
+                sites = _do_move(session, node, pos, nbrs, ws)
+        reports.append(RepairReport(kind=event.kind, node=node, time=event.time))
+        sites_list.append(sites)
+    session._close_epoch(reports, sites_list, t0)
+    return reports
+
+
+def patch_each_event(session):
+    """Install the per-event writers and their unit grid of the alive
+    nodes on ``session`` (this instance only)."""
+    session._cells = {}
+    for node in np.flatnonzero(session._alive).tolist():
+        _cell_add(session, node)
+    session.apply_epoch = types.MethodType(apply_epoch_per_event, session)
+    return session

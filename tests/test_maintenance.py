@@ -141,6 +141,17 @@ class TestLocalPath:
         assert edge_table(session.graph) == edge_table(base_ref)
         assert edge_table(session.spanner) == edge_table(result_ref.spanner)
 
+    def test_verify_finds_a_stale_spanner_weight(self):
+        session, span = make_session(6, "local")
+        drive(session, np.random.default_rng(66), 5, span)
+        assert session.verify()["stale_weights"] == 0
+        u, v, w = next(iter(session.spanner.edges()))
+        session.spanner.add_edge(u, v, float(np.nextafter(w, np.inf)))
+        check = session.verify()
+        assert not check["ok"]
+        assert check["stale_weights"] == 1
+        assert check["stretch"] <= session.params.t  # stretch alone passes
+
     def test_event_errors(self):
         session, span = make_session(7, "local", n=40)
         alive = alive_nodes(session)
@@ -311,12 +322,15 @@ class TestGrayZonePolicies:
         assert TestRejectedEvents._state(session) == before
         assert (session.capacity, len(session.reports)) == (capacity, reports)
 
-    def test_wrong_mask_shape_mid_epoch_repairs_earlier_events(self):
+    def test_wrong_mask_shape_mid_epoch_writes_nothing(self):
+        # The epoch's base edges are decided once, after its events are
+        # staged, so a policy that raises leaves the whole epoch unwritten.
         policy = _OneVerdict()
         session = MaintenanceSession(
             self._points(), 0.5, alpha=0.6, policy=policy
         )
         start = session.position(5).tolist()
+        before = edge_table(session.graph), edge_table(session.spanner)
         policy.armed = True
         with pytest.raises(GraphError, match=r"returned shape \(1,\)"):
             session.apply_epoch(
@@ -327,10 +341,10 @@ class TestGrayZonePolicies:
                     ),
                 ]
             )
-        # The delete was written, repaired and recorded; the move was not.
-        assert [(r.kind, r.node) for r in session.reports] == [("delete", 0)]
-        assert 0 not in alive_nodes(session).tolist()
+        assert session.reports == []
+        assert 0 in alive_nodes(session).tolist()
         assert session.position(5).tolist() == start
+        assert (edge_table(session.graph), edge_table(session.spanner)) == before
         assert session.verify()["ok"]
 
 
@@ -462,6 +476,47 @@ class TestRejectedEvents:
             session.apply_epoch([MaintenanceEvent("delete", 318), *tail])
         assert self._written(session) == before
         assert session.verify()["ok"]
+
+    @pytest.mark.parametrize(
+        "time",
+        [True, "0", None, float("nan"), float("inf"), -float("inf")],
+        ids=["bool", "str", "none", "nan", "inf", "-inf"],
+    )
+    def test_time_that_is_no_finite_real_writes_nothing(self, time):
+        session = self._epoch_session()
+        before = self._written(session)
+        with pytest.raises(
+            GraphError, match=r"move of node 7 needs a finite real time, got "
+        ):
+            session.apply_epoch(
+                [
+                    MaintenanceEvent("delete", 318),
+                    MaintenanceEvent("move", 7, (1.0, 1.0), time),
+                ]
+            )
+        with pytest.raises(GraphError, match="delete of node 318 needs a finite"):
+            session.delete(318, time=time)
+        assert self._written(session) == before
+        assert session.verify()["ok"]
+
+    def test_numpy_times_accepted(self):
+        session = self._epoch_session()
+        session.delete(318, time=np.float32(2.5))
+        session.insert(node=318, time=np.int64(3))
+        assert [r.time for r in session.reports] == [2.5, 3]
+
+    def test_nan_times_refused_in_epoch_streams(self):
+        # Runs of equal times form epochs; NaN equals nothing, not even
+        # itself, so a NaN-timed stream is refused before it is written.
+        session = self._epoch_session()
+        before = self._written(session)
+        nan = float("nan")
+        with pytest.raises(GraphError, match="finite real time, got nan"):
+            session.apply_stream(
+                [MaintenanceEvent("delete", v, None, nan) for v in (1, 2, 3)],
+                batch="epoch",
+            )
+        assert self._written(session) == before
 
     def test_coincident_target_mid_epoch_repairs_earlier_events(self):
         session = self._epoch_session()

@@ -17,7 +17,6 @@ batch round engine:
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -85,15 +84,6 @@ def offset_cube(dim: int, reach: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_cube(dim: int) -> np.ndarray:
-    """:func:`offset_cube` at reach 1, built once per dimension (churn
-    runs several joins per epoch) and read-only."""
-    cube = offset_cube(dim, 1)
-    cube.setflags(write=False)
-    return cube
-
-
 def cell_neighbour_pairs(a: np.ndarray, b: np.ndarray, reach: float):
     """Yield the index pairs ``(rows, cols)`` of points ``a[rows]`` and
     ``b[cols]`` whose grid cells are the same or adjacent along every
@@ -135,7 +125,7 @@ def cell_neighbour_pairs(a: np.ndarray, b: np.ndarray, reach: float):
     kb = key(cb)
     # Keys are linear modulo 2**64: a cell offset adds a fixed key step.
     # offset_cube is row-major, so its thirds are the first-axis slabs.
-    steps = key(_unit_cube(a.shape[1]).T + lo[:, None])
+    steps = key(offset_cube(a.shape[1], 1).T + lo[:, None])
     for slab in np.split(steps, 3):
         want = (slab[:, None] + kb[None, :]).ravel()
         first = np.searchsorted(ka, want, side="left")

@@ -3,11 +3,16 @@
 :class:`repro.core.maintenance.MaintenanceSession` stages each epoch
 here before it patches its base graph and spanner once: which node each
 event writes and where it puts it, each event's dirty-ball sites, and
-the one grid join that finds every pair within 1 of a target.
+the one grid join that finds every pair within 1 of a target.  The
+session sees the join's outcome as plain edges: the written nodes' base
+edge candidates at their final positions (:meth:`EpochWrites.final_pairs`)
+and which of their spanner edges each earlier write kept
+(:meth:`EpochWrites.holds`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,8 +38,12 @@ class EpochWrites:
     targets with the epoch-start alive nodes and with each other
     measures each pair within 1 with the kernel of
     :meth:`GridIndex.pairs_within_arrays` (difference, einsum, ``d2 <=
-    1`` before any square root).  Pair ``i`` joins node ``x[i]`` -- at
-    its epoch-start position if ``a[i] < 0``, else at target ``a[i]`` --
+    1`` before any square root).  Only the alive nodes inside the
+    targets' bounding box grown by 2 can pair with a target, and only
+    they enter it.  A lone target needs no join: it is measured against
+    every node of its box, which costs a one-event epoch a fraction of
+    the join's fixed cost.  Pair ``i`` joins node ``x[i]`` -- at its
+    epoch-start position if ``a[i] < 0``, else at target ``a[i]`` --
     and the node ``y[i]`` of target ``b[i]``; target ``r`` is that of
     event ``rows[r]``.
     """
@@ -73,11 +82,20 @@ class EpochWrites:
         tgt = np.array(
             [self.targets[k] for k in self.rows], dtype=np.float64
         ).reshape(-1, coords.shape[1])
-        starts = np.flatnonzero(alive)
+        inside = alive.copy()
+        lows = tgt.min(axis=0, initial=np.inf) - 2.0
+        highs = tgt.max(axis=0, initial=-np.inf) + 2.0
+        for col, lo, hi in zip(coords.T, lows, highs):
+            inside &= (col >= lo) & (col <= hi)
+        starts = np.flatnonzero(inside)
         pts = np.concatenate([np.take(coords, starts, axis=0), tgt])
-        empty = np.empty(0, dtype=np.int64)
-        pairs = [(empty, empty), *cell_neighbour_pairs(pts, tgt, 1.0)]
-        a, b = (np.concatenate(side) for side in zip(*pairs))
+        if tgt.shape[0] == 1:
+            a = np.arange(pts.shape[0])
+            b = np.zeros(pts.shape[0], dtype=np.int64)
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            pairs = [(empty, empty), *cell_neighbour_pairs(pts, tgt, 1.0)]
+            a, b = (np.concatenate(side) for side in zip(*pairs))
         diff = np.take(pts, a, axis=0) - np.take(tgt, b, axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)
         near = np.flatnonzero(d2 <= 1.0)
@@ -120,27 +138,68 @@ class EpochWrites:
                 return k, occupants
         return len(self.nodes), []
 
+    def final_pairs(
+        self, stop: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs within 1 at the positions the first ``stop`` events
+        leave that have an end those events write, each once: ``u < v``
+        ascending by ``(u, v)``, with their distances.  An end joins at
+        its final target if an event wrote it, else at its epoch-start
+        position; a pair of two final targets comes both ways round,
+        and one is kept."""
+        nodes = self.nodes[:stop]
+        last = {node: k for k, node in enumerate(nodes)}
+        final = np.array(
+            [k < stop and last[self.nodes[k]] == k for k in self.rows],
+            dtype=bool,
+        )
+        written = np.zeros(self.capacity, dtype=bool)
+        written[nodes] = True
+        x, y, a = self.x, self.y, self.a
+        pick = final[self.b] & np.where(
+            a < 0, ~written[x], final[np.maximum(a, 0)] & (x < y)
+        )
+        u, v = np.minimum(x, y)[pick], np.maximum(x, y)[pick]
+        order = np.argsort(u * self.capacity + v)
+        return u[order], v[order], np.sqrt(self.d2[pick][order])
+
     def holds(
+        self,
+        policy: GrayZonePolicy,
+        alpha: float,
+        u: np.ndarray,
+        v: np.ndarray,
+        stop: int,
+    ) -> np.ndarray:
+        """Which spanner edges ``(u[i], v[i])`` are base edges after each
+        event of the first ``stop`` that writes an end, but the last, at
+        the positions that event leaves (``policy`` decides a gray pair
+        on them); a delete drops one.  An edge whose ends take one write
+        between them holds."""
+        writes = Counter(self.nodes[:stop])
+        out = np.ones(u.size, dtype=bool)
+        for i, (p, q) in enumerate(zip(u.tolist(), v.tolist())):
+            if writes[p] + writes[q] > 1:
+                out[i] = self._held(policy, alpha, p, q, stop)
+        return out
+
+    def _held(
         self, policy: GrayZonePolicy, alpha: float, a: int, b: int, stop: int
     ) -> bool:
-        """Whether spanner edge ``(a, b)`` is a base edge after each
-        event of the first ``stop`` that writes ``a`` or ``b``, but the
-        last, at the positions that event leaves (``policy`` decides a
-        gray pair on them); a delete drops it."""
+        """:meth:`holds` for the one edge ``(a, b)``."""
         writes = [k for k in range(stop) if self.nodes[k] in (a, b)]
         for k in writes[:-1]:
             if self.kinds[k] == "delete":
                 return False
             coords, _ = self.replay(k + 1)
-            x, other = (a, b) if self.nodes[k] == a else (b, a)
-            diff = coords[[other]] - coords[[x]]
+            diff = coords[[b]] - coords[[a]]
             d2 = np.einsum("ij,ij->i", diff, diff)
             if not d2[0] <= 1.0 or not qubg_edge_mask(
                 policy,
                 PointSet(coords),
                 alpha,
-                np.array([min(a, b)]),
-                np.array([max(a, b)]),
+                np.array([a]),
+                np.array([b]),
                 np.sqrt(d2),
             )[0]:
                 return False

@@ -17,9 +17,12 @@ invalidation*:
    and halo at once: only node-site pairs in neighbouring cells get a
    distance, so the work follows the sites, not the deployment;
 2. the base alpha-UBG and the spanner are patched once per epoch, one
-   bulk write each, from one grid join of the epoch's targets
-   (:meth:`MaintenanceSession._patch`; the cached CSR is rebuilt by
-   the next array kernel that reads it);
+   bulk write each, from one grid join of the epoch's targets with the
+   alive nodes around them (:meth:`MaintenanceSession._patch`; a
+   one-event epoch measures its target against those nodes directly,
+   and the cached CSR is rebuilt by the next array kernel that reads
+   it).  Its fixed cost in array calls exceeds the few per-edge writes
+   of one event; its gain grows with the events per epoch;
 3. promotion takes the base edges *touching* the dirty ball that the
    spanner lacks in ascending ``(w, u, v)`` order, one exact greedy
    pass: a candidate joins the spanner iff an exact cutoff search finds
@@ -447,7 +450,8 @@ class MaintenanceSession:
         floats (``None`` where it has none).
 
         Every kind must be known, every time a finite real number (no
-        ``bool``, string, ``None``, NaN or infinity), and every given
+        ``bool``, string, ``None``, NaN or infinity; an ``int`` of any
+        size is one), and every given
         position a flat sequence of ``dim`` finite real numbers (no
         strings, ``None``, complex numbers or nested rows); a move and a
         fresh insert need one.  A node id is ``None`` only for a fresh
@@ -486,8 +490,11 @@ class MaintenanceSession:
                         f"position, got {' '.join(repr(event.pos).split())}"
                     )
             time = event.time
-            real = isinstance(time, numbers.Real)
-            if isinstance(time, bool) or not (real and math.isfinite(time)):
+            try:
+                finite = isinstance(time, numbers.Real) and math.isfinite(time)
+            except OverflowError:  # an int too large for a float
+                finite = True
+            if isinstance(time, bool) or not finite:
                 raise GraphError(
                     f"{kind} of {who} needs a finite real time, got {time!r}"
                 )
@@ -639,75 +646,52 @@ class MaintenanceSession:
         alive flags, the change log, and one bulk write per graph.
 
         A base edge depends only on its ends' positions, so the written
-        nodes' base edges are the join's pairs at their final
-        positions, decided once by
-        :func:`~repro.graphs.build.qubg_edge_mask` on a
+        nodes' base edges are :meth:`EpochWrites.final_pairs`, decided
+        once by :func:`~repro.graphs.build.qubg_edge_mask` on a
         :class:`PointSet` of the final coordinates.  The spanner is not
         a function of the final positions: a move drops the node's
         spanner edges that are no base edge at that event's positions,
         and promotion decides those pairs again.  So an epoch-start
-        spanner edge of a written node stays iff no end is deleted, it
-        is a final base edge and each earlier write of an end kept it
+        spanner edge of a written node stays iff it is a final base edge
+        and each earlier write of an end kept it
         (:meth:`EpochWrites.holds`); it takes the final base weight.
         """
         start, alive0 = self._coords, self._alive
-        nodes = epoch.nodes[:stop]
+        nodes = list(dict.fromkeys(epoch.nodes[:stop]))
         capacity = max(start.shape[0], max(nodes) + 1)
+        # The written nodes' edges as the epoch found them (a fresh id
+        # has none), gathered from their adjacency.
+        old = [node for node in nodes if node < start.shape[0]]
+        bu, bv = _incident(self.graph, old)
+        su, sv = _incident(self.spanner, old)
         coords, alive = (arr[:capacity] for arr in epoch.replay(stop))
-        last = {node: k for k, node in enumerate(nodes)}
-        written = np.zeros(capacity, dtype=bool)
-        written[nodes] = True
         self._coords, self._alive, self._pts_cache = coords, alive, None
         try:
-            # Pairs of a final target with an unwritten node, or of two
-            # final targets (there both ways round: keep one).
-            final = np.array(
-                [k < stop and last[epoch.nodes[k]] == k for k in epoch.rows],
-                dtype=bool,
-            )
-            x, y, a = epoch.x, epoch.y, epoch.a
-            pick = final[epoch.b] & (
-                ~written[x] | ((a >= 0) & final[np.maximum(a, 0)] & (x < y))
-            )
-            u, v = np.minimum(x, y)[pick], np.maximum(x, y)[pick]
-            w = np.sqrt(epoch.d2[pick])
-            keep = qubg_edge_mask(
-                self._policy, self._points(), self._alpha, u, v, w
-            )
-            keys = u[keep] * capacity + v[keep]
-            order = np.argsort(keys)
-            keys = keys[order]
-            u, v, w = (arr[keep][order] for arr in (u, v, w))
-            span = self.spanner.edges_arrays()
-            ends = written[span.u], written[span.v]
-            touched = ends[0] | ends[1]
-            span, both = span.take(touched), (ends[0] & ends[1])[touched]
-            # A node the epoch leaves dead has no final base edge.
-            at = sorted_find(keys, span.u * capacity + span.v)
+            u, v, w = epoch.final_pairs(stop)
+            if (w > self._alpha).any():  # a gray pair needs the PointSet
+                keep = qubg_edge_mask(
+                    self._policy, self._points(), self._alpha, u, v, w
+                )
+                u, v, w = u[keep], v[keep], w[keep]
+            keys = u * capacity + v
+            at = sorted_find(keys, su * capacity + sv)
             holds = at >= 0
-            # An edge with two writes among its ends was also checked at
-            # positions that are not final.
-            if len(last) < stop:
-                again = np.bincount(nodes, minlength=capacity) > 1
-                both |= again[span.u] | again[span.v]
-            for i in np.flatnonzero(holds & both).tolist():
-                p, q = int(span.u[i]), int(span.v[i])
-                holds[i] = epoch.holds(self._policy, self._alpha, p, q, stop)
+            holds[holds] = epoch.holds(
+                self._policy, self._alpha, su[holds], sv[holds], stop
+            )
         except BaseException:
             self._coords, self._alive, self._pts_cache = start, alive0, None
             raise
-        self._log_nodes.update(last)
-        self._log_edges.extend(zip(span.u.tolist(), span.v.tolist()))
-        old = self.graph.edges_arrays()
-        old = old.take(written[old.u] | written[old.v])
-        vanished = sorted_find(keys, old.u * capacity + old.v) < 0
-        self.graph.add_vertices(capacity - start.shape[0])
-        self.spanner.add_vertices(capacity - start.shape[0])
-        self.graph.remove_edges_arrays(old.u[vanished], old.v[vanished])
+        self._log_nodes.update(nodes)
+        self._log_edges.extend(zip(su.tolist(), sv.tolist()))
+        vanished = sorted_find(keys, bu * capacity + bv) < 0
+        for graph in (self.graph, self.spanner):
+            graph.add_vertices(capacity - start.shape[0])
+        self.graph.remove_edges_arrays(bu[vanished], bv[vanished])
         self.graph.add_weighted_edges_arrays(u, v, w)
-        self.spanner.remove_edges_arrays(span.u[~holds], span.v[~holds])
+        self.spanner.remove_edges_arrays(su[~holds], sv[~holds])
         self.spanner.add_weighted_edges_arrays(
-            span.u[holds], span.v[holds], w[at[holds]]
+            su[holds], sv[holds], w[at[holds]]
         )
 
     # ------------------------------------------------------------------
@@ -761,7 +745,7 @@ class MaintenanceSession:
         k = len(sites_list)
         if k == 1:
             return [[0]]
-        pts = np.array([s for sites in sites_list for s in sites])
+        pts = np.vstack([s for sites in sites_list for s in sites])
         owner = np.repeat(
             np.arange(k, dtype=np.int64),
             [len(sites) for sites in sites_list],
@@ -1080,19 +1064,32 @@ class MaintenanceSession:
         return edges
 
 
+def _incident(
+    graph: Graph, nodes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``graph`` with an end in ``nodes``, each once, as
+    ``u < v`` ascending by ``(u, v)``: O(degree) work per node."""
+    n = graph.num_vertices
+    u = np.repeat(
+        np.asarray(nodes, dtype=np.int64), [graph.degree(a) for a in nodes]
+    )
+    v = np.fromiter(
+        itertools.chain.from_iterable(graph.neighbors(a) for a in nodes),
+        dtype=np.int64,
+        count=u.size,
+    )
+    keys = sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return keys // n, keys % n
+
+
 def _position(pos: object, dim: int) -> tuple[float, ...] | None:
     """``pos`` as ``dim`` floats, or ``None`` unless it is a flat
     sequence of ``dim`` finite real numbers."""
-    if type(pos) is tuple and len(pos) == dim and all(
-        type(c) is float for c in pos
-    ):
-        out = pos  # what the mobility models emit: no numpy round trip
-    else:
-        try:
-            arr = np.asarray(pos)
-        except (TypeError, ValueError):  # a ragged sequence, say
-            return None
-        if arr.shape != (dim,) or arr.dtype.kind not in "biuf":
-            return None
-        out = tuple(float(c) for c in arr.tolist())
+    try:
+        arr = np.asarray(pos)
+    except (TypeError, ValueError):  # a ragged sequence, say
+        return None
+    if arr.shape != (dim,) or arr.dtype.kind not in "biuf":
+        return None
+    out = tuple(float(c) for c in arr.tolist())
     return out if all(math.isfinite(c) for c in out) else None

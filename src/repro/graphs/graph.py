@@ -49,10 +49,6 @@ __all__ = [
 #: Initial capacity of the append-log buffers.
 _LOG_MIN_CAPACITY = 16
 
-#: The edge store keys a normalized pair ``a < b`` as ``a << _KEY_SHIFT
-#: | b``: one int hashes and compares faster than a tuple of two.
-_KEY_SHIFT = 32
-
 
 class EdgeArrays(NamedTuple):
     """A batch of edges ``(u[i], v[i], w[i])`` as three aligned arrays.
@@ -94,15 +90,6 @@ def check_edge_arrays(
             "edge arrays must be aligned: "
             f"got shapes {u.shape}, {v.shape}, {w.shape}"
         )
-    # One reduction per check on a clean batch (w.min() is NaN if any
-    # weight is); the masks below name the first offending edge.
-    if not u.size or (
-        min(u.min(), v.min()) >= 0
-        and max(u.max(), v.max()) < n
-        and not (u == v).any()
-        and w.min() > 0.0
-    ):
-        return EdgeArrays(u, v, w)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -189,14 +176,13 @@ class Graph:
         self._adj: list[dict[int, float]] = [{} for _ in range(num_vertices)]
         self._num_edges = 0
         # Append-log edge store: row i holds edge (_log_u[i], _log_v[i])
-        # with _log_u < _log_v; _row_of maps the normalized pair's key
-        # (_KEY_SHIFT) to its row for O(1) weight overwrites and
-        # swap-deletes.
+        # with _log_u < _log_v; _row_of maps the normalized pair to its
+        # row for O(1) weight overwrites and swap-deletes.
         self._log_u = np.empty(0, dtype=np.int64)
         self._log_v = np.empty(0, dtype=np.int64)
         self._log_w = np.empty(0, dtype=np.float64)
         self._log_len = 0
-        self._row_of: dict[int, int] = {}
+        self._row_of: dict[tuple[int, int], int] = {}
         # True once edges_arrays() handed out views of the log buffers;
         # in-place perturbations must copy first (copy-on-write).
         self._log_shared = False
@@ -241,7 +227,7 @@ class Graph:
         self._log_u[i] = a
         self._log_v[i] = b
         self._log_w[i] = w
-        self._row_of[a << _KEY_SHIFT | b] = i
+        self._row_of[(a, b)] = i
         self._log_len = i + 1
         self._edges_cache = None
         self._csr = None
@@ -257,7 +243,7 @@ class Graph:
     def _log_delete(self, a: int, b: int) -> None:
         """Swap-delete one normalized edge row: the last row moves into
         the gap (copy-on-write)."""
-        row = self._row_of.pop(a << _KEY_SHIFT | b)
+        row = self._row_of.pop((a, b))
         if self._log_shared:
             self._log_materialize()
         last = self._log_len - 1
@@ -267,7 +253,7 @@ class Graph:
             self._log_u[row] = lu
             self._log_v[row] = lv
             self._log_w[row] = self._log_w[last]
-            self._row_of[lu << _KEY_SHIFT | lv] = row
+            self._row_of[(lu, lv)] = row
         self._log_len = last
         self._edges_cache = None
         self._csr = None
@@ -392,7 +378,7 @@ class Graph:
             )
         w = float(weight)
         a, b = (u, v) if u < v else (v, u)
-        row = self._row_of.get(a << _KEY_SHIFT | b)
+        row = self._row_of.get((a, b))
         if row is None:
             self._num_edges += 1
             self._log_append(a, b, w)
@@ -448,31 +434,33 @@ class Graph:
         k = u.shape[0]
         a_norm = np.minimum(u, v)
         b_norm = np.maximum(u, v)
-        keys = (a_norm << _KEY_SHIFT | b_norm).tolist()
+        keys = list(zip(a_norm.tolist(), b_norm.tolist()))
         if len(set(keys)) == k:
-            # No repeated pair (the builders and churn patching): the
-            # present edges' weights and the new edges' rows are one
-            # slice write each.
-            rows = [row_of.get(key) for key in keys]
-            present = [i for i, row in enumerate(rows) if row is not None]
+            # No repeated pair (the builders' all-new batches, churn
+            # patching): the present edges' weights and the new edges'
+            # rows are one slice write each.
+            present = row_of.keys() & keys
+            new = slice(None)
             if present:
+                old = np.array([key in present for key in keys])
                 if self._log_shared:
                     self._log_materialize()
-                self._log_w[[rows[i] for i in present]] = w[present]
-            fresh = [i for i, row in enumerate(rows) if row is None]
-            if fresh:
-                self._log_reserve(len(fresh))
-                lo = self._log_len
-                hi = lo + len(fresh)
-                self._log_u[lo:hi] = a_norm[fresh]
-                self._log_v[lo:hi] = b_norm[fresh]
-                self._log_w[lo:hi] = w[fresh]
-                row_of.update(zip([keys[i] for i in fresh], range(lo, hi)))
-                self._log_len = hi
+                rows = [row_of[key] for key in keys if key in present]
+                self._log_w[rows] = w[old]
+                keys = [key for key in keys if key not in present]
+                new = ~old
+            fresh = len(keys)
+            self._log_reserve(fresh)
+            lo = self._log_len
+            self._log_u[lo : lo + fresh] = a_norm[new]
+            self._log_v[lo : lo + fresh] = b_norm[new]
+            self._log_w[lo : lo + fresh] = w[new]
+            row_of.update(zip(keys, range(lo, lo + fresh)))
+            self._log_len = lo + fresh
             for x, y, wt in zip(u.tolist(), v.tolist(), w.tolist()):
                 adj[x][y] = wt
                 adj[y][x] = wt
-            self._num_edges += len(fresh)
+            self._num_edges += fresh
             self._edges_cache = None
             self._csr = None
             return
@@ -484,9 +472,7 @@ class Graph:
                 new_edges += 1
                 self._log_append(min(a, b), max(a, b), wt)
             else:
-                self._log_set_weight(
-                    row_of[min(a, b) << _KEY_SHIFT | max(a, b)], wt
-                )
+                self._log_set_weight(row_of[(min(a, b), max(a, b))], wt)
             row[b] = wt
             adj[b][a] = wt
         self._num_edges += new_edges
@@ -510,7 +496,7 @@ class Graph:
             )
         n = len(self._adj)
         adj = self._adj
-        seen: set[int] = set()
+        seen: set[tuple[int, int]] = set()
         pairs = list(zip(u.tolist(), v.tolist()))
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
@@ -518,7 +504,7 @@ class Graph:
                 raise GraphError(f"vertex {vertex} out of range [0, {n})")
             if a == b:
                 raise GraphError(f"self-loop at vertex {a} not allowed")
-            key = a << _KEY_SHIFT | b if a < b else b << _KEY_SHIFT | a
+            key = (a, b) if a < b else (b, a)
             if b not in adj[a] or key in seen:
                 raise GraphError(f"edge ({a}, {b}) not in graph")
             seen.add(key)

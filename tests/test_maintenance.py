@@ -505,6 +505,18 @@ class TestRejectedEvents:
         session.insert(node=318, time=np.int64(3))
         assert [r.time for r in session.reports] == [2.5, 3]
 
+    def test_int_time_beyond_float_range_accepted(self):
+        # A Python int is a finite real however large, even past the
+        # float range, where math.isfinite overflows.
+        session = self._epoch_session()
+        session.delete(318, time=10**400)
+        session.apply_stream(
+            [MaintenanceEvent("insert", 318, None, -(10**400))],
+            batch="epoch",
+        )
+        assert [r.time for r in session.reports] == [10**400, -(10**400)]
+        assert session.verify()["ok"]
+
     def test_nan_times_refused_in_epoch_streams(self):
         # Runs of equal times form epochs; NaN equals nothing, not even
         # itself, so a NaN-timed stream is refused before it is written.

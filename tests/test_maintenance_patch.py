@@ -13,8 +13,11 @@ here:
   (``tests/oracles/maintenance.py``, one ``Graph`` call per edge as
   each event comes up): base graph, spanner rows, every report field
   but the timers, and the ``stats()`` counters;
+* each event its own epoch (a lone target pairs with the nodes of its
+  bounding box without the grid join) gives the same;
 * a spanner edge whose base edge vanishes at an intermediate event is
   dropped there and decided again by promotion;
+* an occupied target, which ends its epoch, pairs with nothing;
 * the event writers make no per-edge ``Graph`` call.
 """
 
@@ -193,6 +196,53 @@ def test_fault_plan_epochs_equal_the_per_event_twin():
     assert fast.verify()["ok"]
 
 
+@pytest.mark.parametrize(
+    "dim, zone",
+    [
+        (2, "alpha1"),
+        (2, "bernoulli"),
+        (2, "obstacle"),
+        (3, "alpha1"),
+        (3, "bernoulli"),
+    ],
+)
+def test_one_event_epochs_equal_the_per_event_twin(dim, zone):
+    """Each event its own epoch, as ``apply_stream(batch="event")`` runs
+    a stream: moves, deletes, revivals and fresh inserts."""
+    pts = uniform_points(300, dim=dim, seed=dim, expected_degree=6.0)
+    fast = MaintenanceSession(pts, 0.5, **gray_zones()[zone])
+    slow = patch_each_event(MaintenanceSession(pts, 0.5, **gray_zones()[zone]))
+    rng = np.random.default_rng(dim)
+    for epoch in range(2):
+        for event in mixed_epoch(fast, rng, float(epoch)):
+            fast.apply(event)
+            slow.apply(event)
+            assert_same(fast, slow)
+            assert_base_is_rebuilt(fast)
+    assert fast.verify()["ok"]
+
+
+def test_occupied_target_pairs_with_nothing():
+    """The epoch ends before the event whose target is occupied, so a
+    node within 1 of that target, moved there by an earlier event of the
+    epoch, gets no base edge to the node that stayed put."""
+    points = PointSet(
+        np.array([[0.0, 0.0], [5.0, 5.0], [3.0, 0.0], [0.0, 3.0]])
+    )
+    fast = MaintenanceSession(points, 0.5)
+    slow = patch_each_event(MaintenanceSession(points, 0.5))
+    events = [
+        MaintenanceEvent("move", 0, (2.2, 0.0)),  # 0.8 from node 2
+        MaintenanceEvent("move", 1, (3.0, 0.0)),  # node 2 sits there
+    ]
+    for session in (fast, slow):
+        with pytest.raises(GraphError, match=r"node 1 .*\[2\]"):
+            session.apply_epoch(events)
+    assert edge_table(fast.graph) == {(0, 2): 0.7999999999999998}
+    assert_same(fast, slow)
+    assert_base_is_rebuilt(fast)
+
+
 def test_edge_vanishing_mid_epoch_is_promoted_again(monkeypatch):
     """x moves beyond 1 of y's old position, then y moves back within 1
     of x: the spanner edge drops at x's event, and promotion decides the
@@ -255,8 +305,9 @@ def test_gray_edge_crossing_an_obstacle_mid_epoch_is_promoted_again():
 
 
 def test_event_writers_make_no_per_edge_graph_call(monkeypatch):
-    """On a move-only epoch, nothing before the repair starts calls
-    ``Graph.add_edge``, ``remove_edge`` or ``has_edge``."""
+    """On a move-only epoch, and on a one-move epoch, nothing before the
+    repair starts calls ``Graph.add_edge``, ``remove_edge`` or
+    ``has_edge``."""
     pts = uniform_points(600, dim=2, seed=3, expected_degree=8.0)
     session = MaintenanceSession(pts, 0.5)
     mobility = make_mobility("flocking", pts.coords, seed=3, speed=0.25)
@@ -283,6 +334,7 @@ def test_event_writers_make_no_per_edge_graph_call(monkeypatch):
     events = mobility.step_events(0.1, time=0.0)
     assert len(events) == 60 and {e.kind for e in events} == {"move"}
     session.apply_epoch(events)
+    session.apply_epoch(mobility.step_events(0.1, time=1.0)[:1])
     assert calls == []
     assert_base_is_rebuilt(session)
 

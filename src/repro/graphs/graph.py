@@ -31,6 +31,7 @@ matrix without ever being a :class:`Graph`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -439,16 +440,14 @@ class Graph:
             # No repeated pair (the builders' all-new batches, churn
             # patching): the present edges' weights and the new edges'
             # rows are one slice write each.
-            present = row_of.keys() & keys
             new = slice(None)
-            if present:
-                old = np.array([key in present for key in keys])
+            if not row_of.keys().isdisjoint(keys):
+                rows = np.array([row_of.get(key, -1) for key in keys])
+                new = rows < 0
                 if self._log_shared:
                     self._log_materialize()
-                rows = [row_of[key] for key in keys if key in present]
-                self._log_w[rows] = w[old]
-                keys = [key for key in keys if key not in present]
-                new = ~old
+                self._log_w[rows[~new]] = w[~new]
+                keys = list(itertools.compress(keys, new.tolist()))
             fresh = len(keys)
             self._log_reserve(fresh)
             lo = self._log_len

@@ -4,7 +4,7 @@ balls, step iv, step v, certification and event coalescing.
 :class:`repro.core.maintenance.MaintenanceSession` stages an epoch's
 events and then patches its base graph and spanner once, from one grid
 join of the epoch's targets.  :func:`patch_each_event` installs the
-per-event writers that form replaced: a dict-of-sets unit grid of the
+per-event writers that patch replaced: a dict-of-sets unit grid of the
 alive nodes (``_cells``), each event's base edges from the grid cells
 around its target (``_near``, ``_target_edges``) and one
 ``Graph.add_edge``/``remove_edge`` call per edge as the event is

@@ -130,14 +130,24 @@ def test_misaligned_removal_rejected():
     assert g.num_edges == 4
 
 
-def test_handed_out_arrays_and_matrices_stay_unchanged():
+@pytest.mark.parametrize(
+    "us, vs, left",
+    [
+        ([1, 0], [2, 1], [(0, 4, 3.0), (2, 3, 9.0), (3, 4, 2.0)]),
+        # Only the last rows go, so no row moves, and the insert that
+        # follows reuses the rows the handed-out arrays still show.
+        ([4, 2], [3, 3], [(0, 1, 1.0), (0, 4, 3.0), (1, 2, 0.5), (2, 3, 9.0)]),
+    ],
+    ids=["rows-move", "tail-only"],
+)
+def test_handed_out_arrays_and_matrices_stay_unchanged(us, vs, left):
     g = small()
-    us, vs, ws = g.edges_arrays()
-    rows = (us.tolist(), vs.tolist(), ws.tolist())
+    arrays = g.edges_arrays()
+    rows = [arr.tolist() for arr in arrays]
     mat = g.csr()
     dense = mat.toarray().tolist()
-    g.remove_edges_arrays(np.array([1, 0]), np.array([2, 1]))
+    g.remove_edges_arrays(np.array(us), np.array(vs))
     g.add_weighted_edges_arrays(np.array([2, 0]), np.array([3, 4]), np.array([9.0, 3.0]))
-    assert (us.tolist(), vs.tolist(), ws.tolist()) == rows
+    assert [arr.tolist() for arr in arrays] == rows
     assert mat.toarray().tolist() == dense
-    assert sorted(g.edges()) == [(0, 4, 3.0), (2, 3, 9.0), (3, 4, 2.0)]
+    assert sorted(g.edges()) == left

@@ -27,9 +27,11 @@ batch, step iv's verdicts are a mask over the queries that picks the
 additions, which join the spanner in one bulk insert, and step v's
 removals are a mask over those.
 
-Empty bins are skipped outright (their phases would do no work); phase
-statistics record both scheduled and executed phases so the distributed
-round accounting can reflect either convention.
+Empty bins are skipped outright (their phases would do no work); a
+result records the executed phases and the scheduled count ``m``.
+:func:`bin_instance` checks and bins the input, and
+:meth:`PhaseReport.of_steps` reports a long phase, for this builder and
+the distributed one alike.
 """
 
 from __future__ import annotations
@@ -50,10 +52,31 @@ from .cluster_graph import (
 from .cover import ClusterCover, build_cluster_cover
 from .covered import DistanceOracle, split_covered
 from .redundancy import remove_redundant_edges
-from .selection import select_query_edges
+from .selection import QuerySelection, select_query_edges
 from .short_edges import process_short_edges
 
 __all__ = ["PhaseReport", "SpannerResult", "RelaxedGreedySpanner", "build_spanner"]
+
+
+def bin_instance(
+    graph: Graph, params: SpannerParams
+) -> tuple[EdgeBinning, EdgeArrays, dict[int, EdgeArrays]]:
+    """Check a non-empty input graph and split its edges into bins.
+
+    Both builders take unit-scale alpha-UBGs: an edge longer than 1
+    raises :class:`GraphError` naming the longest.  Returns the binning,
+    phase 0's short edges and the non-empty long bins by ascending index.
+    """
+    max_len = graph.max_edge_weight()
+    if max_len > 1.0 + 1e-9:
+        raise GraphError(
+            f"alpha-UBG edges must have length <= 1, found {max_len:.6g}; "
+            "rescale the instance"
+        )
+    binning = EdgeBinning.for_params(params, graph.num_vertices)
+    edges = graph.edges_arrays()
+    bins = binning.assign(edges)
+    return binning, bins.pop(0, edges.take(slice(0, 0))), bins
 
 
 def query_reach(
@@ -111,6 +134,39 @@ class PhaseReport:
     num_intra_edges: int = 0
     num_inter_edges: int = 0
     inter_center_degree: int = 0
+
+    @classmethod
+    def of_steps(
+        cls,
+        index: int,
+        binning: EdgeBinning,
+        bin_edges: EdgeArrays,
+        covered: np.ndarray,
+        cover: ClusterCover,
+        selection: QuerySelection,
+        cluster_graph: ClusterGraph,
+        added: EdgeArrays,
+        removed: np.ndarray,
+    ) -> "PhaseReport":
+        """The report of long phase ``index`` from its step outputs:
+        ``covered`` masks the bin, ``removed`` masks ``added``."""
+        num_covered = int(covered.sum())
+        return cls(
+            index=index,
+            w_prev=binning.boundary(index - 1),
+            w_cur=binning.boundary(index),
+            num_bin_edges=int(bin_edges.w.size),
+            num_covered=num_covered,
+            num_candidates=int(bin_edges.w.size) - num_covered,
+            num_clusters=cover.num_clusters,
+            num_queries=int(selection.queries.w.size),
+            max_queries_per_cluster=selection.max_queries_per_cluster,
+            num_added=int(added.w.size),
+            num_removed=int(removed.sum()),
+            num_intra_edges=cluster_graph.num_intra_edges,
+            num_inter_edges=cluster_graph.num_inter_edges,
+            inter_center_degree=cluster_graph.inter_center_degree(),
+        )
 
 
 @dataclass
@@ -204,21 +260,11 @@ class RelaxedGreedySpanner:
             Final spanner plus per-phase statistics.
         """
         params = self.params
-        n = graph.num_vertices
-        if n == 0:
+        if graph.num_vertices == 0:
             return SpannerResult(Graph(0), params)
-        max_len = graph.max_edge_weight()
-        if max_len > 1.0 + 1e-9:
-            raise GraphError(
-                f"alpha-UBG edges must have length <= 1, found {max_len:.6g}; "
-                "rescale the instance"
-            )
-        binning = EdgeBinning.for_params(params, n)
-        edges = graph.edges_arrays()
-        bins = binning.assign(edges)
+        binning, short, bins = bin_instance(graph, params)
 
         # ---- phase 0 ------------------------------------------------
-        short = bins.pop(0, edges.take(slice(0, 0)))
         outcome = process_short_edges(
             graph, short, dist, params.t, check_clique=self._check_clique
         )
@@ -289,32 +335,15 @@ class RelaxedGreedySpanner:
 
         # Step (v): redundancy elimination.
         if self._use_redundancy:
-            outcome = remove_redundant_edges(
-                spanner,
-                added,
-                cluster_graph,
-                params.t1,
-                w_cur=w_cur,
-            )
-            num_removed = int(outcome.removed.sum())
+            removed = remove_redundant_edges(
+                spanner, added, cluster_graph, params.t1, w_cur=w_cur
+            ).removed
         else:
-            num_removed = 0
+            removed = np.zeros(added.w.size, dtype=bool)
 
-        return PhaseReport(
-            index=index,
-            w_prev=w_prev,
-            w_cur=w_cur,
-            num_bin_edges=int(bin_edges.w.size),
-            num_covered=int(covered.sum()),
-            num_candidates=int(candidates.w.size),
-            num_clusters=cover.num_clusters,
-            num_queries=int(queries.w.size),
-            max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=int(added.w.size),
-            num_removed=num_removed,
-            num_intra_edges=cluster_graph.num_intra_edges,
-            num_inter_edges=cluster_graph.num_inter_edges,
-            inter_center_degree=cluster_graph.inter_center_degree(),
+        return PhaseReport.of_steps(
+            index, binning, bin_edges, covered, cover, selection,
+            cluster_graph, added, removed,
         )
 
 

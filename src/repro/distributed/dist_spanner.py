@@ -16,22 +16,23 @@ Luby protocol this reproduction substitutes (see DESIGN.md).
 Execution model of this implementation:
 
 * **MIS invocations are real message-level protocol runs** on the derived
-  graphs, executed by :class:`repro.distributed.engine.SynchronousNetwork`
-  and converted to network rounds via the hop factor of the phase (one
-  derived-graph round costs ``O(1)`` network rounds because derived-graph
-  neighbors are a constant number of hops apart -- Lemmas 15/20).  The
-  engine's *batch tier* steps every node of a round at once over CSR
-  mailbox arrays, so these runs -- and the phase-0 flooding below -- scale
-  to ``n >= 10^4`` while billing the exact same rounds and messages as
-  the per-node tier (the engine runs every protocol that supports the
-  batch tier there, and all hot protocols here do).  A node with
-  no derived-graph neighbour joins the MIS in round 0 without a message,
-  so on the reliable path the engine runs only on the nodes that have
-  one, under their own ids (:func:`repro.distributed.mis.
-  run_luby_mis_arrays`), and the MIS travels on as a boolean mask whose
-  nonzero positions feed the cover and the deletions; a fault-plan
-  build runs every alive node, since a crash can strike an isolated
-  node too;
+  graphs, converted to network rounds via the hop factor of the phase
+  (one derived-graph round costs ``O(1)`` network rounds because
+  derived-graph neighbors are a constant number of hops apart -- Lemmas
+  15/20).  Both runs of a phase go through one runner,
+  :meth:`DistributedRelaxedGreedy._luby`, which returns the MIS as a
+  boolean mask over the derived graph whose nonzero positions feed the
+  cover and the deletions.  Without a fault plan it executes on
+  :class:`repro.distributed.engine.SynchronousNetwork`'s *batch tier*,
+  which steps every node of a round at once over CSR mailbox arrays, so
+  these runs -- and the phase-0 flooding below -- scale to
+  ``n >= 10^4`` while billing the exact same rounds and messages as the
+  per-node tier.  A node with no derived-graph neighbour joins the MIS
+  in round 0 without a message, so the engine runs only on the nodes
+  that have one, under their own ids (:func:`repro.distributed.mis.
+  run_luby_mis_arrays`).  With a fault plan it runs the hardened
+  protocol on the event tier over every alive node, since a crash can
+  strike an isolated node too;
 * **phase 0 is a real message-level run** of 1-hop flooding followed by
   identical node-local computations (Theorem 14);
 * **k-hop gathers of later phases are charged to the ledger at their
@@ -40,6 +41,11 @@ Execution model of this implementation:
   computations exactly (each node's decision depends only on its k-hop
   ball; the test-suite recomputes decisions from simulated k-hop views
   on sampled nodes and checks this equivalence).
+
+Under a fault plan the MIS runs of a build share one crash timeline: the
+simulation clock lives on the build's result (``final_time``), and each
+run starts where the previous one drained.  The nodes up at a phase's
+start, and after its cover run, are boolean masks over the nodes.
 
 The output spanner satisfies the same three theorems as the sequential
 algorithm; it can differ edge-by-edge (different cover centers, different
@@ -66,10 +72,10 @@ from ..core.redundancy import (
     find_redundant_pairs,
     remove_unchosen,
 )
-from ..core.relaxed_greedy import PhaseReport, query_reach
+from ..core.relaxed_greedy import PhaseReport, bin_instance, query_reach
 from ..core.selection import select_query_edges
 from ..core.short_edges import process_short_edges
-from ..exceptions import GraphError, ParameterError
+from ..exceptions import ParameterError
 from ..graphs.graph import EdgeArrays, Graph
 from ..graphs.paths import (
     multi_source_ball_lists,
@@ -82,7 +88,7 @@ from ..params import SpannerParams
 from .engine import SynchronousNetwork
 from .faults import FaultPlan
 from .ledger import RoundLedger
-from .mis import induced_csr, run_luby_mis_arrays
+from .mis import MISMask, induced_csr, run_luby_mis_arrays
 from .protocols.flooding import KHopGather
 from .unreliable import run_luby_mis_event
 
@@ -117,7 +123,9 @@ class DistributedSpannerResult:
         Base edges reinstated by the final stretch re-certification
         sweep after crashes severed spanner paths.
     final_time:
-        Event-simulation clock when the last protocol run drained.
+        The build's event-simulation clock: each fault-plan MIS run
+        starts from it and advances it to when the run drained (0
+        without a fault plan).
     """
 
     spanner: Graph
@@ -138,31 +146,38 @@ class DistributedSpannerResult:
         return self.ledger.total_rounds
 
 
+def _prune_dead(spanner: Graph, dead: np.ndarray) -> None:
+    """Drop every spanner edge incident to a node the ``(n,)`` mask
+    ``dead`` marks -- its links are gone until (and unless) the final
+    repair sweep finds the stretch bound needs them back."""
+    eu, ev, _ = spanner.edges_arrays()
+    gone = dead[eu] | dead[ev]
+    spanner.remove_edges_arrays(eu[gone], ev[gone])
+
+
 def promote_uncovered(
-    spanner: Graph, radius: float, centers: list[int], dead: set[int]
-) -> list[int]:
+    spanner: Graph, radius: float, centers: np.ndarray, alive: np.ndarray
+) -> np.ndarray:
     """Replacement centers for the alive nodes no center covers.
 
     Mid-run crashes may have severed the paths that certified some
-    nodes' coverage.  Every alive node beyond ``radius`` of all
-    ``centers`` is scanned in ascending id order and promoted unless an
-    earlier promotion's ball reaches it -- ball growing over the
-    uncovered survivors, so promoted centers stay pairwise more than
-    ``radius`` apart.  Returns the promoted centers, ascending.
+    nodes' coverage.  Every node the ``(n,)`` mask ``alive`` marks that
+    lies beyond ``radius`` of all ``centers`` is scanned in ascending id
+    order and promoted unless an earlier promotion's ball reaches it --
+    ball growing over the uncovered survivors, so promoted centers stay
+    pairwise more than ``radius`` apart.  Returns the promoted centers,
+    ascending.
     """
-    skip = np.zeros(spanner.num_vertices, dtype=bool)
-    if centers:
-        _, ball_v, _ = multi_source_ball_lists(
-            spanner, np.asarray(centers, dtype=np.int64), radius
-        )
-        skip[ball_v] = True
-    skip[sorted(dead)] = True
-    uncovered = np.flatnonzero(~skip).tolist()
-    if not uncovered:
-        return []
-    return list(
-        build_cluster_cover(spanner, radius, vertices=uncovered).centers
+    uncovered = alive.copy()
+    if centers.size:
+        _, ball_v, _ = multi_source_ball_lists(spanner, centers, radius)
+        uncovered[ball_v] = False
+    if not uncovered.any():
+        return np.empty(0, dtype=np.int64)
+    cover = build_cluster_cover(
+        spanner, radius, vertices=np.flatnonzero(uncovered)
     )
+    return np.asarray(cover.centers, dtype=np.int64)
 
 
 class DistributedRelaxedGreedy:
@@ -174,22 +189,10 @@ class DistributedRelaxedGreedy:
         Validated spanner parameters.
     seed:
         Seed driving the Luby MIS protocols.
-    process_empty_phases:
-        When true, phases whose bin is empty still pay their cover
-        schedule (gather + MIS on the proximity graph), matching the
-        paper's fixed global schedule; when false (default) empty phases
-        are skipped, matching a practical implementation where nodes
-        with no work stay silent.
-    measure_gather_messages:
-        When true, the per-phase cover gather is executed as a *real*
-        flooding protocol (every node floods its incident partial-spanner
-        edges for the phase's hop radius) so the ledger carries measured
-        message counts for the gather term too, not just for the MIS
-        protocols.  Costs a KHopGather engine run per phase; default off.
     fault_plan:
         When set, every MIS invocation runs on the *event tier*
         (:mod:`repro.distributed.unreliable`) under this plan, sharing
-        one crash timeline across phases: the simulation clock advances
+        one crash timeline across phases: the build's clock advances
         run by run, nodes down at a phase's start are excluded from its
         proximity graph and bin edges, crashed nodes' spanner edges are
         pruned, their clusters re-covered by promoted centers, and a
@@ -200,6 +203,12 @@ class DistributedRelaxedGreedy:
         Must be ``1``: every build runs in one process.  The parameter
         is kept only because the benchmark harness passes ``jobs=1``;
         any other value raises :class:`ParameterError`.
+
+    Notes
+    -----
+    The builder is stateless across :meth:`build` calls -- a build's
+    simulation clock and fault state live on its result and in its
+    locals -- and therefore reusable.
     """
 
     def __init__(
@@ -207,8 +216,6 @@ class DistributedRelaxedGreedy:
         params: SpannerParams,
         *,
         seed: int = 0,
-        process_empty_phases: bool = False,
-        measure_gather_messages: bool = False,
         fault_plan: FaultPlan | None = None,
         jobs: int = 1,
     ) -> None:
@@ -216,10 +223,7 @@ class DistributedRelaxedGreedy:
             raise ParameterError(f"jobs must be 1, got {jobs!r}")
         self.params = params
         self._seed = checked_seed(seed, "DistributedRelaxedGreedy")
-        self._process_empty = process_empty_phases
-        self._measure_gather = measure_gather_messages
         self._fault_plan = fault_plan
-        self._clock = 0.0
 
     # ------------------------------------------------------------------
     def build(
@@ -231,26 +235,13 @@ class DistributedRelaxedGreedy:
         :meth:`repro.core.relaxed_greedy.RelaxedGreedySpanner.build`.
         """
         params = self.params
-        n = graph.num_vertices
         ledger = RoundLedger()
-        self._clock = 0.0
-        if n == 0:
+        if graph.num_vertices == 0:
             return DistributedSpannerResult(
                 spanner=Graph(0), params=params, ledger=ledger
             )
-        max_len = graph.max_edge_weight()
-        if max_len > 1.0 + 1e-9:
-            raise GraphError(
-                f"alpha-UBG edges must have length <= 1, found {max_len:.6g}"
-            )
-        binning = EdgeBinning.for_params(params, n)
-        edges = graph.edges_arrays()
-        bins = binning.assign(edges)
-        no_edges = edges.take(slice(0, 0))
-
-        spanner, report = self._phase_zero(
-            graph, bins.pop(0, no_edges), dist, ledger
-        )
+        binning, short, bins = bin_instance(graph, params)
+        spanner, report = self._phase_zero(graph, short, dist, ledger)
         result = DistributedSpannerResult(
             spanner=spanner,
             params=params,
@@ -259,40 +250,16 @@ class DistributedRelaxedGreedy:
         )
         if report is not None:
             result.phases.append(report)
-
-        phase_indices = (
-            range(1, binning.num_bins + 1) if self._process_empty else bins
-        )
-        for i in phase_indices:
-            bin_edges = bins.get(i, no_edges)
+        for i, bin_edges in bins.items():
             report = self._phase(
-                graph, spanner, bin_edges, i, binning, dist, ledger, result
+                graph, spanner, bin_edges, i, binning, dist, result
             )
-            if report is not None:
-                result.phases.append(report)
-
+            result.phases.append(report)
         if self._fault_plan is not None:
             self._finalize_faults(graph, spanner, result)
         return result
 
     # ------------------------------------------------------------------
-    # Fault-plan machinery (event-tier builds)
-    # ------------------------------------------------------------------
-    def _dead_mask(self, n: int) -> np.ndarray:
-        """``(n,)`` mask of the nodes the fault plan has down at the
-        shared clock."""
-        nodes = np.arange(n, dtype=np.int64)
-        return ~self._fault_plan.alive_at(nodes, self._clock)
-
-    @staticmethod
-    def _prune_dead(spanner: Graph, dead: set[int]) -> None:
-        """Drop every spanner edge incident to a crashed node -- its
-        links are gone until (and unless) the final repair sweep finds
-        the stretch bound needs them back."""
-        for u in dead:
-            for v in list(spanner.neighbors(u)):
-                spanner.remove_edge(u, v)
-
     def _finalize_faults(
         self, graph: Graph, spanner: Graph, result: DistributedSpannerResult
     ) -> None:
@@ -305,17 +272,15 @@ class DistributedRelaxedGreedy:
         E11 and the hardening tests verify).
         """
         plan = self._fault_plan
-        n = graph.num_vertices
-        dead_mask = self._dead_mask(n)
-        dead = set(np.flatnonzero(dead_mask).tolist())
-        self._prune_dead(spanner, dead)
-        result.crashed = tuple(sorted(dead))
-        result.final_time = self._clock
-        crash_at, _ = plan.crash_schedules(np.arange(n, dtype=np.int64))
-        if not (crash_at <= self._clock).any():
+        nodes = np.arange(graph.num_vertices, dtype=np.int64)
+        alive = plan.alive_at(nodes, result.final_time)
+        _prune_dead(spanner, ~alive)
+        result.crashed = tuple(np.flatnonzero(~alive).tolist())
+        crash_at, _ = plan.crash_schedules(nodes)
+        if not (crash_at <= result.final_time).any():
             return
         edges = graph.edges_arrays()
-        us, vs, ws = edges.take(~dead_mask[edges.u] & ~dead_mask[edges.v])
+        us, vs, ws = edges.take(alive[edges.u] & alive[edges.v])
         if us.size == 0:
             return
         t = self.params.t
@@ -441,78 +406,94 @@ class DistributedRelaxedGreedy:
         )
         return indptr, keys % np.int64(n)
 
-    def _cover_mis_event(
+    def _luby(
         self,
-        plan: FaultPlan,
-        prox_indptr: np.ndarray,
-        prox_indices: np.ndarray,
-        dead: set[int],
-        index: int,
-        k_cluster: int,
-        spanner: Graph,
-        radius: float,
-        ledger: RoundLedger,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        seed: int,
         result: DistributedSpannerResult,
-    ) -> tuple[list[int], set[int]]:
-        """Cover MIS on the event tier under ``plan``.
+        alive: np.ndarray | None = None,
+    ) -> tuple[MISMask, np.ndarray | None]:
+        """One Luby MIS run on a derived graph, given as CSR arrays over
+        nodes ``0..k-1``; every MIS of a build goes through here.
 
-        Induces ``J`` on the currently-alive nodes, runs the hardened
-        Luby protocol from the shared simulation clock, absorbs crashes
-        that happened mid-run (pruning their spanner edges), and promotes
-        replacement centers for alive nodes the crashes left uncovered --
-        the promotion is a local O(1)-round operation charged to the
-        ledger as ``cover.recover``.  Returns the final center list and
-        the updated dead set.
+        Without a fault plan the run takes the engine's batch tier
+        (:func:`run_luby_mis_arrays`).  With one, the hardened protocol
+        runs on the event tier from the build's clock, on the nodes the
+        ``(k,)`` mask ``alive`` marks, under their own ids for the plan's
+        draws, and moves the clock to when the run drained.  A derived
+        graph passed without ``alive`` is the conflict graph: its nodes
+        are edges hosted by alive cluster heads, so they suffer the
+        plan's link faults but cannot crash (a dead host already removed
+        its edges).
+
+        Counts the run into ``result``.  Returns the MIS as a mask over
+        the derived graph, with the rounds and messages the caller
+        charges, and the mask of the nodes still up when the run drained
+        (``None`` without a fault plan).
         """
-        n = prox_indptr.size - 1
-        alive_mask = np.ones(n, dtype=bool)
-        if dead:
-            alive_mask[sorted(dead)] = False
-        sub_indptr, sub_indices, labels = induced_csr(
-            prox_indptr, prox_indices, alive_mask
-        )
+        result.mis_invocations += 1
+        plan = self._fault_plan
+        if plan is None:
+            return run_luby_mis_arrays(indptr, indices, seed=seed), None
+        k = indptr.size - 1
+        if alive is None:
+            plan = replace(
+                plan, crash_rate=0.0, seed=plan.seed * 1_000_003 + 17
+            )
+            alive = np.ones(k, dtype=bool)
+        sub_indptr, sub_indices, labels = induced_csr(indptr, indices, alive)
         run = run_luby_mis_event(
             (sub_indptr, sub_indices),
-            seed=self._seed * 1_000_003 + index,
+            seed=seed,
             plan=plan,
-            fault_labels={i: int(u) for i, u in enumerate(labels)},
-            t0=self._clock,
+            fault_labels=dict(enumerate(labels.tolist())),
+            t0=result.final_time,
             # Event volume grows with the node count; keep the default
             # ceiling for small runs but scale it for n >= 10^4 builds.
-            max_events=max(5_000_000, 3_000 * n),
+            max_events=max(5_000_000, 3_000 * k),
         )
-        self._clock = run.t_end
-        result.mis_invocations += 1
+        result.final_time = run.t_end
         result.retransmissions += run.result.retransmissions
         result.recovery_rounds += run.result.recovery_rounds
-        ledger.charge(
+        chosen = np.zeros(k, dtype=bool)
+        chosen[labels[np.fromiter(run.independent_set, np.int64)]] = True
+        survivors = np.zeros(k, dtype=bool)
+        survivors[labels[np.asarray(run.alive, dtype=np.int64)]] = True
+        mis = MISMask(chosen, run.result.rounds, run.result.messages)
+        return mis, survivors
+
+    def _recover_cover(
+        self,
+        spanner: Graph,
+        radius: float,
+        centers: np.ndarray,
+        alive: np.ndarray,
+        index: int,
+        k_cluster: int,
+        result: DistributedSpannerResult,
+    ) -> np.ndarray:
+        """Absorb the crashes of a cover MIS run on the event tier.
+
+        Prunes the spanner edges of every node ``alive`` leaves out,
+        then promotes replacement centers for the alive nodes the
+        crashes cut off from every center -- a local O(1)-round
+        operation, charged to the ledger as ``cover.recover``.  Returns
+        the final centers, ascending.
+        """
+        _prune_dead(spanner, ~alive)
+        promoted = promote_uncovered(spanner, radius, centers, alive)
+        if not promoted.size:
+            return centers
+        result.recovery_rounds += 1
+        result.ledger.charge(
             index,
-            "cover.mis",
-            run.result.rounds * k_cluster,
-            messages=run.result.messages,
-            detail=(
-                f"{run.result.rounds} hardened J-epochs x {k_cluster} hop "
-                f"factor, {run.result.retransmissions} retransmissions"
-            ),
+            "cover.recover",
+            k_cluster,
+            messages=int(promoted.size),
+            detail=f"{promoted.size} centers promoted after crashes",
         )
-        alive_now = {int(labels[c]) for c in run.alive}
-        newly_dead = set(map(int, labels)) - alive_now
-        if newly_dead:
-            dead = dead | newly_dead
-            self._prune_dead(spanner, newly_dead)
-        centers = sorted(int(labels[c]) for c in run.independent_set)
-        promoted = promote_uncovered(spanner, radius, centers, dead)
-        if promoted:
-            centers = sorted(centers + promoted)
-            result.recovery_rounds += 1
-            ledger.charge(
-                index,
-                "cover.recover",
-                k_cluster,
-                messages=len(promoted),
-                detail=f"{len(promoted)} centers promoted after crashes",
-            )
-        return centers, dead
+        return np.union1d(centers, promoted)
 
     def _phase(
         self,
@@ -522,11 +503,15 @@ class DistributedRelaxedGreedy:
         index: int,
         binning: EdgeBinning,
         dist: DistanceOracle,
-        ledger: RoundLedger,
         result: DistributedSpannerResult,
-    ) -> PhaseReport | None:
-        """One long-edge phase: five steps with round accounting."""
+    ) -> PhaseReport:
+        """One long-edge phase: the sequential phase's five steps, each
+        charged its gather, with an MIS of ``J`` for step i and of the
+        conflict graph for step v.  Under a fault plan the nodes down
+        at the phase's start lose their spanner edges first, and the bin
+        keeps only the edges whose ends are up after the cover's run."""
         params = self.params
+        ledger = result.ledger
         n = graph.num_vertices
         w_prev = binning.boundary(index - 1)
         w_cur = binning.boundary(index)
@@ -534,113 +519,58 @@ class DistributedRelaxedGreedy:
         k_cluster = params.cluster_hop_bound(index, n)
         k_graph = params.cluster_graph_hop_bound(index, n)
         k_query = params.query_hop_bound()
+        idle = PhaseReport(index, w_prev, w_cur, num_bin_edges=0)
 
-        plan = self._fault_plan
-        dead: set[int] = set()
-        if plan is not None:
-            dead = set(np.flatnonzero(self._dead_mask(n)).tolist())
-            self._prune_dead(spanner, dead)
-            if len(dead) == n:
-                return PhaseReport(
-                    index=index, w_prev=w_prev, w_cur=w_cur, num_bin_edges=0
-                )
+        alive = None
+        if self._fault_plan is not None:
+            alive = self._fault_plan.alive_at(
+                np.arange(n, dtype=np.int64), result.final_time
+            )
+            _prune_dead(spanner, ~alive)
+            if not alive.any():
+                return idle
 
         # ---- Step (i): cluster cover via MIS of J (Theorem 16) -------
         prox_indptr, prox_indices = self._proximity_graph(spanner, radius)
-        if self._measure_gather and graph.num_edges > 0:
-            # One pass over the spanner's edge arrays (not n per-node
-            # adjacency scans); facts are identical sets either way.
-            se_u, se_v, se_w = spanner.edges_arrays()
-            facts: dict[int, list] = {u: [] for u in graph.vertices()}
-            for u, v, w in zip(
-                se_u.tolist(), se_v.tolist(), se_w.tolist()
-            ):
-                key = (u, v, w) if u < v else (v, u, w)
-                facts[u].append(key)
-                facts[v].append(key)
-            gather_run = SynchronousNetwork(
-                graph, max_rounds=k_cluster + 4
-            ).run(KHopGather(facts, k=k_cluster))
-            ledger.charge(
-                index,
-                "cover.gather",
-                k_cluster,
-                messages=gather_run.messages,
-                detail=(
-                    f"measured flooding: {gather_run.messages} msgs, "
-                    f"{gather_run.words} words over {k_cluster} hops"
-                ),
-            )
-        else:
-            ledger.charge(
-                index,
-                "cover.gather",
-                k_cluster,
-                detail=f"G' within {k_cluster} hops",
-            )
-        if plan is None:
-            mis_run = run_luby_mis_arrays(
-                prox_indptr,
-                prox_indices,
-                seed=self._seed * 1_000_003 + index,
-            )
-            result.mis_invocations += 1
-            ledger.charge(
-                index,
-                "cover.mis",
-                mis_run.engine_rounds * k_cluster,
-                messages=mis_run.messages,
-                detail=(
-                    f"{mis_run.engine_rounds} J-rounds x {k_cluster} "
-                    "hop factor"
-                ),
-            )
-            centers: np.ndarray | list[int] = np.flatnonzero(mis_run.chosen)
-            universe: list[int] | None = None
-        else:
-            centers, dead = self._cover_mis_event(
-                plan, prox_indptr, prox_indices, dead, index,
-                k_cluster, spanner, radius, ledger, result,
-            )
-            universe = [u for u in range(n) if u not in dead]
-            if not universe:
-                return PhaseReport(
-                    index=index, w_prev=w_prev, w_cur=w_cur, num_bin_edges=0
-                )
-        cover = cover_from_centers(
-            spanner, radius, centers, vertices=universe
+        ledger.charge(
+            index, "cover.gather", k_cluster,
+            detail=f"G' within {k_cluster} hops",
         )
-        ledger.charge(index, "cover.attach", k_cluster, detail="join center")
-
-        if dead:
+        mis, alive = self._luby(
+            prox_indptr, prox_indices, self._seed * 1_000_003 + index,
+            result, alive,
+        )
+        ledger.charge(
+            index, "cover.mis", mis.engine_rounds * k_cluster,
+            messages=mis.messages,
+            detail=f"{mis.engine_rounds} J-rounds x {k_cluster} hop factor",
+        )
+        centers = np.flatnonzero(mis.chosen)
+        universe = None
+        if alive is not None:
+            centers = self._recover_cover(
+                spanner, radius, centers, alive, index, k_cluster, result
+            )
+            if not alive.any():
+                return idle
+            universe = np.flatnonzero(alive)
             # Crashed endpoints take their pending bin edges with them.
-            is_dead = np.zeros(n, dtype=bool)
-            is_dead[list(dead)] = True
-            bin_edges = bin_edges.take(
-                ~(is_dead[bin_edges.u] | is_dead[bin_edges.v])
-            )
-
+            bin_edges = bin_edges.take(alive[bin_edges.u] & alive[bin_edges.v])
+        cover = cover_from_centers(spanner, radius, centers, vertices=universe)
+        ledger.charge(index, "cover.attach", k_cluster, detail="join center")
         if not bin_edges.w.size:
-            # Scheduled-but-empty phase: only the cover schedule ran.
-            return PhaseReport(
-                index=index,
-                w_prev=w_prev,
-                w_cur=w_cur,
-                num_bin_edges=0,
-                num_clusters=cover.num_clusters,
-            )
+            return replace(idle, num_clusters=cover.num_clusters)
 
         # ---- Step (ii): query selection (Theorem 17) -----------------
         covered = split_covered(
             bin_edges, spanner, dist, alpha=params.alpha, theta=params.theta
         )
-        candidates = bin_edges.take(~covered)
-        selection = select_query_edges(candidates, cover, params.t)
+        selection = select_query_edges(
+            bin_edges.take(~covered), cover, params.t
+        )
         queries = selection.queries
         ledger.charge(
-            index,
-            "select.gather",
-            1 + k_cluster,
+            index, "select.gather", 1 + k_cluster,
             detail="cluster heads view E_i[Ca,*]",
         )
 
@@ -651,10 +581,7 @@ class DistributedRelaxedGreedy:
             queries=queries, radius=query_reach(queries, params, w_cur),
         )
         ledger.charge(
-            index,
-            "hgraph.gather",
-            k_graph,
-            detail=f"G' within {k_graph} hops",
+            index, "hgraph.gather", k_graph, detail=f"G' within {k_graph} hops"
         )
 
         # ---- Step (iv): queries (Theorem 19) --------------------------
@@ -663,9 +590,7 @@ class DistributedRelaxedGreedy:
         )
         spanner.add_weighted_edges_arrays(*added)
         ledger.charge(
-            index,
-            "query.gather",
-            k_query,
+            index, "query.gather", k_query,
             detail=f"Theorem 9 bound {k_query} hops",
         )
 
@@ -680,62 +605,22 @@ class DistributedRelaxedGreedy:
             nodes, c_indptr, c_indices = conflict_graph_arrays(
                 added, pair_i, pair_j
             )
-            mis2_seed = self._seed * 2_000_003 + index
-            if plan is None:
-                mis2 = run_luby_mis_arrays(
-                    c_indptr, c_indices, seed=mis2_seed
-                )
-                chosen = np.flatnonzero(mis2.chosen)
-                mis2_rounds, mis2_messages = mis2.engine_rounds, mis2.messages
-            else:
-                # Conflict-graph nodes are *edges* hosted by alive cluster
-                # heads: they suffer the plan's link faults but cannot
-                # crash (a dead host already removed its edges above).
-                vplan = replace(
-                    plan,
-                    crash_rate=0.0,
-                    seed=plan.seed * 1_000_003 + 17,
-                )
-                vrun = run_luby_mis_event(
-                    (c_indptr, c_indices),
-                    seed=mis2_seed,
-                    plan=vplan,
-                    t0=self._clock,
-                )
-                self._clock = vrun.t_end
-                result.retransmissions += vrun.result.retransmissions
-                result.recovery_rounds += vrun.result.recovery_rounds
-                chosen = vrun.independent_set
-                mis2_rounds = vrun.result.rounds
-                mis2_messages = vrun.result.messages
-            result.mis_invocations += 1
-            ledger.charge(
-                index,
-                "redundant.mis",
-                mis2_rounds * k_query,
-                messages=mis2_messages,
-                detail=(
-                    f"{mis2_rounds} J-rounds x {k_query} hop factor"
-                ),
+            mis, _ = self._luby(
+                c_indptr, c_indices, self._seed * 2_000_003 + index, result
             )
-            removed = remove_unchosen(spanner, added, nodes, chosen)
+            ledger.charge(
+                index, "redundant.mis", mis.engine_rounds * k_query,
+                messages=mis.messages,
+                detail=f"{mis.engine_rounds} J-rounds x {k_query} hop factor",
+            )
+            removed = remove_unchosen(
+                spanner, added, nodes, np.flatnonzero(mis.chosen)
+            )
         ledger.charge(
             index, "redundant.gather", k_query, detail="pair discovery"
         )
 
-        return PhaseReport(
-            index=index,
-            w_prev=w_prev,
-            w_cur=w_cur,
-            num_bin_edges=int(bin_edges.w.size),
-            num_covered=int(covered.sum()),
-            num_candidates=int(candidates.w.size),
-            num_clusters=cover.num_clusters,
-            num_queries=int(queries.w.size),
-            max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=int(added.w.size),
-            num_removed=int(removed.sum()),
-            num_intra_edges=cluster_graph.num_intra_edges,
-            num_inter_edges=cluster_graph.num_inter_edges,
-            inter_center_degree=cluster_graph.inter_center_degree(),
+        return PhaseReport.of_steps(
+            index, binning, bin_edges, covered, cover, selection,
+            cluster_graph, added, removed,
         )

@@ -61,7 +61,6 @@ __all__ = [
     "Multi",
     "EventNodeContext",
     "EventProtocol",
-    "BatchEventProtocol",
     "EventNetwork",
 ]
 
@@ -146,10 +145,26 @@ class EventNodeContext:
 class EventProtocol:
     """Base class for event-driven protocols.
 
-    Every hook may return an outbox ``{neighbor: payload}`` (or ``None``
-    for silence); wrap payloads in :class:`Ctl`/:class:`Resend` for
-    overhead accounting and in :class:`Multi` to send several messages to
-    one neighbor at once.
+    Every per-node hook may return an outbox ``{neighbor: payload}`` (or
+    ``None`` for silence); wrap payloads in :class:`Ctl`/:class:`Resend`
+    for overhead accounting and in :class:`Multi` to send several
+    messages to one neighbor at once.
+
+    The engine groups every same-timestamp epoch into receiver-sorted
+    delivery segments and ``(node, seq)``-sorted timer fires, and hands
+    each group to one epoch hook (:meth:`on_deliver_epoch`,
+    :meth:`on_timer_epoch`).  The defaults step the per-node hooks in
+    that canonical order.  A protocol overrides them to step a whole
+    epoch at once, cutting the per-node wrapper traffic (outbox dicts,
+    :class:`Ctl`/:class:`Multi` allocation, dispatch unwrapping) out of
+    the hot loop; an override MUST preserve the per-node contract
+    exactly -- same per-node processing order (ascending receiver for
+    deliveries, ``(node, seq)`` for timers, alive/halted checked at call
+    time), and same transmission order (per node: all sends grouped by
+    destination in first-touch order) -- because transmission sequence
+    numbers feed the fault plan's drop/latency draws and any reordering
+    changes the run.  Overrides emit through ``engine.send`` and must set
+    ``engine._stepped`` for every timer actually fired.
     """
 
     name = "event-protocol"
@@ -189,31 +204,6 @@ class EventProtocol:
     def output(self, ctx: EventNodeContext) -> Any:
         """Final per-node result (crashed nodes report frozen state)."""
         return None
-
-
-class BatchEventProtocol(EventProtocol):
-    """An event protocol that can step a whole epoch in one call.
-
-    The batch event engine groups every same-timestamp epoch into
-    receiver-sorted delivery segments and ``(node, seq)``-sorted timer
-    fires; a :class:`BatchEventProtocol` receives each group through one
-    hook call instead of one engine dispatch per node, cutting the
-    per-node wrapper traffic (outbox dicts, :class:`Ctl`/:class:`Multi`
-    allocation, dispatch unwrapping) out of the hot loop.
-
-    The default implementations below replay the scalar hooks in the
-    engine's canonical order, so subclassing changes nothing unless a
-    hook is overridden.  Overrides MUST preserve the scalar contract
-    exactly -- same per-node processing order (ascending receiver for
-    deliveries, ``(node, seq)`` for timers, alive/halted checked at call
-    time), and same transmission order (per node: all sends grouped by
-    destination in first-touch order) -- because transmission sequence
-    numbers feed the fault plan's drop/latency draws and any reordering
-    changes the run.  Overrides emit through ``engine.send`` and must set
-    ``engine._stepped`` for every timer actually fired.
-    """
-
-    supports_batch_epoch = True
 
     def on_deliver_epoch(
         self,
@@ -562,9 +552,9 @@ class EventNetwork:
     def send(
         self, sender: int, receiver: int, payload: Any, kind: str = "data"
     ) -> None:
-        """Direct transmission entry point for :class:`BatchEventProtocol`
-        epoch hooks (which bypass outbox dicts); same validation and
-        billing as dispatching an outbox."""
+        """Direct transmission entry point for overridden epoch hooks
+        (which bypass outbox dicts); same validation and billing as
+        dispatching an outbox."""
         if receiver not in self._allowed[sender]:
             raise ProtocolError(
                 f"{self._proto_name}: node {sender} attempted to "
@@ -671,12 +661,10 @@ class EventNetwork:
         Drains whole same-timestamp epochs from the hybrid wheel (heap
         for singleton pushes, sorted array runs for transmission
         batches), defers the epoch's fault draws into one vectorized
-        pass, and steps :class:`BatchEventProtocol` groups through
-        single epoch-hook calls; any other :class:`EventProtocol` is
-        stepped node by node in the same canonical order.
+        pass, and hands each epoch's deliveries and timer fires to the
+        protocol's epoch hooks in canonical order.
         """
         _, nodes, contexts = self._init_run(protocol)
-        batch_epoch = getattr(protocol, "supports_batch_epoch", False)
         rounds = self._start(protocol, nodes, contexts)
         self._flush_tx()
 
@@ -791,27 +779,11 @@ class EventNetwork:
                     if not ctx.halted:
                         self._stepped = True
                 if batch:
-                    if batch_epoch:
-                        protocol.on_deliver_epoch(self, t, batch)
-                    else:
-                        for ctx, inbox in batch:
-                            self._dispatch(
-                                ctx.node, protocol.on_deliver(ctx, inbox, t)
-                            )
+                    protocol.on_deliver_epoch(self, t, batch)
 
             if timers:
                 fires = sorted(timers, key=lambda e: (e[3], e[2]))
-                if batch_epoch:
-                    protocol.on_timer_epoch(self, t, fires)
-                else:
-                    for entry in fires:
-                        ctx = contexts[entry[3]]
-                        if not ctx.alive or ctx.halted:
-                            continue
-                        self._stepped = True
-                        self._dispatch(
-                            ctx.node, protocol.on_timer(ctx, t, entry[4])
-                        )
+                protocol.on_timer_epoch(self, t, fires)
 
             if self._txq:
                 self._flush_tx()

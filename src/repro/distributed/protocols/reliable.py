@@ -50,9 +50,9 @@ from typing import Any, Mapping
 from ...exceptions import SimulationLimitError
 from ..engine import Protocol
 from ..event_engine import (
-    BatchEventProtocol,
     Ctl,
     EventNodeContext,
+    EventProtocol,
     Multi,
     Resend,
 )
@@ -107,7 +107,7 @@ class _InnerCtx:
         self._rel["inner_halted"] = True
 
 
-class HardenedProtocol(BatchEventProtocol):
+class HardenedProtocol(EventProtocol):
     """Run a synchronous protocol reliably on an unreliable network.
 
     Parameters
@@ -266,7 +266,7 @@ class HardenedProtocol(BatchEventProtocol):
         """Wrap the buffered ``(wire, kind)`` emissions into the outbox
         shape the scalar engine's dispatcher unwraps (plain wires for
         data, :class:`Ctl`/:class:`Resend` markers, :class:`Multi` for
-        fan-in).  The batch epoch hooks skip this round trip entirely
+        fan-in).  The epoch hooks skip this round trip entirely
         via :meth:`_flush`; both orders bill and sequence identically."""
         if not outq:
             return None

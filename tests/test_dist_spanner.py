@@ -10,8 +10,10 @@ from oracles.local_views import (
     local_component_of_short_edges,
 )
 
+from repro.core.relaxed_greedy import RelaxedGreedySpanner
 from repro.distributed.dist_spanner import DistributedRelaxedGreedy
-from repro.exceptions import ParameterError
+from repro.exceptions import GraphError, ParameterError
+from repro.experiments.failures import fault_scenario
 from repro.experiments.workloads import make_workload
 from repro.geometry.sampling import uniform_points
 from repro.graphs.analysis import lightness, measure_stretch
@@ -106,47 +108,6 @@ class TestLedger:
             RoundLedger().charge(0, "x", -1)
 
 
-class TestMeasuredGather:
-    def test_measured_messages_positive_same_result(self, params_half):
-        points = uniform_points(50, seed=41)
-        graph = build_udg(points)
-        plain = DistributedRelaxedGreedy(params_half, seed=7).build(
-            graph, points.distance
-        )
-        measured = DistributedRelaxedGreedy(
-            params_half, seed=7, measure_gather_messages=True
-        ).build(graph, points.distance)
-        # Same spanner, same round bill; only the message column fills in.
-        assert measured.spanner == plain.spanner
-        assert measured.total_rounds == plain.total_rounds
-        gather_msgs = sum(
-            e.messages
-            for e in measured.ledger.entries
-            if e.step == "cover.gather"
-        )
-        assert gather_msgs > 0
-        assert measured.ledger.total_messages > plain.ledger.total_messages
-
-
-class TestScheduledEmptyPhases:
-    def test_empty_phases_pay_cover_schedule(self, params_half):
-        points = uniform_points(40, seed=31)
-        graph = build_udg(points)
-        lazy = DistributedRelaxedGreedy(params_half, seed=1).build(
-            graph, points.distance
-        )
-        eager = DistributedRelaxedGreedy(
-            params_half, seed=1, process_empty_phases=True
-        ).build(graph, points.distance)
-        assert eager.ledger.total_rounds >= lazy.ledger.total_rounds
-        assert len(eager.phases) >= len(lazy.phases)
-        # Guarantees unchanged.
-        assert (
-            measure_stretch(graph, eager.spanner).max_stretch
-            <= params_half.t * (1 + 1e-9)
-        )
-
-
 class TestEdgeCases:
     def test_empty_graph(self, params_half):
         build = DistributedRelaxedGreedy(params_half).build(
@@ -178,6 +139,22 @@ class TestEdgeCases:
         g.add_edge(0, 1, 1.4)
         with pytest.raises(GraphError):
             DistributedRelaxedGreedy(params_half).build(g, lambda u, v: 1.4)
+
+    def test_both_builders_reject_an_overlong_edge_alike(self, params_half):
+        g = Graph(2)
+        g.add_edge(0, 1, 1.5)
+        messages = []
+        for builder in (
+            RelaxedGreedySpanner(params_half),
+            DistributedRelaxedGreedy(params_half),
+        ):
+            with pytest.raises(GraphError) as info:
+                builder.build(g, lambda u, v: 1.5)
+            messages.append(str(info.value))
+        assert messages == [
+            "alpha-UBG edges must have length <= 1, found 1.5; "
+            "rescale the instance"
+        ] * 2
 
     def test_jobs_one_builds_like_the_default(
         self, params_half, small_udg, small_points
@@ -233,6 +210,77 @@ class TestReliableBuildPins:
         assert build.total_rounds == rounds
         assert build.ledger.total_messages == messages
         assert build.mis_invocations == mis_runs
+
+
+def _ledger_digest(ledger):
+    """Short hash of every ledger entry's (phase, step, rounds, messages)
+    in charge order; the free-form ``detail`` text is left out."""
+    rows = [
+        (int(e.phase), e.step, int(e.rounds), int(e.messages))
+        for e in ledger.entries
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def _pinned_build(fault):
+    """The reliable build at uniform n=400 (workload and builder seed 1)
+    without a fault plan, or a build at uniform n=80 (workload seed 61,
+    builder seed 0) under the named fault scenario, built as E11 builds."""
+    params = SpannerParams.from_epsilon(0.5)
+    if fault is None:
+        workload = make_workload("uniform", 400, seed=1)
+        builder = DistributedRelaxedGreedy(params, seed=1)
+    else:
+        workload = make_workload("uniform", 80, seed=61)
+        builder = DistributedRelaxedGreedy(
+            params, seed=0, fault_plan=fault_scenario(fault).plan(0)
+        )
+    return builder, workload
+
+
+class TestLedgerPins:
+    """Whole ledgers against values recorded before the distributed phase
+    shared one MIS runner: a charge that moves, changes its phase or step,
+    or changes its rounds or messages moves the digest, where the total
+    pins above would not notice a reordered or relabelled charge.
+    Columns: fault scenario, ledger digest, ledger entries, final_time,
+    crashed nodes, MIS invocations."""
+
+    @pytest.mark.parametrize(
+        "fault, digest, entries, final_time, crashed, mis_runs",
+        [
+            (None, "bfb62d5bf4faec12", 413, 0.0, (), 65),
+            ("lossy", "b0fca767a3de0867", 291, 400.2586, (), 43),
+            (
+                "crashy", "28e8edf2171db798", 286, 47.61064749714307,
+                (23, 41, 51, 55, 75), 42,
+            ),
+        ],
+    )
+    def test_ledger_matches_recorded_entries(
+        self, fault, digest, entries, final_time, crashed, mis_runs
+    ):
+        builder, workload = _pinned_build(fault)
+        build = builder.build(workload.graph, workload.points.distance)
+        assert _ledger_digest(build.ledger) == digest
+        assert len(build.ledger.entries) == entries
+        assert build.final_time == final_time
+        assert build.crashed == crashed
+        assert build.mis_invocations == mis_runs
+
+
+class TestBuilderState:
+    def test_a_build_leaves_the_builder_unchanged(self):
+        """One builder is reusable across builds: the simulation clock
+        and the fault state live on the build, not on the builder."""
+        builder, workload = _pinned_build("crashy")
+        before = dict(vars(builder))
+        first = builder.build(workload.graph, workload.points.distance)
+        assert vars(builder) == before
+        second = builder.build(workload.graph, workload.points.distance)
+        assert _edge_digest(second.spanner) == _edge_digest(first.spanner)
+        assert second.final_time == first.final_time
+        assert second.crashed == first.crashed
 
 
 class TestLocality:

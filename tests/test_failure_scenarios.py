@@ -246,6 +246,14 @@ def _promote_reference(spanner, radius, centers, dead):
     return promoted
 
 
+def _promote(spanner, radius, centers, dead):
+    """:func:`promote_uncovered` called on id collections, as a list."""
+    alive = np.ones(spanner.num_vertices, dtype=bool)
+    alive[list(dead)] = False
+    centers = np.asarray(centers, dtype=np.int64)
+    return promote_uncovered(spanner, radius, centers, alive).tolist()
+
+
 #: Relay 1 links center 0 to nodes 2 and 3; node 6 hangs off 2 and
 #: node 7 off 6.  Cover radius 1.0, centers 0 and 4.
 _RELAY_EDGES = [(0, 1, 0.3), (1, 2, 0.3)]
@@ -267,7 +275,7 @@ class TestCenterPromotion:
 
     def test_dead_relay_cuts_node_off_from_its_center(self):
         spanner = _relay_spanner(relay_alive=False)
-        promoted = promote_uncovered(spanner, 1.0, [0, 4], {1})
+        promoted = _promote(spanner, 1.0, [0, 4], {1})
         # 2 lost its path to 0; 6 lies within 2's ball, 7 beyond it.
         assert promoted == [2, 7]
         assert promoted == _promote_reference(spanner, 1.0, [0, 4], {1})
@@ -277,9 +285,9 @@ class TestCenterPromotion:
 
     def test_live_relay_keeps_its_nodes_covered(self):
         spanner = _relay_spanner(relay_alive=True)
-        assert promote_uncovered(spanner, 1.0, [0, 4], set()) == [6]
+        assert _promote(spanner, 1.0, [0, 4], set()) == [6]
         assert _promote_reference(spanner, 1.0, [0, 4], set()) == [6]
-        assert promote_uncovered(spanner, 1.0, [0, 4, 6], set()) == []
+        assert _promote(spanner, 1.0, [0, 4, 6], set()) == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_after_random_crashes(self, seed):
@@ -294,13 +302,15 @@ class TestCenterPromotion:
         for u in dead:
             for v in list(spanner.neighbors(u)):
                 spanner.remove_edge(u, v)
-        promoted = promote_uncovered(spanner, radius, centers, dead)
+        promoted = _promote(spanner, radius, centers, dead)
         assert promoted
         assert promoted == _promote_reference(spanner, radius, centers, dead)
 
     def test_fault_path_promotes_after_a_mid_run_crash(self, monkeypatch):
-        """``_cover_mis_event`` prunes the crashed relay, promotes the
-        cut-off nodes and charges the promotion to the ledger."""
+        """A cover MIS run in which the relay crashes: ``_luby`` reports
+        the relay down and moves the build's clock, and
+        ``_recover_cover`` prunes the relay, promotes the cut-off nodes
+        and charges the promotion to the ledger."""
         spanner = _relay_spanner(relay_alive=True)
         builder = DistributedRelaxedGreedy(
             SpannerParams.from_epsilon(0.5), fault_plan=FaultPlan()
@@ -320,13 +330,17 @@ class TestCenterPromotion:
         result = DistributedSpannerResult(
             spanner=spanner, params=builder.params, ledger=ledger
         )
-        centers, dead = builder._cover_mis_event(
-            FaultPlan(), indptr, indices, set(), 1, 2, spanner, 1.0,
-            ledger, result,
+        mis, alive = builder._luby(
+            indptr, indices, 1, result, np.ones(8, dtype=bool)
         )
-        assert dead == {1}
+        assert np.flatnonzero(~alive).tolist() == [1]
+        assert (mis.engine_rounds, mis.messages) == (3, 10)
+        assert result.final_time == 1.0
+        centers = builder._recover_cover(
+            spanner, 1.0, np.flatnonzero(mis.chosen), alive, 1, 2, result
+        )
         assert list(spanner.neighbors(1)) == []
-        assert centers == [0, 2, 4, 7]
+        assert centers.tolist() == [0, 2, 4, 7]
         assert result.recovery_rounds == 1
         recover = [e for e in ledger.entries if e.step == "cover.recover"]
         assert [(e.rounds, e.messages) for e in recover] == [(2, 2)]
